@@ -1,12 +1,10 @@
 //! The deterministic event engine.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
-use crate::heap::Entry;
-use crate::queue::{EventQueue, Popped, QueueKind};
+use crate::calendar::{CalendarQueue, Entry, Popped};
 use crate::time::SimTime;
 
 /// Identifier of a component registered with an [`Engine`].
@@ -148,11 +146,11 @@ pub struct EngineStats {
     /// High-water mark of *pending events* — entries in the queue plus
     /// any same-instant batch popped but not yet delivered. Counting
     /// events (never queue-internal structures such as calendar buckets)
-    /// keeps the datapoint comparable across queue implementations and
-    /// across `BENCH_engine.json` history.
+    /// keeps the datapoint independent of the queue's geometry and
+    /// comparable across `BENCH_engine.json` history.
     pub max_queue_len: usize,
     /// Wall-clock nanoseconds spent inside `run`/`run_until`/`run_events`
-    /// since construction (individual `step` calls are not timed).
+    /// since construction.
     pub wall_nanos: u64,
 }
 
@@ -177,60 +175,36 @@ pub struct ComponentStats {
     pub scheduled: u64,
 }
 
-/// The payload stored in the event heap; the `(at, seq)` ordering key lives
-/// packed inside the heap entry itself.
+/// The payload stored in each queue entry; the `(at, seq)` ordering key
+/// lives packed inside the entry itself.
 struct Scheduled<M> {
     dst: CompId,
     msg: M,
 }
 
-/// One delivered event, as recorded by the trace facility.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TraceEntry {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Scheduling sequence number: the engine delivers events in strict
-    /// `(at, seq)` order, so trace entries are totally ordered even across
-    /// same-instant ties.
-    pub seq: u64,
-    /// Receiving component.
-    pub dst: CompId,
-    /// The component's registered name at delivery time.
-    pub component: String,
-    /// `Debug` rendering of the event.
-    pub event: String,
-}
-
-/// An observer invoked on every event delivery (time, scheduling sequence
-/// number, destination), installed with [`Engine::set_delivery_hook`].
-pub type DeliveryHook = Box<dyn FnMut(SimTime, u64, CompId)>;
-
-/// The discrete-event engine: a clock, a priority queue of scheduled events,
-/// and the set of registered components.
+/// The discrete-event engine: a clock, a calendar queue of scheduled
+/// events, and the set of registered components.
 ///
 /// See the [crate docs](crate) for a complete example.
 pub struct Engine<M> {
     components: Vec<Box<dyn Component<M>>>,
-    /// Component names captured once at registration, so the trace path
-    /// never makes a virtual `name()` call (or re-allocates) per event.
+    /// Component names captured once at registration, so name lookups
+    /// never make a virtual `name()` call (or allocate).
     names: Vec<Box<str>>,
-    queue: EventQueue<Scheduled<M>>,
+    queue: CalendarQueue<Scheduled<M>>,
     now: SimTime,
     seq: u64,
     halt: bool,
     stats: EngineStats,
     comp_stats: Vec<ComponentStats>,
     outbox: Vec<(SimTime, CompId, M)>,
-    /// Scratch for batched same-instant delivery in `run_until`; kept on
-    /// the engine so its capacity is reused across batches.
+    /// Scratch for batched same-instant delivery; kept on the engine so
+    /// its capacity is reused across batches.
     batch: Vec<Entry<Scheduled<M>>>,
     /// Same-instant events popped as a batch but not yet delivered; they
     /// are still "pending" for queue-depth accounting even though they
     /// have left the queue.
     in_batch: usize,
-    #[allow(clippy::type_complexity)]
-    trace: Option<(usize, VecDeque<TraceEntry>, Box<dyn Fn(&M) -> String>)>,
-    hook: Option<DeliveryHook>,
 }
 
 impl<M> fmt::Debug for Engine<M> {
@@ -251,22 +225,12 @@ impl<M: 'static> Default for Engine<M> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// Creates an empty engine at time zero, using the default calendar
-    /// event queue (see [`QueueKind`]).
+    /// Creates an empty engine at time zero.
     pub fn new() -> Self {
-        Self::with_queue(QueueKind::Calendar)
-    }
-
-    /// Creates an empty engine with an explicit pending-event queue
-    /// implementation. Both kinds deliver in identical `(at, seq)` order;
-    /// they differ only in cost model. `Calendar` additionally degrades
-    /// itself to the heap if the event-time distribution defeats its
-    /// bucket geometry.
-    pub fn with_queue(kind: QueueKind) -> Self {
         Engine {
             components: Vec::new(),
             names: Vec::new(),
-            queue: EventQueue::new(kind),
+            queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
             halt: false,
@@ -275,65 +239,7 @@ impl<M: 'static> Engine<M> {
             outbox: Vec::new(),
             batch: Vec::new(),
             in_batch: 0,
-            trace: None,
-            hook: None,
         }
-    }
-
-    /// The pending-event queue implementation currently in use (reflects
-    /// a calendar-to-heap degrade).
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Enables event tracing, keeping the most recent `capacity` delivered
-    /// events (a debugging flight recorder). Requires `M: Debug`.
-    pub fn enable_trace(&mut self, capacity: usize)
-    where
-        M: std::fmt::Debug,
-    {
-        self.trace = Some((
-            capacity.max(1),
-            VecDeque::new(),
-            Box::new(|m: &M| format!("{m:?}")),
-        ));
-    }
-
-    /// Drains and returns everything recorded so far, leaving tracing
-    /// *enabled*: subsequent deliveries keep being recorded, so callers can
-    /// poll the flight recorder incrementally. Returns an empty vector when
-    /// tracing was never enabled. Use [`Engine::disable_trace`] to turn the
-    /// recorder off.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace
-            .as_mut()
-            .map(|(_, buf, _)| buf.drain(..).collect())
-            .unwrap_or_default()
-    }
-
-    /// Disables tracing and returns whatever was still recorded.
-    pub fn disable_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace
-            .take()
-            .map(|(_, buf, _)| buf.into_iter().collect())
-            .unwrap_or_default()
-    }
-
-    /// The recorded trace so far (empty when tracing is off).
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.trace.iter().flat_map(|(_, buf, _)| buf.iter())
-    }
-
-    /// Installs an observer called on every delivery with `(at, seq, dst)`.
-    /// One `Option` branch on the hot path when absent; replaces any
-    /// previous hook.
-    pub fn set_delivery_hook(&mut self, hook: DeliveryHook) {
-        self.hook = Some(hook);
-    }
-
-    /// Removes the delivery hook installed by [`Engine::set_delivery_hook`].
-    pub fn clear_delivery_hook(&mut self) {
-        self.hook = None;
     }
 
     /// Registers a component and returns its id. The component's name is
@@ -423,45 +329,13 @@ impl<M: 'static> Engine<M> {
             .max(self.queue.len() + self.in_batch);
     }
 
-    /// Delivers the single earliest pending event. Returns `false` if the
-    /// queue was empty.
-    pub fn step(&mut self) -> bool {
-        let Some(entry) = self.queue.pop() else {
-            return false;
-        };
-        let at = entry.at();
-        assert!(at >= self.now, "event queue went backwards");
-        self.now = at;
-        self.deliver(at, entry.seq(), entry.item);
-        true
-    }
-
-    /// Delivers one already-popped event: counters, hook, trace, the
-    /// component's handler, and the outbox drain.
+    /// Delivers one already-popped event at the current time: counters,
+    /// the component's handler, and the outbox drain.
     #[inline(always)]
-    fn deliver(&mut self, at: SimTime, seq: u64, sched: Scheduled<M>) {
+    fn deliver(&mut self, sched: Scheduled<M>) {
         let Scheduled { dst, msg } = sched;
         self.stats.events_delivered += 1;
         self.comp_stats[dst.index()].delivered += 1;
-        if let Some(hook) = self.hook.as_mut() {
-            hook(at, seq, dst);
-        }
-        if let Some((cap, buf, render)) = self.trace.as_mut() {
-            if buf.len() == *cap {
-                buf.pop_front();
-            }
-            buf.push_back(TraceEntry {
-                at,
-                seq,
-                dst,
-                component: self
-                    .names
-                    .get(dst.index())
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-                event: render(&msg),
-            });
-        }
 
         let mut outbox = std::mem::take(&mut self.outbox);
         {
@@ -489,23 +363,42 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Runs until `deadline` (inclusive of events *at* the deadline), the
-    /// queue drains, or a component halts the engine.
+    /// queue drains, or a component halts the engine. On
+    /// [`RunLimit::Deadline`] the clock moves forward to `deadline`; a
+    /// deadline already behind the clock leaves it where it is.
+    pub fn run_until(&mut self, deadline: SimTime) -> RunLimit {
+        self.run_loop(deadline, u64::MAX)
+    }
+
+    /// Runs at most `budget` events; a safety valve against livelocked
+    /// component protocols in tests.
+    pub fn run_events(&mut self, budget: u64) -> RunLimit {
+        self.run_loop(SimTime::MAX, budget)
+    }
+
+    /// The one delivery loop behind every `run_*` method: delivers in
+    /// `(at, seq)` order until the queue drains, the next event lies past
+    /// `deadline`, a component halts, or `budget` events were delivered.
     ///
     /// Same-instant events are popped as one batch (one queue min-search
     /// for the whole tie instead of one per event) and delivered in their
     /// `(at, seq)` order; events scheduled during the batch carry strictly
     /// higher sequence numbers, so batching cannot reorder anything. A
-    /// halt mid-batch pushes the undelivered remainder back with keys
-    /// unchanged, so a later run resumes in the identical order.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunLimit {
+    /// halt or an exhausted budget mid-batch pushes the undelivered
+    /// remainder back with keys unchanged, so a later run resumes in the
+    /// identical order.
+    fn run_loop(&mut self, deadline: SimTime, mut budget: u64) -> RunLimit {
         self.halt = false;
         let t0 = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
         let limit = loop {
+            if budget == 0 {
+                break RunLimit::EventBudget;
+            }
             let first = match self.queue.pop_ready(deadline, &mut batch) {
                 Popped::Drained => break RunLimit::Drained,
-                Popped::Deadline(next) => {
-                    self.now = deadline.min(next);
+                Popped::Deadline => {
+                    self.now = self.now.max(deadline);
                     break RunLimit::Deadline;
                 }
                 Popped::Ready(first) => first,
@@ -513,57 +406,41 @@ impl<M: 'static> Engine<M> {
             let at = first.at();
             assert!(at >= self.now, "event queue went backwards");
             self.now = at;
+            budget -= 1;
             if batch.is_empty() {
                 // Singleton batch: the hot path, no vec traffic at all.
-                self.deliver(at, first.seq(), first.item);
+                self.deliver(first.item);
                 if self.halt {
                     break RunLimit::Halted;
                 }
                 continue;
             }
             self.in_batch = batch.len();
-            self.deliver(at, first.seq(), first.item);
-            let mut drain = batch.drain(..);
-            let mut halted = self.halt;
-            if !halted {
-                for entry in drain.by_ref() {
-                    self.in_batch -= 1;
-                    self.deliver(at, entry.seq(), entry.item);
-                    if self.halt {
-                        halted = true;
-                        break;
-                    }
+            self.deliver(first.item);
+            let mut rest = batch.drain(..);
+            let stop = loop {
+                if self.halt {
+                    break Some(RunLimit::Halted);
                 }
-            }
-            if halted {
-                for rest in drain {
-                    self.queue.push(rest);
+                if budget == 0 {
+                    break Some(RunLimit::EventBudget);
+                }
+                let Some(entry) = rest.next() else {
+                    break None;
+                };
+                self.in_batch -= 1;
+                budget -= 1;
+                self.deliver(entry.item);
+            };
+            if let Some(stop) = stop {
+                for entry in rest {
+                    self.queue.push(entry);
                 }
                 self.in_batch = 0;
-                break RunLimit::Halted;
+                break stop;
             }
         };
         self.batch = batch;
-        self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
-        limit
-    }
-
-    /// Runs at most `budget` events; a safety valve against livelocked
-    /// component protocols in tests.
-    pub fn run_events(&mut self, budget: u64) -> RunLimit {
-        self.halt = false;
-        let t0 = Instant::now();
-        let mut limit = RunLimit::EventBudget;
-        for _ in 0..budget {
-            if !self.step() {
-                limit = RunLimit::Drained;
-                break;
-            }
-            if self.halt {
-                limit = RunLimit::Halted;
-                break;
-            }
-        }
         self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         limit
     }
@@ -799,126 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_recent_events() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(3);
-        for i in 0..5 {
-            eng.schedule(SimTime::from_ns(i), r, i as u32);
-        }
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 3, "bounded to capacity");
-        assert_eq!(trace[0].event, "2");
-        assert_eq!(trace[2].event, "4");
-        assert_eq!(trace[0].component, "recorder");
-    }
-
-    /// Regression: `take_trace` drains but must NOT disable the recorder.
-    /// (It previously `take`d the whole `Option`, so the first drain
-    /// silently switched tracing off.)
-    #[test]
-    fn take_trace_drains_and_keeps_recording() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(8);
-        eng.schedule(SimTime::ZERO, r, 1);
-        eng.run();
-        assert_eq!(eng.take_trace().len(), 1);
-        assert_eq!(eng.take_trace().len(), 0, "drained");
-        // Still enabled: later deliveries are recorded.
-        eng.schedule(SimTime::ZERO, r, 2);
-        eng.run();
-        assert_eq!(eng.trace().count(), 1);
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].event, "2");
-        // disable_trace is the off switch.
-        eng.schedule(SimTime::ZERO, r, 3);
-        eng.run();
-        assert_eq!(eng.disable_trace().len(), 1);
-        eng.schedule(SimTime::ZERO, r, 4);
-        eng.run();
-        assert_eq!(eng.trace().count(), 0, "off after disable_trace");
-        assert_eq!(eng.take_trace().len(), 0);
-    }
-
-    /// `enable_trace(0)` clamps to one slot rather than panicking or
-    /// recording nothing, and survives repeated drains.
-    #[test]
-    fn enable_trace_zero_capacity_keeps_latest_event() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(0);
-        for i in 0..4u32 {
-            eng.schedule(SimTime::from_ns(u64::from(i)), r, i);
-        }
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1, "capacity clamped to 1");
-        assert_eq!(trace[0].event, "3", "keeps the most recent event");
-        eng.schedule(SimTime::ZERO, r, 7);
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1, "still recording after the drain");
-        assert_eq!(trace[0].event, "7");
-    }
-
-    /// Property: the recorded trace order IS the engine's documented
-    /// `(at, seq)` delivery order, including dense same-instant ties, and
-    /// every entry carries the sequence number that proves it.
-    #[test]
-    fn trace_order_matches_at_seq_delivery_order() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(1000);
-        let mut rng = crate::SimRng::new(7);
-        let mut expected: Vec<(u64, u64)> = Vec::new();
-        for i in 0..400u64 {
-            let at = rng.range(25); // picoseconds: lots of exact ties
-            eng.schedule(SimTime::from_ps(at), r, i as u32);
-            expected.push((at, i));
-        }
-        expected.sort(); // stable (at, seq) lexicographic reference
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 400);
-        let got: Vec<(u64, u64)> = trace.iter().map(|e| (e.at.as_ps(), e.seq)).collect();
-        assert_eq!(got, expected, "trace order == (at, seq) delivery order");
-        // Redundant but explicit: (at, seq) is strictly increasing, so ties
-        // on `at` are broken by schedule order.
-        for w in trace.windows(2) {
-            assert!(
-                (w[0].at, w[0].seq) < (w[1].at, w[1].seq),
-                "trace must be strictly ordered by (at, seq)"
-            );
-        }
-    }
-
-    #[test]
-    fn delivery_hook_sees_every_delivery_and_uninstalls() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        let seen: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
-        let sink = Rc::clone(&seen);
-        eng.set_delivery_hook(Box::new(move |at, seq, _dst| {
-            sink.borrow_mut().push((at.as_ps(), seq));
-        }));
-        for i in 0..5u32 {
-            eng.schedule(SimTime::from_ns(1), r, i);
-        }
-        eng.run();
-        assert_eq!(seen.borrow().len(), 5);
-        assert!(seen.borrow().windows(2).all(|w| w[0] < w[1]));
-        eng.clear_delivery_hook();
-        eng.schedule(SimTime::ZERO, r, 9);
-        eng.run();
-        assert_eq!(seen.borrow().len(), 5, "hook removed");
-    }
-
-    #[test]
     fn determinism_across_runs() {
         let run = || {
             let mut eng: Engine<u32> = Engine::new();
@@ -932,10 +689,9 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Pins the indexed heap to the old `BinaryHeap` semantics on a heavy
-    /// adversarial mix: many components, duplicate instants, events
-    /// scheduled from within deliveries. The expected order is recomputed
-    /// with a stable sort by `(at, seq)` — the documented contract.
+    /// Pins delivery order on dense duplicate instants: the expected
+    /// order is recomputed with a stable sort by `(at, seq)` — the
+    /// documented contract.
     #[test]
     fn delivery_order_matches_stable_sort_reference() {
         let mut eng: Engine<u32> = Engine::new();
@@ -966,6 +722,86 @@ mod tests {
         assert_eq!(eng.run_events(100), RunLimit::Drained);
         let expect: Vec<u32> = (0..10).collect();
         assert_eq!(eng.get::<Recorder>(r).unwrap().seen, expect);
+    }
+
+    /// Schedules one same-instant follow-up per event below 100, so a tie
+    /// grows while it is being delivered; event 200 fans out 20 events,
+    /// setting the queue's high-water mark after the ties.
+    struct Echo {
+        seen: Vec<(u64, u32)>,
+    }
+    impl Component<u32> for Echo {
+        fn on_event(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+            self.seen.push((ctx.now().as_ps(), ev));
+            match ev {
+                0..100 => ctx.send_self(SimTime::ZERO, ev + 100),
+                200 => (300..320).for_each(|v| ctx.send_self(SimTime::from_ns(1), v)),
+                _ => {}
+            }
+        }
+        fn name(&self) -> &str {
+            "echo"
+        }
+    }
+
+    /// An event budget that runs out inside a same-instant tie resumes in
+    /// `(at, seq)` order, and the counters come out exactly as in one
+    /// uninterrupted run, whatever the budget.
+    #[test]
+    fn run_events_budget_inside_tie_resumes_in_order() {
+        let setup = || {
+            let mut eng: Engine<u32> = Engine::new();
+            let e = eng.add(Echo { seen: Vec::new() });
+            for i in 0..6u32 {
+                eng.schedule(SimTime::from_ns(10), e, i);
+            }
+            for i in 6..9u32 {
+                eng.schedule(SimTime::from_ns(20), e, i);
+            }
+            eng.schedule(SimTime::from_ns(30), e, 200);
+            (eng, e)
+        };
+        let (mut whole, e) = setup();
+        assert_eq!(whole.run(), RunLimit::Drained);
+        let want = whole.get::<Echo>(e).unwrap().seen.clone();
+        let order: Vec<u32> = want.iter().map(|&(_, v)| v).collect();
+        let expect: Vec<u32> = [0..6, 100..106, 6..9, 106..109, 200..201, 300..320]
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(order, expect);
+        assert_eq!(whole.stats().max_queue_len, 20);
+        for budget in 1..=7 {
+            let (mut eng, e) = setup();
+            let mut slices = 1;
+            while eng.run_events(budget) == RunLimit::EventBudget {
+                slices += 1;
+            }
+            assert!(slices > 2, "budget {budget} never ran out");
+            assert_eq!(eng.get::<Echo>(e).unwrap().seen, want, "budget {budget}");
+            let (sliced, uninterrupted) = (eng.stats(), whole.stats());
+            assert_eq!(sliced.events_delivered, uninterrupted.events_delivered);
+            assert_eq!(sliced.max_queue_len, uninterrupted.max_queue_len);
+        }
+    }
+
+    /// Regression: a deadline already behind the clock must leave it
+    /// alone. It used to rewind `now` to the deadline, so an event
+    /// scheduled afterwards landed before events already delivered.
+    #[test]
+    fn run_until_past_deadline_keeps_clock() {
+        let mut eng: Engine<u32> = Engine::new();
+        let r = eng.add(Recorder { seen: Vec::new() });
+        eng.schedule(SimTime::from_ns(50), r, 50);
+        eng.schedule(SimTime::from_ns(100), r, 100);
+        assert_eq!(eng.run_until(SimTime::from_ns(60)), RunLimit::Deadline);
+        assert_eq!(eng.run_until(SimTime::from_ns(10)), RunLimit::Deadline);
+        assert_eq!(eng.now(), SimTime::from_ns(60));
+        eng.schedule(SimTime::from_ns(5), r, 65);
+        assert_eq!(eng.run_until(SimTime::from_ns(64)), RunLimit::Deadline);
+        assert_eq!(eng.get::<Recorder>(r).unwrap().seen, vec![50]);
+        assert_eq!(eng.run(), RunLimit::Drained);
+        assert_eq!(eng.get::<Recorder>(r).unwrap().seen, vec![50, 65, 100]);
     }
 
     #[test]
@@ -1023,9 +859,9 @@ mod tests {
         assert!(s.events_per_wall_second().is_finite());
     }
 
-    /// The clock can only go backwards through a bug (`step`'s guard is a
-    /// hard `assert!` in every profile); the reachable edge is scheduling
-    /// into the past, which must be refused at the API boundary.
+    /// The clock can only go backwards through a bug (the run loop's guard
+    /// is a hard `assert!` in every profile); the reachable edge is
+    /// scheduling into the past, which must be refused at the API boundary.
     #[test]
     #[should_panic(expected = "past")]
     fn schedule_at_into_the_past_panics() {

@@ -40,19 +40,16 @@
 
 mod calendar;
 mod engine;
-mod heap;
 mod metrics;
-mod queue;
 mod rng;
 mod stats;
 mod time;
 
 pub use engine::{
-    CompId, Component, ComponentStats, Ctx, DeliveryHook, Engine, EngineStats, ProgressMeter,
-    RunLimit, TraceEntry, WatchdogOutcome,
+    CompId, Component, ComponentStats, Ctx, Engine, EngineStats, ProgressMeter, RunLimit,
+    WatchdogOutcome,
 };
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId};
-pub use queue::QueueKind;
 pub use rng::SimRng;
 pub use stats::{Histogram, LogHistogram, Summary};
 pub use time::SimTime;

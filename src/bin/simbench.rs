@@ -1,31 +1,30 @@
 //! `simbench` — the engine performance harness.
 //!
-//! Drives four representative workloads through the simulator and writes
+//! Drives six representative workloads through the simulator and writes
 //! `BENCH_engine.json` with events/sec, wall time and peak queue depth for
 //! each, establishing the repository's perf trajectory:
 //!
 //! 1. `ping_pong` — a two-component event-engine microbench (pure
 //!    scheduler hot path, queue depth ~1).
-//! 2. `ping_pong_hooked` — the same microbench with a delivery hook
-//!    installed, tracking the per-event cost of observability.
-//! 3. `ping_pong_net` — a bidirectional two-endpoint stream through a
+//! 2. `ping_pong_net` — a bidirectional two-endpoint stream through a
 //!    star fabric (switch routing + credit flow control, no link-level
 //!    reliability).
-//! 4. `ping_pong_reliable` — the same fabric stream with the link-level
+//! 3. `ping_pong_reliable` — the same fabric stream with the link-level
 //!    reliability protocol on (framing, checksums, per-link sequence
 //!    numbers, acks). Compare events/sec against `ping_pong_net` for the
 //!    per-event cost of the reliability layer, which must stay small.
-//! 5. `stencil_16` — a 16-node Jacobi stencil over eager-update boundary
+//! 4. `stencil_16` — a 16-node Jacobi stencil over eager-update boundary
 //!    pages via `tg-workloads` (full cluster stack, deep queues).
-//! 6. `stencil_16_traced` — the same stencil with packet tracing and
+//! 5. `stencil_16_traced` — the same stencil with packet tracing and
 //!    metric sampling enabled: the analysis-ON cost. The plain
 //!    `stencil_16` number is the analysis-OFF datapoint — the attribution
 //!    machinery is probe-gated, so its hot-path cost with analysis off
 //!    must stay ~0 (compare against the previous baseline).
-//! 7. `proto_sweep` — a coherence-interleaving sweep of the owner
+//! 6. `proto_sweep` — a coherence-interleaving sweep of the owner
 //!    protocol via `tg-proto` (adversarial RNG-driven delivery).
 //!
-//! Besides `BENCH_engine.json`, a `tg-report-v2` `report_bench.json` is
+//! Both files are written to the current directory. Besides
+//! `BENCH_engine.json`, a `tg-report-v2` `report_bench.json` is
 //! written for the CI perf gate: deterministic structural counts
 //! (`events`, `peak_queue_depth`) under `metrics` (gate tolerance 0) and
 //! machine-dependent wall-clock numbers under `throughput` (gated
@@ -115,18 +114,6 @@ impl Component<u64> for Relay {
 /// Two relays bouncing one event back and forth: the pure scheduler hot
 /// path — pop, deliver, push — with no payload work.
 fn ping_pong() -> (u64, u64) {
-    ping_pong_inner(false)
-}
-
-/// The same microbench with a delivery hook installed (the tracing
-/// fast path): quantifies the per-event cost of observability when a
-/// probe is actually attached. Compare against `ping_pong` for the
-/// hook-off overhead (which should be ~zero: one untaken branch).
-fn ping_pong_hooked() -> (u64, u64) {
-    ping_pong_inner(true)
-}
-
-fn ping_pong_inner(hooked: bool) -> (u64, u64) {
     const ROUNDS: u64 = 1_000_000;
     let mut eng: Engine<u64> = Engine::new();
     let a = eng.add(Relay {
@@ -139,16 +126,8 @@ fn ping_pong_inner(hooked: bool) -> (u64, u64) {
     });
     eng.get_mut::<Relay>(a).unwrap().peer = Some(b);
     eng.schedule(SimTime::ZERO, a, 0);
-    let hits = std::rc::Rc::new(std::cell::Cell::new(0u64));
-    if hooked {
-        let h = hits.clone();
-        eng.set_delivery_hook(Box::new(move |_at, _seq, _dst| h.set(h.get() + 1)));
-    }
     eng.run();
     let s = eng.stats();
-    if hooked {
-        assert_eq!(hits.get(), s.events_delivered, "hook missed deliveries");
-    }
     (s.events_delivered, s.max_queue_len as u64)
 }
 
@@ -286,7 +265,6 @@ fn json_escape_free(name: &str) -> &str {
 fn main() {
     let measurements = [
         measure("ping_pong", 5, ping_pong),
-        measure("ping_pong_hooked", 5, ping_pong_hooked),
         measure("ping_pong_net", 5, ping_pong_net),
         measure("ping_pong_reliable", 5, ping_pong_reliable),
         measure("stencil_16", 5, stencil_16),
