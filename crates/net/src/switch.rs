@@ -29,6 +29,38 @@ pub struct SwitchStats {
     pub blackholed: u64,
 }
 
+/// The "no output" marker, shared with the routing table's no-route entry.
+const NO_PORT: u32 = u32::MAX;
+
+/// Adds port `i` to a port set packed one bit per port into `u64` words.
+fn set_bit(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+/// Removes port `i` from a packed port set.
+fn clear_bit(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1 << (i % 64));
+}
+
+/// The lowest port at or above `start` in a packed port set.
+fn first_set_from(set: &[u64], start: usize) -> Option<usize> {
+    let mut w = start / 64;
+    let mut bits = *set.get(w)? & (!0 << (start % 64));
+    loop {
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        w += 1;
+        bits = *set.get(w)?;
+    }
+}
+
+/// The first port of a packed port set met walking upward from `start`
+/// and wrapping past the top back to port 0.
+fn first_set_cyclic(set: &[u64], start: usize) -> Option<usize> {
+    first_set_from(set, start).or_else(|| first_set_from(set, 0))
+}
+
 /// The fabric vertex at the far end of a port's directed link.
 fn vertex_of_site(s: Site) -> Vertex {
     match s {
@@ -66,18 +98,26 @@ pub struct Switch {
     /// starve high-numbered inputs under saturation.
     rr_next: Vec<usize>,
     fifo_capacity: u32,
+    /// `u64` words per packed port set: one bit per port.
+    words: usize,
+    /// The requester index: row `o` (`words` words from `o * words`) holds
+    /// the inputs whose FIFO head routes to output `o`, so arbitration is
+    /// a first-set-bit search instead of a walk over every input head.
+    /// Kept in step with `head_out` at every head change.
+    requesters: Vec<u64>,
+    /// Per input, the output its FIFO head routes to (`NO_PORT` when the
+    /// FIFO is empty): the row whose bit this input currently holds.
+    head_out: Vec<u32>,
     /// The pending-work set: output ports whose state changed since the
     /// last pump (new routed arrival, freed wire, returned credit, ack,
     /// armed retransmission). `pump` examines only these, so quiescent
     /// ports cost nothing; every event handler marks the ports it touches.
-    pending: Vec<bool>,
-    /// Count of set bits in `pending`, for the O(1) quiescent fast path.
-    pending_count: usize,
+    pending: Vec<u64>,
     /// Ports examined during the current pump call; only these can need a
     /// recovery timer (re)armed, since `TxPort::poll_timer` is a pure
     /// function of port state and these are the only ports whose state
     /// changed since the last pump armed everything it touched.
-    touched: Vec<bool>,
+    touched: Vec<u64>,
     stats: SwitchStats,
     /// Observability sink; `None` (the default) costs one branch per hook.
     probe: Option<SharedProbe>,
@@ -116,6 +156,7 @@ impl Switch {
     /// (`table[dst.index()]` = output port). Ports must then be attached
     /// with [`Switch::attach_port`] before traffic flows.
     pub fn new(name: String, ports: usize, table: Vec<u32>, timing: TimingConfig) -> Self {
+        let words = ports.div_ceil(64);
         Switch {
             name,
             fifos: Vec::new(),
@@ -124,9 +165,11 @@ impl Switch {
             timing,
             rr_next: Vec::new(),
             fifo_capacity: 8,
-            pending: Vec::new(),
-            pending_count: 0,
-            touched: Vec::new(),
+            words,
+            requesters: vec![0; ports * words],
+            head_out: vec![NO_PORT; ports],
+            pending: vec![0; words],
+            touched: vec![0; words],
             stats: SwitchStats::default(),
             probe: None,
             site: Site::Switch(0),
@@ -246,8 +289,6 @@ impl Switch {
             let cap = self.fifo_capacity;
             self.fifos.push(RxFifo::new(cap));
             self.rr_next.push(0);
-            self.pending.push(false);
-            self.touched.push(false);
             self.rx_links
                 .push(self.reliability.map(|p| LinkRx::for_params(&p)));
         }
@@ -255,11 +296,28 @@ impl Switch {
 
     /// Adds `port` to the pending-work set examined by the next pump.
     fn mark_pending(&mut self, port: usize) {
-        if let Some(p) = self.pending.get_mut(port) {
-            if !*p {
-                *p = true;
-                self.pending_count += 1;
-            }
+        if port < self.fifos.len() {
+            set_bit(&mut self.pending, port);
+        }
+    }
+
+    /// Moves input `in_port` to the requester row of its current FIFO
+    /// head's output. Called after every change of that head or of the
+    /// routing table.
+    fn sync_head(&mut self, in_port: usize) {
+        let out = self.fifos[in_port]
+            .head()
+            .map_or(NO_PORT, |p| self.table[p.dst.index()]);
+        let old = std::mem::replace(&mut self.head_out[in_port], out);
+        if old == out {
+            return;
+        }
+        let row_bits = self.words * 64;
+        if old != NO_PORT {
+            clear_bit(&mut self.requesters, old as usize * row_bits + in_port);
+        }
+        if out != NO_PORT {
+            set_bit(&mut self.requesters, out as usize * row_bits + in_port);
         }
     }
 
@@ -486,23 +544,33 @@ impl Switch {
     /// route reaches it (the caller blackholes the packet, counted).
     fn route(&self, packet: &Packet) -> Option<u32> {
         let port = self.table[packet.dst.index()];
-        (port != u32::MAX).then_some(port)
+        (port != NO_PORT).then_some(port)
     }
 
     /// The input port whose head is routed to `out_port`, round-robin from
     /// this output's arbitration pointer.
     fn pick_input(&self, out_port: usize) -> Option<usize> {
-        let nports = self.fifos.len();
-        let start = self.rr_next[out_port];
-        for k in 0..nports {
-            let in_port = (start + k) % nports;
-            if let Some(packet) = self.fifos[in_port].head() {
-                if self.route(packet) == Some(out_port as u32) {
-                    return Some(in_port);
+        let row = out_port * self.words;
+        let requesters = &self.requesters[row..row + self.words];
+        first_set_cyclic(requesters, self.rr_next[out_port])
+    }
+
+    /// Queues a packet that arrived (or left a reorder window) on
+    /// `in_port` and marks its output as pending work; with no surviving
+    /// route it is blackholed instead. If it queued behind others the mark
+    /// is a cheap no-op grant check.
+    fn enqueue<M: NetMessage>(&mut self, in_port: usize, packet: Packet, ctx: &mut Ctx<'_, M>) {
+        match self.route(&packet) {
+            Some(out) => {
+                self.emit(ctx.now(), &packet, Stage::SwitchEnqueue);
+                if let Err(err) = self.fifos[in_port].push(packet) {
+                    self.errors.push(err);
                 }
+                self.sync_head(in_port);
+                self.mark_pending(out as usize);
             }
+            None => self.blackhole_one(in_port, &packet, ctx),
         }
-        None
     }
 
     /// Disposes of a packet with no surviving route: counted drop, drain
@@ -540,12 +608,13 @@ impl Switch {
         };
         self.table = view.table_for_switch(idx);
         self.route_refreshes += 1;
-        let table = self.table.clone();
         for in_port in 0..self.fifos.len() {
-            let orphaned = self.fifos[in_port].drain_matching(|p| table[p.dst.index()] == u32::MAX);
+            let table = &self.table;
+            let orphaned = self.fifos[in_port].drain_matching(|p| table[p.dst.index()] == NO_PORT);
             for p in orphaned {
                 self.blackhole_one(in_port, &p, ctx);
             }
+            self.sync_head(in_port);
         }
         for port in 0..self.out.len() {
             if self.out[port].is_some() {
@@ -819,81 +888,52 @@ impl Switch {
     /// arbitrates round-robin over the inputs requesting it. Go-back-N
     /// retransmissions outrank fresh traffic on their output.
     ///
-    /// Only ports in the pending-work set are examined (quiescent ports
-    /// cost nothing — the common case exits on `pending_count == 0`). The
-    /// pass structure mirrors the old full-rescan loop exactly: a grant
-    /// that exposes a new FIFO head re-marks that head's output, and a
-    /// mark at a higher index than the current scan position is processed
-    /// within the same pass — so the grant order (and therefore every
-    /// scheduled event) is identical to the rescan's. An output leaves the
-    /// set when it grants (wire now busy until `PumpOut`), blocks on
-    /// credit (woken by `Credit`), or has no requesting input (woken by
-    /// `Arrive`); each wake-up event re-marks it.
+    /// Only ports in the pending-work set are examined, in ascending order
+    /// from port 0, wrapping from the top back to 0 until the set is empty
+    /// (quiescent ports cost nothing). A grant that exposes a new FIFO
+    /// head re-marks that head's output: a mark above the current port is
+    /// reached on this sweep, one at or below it after the wrap. The grant
+    /// order, and so every scheduled event, depends only on this order.
+    /// An output leaves the set when it grants (wire now busy until
+    /// `PumpOut`), blocks on credit (woken by `Credit`), or has no
+    /// requesting input (woken by `Arrive`); each wake-up event re-marks
+    /// it. Recovery timers are then armed over the examined ports in
+    /// ascending order.
     fn pump<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
-        if self.pending_count == 0 {
-            return;
-        }
         let nports = self.fifos.len();
-        loop {
-            let mut progressed = false;
-            for out_port in 0..nports {
-                if !self.pending[out_port] {
-                    continue;
-                }
-                self.pending[out_port] = false;
-                self.pending_count -= 1;
-                self.touched[out_port] = true;
-                // Recovery first: a retransmission reuses the receiver slot
-                // its original launch reserved, so it needs no credit —
-                // only a free wire — and fresh traffic must wait behind it
-                // to preserve go-back-N order.
-                let retx_pending = self.out[out_port]
+        let mut cursor = 0;
+        while let Some(out_port) = first_set_cyclic(&self.pending, cursor) {
+            cursor = out_port + 1;
+            clear_bit(&mut self.pending, out_port);
+            set_bit(&mut self.touched, out_port);
+            // Recovery first: a retransmission reuses the receiver slot
+            // its original launch reserved, so it needs no credit —
+            // only a free wire — and fresh traffic must wait behind it
+            // to preserve go-back-N order.
+            let retx_pending = self.out[out_port]
+                .as_ref()
+                .map(TxPort::has_retx_pending)
+                .unwrap_or(false);
+            if retx_pending {
+                let wire_free = self.out[out_port]
                     .as_ref()
-                    .map(TxPort::has_retx_pending)
+                    .map(TxPort::wire_free)
                     .unwrap_or(false);
-                if retx_pending {
-                    let wire_free = self.out[out_port]
-                        .as_ref()
-                        .map(TxPort::wire_free)
-                        .unwrap_or(false);
-                    if wire_free {
-                        let packet = self.out[out_port]
-                            .as_mut()
-                            .and_then(TxPort::take_retx)
-                            .expect("retx pending on a free wire");
-                        self.emit(ctx.now(), &packet, Stage::Retransmit);
-                        self.dispatch(out_port, packet, false, ctx);
-                        progressed = true;
-                    } else if let Some(in_port) = self.pick_input(out_port) {
-                        // Fresh traffic is waiting behind the in-flight
-                        // recovery frame: that deferral is a block, and if
-                        // it is credits holding the port (the dropped
-                        // frame's credit never came back), the stall clock
-                        // must run — recovery is exactly when the
-                        // credit-stall series matters.
-                        self.stats.blocked += 1;
-                        let opened = self.out[out_port]
-                            .as_mut()
-                            .is_some_and(|tx| tx.note_blocked(ctx.now()));
-                        if opened {
-                            if let Some(head) = self.fifos[in_port].head() {
-                                self.emit(ctx.now(), head, Stage::CreditStall);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let can_send = self.out[out_port]
-                    .as_ref()
-                    .map(TxPort::can_send_new)
-                    .unwrap_or(false);
-                let Some(in_port) = self.pick_input(out_port) else {
-                    continue;
-                };
-                if !can_send {
+                if wire_free {
+                    let packet = self.out[out_port]
+                        .as_mut()
+                        .and_then(TxPort::take_retx)
+                        .expect("retx pending on a free wire");
+                    self.emit(ctx.now(), &packet, Stage::Retransmit);
+                    self.dispatch(out_port, packet, false, ctx);
+                } else if let Some(in_port) = self.pick_input(out_port) {
+                    // Fresh traffic is waiting behind the in-flight
+                    // recovery frame: that deferral is a block, and if
+                    // it is credits holding the port (the dropped
+                    // frame's credit never came back), the stall clock
+                    // must run — recovery is exactly when the
+                    // credit-stall series matters.
                     self.stats.blocked += 1;
-                    // Start the credit-stall clock when it is specifically
-                    // credits (not a busy wire) holding this output back.
                     let opened = self.out[out_port]
                         .as_mut()
                         .is_some_and(|tx| tx.note_blocked(ctx.now()));
@@ -902,53 +942,99 @@ impl Switch {
                             self.emit(ctx.now(), head, Stage::CreditStall);
                         }
                     }
-                    continue;
                 }
-                let mut packet = self.fifos[in_port].pop().expect("head checked");
-                self.emit(ctx.now(), &packet, Stage::SwitchTx);
-                if let Some(rx) = self.rx_links.get_mut(in_port).and_then(Option::as_mut) {
-                    rx.on_drain();
-                }
-                self.return_credit(in_port, ctx);
-                self.stats.packets += 1;
-                self.stats.bytes += u64::from(packet.size_bytes());
-                let reliable = self.out[out_port]
-                    .as_ref()
-                    .map(TxPort::is_reliable)
-                    .unwrap_or(false);
-                if reliable {
-                    packet = self.out[out_port]
-                        .as_mut()
-                        .expect("checked reliable")
-                        .frame(packet, ctx.now());
-                }
-                self.dispatch(out_port, packet, true, ctx);
-                // One grant per pass per output (the wire is busy until
-                // PumpOut), so advancing past the granted input here is
-                // exactly one round-robin step.
-                self.rr_next[out_port] = (in_port + 1) % nports;
-                // The pop may have exposed a new head behind this one;
-                // its output is work the rescan loop would have found.
-                // (An unroutable head cannot appear here — arrivals and
-                // route refreshes blackhole those — but degrade to a
-                // no-op rather than trusting that invariant with a panic.)
-                if let Some(next) = self.fifos[in_port].head() {
-                    if let Some(next_out) = self.route(next) {
-                        self.mark_pending(next_out as usize);
+                continue;
+            }
+            let can_send = self.out[out_port]
+                .as_ref()
+                .map(TxPort::can_send_new)
+                .unwrap_or(false);
+            let Some(in_port) = self.pick_input(out_port) else {
+                continue;
+            };
+            if !can_send {
+                self.stats.blocked += 1;
+                // Start the credit-stall clock when it is specifically
+                // credits (not a busy wire) holding this output back.
+                let opened = self.out[out_port]
+                    .as_mut()
+                    .is_some_and(|tx| tx.note_blocked(ctx.now()));
+                if opened {
+                    if let Some(head) = self.fifos[in_port].head() {
+                        self.emit(ctx.now(), head, Stage::CreditStall);
                     }
                 }
-                progressed = true;
+                continue;
             }
-            if !progressed {
-                break;
+            let mut packet = self.fifos[in_port].pop().expect("head checked");
+            self.sync_head(in_port);
+            self.emit(ctx.now(), &packet, Stage::SwitchTx);
+            if let Some(rx) = self.rx_links.get_mut(in_port).and_then(Option::as_mut) {
+                rx.on_drain();
+            }
+            self.return_credit(in_port, ctx);
+            self.stats.packets += 1;
+            self.stats.bytes += u64::from(packet.size_bytes());
+            let reliable = self.out[out_port]
+                .as_ref()
+                .map(TxPort::is_reliable)
+                .unwrap_or(false);
+            if reliable {
+                packet = self.out[out_port]
+                    .as_mut()
+                    .expect("checked reliable")
+                    .frame(packet, ctx.now());
+            }
+            self.dispatch(out_port, packet, true, ctx);
+            // An output grants at most once until its wire frees (the
+            // `PumpOut` re-marks it), so advancing past the granted input
+            // here is exactly one round-robin step.
+            self.rr_next[out_port] = (in_port + 1) % nports;
+            // The pop may have exposed a new head behind this one; its
+            // output has new work.
+            let next_out = self.head_out[in_port];
+            if next_out != NO_PORT {
+                self.mark_pending(next_out as usize);
             }
         }
-        for out_port in 0..self.out.len() {
-            if self.touched[out_port] {
-                self.touched[out_port] = false;
-                self.arm_timer(out_port, ctx);
+        for w in 0..self.words {
+            let mut bits = std::mem::take(&mut self.touched[w]);
+            while bits != 0 {
+                self.arm_timer(w * 64 + bits.trailing_zeros() as usize, ctx);
+                bits &= bits - 1;
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_index();
+    }
+
+    /// Debug-build cross-check at every pump exit: the pending set is
+    /// empty and the requester index equals a recomputation from the FIFO
+    /// heads and the current routing table.
+    #[cfg(debug_assertions)]
+    fn check_index(&self) {
+        assert!(
+            self.pending.iter().all(|&w| w == 0),
+            "{}: pump left pending work",
+            self.name
+        );
+        let mut expect = vec![0; self.requesters.len()];
+        for (in_port, fifo) in self.fifos.iter().enumerate() {
+            let out = fifo.head().map_or(NO_PORT, |p| self.table[p.dst.index()]);
+            assert_eq!(
+                self.head_out[in_port], out,
+                "{}: stale head output on input {in_port}",
+                self.name
+            );
+            if out != NO_PORT {
+                set_bit(&mut expect, out as usize * self.words * 64 + in_port);
+            }
+        }
+        assert_eq!(
+            self.requesters, expect,
+            "{}: requester index out of step with the FIFO heads",
+            self.name
+        );
     }
 }
 
@@ -975,20 +1061,7 @@ impl<M: NetMessage> Component<M> for Switch {
                             let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
                             self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
                         }
-                        // If the arrival became a FIFO head it is new work
-                        // for its routed output; if it queued behind others
-                        // the mark is a cheap no-op grant check. With no
-                        // surviving route it is blackholed instead.
-                        match self.route(&packet) {
-                            Some(out) => {
-                                self.emit(ctx.now(), &packet, Stage::SwitchEnqueue);
-                                if let Err(err) = self.fifos[in_port].push(packet) {
-                                    self.errors.push(err);
-                                }
-                                self.mark_pending(out as usize);
-                            }
-                            None => self.blackhole_one(in_port, &packet, ctx),
-                        }
+                        self.enqueue(in_port, packet, ctx);
                         // The arrival may have closed a reorder-window gap:
                         // deliver the released successors in sequence order.
                         // Credit accounting bounds FIFO + window occupancy
@@ -998,16 +1071,7 @@ impl<M: NetMessage> Component<M> for Switch {
                             .map(LinkRx::take_ready)
                             .unwrap_or_default();
                         for p in released {
-                            match self.route(&p) {
-                                Some(out) => {
-                                    self.emit(ctx.now(), &p, Stage::SwitchEnqueue);
-                                    if let Err(err) = self.fifos[in_port].push(p) {
-                                        self.errors.push(err);
-                                    }
-                                    self.mark_pending(out as usize);
-                                }
-                                None => self.blackhole_one(in_port, &p, ctx),
-                            }
+                            self.enqueue(in_port, p, ctx);
                         }
                         self.pump(ctx);
                     }
@@ -1188,6 +1252,59 @@ mod tests {
         assert_eq!(s.max_fifo_high_water(), 0);
         assert!(s.link_errors().is_empty());
         assert!(s.stalled_links().is_empty());
+    }
+
+    /// A three-word port set holding exactly `ports`.
+    fn set_of(ports: &[usize]) -> Vec<u64> {
+        let mut set = vec![0; 3];
+        for &p in ports {
+            set_bit(&mut set, p);
+        }
+        set
+    }
+
+    #[test]
+    fn first_set_search_crosses_word_boundaries() {
+        let set = set_of(&[5, 63, 64, 130]);
+        for (start, from, cyclic) in [
+            (0, Some(5), Some(5)),
+            (63, Some(63), Some(63)),
+            (64, Some(64), Some(64)),
+            (65, Some(130), Some(130)),
+            (127, Some(130), Some(130)),
+            (131, None, Some(5)),
+            (192, None, Some(5)),
+        ] {
+            assert_eq!(first_set_from(&set, start), from, "from {start}");
+            assert_eq!(first_set_cyclic(&set, start), cyclic, "cyclic {start}");
+        }
+    }
+
+    #[test]
+    fn first_set_search_on_an_empty_set_finds_nothing() {
+        let set = set_of(&[]);
+        for start in [0, 63, 64, 127, 191] {
+            assert_eq!(first_set_from(&set, start), None);
+            assert_eq!(first_set_cyclic(&set, start), None);
+        }
+    }
+
+    #[test]
+    fn a_single_bit_just_below_start_is_found_only_by_wrapping() {
+        for start in [1, 63, 64, 65, 127, 128] {
+            let set = set_of(&[start - 1]);
+            assert_eq!(first_set_from(&set, start), None, "from {start}");
+            assert_eq!(first_set_cyclic(&set, start), Some(start - 1));
+        }
+    }
+
+    #[test]
+    fn clear_bit_removes_only_its_port() {
+        let mut set = set_of(&[63, 64]);
+        clear_bit(&mut set, 63);
+        assert_eq!(set, set_of(&[64]));
+        clear_bit(&mut set, 63);
+        assert_eq!(set, set_of(&[64]));
     }
 
     #[test]

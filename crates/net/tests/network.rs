@@ -1,7 +1,8 @@
 //! End-to-end network tests: delivery, ordering, back-pressure, and
 //! deadlock freedom under randomized topologies and traffic.
 
-use tg_net::{build_network, testing::kick, testing::SourceSink, Switch, Topology};
+use tg_net::testing::{kick, Receipt, SourceSink};
+use tg_net::{build_network, build_network_with, NetConfig, RelParams, Switch, Topology, Vertex};
 use tg_sim::{CompId, Engine, RunLimit, SimTime};
 use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 
@@ -263,19 +264,13 @@ fn switchless_direct_wiring_delivers_both_ways() {
     assert_eq!(engine.get::<SourceSink>(ids[1]).unwrap().received.len(), 1);
 }
 
-/// Regression test for cross-output arbitration interference: node 0
-/// streams to every other node (keeping its input port permanently busy on
-/// *other* outputs) while all other nodes stream back to node 0 through one
-/// contended output. With a single switch-wide round-robin pointer, every
-/// forward of node 0's stream reset the pointer past the high-numbered
-/// inputs, which then starved on the contended output; per-output pointers
-/// must deliver everything.
-#[test]
-fn arbitration_survives_cross_output_interference() {
+/// Node 0 fans out to every other node while every other node floods
+/// node 0, on an `n_nodes` star: each output then arbitrates among inputs
+/// that also compete for other outputs. Asserts no flow starves in either
+/// direction and returns node 0's receipts in arrival order.
+fn cross_output_flood(n_nodes: u16, per_flow: u64) -> Vec<Receipt> {
     let timing = TimingConfig::telegraphos_i();
-    let n_nodes = 12u16;
     let (mut engine, ids, _sw) = build(&Topology::star(n_nodes), &timing);
-    let per_flow = 40u64;
     // Node 0 fans out to everyone.
     for dst in 1..n_nodes {
         for i in 0..per_flow {
@@ -315,6 +310,102 @@ fn arbitration_survives_cross_output_interference() {
             .received;
         assert_eq!(rx.len() as u64, per_flow, "fan-out to {dst} starved");
     }
+    std::mem::take(&mut engine.get_mut::<SourceSink>(ids[0]).unwrap().received)
+}
+
+/// Regression test for cross-output arbitration interference: node 0
+/// streams to every other node (keeping its input port permanently busy on
+/// *other* outputs) while all other nodes stream back to node 0 through one
+/// contended output. With a single switch-wide round-robin pointer, every
+/// forward of node 0's stream reset the pointer past the high-numbered
+/// inputs, which then starved on the contended output; per-output pointers
+/// must deliver everything.
+#[test]
+fn arbitration_survives_cross_output_interference() {
+    cross_output_flood(12, 40);
+}
+
+/// The same cross-output flood on a 130-port switch, whose per-output
+/// arbitration state spans three 64-bit words. Besides fairness, the
+/// exact grant order is pinned: an FNV-1a fingerprint over node 0's
+/// receipt sequence `(src, inject_seq, arrival time)` must not move when
+/// the arbitration implementation changes.
+#[test]
+fn wide_star_arbitration_order_is_pinned() {
+    let rx0 = cross_output_flood(130, 6);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in &rx0 {
+        for v in [
+            u64::from(r.packet.src.raw()),
+            r.packet.inject_seq,
+            r.at.as_ps(),
+        ] {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(h, 0xb7cb_f1e3_634d_da50, "wide-star grant order moved");
+}
+
+/// A route refresh while packets sit in a switch FIFO: node 0's input
+/// FIFO is full of packets for slow node 3 when node 3 is declared dead,
+/// so the refresh drains them and input 0's head changes under the
+/// arbiter. Every packet must then be delivered or counted as
+/// blackholed, and unrelated traffic must be untouched.
+#[test]
+fn route_refresh_under_queued_heads_keeps_arbitration_in_step() {
+    let timing = TimingConfig::telegraphos_i();
+    let topo = Topology::star(5);
+    let config = NetConfig {
+        reliability: Some(RelParams::default()),
+        injector: None,
+    };
+    let mut engine = Engine::new();
+    let ids: Vec<CompId> = (0..5)
+        .map(|i| engine.add(SourceSink::new(NodeId::new(i), timing.clone())))
+        .collect();
+    let handles =
+        build_network_with(&mut engine, &topo, &timing, &ids, &config).expect("connected");
+    let view = handles.view.expect("heartbeats give the fabric a view");
+    for (id, w) in ids.iter().zip(handles.endpoints) {
+        engine
+            .get_mut::<SourceSink>(*id)
+            .unwrap()
+            .wire(w.tx, w.rx_upstream);
+    }
+    engine
+        .get_mut::<SourceSink>(ids[3])
+        .unwrap()
+        .set_consume_delay(SimTime::from_us(2));
+    let per_flow = 40u64;
+    for i in 0..per_flow {
+        engine
+            .get_mut::<SourceSink>(ids[0])
+            .unwrap()
+            .enqueue(NodeId::new(3), write(i * 8, i));
+        engine
+            .get_mut::<SourceSink>(ids[1])
+            .unwrap()
+            .enqueue(NodeId::new(4), write(i * 8, i));
+    }
+    kick(&mut engine, ids[0]);
+    kick(&mut engine, ids[1]);
+    engine.run_until(SimTime::from_us(10));
+    let sw = handles.switches[0];
+    assert!(
+        engine.get::<Switch>(sw).unwrap().fifo_depth_total() > 0,
+        "node 0's packets should be queued behind slow node 3"
+    );
+    assert!(view.declare_down(Vertex::Node(3)));
+    assert_eq!(engine.run(), RunLimit::Drained);
+    let blackholed = engine.get::<Switch>(sw).unwrap().blackholed();
+    let to3 = engine.get::<SourceSink>(ids[3]).unwrap().received.len() as u64;
+    assert!(blackholed > 0, "the refresh orphaned no queued packet");
+    assert_eq!(to3 + blackholed, per_flow, "a packet for node 3 vanished");
+    let to4 = &engine.get::<SourceSink>(ids[4]).unwrap().received;
+    assert_eq!(to4.len() as u64, per_flow, "unrelated traffic lost");
 }
 
 #[test]
