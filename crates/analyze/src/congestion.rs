@@ -1,7 +1,7 @@
 //! The congestion observatory: per-link usage summaries and the top-K
 //! "hottest links" report.
 //!
-//! `Cluster::run_sampled` records, for every directed link, windowed time
+//! A sampled `Cluster::drive` records, for every directed link, windowed time
 //! series (`link.<a>-<b>.utilization`, `.fifo_depth`, `.stall_us`), final
 //! counters (`.tx_packets`, `.tx_bytes`, `.retransmits`, `.resyncs`,
 //! `.resync_probes`, `.rx_discards`) and a `.fifo_high_water` gauge — all
@@ -54,7 +54,7 @@ impl LinkUsage {
 
 /// Joins every `link.<a>-<b>.<metric>` instrument in the registry into
 /// one [`LinkUsage`] per directed link, in first-registration order
-/// (deterministic across runs: `run_sampled` registers links in fabric
+/// (deterministic across runs: the sampler registers links in fabric
 /// order).
 pub fn link_usage(metrics: &MetricsRegistry) -> Vec<LinkUsage> {
     let mut order: Vec<String> = Vec::new();

@@ -15,7 +15,7 @@
 //!   with exemplar operations whose printed segments sum exactly.
 //! * [`congestion`] — the **congestion observatory**: joins the
 //!   `link.<a>-<b>.<metric>` time series and counters recorded by
-//!   `Cluster::run_sampled` into per-link usage summaries and a top-K
+//!   a sampled `Cluster::drive` into per-link usage summaries and a top-K
 //!   "hottest links" report that names the saturated hop.
 //! * [`report`] / [`gate`] — the **`tg-report-v2` JSON schema** shared by
 //!   `simbench`, `simfault` and `simreport`, and the CI perf-regression

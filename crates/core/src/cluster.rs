@@ -6,9 +6,8 @@ use tg_net::{
     build_network_with, CreditLedger, DetectParams, FabricView, FaultInjector, FaultPlan,
     FaultStats, LinkId, NetConfig, RelParams, StalledLink, Topology, Vertex,
 };
-use tg_sim::{CompId, Engine, MetricsRegistry, ProgressMeter, RunLimit, SimTime, WatchdogOutcome};
-use tg_wire::metric;
-use tg_wire::trace::{OpKind, SharedProbe, Site};
+use tg_sim::{CompId, Engine, RunLimit, SimTime};
+use tg_wire::trace::{SharedProbe, Site};
 use tg_wire::{GOffset, NodeId, PageNum, TimingConfig, PAGE_BYTES};
 
 use crate::event::ClusterEvent;
@@ -17,6 +16,9 @@ use crate::observe::TraceCollector;
 use crate::os::{Os, ReplicatePolicy};
 use crate::pager::{Backing, RemotePager};
 use crate::process::Process;
+
+mod drive;
+pub use drive::{Drive, Stop};
 
 /// Base virtual address of each node's private heap.
 pub const PRIVATE_VA_BASE: u64 = 0x1000_0000;
@@ -334,8 +336,8 @@ impl std::fmt::Display for StalledNode {
     }
 }
 
-/// A structured no-progress diagnosis, assembled by
-/// [`Cluster::run_watchdog`] when a full watchdog window elapses with
+/// A structured no-progress diagnosis, assembled by a watchdog
+/// [`Cluster::drive`] when a full watchdog window elapses with
 /// events still firing but nothing committing: instead of spinning (or
 /// panicking) the run stops and names the links and nodes holding the
 /// fabric.
@@ -670,8 +672,8 @@ impl Cluster {
     /// [`RelParams::heartbeat_every`] set, the default), with the beacon
     /// cadence and suspicion thresholds taken from `params`. Heartbeats
     /// self-rearm, so a heartbeat-enabled cluster never drains on its
-    /// own — drive it with [`Cluster::run_to_quiescence`] (or
-    /// [`Cluster::run_until`] plus [`Cluster::stop_heartbeats`]).
+    /// own — drive it with a [`Drive::quiescent`] plan, which stops
+    /// heartbeats once the workload is done and drains.
     ///
     /// # Panics
     ///
@@ -697,47 +699,6 @@ impl Cluster {
         }
     }
 
-    /// Stops heartbeat origination everywhere so the event queue can
-    /// drain. Detector verdicts already delivered stay in force.
-    pub fn stop_heartbeats(&mut self) {
-        for i in 0..self.n {
-            let comp = self.nodes[i as usize];
-            let node = self.engine.get_mut::<Node>(comp).expect("node component");
-            node.hib_mut().stop_heartbeats();
-        }
-    }
-
-    /// Drives a heartbeat-enabled cluster in `step`-sized slices until
-    /// the workload completes — every node with processes has halted or
-    /// sits inside an active crash window — or `limit` simulated time
-    /// passes, then stops heartbeats and drains the residual events.
-    ///
-    /// Returns [`RunLimit::Drained`] on completion and
-    /// [`RunLimit::Deadline`] if the limit cut the run short.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn run_to_quiescence(&mut self, step: SimTime, limit: SimTime) -> RunLimit {
-        assert!(!step.is_zero(), "zero quiescence step");
-        let mut timed_out = true;
-        while self.now() < limit {
-            let deadline = (self.now() + step).min(limit);
-            self.engine.run_until(deadline);
-            if self.workload_done() {
-                timed_out = false;
-                break;
-            }
-        }
-        self.stop_heartbeats();
-        self.engine.run();
-        if timed_out && !self.workload_done() {
-            RunLimit::Deadline
-        } else {
-            RunLimit::Drained
-        }
-    }
-
     /// True when every node that has processes is either fully halted or
     /// crash-silenced by the fault plan right now.
     fn workload_done(&self) -> bool {
@@ -746,39 +707,6 @@ impl Cluster {
             let node = self.node(i);
             !node.has_process() || node.halted() || self.site_crashed(Site::Node(node.id()), now)
         })
-    }
-
-    /// Runs under a no-progress watchdog: committed packets and completed
-    /// CPU operations count as progress; a window of `window` simulated
-    /// time in which events still fire but nothing commits (e.g. a dead
-    /// link retransmitting into the void) stops the run with a
-    /// [`DeadlockReport`] naming the stalled links and nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn run_watchdog(&mut self, window: SimTime) -> Result<WatchdogOutcome, DeadlockReport> {
-        let meter = ProgressMeter::new();
-        for i in 0..self.n {
-            self.node_mut(i).set_progress_meter(meter.clone());
-        }
-        match self.engine.run_watchdog(&meter, window) {
-            WatchdogOutcome::Stalled { at, progress } => Err(self.deadlock_report(at, progress)),
-            WatchdogOutcome::Drained if !self.all_halted() => {
-                // Quiescent but incomplete: a dead link strands its
-                // frames and stops its timers, so the queue drains with
-                // processes still blocked. That is a deadlock, not a
-                // completion.
-                let report = self.deadlock_report(self.now(), meter.count());
-                if report.links.is_empty() && report.nodes.is_empty() && report.partition.is_empty()
-                {
-                    Ok(WatchdogOutcome::Drained)
-                } else {
-                    Err(report)
-                }
-            }
-            outcome => Ok(outcome),
-        }
     }
 
     /// True when `site` sits inside an active crash window: its silence
@@ -793,10 +721,7 @@ impl Cluster {
     fn deadlock_report(&self, at: SimTime, progress: u64) -> DeadlockReport {
         let mut links = Vec::new();
         for &id in &self.switches {
-            let sw = self
-                .engine
-                .get::<tg_net::Switch>(id)
-                .expect("switch component");
+            let sw = self.switch(id);
             links.extend(sw.stalled_links());
         }
         let mut nodes = Vec::new();
@@ -887,10 +812,7 @@ impl Cluster {
         let mut ledgers: Vec<CreditLedger> = Vec::new();
         let mut queued: u64 = 0;
         for &id in &self.switches {
-            let sw = self
-                .engine
-                .get::<tg_net::Switch>(id)
-                .expect("switch component");
+            let sw = self.switch(id);
             ledgers.extend(sw.credit_ledgers());
             queued += sw.fifo_depth_total() as u64;
         }
@@ -936,10 +858,7 @@ impl Cluster {
         if !crashy {
             let mut parked: usize = 0;
             for &id in &self.switches {
-                let sw = self
-                    .engine
-                    .get::<tg_net::Switch>(id)
-                    .expect("switch component");
+                let sw = self.switch(id);
                 parked += sw.reorder_depth_total();
             }
             for i in 0..self.n {
@@ -967,46 +886,28 @@ impl Cluster {
         self.injector.as_ref().map(|i| i.plan().clone())
     }
 
+    /// Sums a per-port counter over every switch and every HIB.
+    fn fabric_sum(&self, sw: fn(&tg_net::Switch) -> u64, hib: fn(&tg_hib::Hib) -> u64) -> u64 {
+        let switches: u64 = self.switches.iter().map(|&s| sw(self.switch(s))).sum();
+        switches + (0..self.n).map(|i| hib(self.node(i).hib())).sum::<u64>()
+    }
+
     /// Frames retransmitted across the whole fabric (switch output ports
     /// and HIB transmit ports).
     pub fn fabric_retransmits(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::retransmits)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().retransmits())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::retransmits, tg_hib::Hib::retransmits)
     }
 
     /// Completed credit-resync handshakes across the whole fabric.
     pub fn fabric_resyncs(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::resyncs)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().resyncs())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::resyncs, tg_hib::Hib::resyncs)
     }
 
     /// Credit-resync probes issued across the whole fabric. Every traced
     /// `CreditResync` event marks either a probe launch or a completed
     /// handshake, so traced events reconcile as probes + resyncs.
     pub fn fabric_resync_probes(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::resync_probes)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().resync_probes())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::resync_probes, tg_hib::Hib::resync_probes)
     }
 
     /// Frames rejected by receive link layers across the whole fabric
@@ -1014,30 +915,14 @@ impl Cluster {
     /// injector's drop tallies these account for every traced `Dropped`
     /// event on a fabric without FIFO-overflow errors.
     pub fn fabric_rx_discards(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::rx_discards)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().rx_discards())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::rx_discards, tg_hib::Hib::rx_discards)
     }
 
     /// Wire bytes retransmitted across the whole fabric — the
     /// wire-efficiency cost of loss recovery (go-back-N resends every
     /// in-flight successor of a lost frame; SACK only the missing ones).
     pub fn fabric_retx_bytes(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::retx_bytes)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().retx_bytes())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::retx_bytes, tg_hib::Hib::retx_bytes)
     }
 
     /// Control frames discarded for a failed checksum across the whole
@@ -1045,15 +930,7 @@ impl Cluster {
     /// bits, it does not drop), so this total reconciles exactly against
     /// the injector's `ctrl_corrupts` tally.
     pub fn fabric_ctrl_discards(&self) -> u64 {
-        let sw: u64 = self
-            .switches
-            .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(tg_net::Switch::ctrl_discards)
-            .sum();
-        sw + (0..self.n)
-            .map(|i| self.node(i).hib().ctrl_discards())
-            .sum::<u64>()
+        self.fabric_sum(tg_net::Switch::ctrl_discards, tg_hib::Hib::ctrl_discards)
     }
 
     /// Per-directed-link statistics joined from both ends of every hop.
@@ -1066,10 +943,7 @@ impl Cluster {
     pub fn link_snapshots(&self) -> Vec<LinkSnapshot> {
         let mut ports = Vec::new();
         for &id in &self.switches {
-            let sw = self
-                .engine
-                .get::<tg_net::Switch>(id)
-                .expect("switch component");
+            let sw = self.switch(id);
             ports.extend(sw.port_snapshots());
         }
         for i in 0..self.n {
@@ -1134,10 +1008,8 @@ impl Cluster {
             }
         }
         for (k, &id) in self.switches.iter().enumerate() {
-            if let Some(sw) = self.engine.get::<tg_net::Switch>(id) {
-                for &e in sw.link_errors() {
-                    out.push((format!("switch{k}"), e));
-                }
+            for &e in self.switch(id).link_errors() {
+                out.push((format!("switch{k}"), e));
             }
         }
         out
@@ -1178,10 +1050,7 @@ impl Cluster {
             });
         }
         for (k, &id) in self.switches.iter().enumerate() {
-            let sw = self
-                .engine
-                .get::<tg_net::Switch>(id)
-                .expect("switch component");
+            let sw = self.switch(id);
             let st = sw.stats();
             out.push(ComponentReport {
                 name: format!("switch{k}"),
@@ -1223,202 +1092,6 @@ impl Cluster {
         collector
     }
 
-    /// Runs the cluster to completion, pausing every `interval` of
-    /// simulated time to sample congestion metrics into `metrics`:
-    ///
-    /// * `fabric.bytes_total` — cumulative bytes switched;
-    /// * `fabric.link_utilization` — wire time of the interval's traffic
-    ///   over the interval (aggregated across links, so it can exceed 1.0
-    ///   on a multi-link fabric);
-    /// * `fabric.credit_stall_us` — cumulative credit-stall time summed
-    ///   over nodes and switches;
-    /// * `node{i}.rx_fifo_depth` / `switch{k}.fifo_depth` — queue depths
-    ///   at the sampling instant;
-    /// * `link.<a>-<b>.utilization` / `.fifo_depth` / `.stall_us` — the
-    ///   same congestion signals per **directed** link hop, under the
-    ///   canonical names of [`tg_wire::metric`] (the congestion
-    ///   observatory `simreport` renders).
-    ///
-    /// On completion the registry's gauges hold the final high-water marks
-    /// (`node{i}.rx_fifo_high_water`, `switch{k}.fifo_high_water`,
-    /// `link.<a>-<b>.fifo_high_water` and `.stall_us`) and its counters
-    /// the per-node operation mix (`node{i}.remote_writes`, ...) plus
-    /// per-link traffic and reliability totals (`link.<a>-<b>.tx_packets`
-    /// / `.tx_bytes` / `.retransmits` / `.resyncs` / `.resync_probes` /
-    /// `.rx_discards`; totals as of this run — call once per registry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn run_sampled(&mut self, interval: SimTime, metrics: &mut MetricsRegistry) -> RunLimit {
-        assert!(!interval.is_zero(), "sampling interval must be positive");
-        let bytes_series = metrics.series(&metric::fabric_metric("bytes_total"));
-        let util_series = metrics.series(&metric::fabric_metric("link_utilization"));
-        let stall_series = metrics.series(&metric::fabric_metric("credit_stall_us"));
-        let node_depth: Vec<_> = (0..self.n)
-            .map(|i| {
-                metrics.series(&metric::site_metric(
-                    Site::Node(NodeId::new(i)),
-                    "rx_fifo_depth",
-                ))
-            })
-            .collect();
-        let switch_depth: Vec<_> = (0..self.switches.len())
-            .map(|k| metrics.series(&metric::site_metric(Site::Switch(k as u16), "fifo_depth")))
-            .collect();
-        let links = self.link_snapshots();
-        let link_series: Vec<_> = links
-            .iter()
-            .map(|l| {
-                (
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "utilization")),
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "fifo_depth")),
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "stall_us")),
-                )
-            })
-            .collect();
-        let mut prev_link_bytes: Vec<u64> = links.iter().map(|l| l.tx_bytes).collect();
-        let mut prev_bytes = self.fabric_bytes();
-        let limit = loop {
-            let target = self.now() + interval;
-            let limit = self.engine.run_until(target);
-            let at = self.now();
-            let bytes = self.fabric_bytes();
-            let delta = (bytes - prev_bytes).min(u64::from(u32::MAX)) as u32;
-            prev_bytes = bytes;
-            metrics.record(bytes_series, at, bytes as f64);
-            metrics.record(
-                util_series,
-                at,
-                self.timing.serialize(delta).as_us_f64() / interval.as_us_f64(),
-            );
-            let mut stall = SimTime::ZERO;
-            for report in self.component_stats() {
-                match report.detail {
-                    ComponentDetail::Node {
-                        credit_stall,
-                        rx_fifo_depth,
-                        ..
-                    } => {
-                        stall += credit_stall;
-                        let i = report.name.trim_start_matches("node");
-                        if let Ok(i) = i.parse::<usize>() {
-                            metrics.record(node_depth[i], at, rx_fifo_depth as f64);
-                        }
-                    }
-                    ComponentDetail::Switch {
-                        credit_stall,
-                        fifo_depth,
-                        ..
-                    } => {
-                        stall += credit_stall;
-                        let k = report.name.trim_start_matches("switch");
-                        if let Ok(k) = k.parse::<usize>() {
-                            metrics.record(switch_depth[k], at, fifo_depth as f64);
-                        }
-                    }
-                }
-            }
-            metrics.record(stall_series, at, stall.as_us_f64());
-            for (i, l) in self.link_snapshots().iter().enumerate() {
-                let (util_s, depth_s, stall_s) = link_series[i];
-                let delta =
-                    (l.tx_bytes.saturating_sub(prev_link_bytes[i])).min(u64::from(u32::MAX)) as u32;
-                prev_link_bytes[i] = l.tx_bytes;
-                metrics.record(
-                    util_s,
-                    at,
-                    self.timing.serialize(delta).as_us_f64() / interval.as_us_f64(),
-                );
-                metrics.record(depth_s, at, f64::from(l.rx_fifo_depth));
-                metrics.record(stall_s, at, l.credit_stall.as_us_f64());
-            }
-            match limit {
-                RunLimit::Deadline => {}
-                other => break other,
-            }
-        };
-        // Final high-water gauges and per-node operation-mix counters.
-        for report in self.component_stats() {
-            match report.detail {
-                ComponentDetail::Node {
-                    rx_fifo_high_water, ..
-                } => {
-                    let g = metrics.gauge(&format!("{}.rx_fifo_high_water", report.name));
-                    metrics.set_gauge(g, f64::from(rx_fifo_high_water));
-                }
-                ComponentDetail::Switch {
-                    fifo_high_water, ..
-                } => {
-                    let g = metrics.gauge(&format!("{}.fifo_high_water", report.name));
-                    metrics.set_gauge(g, f64::from(fifo_high_water));
-                }
-            }
-        }
-        for i in 0..self.n {
-            let st = self.node(i).stats();
-            let site = Site::Node(NodeId::new(i));
-            let mix = [
-                (OpKind::RemoteRead, st.remote_reads.count()),
-                (OpKind::RemoteWrite, st.remote_writes.count()),
-                (OpKind::LocalRead, st.local_reads.count()),
-                (OpKind::LocalWrite, st.local_writes.count()),
-                (OpKind::Atomic, st.atomics.count()),
-                (OpKind::Copy, st.copies.count()),
-                (OpKind::Send, st.sends.count()),
-                (OpKind::Recv, st.recvs.count()),
-            ];
-            for (kind, count) in mix {
-                let c = metrics.counter(&metric::op_counter(site, kind));
-                metrics.inc(c, count);
-            }
-        }
-        // Per-link traffic and reliability totals under the canonical
-        // `link.<a>-<b>.<metric>` names.
-        for l in self.link_snapshots() {
-            let name = |leaf: &str| metric::link_metric(l.link.from, l.link.to, leaf);
-            let totals = [
-                ("tx_packets", l.tx_packets),
-                ("tx_bytes", l.tx_bytes),
-                ("retransmits", l.retransmits),
-                ("retx_bytes", l.retx_bytes),
-                ("resyncs", l.resyncs),
-                ("resync_probes", l.resync_probes),
-                ("rx_discards", l.rx_discards),
-            ];
-            for (leaf, count) in totals {
-                let c = metrics.counter(&name(leaf));
-                metrics.inc(c, count);
-            }
-            // (Final credit-stall totals live in the `.stall_us` series'
-            // last sample; registering a same-named gauge would collide.)
-            let g = metrics.gauge(&name("fifo_high_water"));
-            metrics.set_gauge(g, f64::from(l.rx_fifo_high_water));
-        }
-        // Reliability-layer counters (all zero on a lossless fabric).
-        let mut rel = vec![
-            ("fabric.retransmits", self.fabric_retransmits()),
-            ("fabric.retx_bytes", self.fabric_retx_bytes()),
-            ("fabric.credit_resyncs", self.fabric_resyncs()),
-            ("fabric.credit_resync_probes", self.fabric_resync_probes()),
-            ("fabric.rx_discards", self.fabric_rx_discards()),
-            ("fabric.ctrl_discards", self.fabric_ctrl_discards()),
-            ("fabric.link_errors", self.link_errors().len() as u64),
-        ];
-        if let Some(fs) = self.fault_stats() {
-            rel.push(("fabric.frames_dropped", fs.drops + fs.outage_drops));
-            rel.push(("fabric.frames_corrupted", fs.corrupts));
-            rel.push(("fabric.credits_lost", fs.credits_lost));
-            rel.push(("fabric.ctrl_dropped", fs.ctrl_drops));
-            rel.push(("fabric.ctrl_corrupted", fs.ctrl_corrupts));
-        }
-        for (name, count) in rel {
-            let c = metrics.counter(name);
-            metrics.inc(c, count);
-        }
-        limit
-    }
-
     /// Immutable node access.
     ///
     /// # Panics
@@ -1428,6 +1101,13 @@ impl Cluster {
         self.engine
             .get::<Node>(self.nodes[i as usize])
             .expect("node component")
+    }
+
+    /// The switch registered as component `id`.
+    fn switch(&self, id: CompId) -> &tg_net::Switch {
+        self.engine
+            .get::<tg_net::Switch>(id)
+            .expect("switch component")
     }
 
     /// Mutable node access (privileged setup).
@@ -1470,8 +1150,7 @@ impl Cluster {
     pub fn fabric_bytes(&self) -> u64 {
         self.switches
             .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(|s| s.stats().bytes)
+            .map(|&s| self.switch(s).stats().bytes)
             .sum()
     }
 
@@ -1514,8 +1193,7 @@ impl Cluster {
     pub fn fabric_packets(&self) -> u64 {
         self.switches
             .iter()
-            .filter_map(|&s| self.engine.get::<tg_net::Switch>(s))
-            .map(|s| s.stats().packets)
+            .map(|&s| self.switch(s).stats().packets)
             .sum()
     }
 }

@@ -58,8 +58,8 @@ pub mod sync;
 pub mod vsm;
 
 pub use cluster::{
-    Cluster, ClusterBuilder, ComponentDetail, ComponentReport, DeadlockReport, LinkSnapshot,
-    SharedPage, StalledNode, PAGED_VA_BASE, PRIVATE_VA_BASE, SHARED_VA_BASE,
+    Cluster, ClusterBuilder, ComponentDetail, ComponentReport, DeadlockReport, Drive, LinkSnapshot,
+    SharedPage, StalledNode, Stop, PAGED_VA_BASE, PRIVATE_VA_BASE, SHARED_VA_BASE,
 };
 pub use event::ClusterEvent;
 pub use node::Node;
@@ -76,4 +76,3 @@ pub use tg_net::{
     CrashWindow, DetectParams, FaultPlan, FaultStats, LinkError, LinkId, RelParams, RetxMode,
     StalledLink, Topology,
 };
-pub use tg_sim::WatchdogOutcome;

@@ -5,9 +5,9 @@
 //! restart reconciliation.
 
 use telegraphos::{
-    Action, ClusterBuilder, DetectParams, FaultPlan, OpError, RelParams, Script, Topology,
+    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, OpError, RelParams, Script, Topology,
 };
-use tg_sim::{RunLimit, SimTime};
+use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::NodeId;
 
 /// A write/read loop against a page homed on `page_home`, padded with
@@ -25,10 +25,12 @@ fn pounding_script(page: &telegraphos::SharedPage, rounds: u64) -> Script {
 /// In-flight and future remote operations against a crashed peer resolve
 /// as structured `OpError::PeerUnreachable` — the survivor's script runs
 /// to completion, nothing hangs, nothing panics, and the relaxed
-/// conservation audit still closes its books.
+/// conservation audit still closes its books. The run is sampled, and the
+/// fabric byte series keeps recording past the crash instant.
 #[test]
 fn ops_to_a_crashed_peer_fail_structurally() {
-    let plan = FaultPlan::new(0xC0FFEE).node_crash(NodeId::new(1), SimTime::from_us(100));
+    let crash = SimTime::from_us(100);
+    let plan = FaultPlan::new(0xC0FFEE).node_crash(NodeId::new(1), crash);
     let mut cluster = ClusterBuilder::new(2)
         .reliable_links(RelParams::default())
         .with_faults(plan)
@@ -36,7 +38,12 @@ fn ops_to_a_crashed_peer_fail_structurally() {
     cluster.enable_heartbeats(DetectParams::default());
     let page = cluster.alloc_shared(1);
     cluster.set_process(0, pounding_script(&page, 40));
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(80));
+    let mut metrics = MetricsRegistry::new();
+    let plan = Drive {
+        metrics: Some(&mut metrics),
+        ..Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(80))
+    };
+    let outcome = cluster.drive(plan).unwrap();
     assert_ne!(
         outcome,
         RunLimit::Deadline,
@@ -53,6 +60,13 @@ fn ops_to_a_crashed_peer_fail_structurally() {
     );
     let cons = cluster.conservation_violations();
     assert!(cons.is_empty(), "crash run broke conservation: {cons:?}");
+    let samples = metrics
+        .series_by_name("fabric.bytes_total")
+        .expect("series registered");
+    assert!(
+        samples.iter().filter(|s| s.at > crash).count() > 1,
+        "no samples after the crash: {samples:?}"
+    );
 }
 
 /// The same seeded crash plan replays bit for bit: identical final
@@ -73,7 +87,9 @@ fn seeded_crash_runs_replay_bit_for_bit() {
         let page0 = cluster.alloc_shared(0);
         cluster.set_process(0, pounding_script(&page, 30));
         cluster.set_process(2, pounding_script(&page0, 30));
-        cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(80));
+        cluster
+            .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(80)))
+            .unwrap();
         let mem: Vec<u64> = (0..16).map(|w| cluster.read_shared(&page0, w)).collect();
         let stats: Vec<String> = (0..3)
             .map(|i| format!("{:?}", cluster.node(i).stats()))
@@ -110,7 +126,9 @@ fn crashed_peers_are_not_reported_as_deadlocks() {
         0,
         Script::new(vec![Action::Write(page0.va(0), 7), Action::Fence]),
     );
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(60));
+    let outcome = cluster
+        .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(60)))
+        .unwrap();
     assert_ne!(
         outcome,
         RunLimit::Deadline,
@@ -148,7 +166,12 @@ fn traffic_routes_around_a_dead_switch() {
     }
     acts.push(Action::Fence);
     cluster.set_process(0, Script::new(acts));
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(100));
+    let outcome = cluster
+        .drive(Drive::quiescent(
+            SimTime::from_us(50),
+            SimTime::from_ms(100),
+        ))
+        .unwrap();
     assert_ne!(
         outcome,
         RunLimit::Deadline,
@@ -181,7 +204,7 @@ fn a_disconnecting_cut_names_the_partition() {
         Script::new(vec![Action::Write(page.va(0), 9), Action::Fence]),
     );
     let report = cluster
-        .run_watchdog(SimTime::from_us(500))
+        .drive(Drive::watchdog(SimTime::from_us(500)))
         .expect_err("a disconnected fabric must trip the watchdog");
     assert!(
         !report.partition.is_empty(),
@@ -219,7 +242,9 @@ fn sends_issued_after_conviction_fail_at_issue_time() {
             Action::Halt,
         ]),
     );
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(10));
+    let outcome = cluster
+        .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(10)))
+        .unwrap();
     assert_ne!(outcome, RunLimit::Deadline, "sender never finished");
     let hib = cluster.node(0).hib().stats();
     assert!(
@@ -250,7 +275,9 @@ fn detect_params_tune_the_conviction_threshold() {
             0,
             Script::new(vec![Action::Compute(SimTime::from_ms(1)), Action::Halt]),
         );
-        cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(10));
+        cluster
+            .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(10)))
+            .unwrap();
         cluster.node(0).stats().peer_downs
     };
     assert!(
@@ -299,7 +326,12 @@ fn a_restarted_peer_is_convicted_then_rehabilitated() {
     let page = cluster.alloc_shared(0);
     // Long-running survivor workload spanning crash and restart.
     cluster.set_process(0, pounding_script(&page, 400));
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(120));
+    let outcome = cluster
+        .drive(Drive::quiescent(
+            SimTime::from_us(50),
+            SimTime::from_ms(120),
+        ))
+        .unwrap();
     assert_ne!(
         outcome,
         RunLimit::Deadline,
@@ -420,7 +452,12 @@ fn cascading_failover_settles_on_the_third_replica() {
     let pages: Vec<_> = (1..4).map(|n| cluster.alloc_shared(n)).collect();
     let rounds = 40u64;
     cluster.set_process(0, CascadingWriter::new(pages.clone(), rounds));
-    let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(120));
+    let outcome = cluster
+        .drive(Drive::quiescent(
+            SimTime::from_us(50),
+            SimTime::from_ms(120),
+        ))
+        .unwrap();
     assert_ne!(
         outcome,
         RunLimit::Deadline,

@@ -3,8 +3,8 @@
 //! no-progress watchdog naming a dead link, conservation checks catching
 //! a leaked credit, and fence completion surviving a retransmit storm.
 
-use telegraphos::{Action, ClusterBuilder, FaultPlan, LinkId, RelParams, Script, WatchdogOutcome};
-use tg_sim::SimTime;
+use telegraphos::{Action, ClusterBuilder, Drive, FaultPlan, LinkId, RelParams, Script};
+use tg_sim::{RunLimit, SimTime};
 use tg_wire::trace::Site;
 use tg_wire::NodeId;
 
@@ -94,7 +94,7 @@ fn watchdog_names_a_permanently_dead_link() {
         Script::new(vec![Action::Write(page.va(0), 7), Action::Fence]),
     );
     let report = cluster
-        .run_watchdog(SimTime::from_us(500))
+        .drive(Drive::watchdog(SimTime::from_us(500)))
         .expect_err("a dead link must trip the watchdog");
     assert!(
         report.dead_links().contains(&victim_uplink(0)),
@@ -132,9 +132,9 @@ fn watchdog_is_silent_on_a_healthy_run() {
         Script::new(vec![Action::Write(page.va(0), 1), Action::Fence]),
     );
     let outcome = cluster
-        .run_watchdog(SimTime::from_us(100))
+        .drive(Drive::watchdog(SimTime::from_us(100)))
         .expect("healthy run must not trip the watchdog");
-    assert_eq!(outcome, WatchdogOutcome::Drained);
+    assert_eq!(outcome, RunLimit::Drained);
 }
 
 /// A credit leaked on the wire is caught by the traffic-quiescent

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed,
 };
-use telegraphos::{Action, Cluster, ClusterBuilder, ComponentDetail, Script};
-use tg_sim::{MetricsRegistry, SimTime};
+use telegraphos::{Action, Cluster, ClusterBuilder, ComponentDetail, Drive, Script};
+use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::trace::{OpKind, Stage};
 
 /// Two nodes; node 0 exercises remote writes, a blocking read and an
@@ -194,7 +194,7 @@ fn component_stats_surface_congestion_detail() {
 }
 
 #[test]
-fn run_sampled_populates_the_metrics_registry() {
+fn a_sampled_drive_populates_the_metrics_registry() {
     let mut cluster = ClusterBuilder::new(2).build();
     let page = cluster.alloc_shared(1);
     cluster.set_process(
@@ -206,7 +206,12 @@ fn run_sampled_populates_the_metrics_registry() {
         ]),
     );
     let mut metrics = MetricsRegistry::new();
-    cluster.run_sampled(SimTime::from_us(1), &mut metrics);
+    let plan = Drive {
+        slice: SimTime::from_us(1),
+        metrics: Some(&mut metrics),
+        ..Drive::drained()
+    };
+    assert_eq!(cluster.drive(plan).unwrap(), RunLimit::Drained);
     assert!(cluster.all_halted());
 
     let samples = metrics

@@ -11,7 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use telegraphos::{Cluster, SharedPage};
+use telegraphos::{Cluster, Drive, SharedPage, Stop};
 use tg_proto::RangeMap;
 use tg_sim::{RunLimit, SimRng, SimTime};
 use tg_wire::{NodeId, PageNum};
@@ -264,30 +264,27 @@ pub fn deploy(cluster: &mut Cluster, cfg: &KvConfig) -> KvHandles {
     }
 }
 
-/// Drives a deployed service to completion: slices until every client
-/// halted (or `limit` passes), then raises the stop flag and drains the
-/// servers via [`Cluster::run_to_quiescence`]. Returns
-/// [`RunLimit::Deadline`] if the clients did not finish in time.
+/// Drives a deployed service to completion in `step` slices: runs until
+/// every client halted (or `limit` passes), then raises the stop flag and
+/// drives the servers to quiescence. Returns [`RunLimit::Deadline`] if the
+/// clients did not finish in time.
 pub fn drive(
     cluster: &mut Cluster,
     handles: &KvHandles,
     step: SimTime,
     limit: SimTime,
 ) -> RunLimit {
-    assert!(!step.is_zero(), "zero drive step");
     let clients = handles.cfg.client_nodes();
-    let mut clients_done = false;
-    while cluster.now() < limit {
-        let deadline = (cluster.now() + step).min(limit);
-        cluster.run_until(deadline);
-        if clients.iter().all(|&cn| cluster.node(cn.raw()).halted()) {
-            clients_done = true;
-            break;
-        }
-    }
+    let serve = Drive {
+        stop: Stop::Halted(&clients),
+        ..Drive::quiescent(step, limit)
+    };
+    let served = cluster.drive(serve).expect("the watchdog is off");
     handles.stop.set(true);
-    let rest = cluster.run_to_quiescence(step, limit);
-    if clients_done {
+    let rest = cluster
+        .drive(Drive::quiescent(step, limit))
+        .expect("the watchdog is off");
+    if served == RunLimit::Halted {
         rest
     } else {
         RunLimit::Deadline

@@ -119,3 +119,22 @@ fn load_shedding_is_explicit_and_never_applies_shed_requests() {
     // the shed path must actually exercise.
     assert!(report.rejected_busy > 0, "admission control never shed");
 }
+
+/// A drive limit far short of the schedule cuts the run: `Deadline`.
+#[test]
+fn a_one_millisecond_drive_is_a_deadline() {
+    let cfg = small_cfg();
+    let mut cluster = ClusterBuilder::new(cfg.nodes_required())
+        .topology(Topology::ring(cfg.nodes_required()))
+        .reliable_links(RelParams::default())
+        .build();
+    cluster.enable_heartbeats(DetectParams::default());
+    let handles = deploy(&mut cluster, &cfg);
+    let outcome = drive(
+        &mut cluster,
+        &handles,
+        SimTime::from_us(50),
+        SimTime::from_ms(1),
+    );
+    assert_eq!(outcome, RunLimit::Deadline);
+}

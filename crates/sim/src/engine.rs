@@ -96,8 +96,11 @@ pub enum RunLimit {
 }
 
 /// A shared counter of "useful work done", ticked by components at their
-/// commit points and watched by [`Engine::run_watchdog`]. Cloning shares
-/// the counter (the simulation is single-threaded).
+/// commit points and compared across run slices by a no-progress
+/// watchdog: a slice that delivered events but left the meter unchanged
+/// is a stall. What counts as progress is the caller's vocabulary, not
+/// the engine's. Cloning shares the counter (the simulation is
+/// single-threaded).
 #[derive(Clone, Debug, Default)]
 pub struct ProgressMeter(std::rc::Rc<std::cell::Cell<u64>>);
 
@@ -116,23 +119,6 @@ impl ProgressMeter {
     pub fn count(&self) -> u64 {
         self.0.get()
     }
-}
-
-/// Why a watchdog-supervised run ([`Engine::run_watchdog`]) returned.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WatchdogOutcome {
-    /// The event queue drained completely.
-    Drained,
-    /// A component called [`Ctx::halt`].
-    Halted,
-    /// A full watchdog window elapsed with events still firing but no
-    /// progress recorded on the meter.
-    Stalled {
-        /// Simulated time when the stall was declared.
-        at: SimTime,
-        /// The meter value that failed to advance.
-        progress: u64,
-    },
 }
 
 /// Counters describing an engine run; useful for detecting livelock in
@@ -443,43 +429,6 @@ impl<M: 'static> Engine<M> {
         self.batch = batch;
         self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         limit
-    }
-
-    /// Runs under a no-progress watchdog: the engine executes in windows of
-    /// `window` simulated time and compares the [`ProgressMeter`] across
-    /// windows. A window in which events were delivered but the meter did
-    /// not advance means the system is churning without doing useful work
-    /// (e.g. a dead link retransmitting into the void while packets sit
-    /// stuck), and the run stops with [`WatchdogOutcome::Stalled`] so the
-    /// caller can assemble a structured report instead of spinning forever.
-    ///
-    /// Components signal useful work by calling [`ProgressMeter::tick`]
-    /// at their commit points; what counts as progress is the caller's
-    /// vocabulary, not the engine's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn run_watchdog(&mut self, meter: &ProgressMeter, window: SimTime) -> WatchdogOutcome {
-        assert!(!window.is_zero(), "watchdog window must be positive");
-        let mut last = meter.count();
-        loop {
-            let deadline = self.now().checked_add(window).unwrap_or(SimTime::MAX);
-            match self.run_until(deadline) {
-                RunLimit::Drained => return WatchdogOutcome::Drained,
-                RunLimit::Halted => return WatchdogOutcome::Halted,
-                RunLimit::Deadline | RunLimit::EventBudget => {
-                    let count = meter.count();
-                    if count == last {
-                        return WatchdogOutcome::Stalled {
-                            at: self.now(),
-                            progress: count,
-                        };
-                    }
-                    last = count;
-                }
-            }
-        }
     }
 
     /// Immutable access to a registered component, downcast to its concrete

@@ -47,7 +47,6 @@ mod time;
 
 pub use engine::{
     CompId, Component, ComponentStats, Ctx, Engine, EngineStats, ProgressMeter, RunLimit,
-    WatchdogOutcome,
 };
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId};
 pub use rng::SimRng;

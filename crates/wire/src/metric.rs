@@ -43,7 +43,7 @@ pub fn fabric_metric(metric: &str) -> String {
     format!("fabric.{metric}")
 }
 
-/// The canonical counter leaf for an op class, as `Cluster::run_sampled`
+/// The canonical counter leaf for an op class, as a sampled `Cluster::drive`
 /// records the per-node operation mix (`OpKind::RemoteWrite` →
 /// `remote_writes`, so the full name is [`site_metric`]`(site,
 /// op_counter_leaf(kind))`, e.g. `node3.remote_writes`). One mapping,

@@ -220,14 +220,13 @@ fn stencil_16_inner(traced: bool) -> (u64, u64) {
     };
     let (mut cluster, check) = harness::build_stencil(&opts, 8, 12);
     let collector = traced.then(|| cluster.enable_tracing());
-    if traced {
-        let mut metrics = MetricsRegistry::new();
-        cluster.run_sampled(SimTime::from_us(1), &mut metrics);
-        assert!(!metrics.is_empty(), "sampler recorded nothing");
-    } else {
-        cluster.run();
-    }
-    assert!(cluster.all_halted(), "stencil deadlocked");
+    let mut metrics = MetricsRegistry::new();
+    let sampled = traced.then_some((SimTime::from_us(1), &mut metrics));
+    assert!(
+        harness::run_cluster(&mut cluster, &opts, sampled),
+        "stencil deadlocked"
+    );
+    assert!(!traced || !metrics.is_empty(), "sampler recorded nothing");
     if let Some(c) = &collector {
         assert!(!c.packet_events().is_empty(), "probes saw no packets");
     }

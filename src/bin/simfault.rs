@@ -35,8 +35,8 @@
 use std::process::ExitCode;
 
 use telegraphos::{
-    Action, Cluster, ClusterBuilder, DetectParams, FaultPlan, LinkId, RelParams, RetxMode, Script,
-    SharedPage, Topology,
+    Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, RelParams, RetxMode,
+    Script, SharedPage, Topology,
 };
 use telegraphos_suite::harness::{self, HarnessOptions};
 use tg_analyze::{Json, SCHEMA};
@@ -258,11 +258,11 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
     };
     let collector = cluster.enable_tracing();
     let mut partition = Vec::new();
+    cluster.enable_heartbeats(DetectParams::default());
     let completed = if scenario == "partition" && faulted {
         // Recovery is impossible across a disconnecting cut: the run must
         // degrade into a structured report naming the partition.
-        cluster.enable_heartbeats(DetectParams::default());
-        match cluster.run_watchdog(SimTime::from_us(300)) {
+        match cluster.drive(Drive::watchdog(SimTime::from_us(300))) {
             Err(report) => {
                 partition = report.partition.iter().map(|n| n.raw()).collect();
                 !partition.is_empty()
@@ -270,9 +270,8 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
             Ok(_) => false,
         }
     } else {
-        cluster.enable_heartbeats(DetectParams::default());
-        let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(100));
-        outcome != RunLimit::Deadline && cluster.node(0).halted()
+        let plan = Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(100));
+        cluster.drive(plan).is_ok_and(|r| r != RunLimit::Deadline) && cluster.node(0).halted()
     };
     let detect_ns = faulted
         .then(|| {
@@ -675,7 +674,7 @@ fn main() -> ExitCode {
         };
         let mut c = harness::build_pingpong(&opts);
         assert!(
-            harness::run_cluster(&mut c, &opts),
+            harness::run_cluster(&mut c, &opts, None),
             "baseline pingpong wedged"
         );
         mean_op_latency(&c)
@@ -688,7 +687,7 @@ fn main() -> ExitCode {
         };
         let mut c = harness::build_pingpong(&opts);
         assert!(
-            harness::run_cluster(&mut c, &opts),
+            harness::run_cluster(&mut c, &opts, None),
             "heartbeat pingpong wedged"
         );
         mean_op_latency(&c)

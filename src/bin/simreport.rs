@@ -221,8 +221,8 @@ fn cmd_run(args: &mut std::env::Args) -> Result<ExitCode, String> {
     };
     let collector = cluster.enable_tracing();
     let mut metrics = MetricsRegistry::new();
-    cluster.run_sampled(SimTime::from_us(opts.interval_us), &mut metrics);
-    if !cluster.all_halted() {
+    let interval = SimTime::from_us(opts.interval_us);
+    if !harness::run_cluster(&mut cluster, &hopts, Some((interval, &mut metrics))) {
         return Err("workload deadlocked".to_string());
     }
     if let Some(check) = &stencil_check {

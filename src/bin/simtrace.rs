@@ -18,8 +18,8 @@
 //!   and atomically increments a page homed on its ring neighbor.
 //! * `stencil` — an N-node Jacobi stencil over eager-update boundary
 //!   pages (the simbench workload at trace-friendly scale).
-//! * `--metrics` — sample congestion metrics while running and print the
-//!   registry.
+//! * `--metrics` — sample congestion metrics every `--interval-us` while
+//!   running (crash runs included) and print the registry.
 //! * `--reliable` — run the link-level reliability protocol (checksum +
 //!   seq + ack/retransmit); `--drop P` / `--corrupt P` additionally
 //!   inject seeded frame faults (implies `--reliable`, since a lossy
@@ -191,14 +191,10 @@ fn parse_args() -> Result<Options, String> {
         opts.reliable = true;
     }
     // Crash-stop windows need the reliability layer (detection and
-    // structured op failure both live there) and a stepped run that
-    // periodic metrics sampling does not support.
+    // structured op failure both live there) and heartbeats.
     if opts.crash.is_some() || opts.switch_out.is_some() {
         opts.reliable = true;
         opts.heartbeats = true;
-        if opts.metrics {
-            return Err("--metrics cannot be combined with --crash/--switch-out".to_string());
-        }
     }
     if opts.restart_us.is_some() && opts.crash.is_none() {
         return Err("--restart needs --crash".to_string());
@@ -491,13 +487,9 @@ fn main() -> ExitCode {
 
     let hopts = opts.harness();
     let mut metrics = MetricsRegistry::new();
-    if opts.metrics {
-        cluster.run_sampled(SimTime::from_us(opts.interval_us), &mut metrics);
-        if !cluster.all_halted() {
-            eprintln!("simtrace: workload deadlocked");
-            return ExitCode::FAILURE;
-        }
-    } else if !harness::run_cluster(&mut cluster, &hopts) {
+    let interval = SimTime::from_us(opts.interval_us);
+    let sampled = opts.metrics.then_some((interval, &mut metrics));
+    if !harness::run_cluster(&mut cluster, &hopts, sampled) {
         eprintln!("simtrace: workload deadlocked");
         return ExitCode::FAILURE;
     }

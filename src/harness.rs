@@ -8,10 +8,10 @@
 //! byte-for-byte the same cluster.
 
 use telegraphos::{
-    Action, Cluster, ClusterBuilder, DetectParams, FaultPlan, RelParams, RetxMode, Script,
+    Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, RelParams, RetxMode, Script,
     SharedPage, Topology,
 };
-use tg_sim::{RunLimit, SimTime};
+use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::NodeId;
 use tg_workloads::{jacobi_reference, JacobiShared, JacobiWorker};
 
@@ -121,19 +121,30 @@ pub fn builder(opts: &HarnessOptions) -> ClusterBuilder {
 }
 
 /// Drives `cluster` to completion the way the options demand: a plain
-/// `run()` for fault-masked workloads, a stepped heartbeat-driven run for
+/// drain for fault-masked workloads, a stepped heartbeat-driven run for
 /// crash-stop plans (whose event queues never drain on their own — the
-/// detector must convict the dead and fail blocked ops). Returns `true`
-/// when the surviving workload completed within the time limit.
-pub fn run_cluster(cluster: &mut Cluster, opts: &HarnessOptions) -> bool {
-    if opts.heartbeats || opts.any_crash() {
+/// detector must convict the dead and fail blocked ops). With `sampled`
+/// set, congestion metrics land in the registry once per interval.
+/// Returns `true` when the surviving workload completed within the time
+/// limit.
+pub fn run_cluster(
+    cluster: &mut Cluster,
+    opts: &HarnessOptions,
+    sampled: Option<(SimTime, &mut MetricsRegistry)>,
+) -> bool {
+    let quiescent = opts.heartbeats || opts.any_crash();
+    let mut plan = if quiescent {
         cluster.enable_heartbeats(DetectParams::default());
-        let outcome = cluster.run_to_quiescence(SimTime::from_us(50), SimTime::from_ms(200));
-        outcome != RunLimit::Deadline
+        Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(200))
     } else {
-        cluster.run();
-        cluster.all_halted()
+        Drive::drained()
+    };
+    if let Some((interval, metrics)) = sampled {
+        plan.slice = interval;
+        plan.metrics = Some(metrics);
     }
+    let outcome = cluster.drive(plan).expect("the watchdog is off");
+    outcome != RunLimit::Deadline && (quiescent || cluster.all_halted())
 }
 
 /// Every node writes to / fences on / reads from / atomically increments

@@ -64,7 +64,11 @@ fn stencil_snapshot() -> (String, Vec<u64>, Vec<(SegClass, SimTime)>) {
     let (mut cluster, check) = harness::build_stencil(&opts, 4, 4);
     let collector = cluster.enable_tracing();
     let mut metrics = MetricsRegistry::new();
-    cluster.run_sampled(SimTime::from_us(1), &mut metrics);
+    let sampled = Some((SimTime::from_us(1), &mut metrics));
+    assert!(
+        harness::run_cluster(&mut cluster, &opts, sampled),
+        "stencil deadlocked"
+    );
     harness::verify_stencil(&cluster, &check).expect("stencil result");
 
     let attribs = attribute_ops(&collector.op_events(), &collector.packet_events());
