@@ -228,7 +228,7 @@ impl ClusterBuilder {
 pub struct ComponentReport {
     /// The component's registered name (`node0`, `switch1`, ...).
     pub name: String,
-    /// Engine-level delivered/scheduled event counters.
+    /// Engine-level delivered/absorbed/scheduled event counters.
     pub events: tg_sim::ComponentStats,
     /// Congestion and queue detail for the component kind.
     pub detail: ComponentDetail,
@@ -1020,15 +1020,16 @@ impl Cluster {
         self.engine.now()
     }
 
-    /// Event-engine run counters (delivered/scheduled totals, queue
-    /// high-water mark, wall time) — the simulator-throughput side of an
-    /// experiment. `events_per_wall_second()` on the result reports
-    /// simulator speed.
+    /// Event-engine run counters (delivered, absorbed and scheduled
+    /// totals, queue high-water mark, wall time) — the simulator-throughput
+    /// side of an experiment. Delivered + absorbed is the logical event
+    /// count. `events_per_wall_second()` on the result reports simulator
+    /// speed.
     pub fn engine_stats(&self) -> tg_sim::EngineStats {
         self.engine.stats()
     }
 
-    /// Per-component delivered/scheduled counters plus kind-specific
+    /// Per-component delivered/absorbed/scheduled counters plus kind-specific
     /// congestion detail: receive-FIFO high-water marks and credit-stall
     /// time for nodes, traffic and queue state for switches — which parts
     /// of the simulated cluster the event budget went to, and where

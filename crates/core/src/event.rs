@@ -51,6 +51,12 @@ impl NetMessage for ClusterEvent {
             other => Err(other),
         }
     }
+    fn as_net(&self) -> Option<&NetEvent> {
+        match self {
+            ClusterEvent::Net(ev) => Some(ev),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ pub struct Node {
     /// instruction completes).
     deferred_os_sends: Vec<(NodeId, WireMsg)>,
     stats: NodeStats,
-    outbox: Vec<(SimTime, Option<CompId>, ClusterEvent)>,
+    outbox: Vec<Outgoing>,
     /// Engine time of the event being handled, mirrored into the HIB host
     /// shim so the HIB can timestamp observability events.
     now: SimTime,
@@ -150,29 +150,50 @@ impl std::fmt::Debug for Node {
     }
 }
 
+/// Where an event scheduled during one delivery goes, and whether its
+/// receiver may absorb it (see [`Ctx::send_deferrable`]).
+#[derive(Clone, Copy)]
+enum To {
+    Me,
+    MeDeferrable,
+    Peer(CompId),
+    PeerDeferrable(CompId),
+}
+
+/// An event scheduled while the node handles one delivery.
+type Outgoing = (SimTime, To, ClusterEvent);
+
 /// Host shim: buffers HIB requests for the node to drain into the engine.
 struct Shim<'a> {
     segment: &'a mut PhysMem,
-    out: &'a mut Vec<(SimTime, Option<CompId>, ClusterEvent)>,
+    out: &'a mut Vec<Outgoing>,
     now: SimTime,
 }
 
 impl HibHost for Shim<'_> {
     fn schedule_net(&mut self, delay: SimTime, dst: CompId, ev: NetEvent) {
-        self.out.push((delay, Some(dst), ClusterEvent::Net(ev)));
+        self.out.push((delay, To::Peer(dst), ClusterEvent::Net(ev)));
     }
     fn schedule_tick(&mut self, delay: SimTime, tick: HibTick) {
-        self.out.push((delay, None, ClusterEvent::HibTick(tick)));
+        self.out.push((delay, To::Me, ClusterEvent::HibTick(tick)));
+    }
+    fn schedule_net_deferrable(&mut self, delay: SimTime, dst: CompId, ev: NetEvent) {
+        self.out
+            .push((delay, To::PeerDeferrable(dst), ClusterEvent::Net(ev)));
+    }
+    fn schedule_tick_deferrable(&mut self, delay: SimTime, tick: HibTick) {
+        self.out
+            .push((delay, To::MeDeferrable, ClusterEvent::HibTick(tick)));
     }
     fn cpu_complete(&mut self, delay: SimTime, res: CpuResult) {
-        self.out.push((delay, None, ClusterEvent::HibDone(res)));
+        self.out.push((delay, To::Me, ClusterEvent::HibDone(res)));
     }
     fn interrupt(&mut self, delay: SimTime, int: HibInterrupt) {
-        self.out.push((delay, None, ClusterEvent::Interrupt(int)));
+        self.out.push((delay, To::Me, ClusterEvent::Interrupt(int)));
     }
     fn to_os(&mut self, delay: SimTime, src: NodeId, msg: WireMsg) {
         self.out
-            .push((delay, None, ClusterEvent::OsMsg { src, msg }));
+            .push((delay, To::Me, ClusterEvent::OsMsg { src, msg }));
     }
     fn segment(&mut self) -> &mut PhysMem {
         self.segment
@@ -364,7 +385,7 @@ impl Node {
     // ------------------------------------------------------------------
 
     fn schedule_self(&mut self, delay: SimTime, ev: ClusterEvent) {
-        self.outbox.push((delay, None, ev));
+        self.outbox.push((delay, To::Me, ev));
     }
 
     /// Ensures exactly one `CpuStep` is pending (unless the CPU is frozen
@@ -1327,12 +1348,39 @@ impl Component<ClusterEvent> for Node {
         }
         // Drain everything scheduled during this event.
         let self_id = ctx.self_id();
-        for (delay, dst, ev) in self.outbox.drain(..) {
-            ctx.send(dst.unwrap_or(self_id), delay, ev);
+        for (delay, to, ev) in self.outbox.drain(..) {
+            match to {
+                To::Me => ctx.send(self_id, delay, ev),
+                To::MeDeferrable => ctx.send_deferrable(self_id, delay, ev),
+                To::Peer(dst) => ctx.send(dst, delay, ev),
+                To::PeerDeferrable(dst) => ctx.send_deferrable(dst, delay, ev),
+            }
+        }
+        if self.hib.take_recheck() {
+            ctx.recheck_deferred();
         }
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Deferred delivery: the HIB absorbs returned credits and `TxFree`
+    /// ticks that find its transmit side idle.
+    fn can_absorb(&self, ev: &ClusterEvent) -> bool {
+        match ev {
+            ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.can_absorb_credit(),
+            ClusterEvent::HibTick(HibTick::TxFree) => self.hib.can_absorb_tx_free(),
+            _ => false,
+        }
+    }
+
+    fn absorb(&mut self, ev: ClusterEvent, at: SimTime) {
+        self.now = at;
+        match ev {
+            ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.absorb_credit(at),
+            ClusterEvent::HibTick(HibTick::TxFree) => self.hib.absorb_tx_free(),
+            _ => unreachable!("{}: only credits and TxFree absorb", self.name),
+        }
     }
 }

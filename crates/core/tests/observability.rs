@@ -191,6 +191,15 @@ fn component_stats_surface_congestion_detail() {
         assert!(r.events.delivered > 0, "{} handled no events", r.name);
     }
     assert!(saw_node1_rx);
+    // Unreliable links: credits and idle port-free events are absorbed,
+    // and every event scheduled was either delivered or absorbed.
+    let engine = cluster.engine_stats();
+    let absorbed: u64 = reports.iter().map(|r| r.events.absorbed).sum();
+    assert!(absorbed > 0, "nothing absorbed on an unreliable fabric");
+    assert_eq!(absorbed, engine.events_absorbed);
+    let delivered: u64 = reports.iter().map(|r| r.events.delivered).sum();
+    assert_eq!(delivered, engine.events_delivered);
+    assert_eq!(delivered + absorbed, engine.events_scheduled);
 }
 
 #[test]

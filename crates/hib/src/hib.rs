@@ -201,6 +201,14 @@ pub struct Hib {
     next_tag: u32,
     fence_waiting: bool,
     stalled_store: Option<StalledStore>,
+    /// The pending `TxFree` was sent deferrable: only then can one be
+    /// deferred.
+    lazy_free: bool,
+    /// Set when a deferred `TxFree` or credit may have stopped being
+    /// absorbable: work arrived while `lazy_free` (a packet queued, a
+    /// store parked, a fence armed), or a credit stall opened. Taken by
+    /// the owner with [`Hib::take_recheck`].
+    recheck: bool,
     // Special-operation launch.
     special: Option<SpecialMode>,
     contexts: Vec<Context>,
@@ -288,6 +296,8 @@ impl Hib {
             next_tag: 1,
             fence_waiting: false,
             stalled_store: None,
+            lazy_free: false,
+            recheck: false,
             special: None,
             contexts,
             pool: PayloadPool::new(),
@@ -690,8 +700,15 @@ impl Hib {
             true
         } else {
             self.fence_waiting = true;
+            self.recheck |= self.lazy_free;
             false
         }
+    }
+
+    /// Parks a store the CPU must retry once the HIB has room.
+    fn park(&mut self, store: StalledStore) {
+        self.stalled_store = Some(store);
+        self.recheck |= self.lazy_free;
     }
 
     fn store_remote(
@@ -712,7 +729,7 @@ impl Hib {
         }
         if !self.tx_has_room(1) {
             self.stats.tx_stalls += 1;
-            self.stalled_store = Some(StalledStore {
+            self.park(StalledStore {
                 pa: PAddr::remote(node, off),
                 val,
                 reason: StallReason::TxFull,
@@ -762,7 +779,7 @@ impl Hib {
             PageMode::EagerMapped { outs } => {
                 if !self.tx_has_room(outs.len()) {
                     self.stats.tx_stalls += 1;
-                    self.stalled_store = Some(StalledStore {
+                    self.park(StalledStore {
                         pa: PAddr::local_shared(off),
                         val,
                         reason: StallReason::TxFull,
@@ -788,7 +805,7 @@ impl Hib {
             PageMode::Owned { copies } => {
                 if !self.tx_has_room(copies.len()) {
                     self.stats.tx_stalls += 1;
-                    self.stalled_store = Some(StalledStore {
+                    self.park(StalledStore {
                         pa: PAddr::local_shared(off),
                         val,
                         reason: StallReason::TxFull,
@@ -822,7 +839,7 @@ impl Hib {
         }
         if !self.tx_has_room(1) {
             self.stats.tx_stalls += 1;
-            self.stalled_store = Some(StalledStore {
+            self.park(StalledStore {
                 pa: PAddr::local_shared(off),
                 val,
                 reason: StallReason::TxFull,
@@ -835,7 +852,7 @@ impl Hib {
                 // §2.3.3 rule 1: update the local copy, bump the counter,
                 // send the value to the owner.
                 if !self.cam.try_increment(off.word_index()) {
-                    self.stalled_store = Some(StalledStore {
+                    self.park(StalledStore {
                         pa: PAddr::local_shared(off),
                         val,
                         reason: StallReason::CamFull,
@@ -878,7 +895,7 @@ impl Hib {
                     },
                     host,
                 );
-                self.stalled_store = Some(StalledStore {
+                self.park(StalledStore {
                     pa: PAddr::local_shared(off),
                     val,
                     reason: StallReason::WaitReflect,
@@ -1344,6 +1361,7 @@ impl Hib {
     pub fn on_tick(&mut self, tick: HibTick, host: &mut dyn HibHost) {
         match tick {
             HibTick::TxFree => {
+                self.lazy_free = false;
                 self.tx_busy = false;
                 if let Some(tx) = self.tx.as_mut() {
                     tx.on_free();
@@ -1416,6 +1434,77 @@ impl Hib {
                 self.arm_op_check(host);
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Deferred delivery
+    // ------------------------------------------------------------------
+
+    /// True when a returned credit would only add a credit: the output
+    /// link is unreliable (a reliable one can arm a timer), no credit
+    /// stall is open, the credit fits the allowance, and nothing waits to
+    /// launch on a free wire. See
+    /// [`Component::can_absorb`](tg_sim::Component::can_absorb).
+    #[inline]
+    pub fn can_absorb_credit(&self) -> bool {
+        self.tx.as_ref().is_some_and(|tx| {
+            !tx.is_reliable()
+                && !tx.is_credit_stalled()
+                && tx.credits() < tx.allowance()
+                && (self.tx_busy || self.tx_queue.is_empty())
+        })
+    }
+
+    /// True when a `TxFree` tick would only free the wire: the output
+    /// link is unreliable, and no packet, parked store or fence waits on
+    /// the transmit side.
+    #[inline]
+    pub fn can_absorb_tx_free(&self) -> bool {
+        self.tx.as_ref().is_some_and(|tx| !tx.is_reliable())
+            && self.tx_queue.is_empty()
+            && self.stalled_store.is_none()
+            && !self.fence_waiting
+    }
+
+    /// Applies an absorbed credit arriving at `at`, as
+    /// [`Hib::on_net`] would.
+    #[inline]
+    pub fn absorb_credit(&mut self, at: SimTime) {
+        // Debug-build guard: the credit must still be one the handler
+        // would not act on.
+        #[cfg(debug_assertions)]
+        assert!(
+            self.can_absorb_credit(),
+            "node {}: absorbed an active credit",
+            self.node
+        );
+        self.tx
+            .as_mut()
+            .expect("tx wired")
+            .on_credit_at(at)
+            .expect("an absorbable credit fits the allowance");
+    }
+
+    /// Applies an absorbed `TxFree` tick, as [`Hib::on_tick`] would.
+    #[inline]
+    pub fn absorb_tx_free(&mut self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.can_absorb_tx_free(),
+            "node {}: absorbed an active TxFree",
+            self.node
+        );
+        self.lazy_free = false;
+        self.tx_busy = false;
+        self.tx.as_mut().expect("tx wired").on_free();
+    }
+
+    /// Whether the transmit side stopped being idle since the last call
+    /// (see [`Ctx::recheck_deferred`](tg_sim::Ctx::recheck_deferred));
+    /// clears the flag.
+    #[inline]
+    pub fn take_recheck(&mut self) -> bool {
+        std::mem::take(&mut self.recheck)
     }
 
     /// A peer's beacon reached this board (flooded by the switches).
@@ -1715,7 +1804,14 @@ impl Hib {
                 return;
             }
         }
-        host.schedule_net(self.timing.link_prop, up, NetEvent::Credit { port });
+        let credit = NetEvent::Credit { port };
+        // The sender on a reliable link can never absorb a credit (it may
+        // arm a timer), so only unreliable links offer one for deferral.
+        if self.rx_link.is_some() {
+            host.schedule_net(self.timing.link_prop, up, credit);
+        } else {
+            host.schedule_net_deferrable(self.timing.link_prop, up, credit);
+        }
     }
 
     fn emit_resync(&self, now: SimTime, token: u64) {
@@ -2129,6 +2225,7 @@ impl Hib {
             self.emit(host.now(), &packet, Stage::TxEnqueue, self.rx_handling);
         }
         self.last_injected = Some(packet.trace_id());
+        self.recheck |= self.lazy_free && self.tx_queue.is_empty();
         self.tx_queue.push_back(packet);
         self.stats.tx_high_water = self.stats.tx_high_water.max(self.tx_queue.len());
         self.pump_tx(host);
@@ -2158,6 +2255,7 @@ impl Hib {
             if !self.tx_queue.is_empty() {
                 let opened = self.tx.as_mut().expect("tx wired").note_blocked(host.now());
                 if opened {
+                    self.recheck = true;
                     // One CreditStall event per stall window, stamped on
                     // the packet at the head of the queue: attribution
                     // classifies its queue time that follows as
@@ -2206,7 +2304,18 @@ impl Hib {
         };
         let proc = self.timing.hib_proc;
         self.tx_busy = true;
-        host.schedule_tick(proc + times.free, HibTick::TxFree);
+        // A packet queued behind this one, a waiting fence (the busy wire
+        // keeps it waiting) or a reliable link keeps the `TxFree` active,
+        // so it is offered for deferral only otherwise.
+        if self.tx_queue.is_empty()
+            && !self.fence_waiting
+            && !self.tx.as_ref().is_some_and(TxPort::is_reliable)
+        {
+            self.lazy_free = true;
+            host.schedule_tick_deferrable(proc + times.free, HibTick::TxFree);
+        } else {
+            host.schedule_tick(proc + times.free, HibTick::TxFree);
+        }
         let fate = match (self.injector.as_ref(), link) {
             (Some(inj), Some(link)) => inj.frame_fate(link, now, &mut packet),
             _ => FrameFate::Deliver,

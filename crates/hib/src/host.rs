@@ -18,6 +18,17 @@ pub trait HibHost {
     /// Schedules an internal HIB timer; the node must route it back into
     /// [`Hib::on_tick`](crate::Hib::on_tick).
     fn schedule_tick(&mut self, delay: SimTime, tick: HibTick);
+    /// Like [`schedule_net`](HibHost::schedule_net), for an event the
+    /// receiver may absorb instead of handling (a returned credit; see
+    /// [`Ctx::send_deferrable`](tg_sim::Ctx::send_deferrable)).
+    fn schedule_net_deferrable(&mut self, delay: SimTime, dst: CompId, ev: NetEvent) {
+        self.schedule_net(delay, dst, ev);
+    }
+    /// Like [`schedule_tick`](HibHost::schedule_tick), for a tick the HIB may absorb
+    /// instead of handling (`TxFree`).
+    fn schedule_tick_deferrable(&mut self, delay: SimTime, tick: HibTick) {
+        self.schedule_tick(delay, tick);
+    }
     /// Completes a CPU-visible operation (blocking load, stalled store,
     /// fence, special-operation result).
     fn cpu_complete(&mut self, delay: SimTime, res: CpuResult);

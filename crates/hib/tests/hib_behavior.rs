@@ -509,6 +509,37 @@ fn cam_full_stalls_until_reflection_returns() {
     assert!(b.boards[0].cam().stall_events() >= 1);
 }
 
+/// Deferred delivery: a `TxFree` is absorbable only while no packet,
+/// parked store or fence waits on the transmit side, and a credit only
+/// while nothing waits on a free wire.
+#[test]
+fn tx_free_absorbs_only_while_nothing_waits() {
+    let config = HibConfig {
+        cam_entries: 1,
+        ..HibConfig::default()
+    };
+    let mut b = coherent_triangle(config);
+    assert_eq!(b.store(0, local(8), 1), StoreOutcome::Done);
+    assert!(
+        b.boards[0].can_absorb_tx_free(),
+        "the update left nothing waiting"
+    );
+    assert!(b.boards[0].can_absorb_credit(), "the wire is busy");
+    // A parked store is retried at the next `TxFree`.
+    assert_eq!(b.store(0, local(16), 2), StoreOutcome::Stalled);
+    assert!(!b.boards[0].can_absorb_tx_free());
+    b.run();
+
+    let mut b = Bench::new(2, HibConfig::default());
+    assert_eq!(b.store(0, remote(1, 0), 7), StoreOutcome::Done);
+    assert!(b.boards[0].can_absorb_tx_free());
+    // A waiting fence may complete at the next `TxFree`.
+    assert!(!b.fence(0));
+    assert!(!b.boards[0].can_absorb_tx_free());
+    b.run();
+    assert!(b.boards[0].can_absorb_credit(), "idle wire, empty queue");
+}
+
 #[test]
 fn same_word_rewrites_share_a_cam_entry() {
     let config = HibConfig {

@@ -57,6 +57,8 @@ pub trait NetMessage: Sized + 'static {
     fn from_net(ev: NetEvent) -> Self;
     /// Unwraps a network event, or gives the message back if it is not one.
     fn into_net(self) -> Result<NetEvent, Self>;
+    /// The network event inside, if this message is one.
+    fn as_net(&self) -> Option<&NetEvent>;
 }
 
 impl NetMessage for NetEvent {
@@ -65,6 +67,9 @@ impl NetMessage for NetEvent {
     }
     fn into_net(self) -> Result<NetEvent, Self> {
         Ok(self)
+    }
+    fn as_net(&self) -> Option<&NetEvent> {
+        Some(self)
     }
 }
 

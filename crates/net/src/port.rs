@@ -492,6 +492,7 @@ impl TxPort {
     ///
     /// Like [`TxPort::on_credit`] on a duplicated credit (the stall window
     /// stays open: no usable credit arrived).
+    #[inline]
     pub fn on_credit_at(&mut self, now: SimTime) -> Result<(), LinkError> {
         if self.credits >= self.allowance {
             if self.stale_credit_grace > 0 {
@@ -535,6 +536,7 @@ impl TxPort {
     }
 
     /// Marks serialization finished (the scheduled `free` delay elapsed).
+    #[inline]
     pub fn on_free(&mut self) {
         self.busy = false;
     }

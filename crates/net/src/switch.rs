@@ -37,6 +37,11 @@ fn set_bit(set: &mut [u64], i: usize) {
     set[i / 64] |= 1 << (i % 64);
 }
 
+/// True when port `i` is in a packed port set.
+fn has_bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] & (1 << (i % 64)) != 0
+}
+
 /// Removes port `i` from a packed port set.
 fn clear_bit(set: &mut [u64], i: usize) {
     set[i / 64] &= !(1 << (i % 64));
@@ -149,6 +154,14 @@ pub struct Switch {
     view_version: u64,
     /// Times this switch refreshed its table from the view.
     route_refreshes: u64,
+    /// Outputs whose pending `PumpOut` was sent deferrable: only these
+    /// can have a deferred port-free event.
+    lazy_free: Vec<u64>,
+    /// Set when this event may have made a deferred credit or port-free
+    /// event unabsorbable: a new requester on a `lazy_free` output, or a
+    /// credit stall opening. The handler then asks the engine to
+    /// re-check.
+    recheck: bool,
 }
 
 impl Switch {
@@ -183,6 +196,8 @@ impl Switch {
             view: None,
             view_version: 0,
             route_refreshes: 0,
+            lazy_free: vec![0; words],
+            recheck: false,
         }
     }
 
@@ -318,6 +333,46 @@ impl Switch {
         }
         if out != NO_PORT {
             set_bit(&mut self.requesters, out as usize * row_bits + in_port);
+            // A deferred `PumpOut` on this output is no longer idle.
+            self.recheck |= has_bit(&self.lazy_free, out as usize);
+        }
+    }
+
+    /// True when some input's FIFO head routes to `out_port`.
+    #[inline]
+    fn requested(&self, out_port: usize) -> bool {
+        let row = out_port * self.words;
+        self.requesters[row..row + self.words]
+            .iter()
+            .any(|&w| w != 0)
+    }
+
+    /// Deferred delivery (see [`Component::can_absorb`]): a `Credit` or
+    /// `PumpOut` on an unreliable port of a switch without a fabric view
+    /// is absorbable when its `pump` would grant nothing. A credit then
+    /// only adds a credit (counting a block if an input waits on the busy
+    /// wire); a port-free event only frees the wire. A fabric view can
+    /// refresh routes at any event, and a reliable port can arm a timer,
+    /// so neither ever absorbs.
+    #[inline]
+    fn absorbable(&self, ev: &NetEvent) -> bool {
+        let (NetEvent::Credit { port } | NetEvent::PumpOut { port }) = *ev else {
+            return false;
+        };
+        let p = port as usize;
+        let Some(tx) = self.out.get(p).and_then(Option::as_ref) else {
+            return false;
+        };
+        if self.view.is_some() || tx.is_reliable() {
+            return false;
+        }
+        match ev {
+            NetEvent::Credit { .. } => {
+                !tx.is_credit_stalled()
+                    && tx.credits() < tx.allowance()
+                    && (!tx.wire_free() || !self.requested(p))
+            }
+            _ => !self.requested(p),
         }
     }
 
@@ -787,11 +842,14 @@ impl Switch {
                 return;
             }
         }
-        ctx.send(
-            up,
-            self.timing.link_prop,
-            M::from_net(NetEvent::Credit { port: up_port }),
-        );
+        let credit = M::from_net(NetEvent::Credit { port: up_port });
+        // The sender on a reliable link can never absorb a credit (it may
+        // arm a timer), so only unreliable links offer one for deferral.
+        if self.rx_links[in_port].is_some() {
+            ctx.send(up, self.timing.link_prop, credit);
+        } else {
+            ctx.send_deferrable(up, self.timing.link_prop, credit);
+        }
     }
 
     /// Seals and launches one control frame toward the neighbor on the
@@ -844,12 +902,18 @@ impl Switch {
             };
             (times, tx.neighbor(), tx.neighbor_port(), tx.link())
         };
-        ctx.send_self(
-            lat + times.free,
-            M::from_net(NetEvent::PumpOut {
-                port: out_port as u32,
-            }),
-        );
+        // An output that cannot absorb its `PumpOut` now cannot by the
+        // end of this event either (its requesters stay until it grants
+        // again), so only the others are offered for deferral.
+        let free = NetEvent::PumpOut {
+            port: out_port as u32,
+        };
+        if self.absorbable(&free) {
+            set_bit(&mut self.lazy_free, out_port);
+            ctx.send_deferrable(ctx.self_id(), lat + times.free, M::from_net(free));
+        } else {
+            ctx.send_self(lat + times.free, M::from_net(free));
+        }
         let fate = match (self.injector.as_ref(), link) {
             (Some(inj), Some(link)) => inj.frame_fate(link, now, &mut packet),
             _ => FrameFate::Deliver,
@@ -938,6 +1002,7 @@ impl Switch {
                         .as_mut()
                         .is_some_and(|tx| tx.note_blocked(ctx.now()));
                     if opened {
+                        self.recheck = true;
                         if let Some(head) = self.fifos[in_port].head() {
                             self.emit(ctx.now(), head, Stage::CreditStall);
                         }
@@ -960,6 +1025,7 @@ impl Switch {
                     .as_mut()
                     .is_some_and(|tx| tx.note_blocked(ctx.now()));
                 if opened {
+                    self.recheck = true;
                     if let Some(head) = self.fifos[in_port].head() {
                         self.emit(ctx.now(), head, Stage::CreditStall);
                     }
@@ -1038,12 +1104,9 @@ impl Switch {
     }
 }
 
-impl<M: NetMessage> Component<M> for Switch {
-    fn on_event(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
-        let ev = match ev.into_net() {
-            Ok(ev) => ev,
-            Err(_) => panic!("switch {} received a non-network event", self.name),
-        };
+impl Switch {
+    /// Handles one network event.
+    fn handle<M: NetMessage>(&mut self, ev: NetEvent, ctx: &mut Ctx<'_, M>) {
         // Another switch may have moved the fabric view since our last
         // event; one version compare keeps every switch's table current.
         self.refresh_routes(ctx);
@@ -1128,6 +1191,7 @@ impl<M: NetMessage> Component<M> for Switch {
                 self.pump(ctx);
             }
             NetEvent::PumpOut { port } => {
+                clear_bit(&mut self.lazy_free, port as usize);
                 self.out[port as usize]
                     .as_mut()
                     .expect("pumped port attached")
@@ -1233,9 +1297,57 @@ impl<M: NetMessage> Component<M> for Switch {
             }
         }
     }
+}
+
+impl<M: NetMessage> Component<M> for Switch {
+    fn on_event(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let ev = match ev.into_net() {
+            Ok(ev) => ev,
+            Err(_) => panic!("switch {} received a non-network event", self.name),
+        };
+        self.handle(ev, ctx);
+        if std::mem::take(&mut self.recheck) {
+            ctx.recheck_deferred();
+        }
+    }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn can_absorb(&self, ev: &M) -> bool {
+        ev.as_net().is_some_and(|ev| self.absorbable(ev))
+    }
+
+    fn absorb(&mut self, ev: M, at: SimTime) {
+        // Debug-build guard: the absorbed event must still be one its
+        // handler would not act on.
+        #[cfg(debug_assertions)]
+        assert!(
+            self.can_absorb(&ev),
+            "{}: absorbed an event its handler would act on",
+            self.name
+        );
+        match ev.into_net() {
+            Ok(NetEvent::Credit { port }) => {
+                let p = port as usize;
+                let tx = self.out[p].as_mut().expect("credited port attached");
+                if let Err(err) = tx.on_credit_at(at) {
+                    self.errors.push(err);
+                }
+                if self.requested(p) {
+                    self.stats.blocked += 1;
+                }
+            }
+            Ok(NetEvent::PumpOut { port }) => {
+                clear_bit(&mut self.lazy_free, port as usize);
+                self.out[port as usize]
+                    .as_mut()
+                    .expect("pumped port attached")
+                    .on_free();
+            }
+            _ => unreachable!("{}: only credits and port-free events absorb", self.name),
+        }
     }
 }
 
@@ -1324,5 +1436,56 @@ mod tests {
         };
         s.attach_port(0, TxPort::new(id, 0, 8));
         s.attach_port(0, TxPort::new(id, 0, 8));
+    }
+
+    /// Deferred delivery rules: a credit or port-free event on a busy,
+    /// unreliable port with nothing waiting absorbs; a credit-stalled
+    /// port, a reliable port or a switch holding a fabric view does not.
+    #[test]
+    fn absorption_needs_an_unreliable_port_without_a_view_or_stall() {
+        struct Noop;
+        impl Component<NetEvent> for Noop {
+            fn on_event(&mut self, _: NetEvent, _: &mut Ctx<'_, NetEvent>) {}
+            fn name(&self) -> &str {
+                "noop"
+            }
+        }
+        let mut eng: tg_sim::Engine<NetEvent> = tg_sim::Engine::new();
+        let id = eng.add(Noop);
+        let timing = TimingConfig::telegraphos_i();
+        let msg = tg_wire::WireMsg::WriteReq {
+            addr: tg_wire::GOffset::new(0),
+            val: 0,
+            tag: 0,
+        };
+        let packet = Packet::new(NodeId::new(0), NodeId::new(0), msg, 0);
+        // One port, allowance `credits`, one frame launched on it.
+        let switch = |credits: u32, rel: Option<RelParams>| {
+            let mut s = Switch::new("s".into(), 1, vec![0], timing.clone());
+            if let Some(rel) = rel {
+                s.set_reliability(rel);
+            }
+            s.attach_port(0, TxPort::new(id, 0, credits));
+            s.out[0].as_mut().unwrap().launch(&packet, &timing);
+            s
+        };
+        let absorbs = |s: &Switch, ev: NetEvent| Component::<NetEvent>::can_absorb(s, &ev);
+        let (credit, free) = (NetEvent::Credit { port: 0 }, NetEvent::PumpOut { port: 0 });
+
+        let mut idle = switch(8, None);
+        assert!(absorbs(&idle, credit.clone()) && absorbs(&idle, free.clone()));
+        let topo = crate::Topology::star(1);
+        let routes = crate::Routes::compute(&topo).unwrap();
+        idle.set_fabric(FabricView::new(topo, routes));
+        assert!(!absorbs(&idle, credit.clone()) && !absorbs(&idle, free.clone()));
+
+        let reliable = switch(8, Some(RelParams::default()));
+        assert!(!absorbs(&reliable, credit.clone()) && !absorbs(&reliable, free.clone()));
+
+        let mut stalled = switch(1, None);
+        let tx = stalled.out[0].as_mut().unwrap();
+        tx.on_free();
+        assert!(tx.note_blocked(SimTime::from_ns(1)));
+        assert!(!absorbs(&stalled, credit) && absorbs(&stalled, free));
     }
 }

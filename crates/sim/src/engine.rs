@@ -39,6 +39,42 @@ pub trait Component<M>: Any {
 
     /// A short human-readable name used in traces and panics.
     fn name(&self) -> &str;
+
+    /// Deferred delivery: true when handling `ev` now, on the current
+    /// state, would schedule nothing, halt nothing, emit no probe event,
+    /// touch no shared state, and change only what
+    /// [`absorb`](Component::absorb) reproduces exactly. The engine then
+    /// keeps an event sent with [`Ctx::send_deferrable`] off the queue and
+    /// absorbs it in place of delivering it.
+    ///
+    /// The answer must stay true when this component's earlier-keyed
+    /// deferred events are absorbed first. Whenever a handler makes it
+    /// false for an event already deferred, it must call
+    /// [`Ctx::recheck_deferred`]. The default absorbs nothing.
+    fn can_absorb(&self, ev: &M) -> bool {
+        let _ = ev;
+        false
+    }
+
+    /// Applies an event that [`can_absorb`](Component::can_absorb)
+    /// accepted, at its delivery instant `at`, exactly as
+    /// [`on_event`](Component::on_event) would have. Only called for
+    /// events this component accepted.
+    fn absorb(&mut self, ev: M, at: SimTime) {
+        let _ = (ev, at);
+        unreachable!("{} absorbed an event it never accepted", self.name());
+    }
+}
+
+/// An event scheduled during a delivery, drained into the engine when the
+/// handler returns.
+#[derive(Debug)]
+struct Outgoing<M> {
+    at: SimTime,
+    dst: CompId,
+    msg: M,
+    /// Sent with [`Ctx::send_deferrable`]: the receiver may absorb it.
+    deferrable: bool,
 }
 
 /// The per-delivery context handed to [`Component::on_event`].
@@ -49,8 +85,9 @@ pub trait Component<M>: Any {
 pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: CompId,
-    outbox: &'a mut Vec<(SimTime, CompId, M)>,
+    outbox: &'a mut Vec<Outgoing<M>>,
     halt: &'a mut bool,
+    recheck: &'a mut bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -66,7 +103,25 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Schedules `msg` for delivery to `dst` after `delay`.
     pub fn send(&mut self, dst: CompId, delay: SimTime, msg: M) {
-        self.outbox.push((self.now + delay, dst, msg));
+        self.outbox.push(Outgoing {
+            at: self.now + delay,
+            dst,
+            msg,
+            deferrable: false,
+        });
+    }
+
+    /// Like [`Ctx::send`], for an event the receiver may absorb instead
+    /// of handling (see [`Component::can_absorb`]). The event takes its
+    /// `(at, seq)` key here either way, so deferring it moves no other
+    /// event.
+    pub fn send_deferrable(&mut self, dst: CompId, delay: SimTime, msg: M) {
+        self.outbox.push(Outgoing {
+            at: self.now + delay,
+            dst,
+            msg,
+            deferrable: true,
+        });
     }
 
     /// Schedules `msg` for delivery back to this component after `delay`.
@@ -79,6 +134,14 @@ impl<'a, M> Ctx<'a, M> {
     /// Pending events remain queued and a later `run` call resumes them.
     pub fn halt(&mut self) {
         *self.halt = true;
+    }
+
+    /// Tells the engine that this handler may have made some of this
+    /// component's deferred events unabsorbable. After the handler
+    /// returns, the engine asks [`Component::can_absorb`] again for each
+    /// and queues the refused ones under their original keys.
+    pub fn recheck_deferred(&mut self) {
+        *self.recheck = true;
     }
 }
 
@@ -125,12 +188,17 @@ impl ProgressMeter {
 /// tests and for reporting simulator throughput in benches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EngineStats {
-    /// Total events delivered since construction.
+    /// Events delivered to a handler since construction.
     pub events_delivered: u64,
+    /// Deferred events absorbed instead of delivered (see
+    /// [`Component::can_absorb`]). Delivered + absorbed is the logical
+    /// event count, equal to what a run without deferral delivers.
+    pub events_absorbed: u64,
     /// Total events scheduled since construction.
     pub events_scheduled: u64,
-    /// High-water mark of *pending events* — entries in the queue plus
-    /// any same-instant batch popped but not yet delivered. Counting
+    /// High-water mark of *queued events* — entries in the queue plus
+    /// any same-instant batch popped but not yet delivered; deferred
+    /// events are not queued and do not count. Counting
     /// events (never queue-internal structures such as calendar buckets)
     /// keeps the datapoint independent of the queue's geometry and
     /// comparable across `BENCH_engine.json` history.
@@ -157,8 +225,47 @@ impl EngineStats {
 pub struct ComponentStats {
     /// Events delivered to this component.
     pub delivered: u64,
+    /// Deferred events this component absorbed instead.
+    pub absorbed: u64,
     /// Events scheduled with this component as destination.
     pub scheduled: u64,
+}
+
+/// The engine's bookkeeping for one component, kept in one cache line:
+/// its counters and its deferred events (accepted by
+/// [`Component::can_absorb`], not yet absorbed or queued).
+#[repr(align(64))]
+struct Slot<M> {
+    stats: ComponentStats,
+    /// The smallest deferred key (`u128::MAX` when none), so the check
+    /// before each delivery is one compare.
+    due: u128,
+    /// The deferred events, unsorted: a list stays a few entries long.
+    list: Vec<Entry<M>>,
+}
+
+impl<M> Slot<M> {
+    /// Removes and returns the entry keyed `due`.
+    #[inline]
+    fn pop_due(&mut self) -> Entry<M> {
+        if self.list.len() == 1 {
+            self.due = u128::MAX;
+            return self.list.pop().expect("one entry");
+        }
+        let i = self
+            .list
+            .iter()
+            .position(|e| e.key == self.due)
+            .expect("due key is listed");
+        let e = self.list.swap_remove(i);
+        self.reset_due();
+        e
+    }
+
+    /// Recomputes `due` after removals.
+    fn reset_due(&mut self) {
+        self.due = self.list.iter().map(|e| e.key).min().unwrap_or(u128::MAX);
+    }
 }
 
 /// The payload stored in each queue entry; the `(at, seq)` ordering key
@@ -182,8 +289,12 @@ pub struct Engine<M> {
     seq: u64,
     halt: bool,
     stats: EngineStats,
-    comp_stats: Vec<ComponentStats>,
-    outbox: Vec<(SimTime, CompId, M)>,
+    /// Per-component counters and deferred events, indexed by
+    /// [`CompId`]. Each deferred event is absorbed before any
+    /// later-keyed delivery to its component, or queued under its key
+    /// once the component refuses it.
+    slots: Vec<Slot<M>>,
+    outbox: Vec<Outgoing<M>>,
     /// Scratch for batched same-instant delivery; kept on the engine so
     /// its capacity is reused across batches.
     batch: Vec<Entry<Scheduled<M>>>,
@@ -191,6 +302,15 @@ pub struct Engine<M> {
     /// are still "pending" for queue-depth accounting even though they
     /// have left the queue.
     in_batch: usize,
+    /// Deferred events across all components.
+    deferred_len: usize,
+    /// False inside a budgeted run, which queues every event.
+    lazy: bool,
+    /// Set by [`Ctx::recheck_deferred`] during a delivery.
+    recheck: bool,
+    /// Set when a deferred event is queued at the current instant: it may
+    /// sort before the rest of a same-instant batch already popped.
+    undercut: bool,
 }
 
 impl<M> fmt::Debug for Engine<M> {
@@ -221,10 +341,14 @@ impl<M: 'static> Engine<M> {
             seq: 0,
             halt: false,
             stats: EngineStats::default(),
-            comp_stats: Vec::new(),
+            slots: Vec::new(),
             outbox: Vec::new(),
             batch: Vec::new(),
             in_batch: 0,
+            deferred_len: 0,
+            lazy: true,
+            recheck: false,
+            undercut: false,
         }
     }
 
@@ -234,7 +358,11 @@ impl<M: 'static> Engine<M> {
         let id = CompId(self.components.len() as u32);
         self.names.push(component.name().into());
         self.components.push(Box::new(component));
-        self.comp_stats.push(ComponentStats::default());
+        self.slots.push(Slot {
+            stats: ComponentStats::default(),
+            due: u128::MAX,
+            list: Vec::new(),
+        });
         id
     }
 
@@ -248,9 +376,9 @@ impl<M: 'static> Engine<M> {
         self.components.len()
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending, deferred ones included.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.deferred_len
     }
 
     /// Run counters accumulated so far.
@@ -258,9 +386,10 @@ impl<M: 'static> Engine<M> {
         self.stats
     }
 
-    /// Per-component delivered/scheduled counters, indexed by [`CompId`].
-    pub fn component_stats(&self) -> &[ComponentStats] {
-        &self.comp_stats
+    /// Per-component delivered/absorbed/scheduled counters, indexed by
+    /// [`CompId`].
+    pub fn component_stats(&self) -> Vec<ComponentStats> {
+        self.slots.iter().map(|s| s.stats).collect()
     }
 
     /// `(name, stats)` pairs for every component, in registration order.
@@ -268,7 +397,7 @@ impl<M: 'static> Engine<M> {
         self.names
             .iter()
             .map(|n| &**n)
-            .zip(self.comp_stats.iter().copied())
+            .zip(self.slots.iter().map(|s| s.stats))
     }
 
     /// Schedules `msg` for `dst` at `delay` after the current time.
@@ -300,13 +429,27 @@ impl<M: 'static> Engine<M> {
         self.push(at, dst, msg);
     }
 
+    /// Takes the next sequence number for an event to `dst`, counting it
+    /// as scheduled.
     #[inline]
-    fn push(&mut self, at: SimTime, dst: CompId, msg: M) {
+    fn key_for(&mut self, dst: CompId) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Entry::new(at, seq, Scheduled { dst, msg }));
         self.stats.events_scheduled += 1;
-        self.comp_stats[dst.index()].scheduled += 1;
+        self.slots[dst.index()].stats.scheduled += 1;
+        seq
+    }
+
+    #[inline]
+    fn push(&mut self, at: SimTime, dst: CompId, msg: M) {
+        let seq = self.key_for(dst);
+        self.enqueue(Entry::new(at, seq, Scheduled { dst, msg }));
+    }
+
+    /// Puts a keyed entry on the queue.
+    #[inline]
+    fn enqueue(&mut self, entry: Entry<Scheduled<M>>) {
+        self.queue.push(entry);
         // `in_batch` counts same-instant events popped but not yet
         // delivered: still pending, just not in the queue structure.
         self.stats.max_queue_len = self
@@ -315,13 +458,96 @@ impl<M: 'static> Engine<M> {
             .max(self.queue.len() + self.in_batch);
     }
 
-    /// Delivers one already-popped event at the current time: counters,
-    /// the component's handler, and the outbox drain.
+    /// Keys a [`Ctx::send_deferrable`] event exactly as [`Engine::push`]
+    /// would, then defers it if its receiver can absorb it and queues it
+    /// otherwise. `now_key` is the key of the event being delivered: the
+    /// receiver's deferred events keyed before it are absorbed first.
+    #[inline(never)]
+    fn push_deferrable(&mut self, at: SimTime, dst: CompId, msg: M, now_key: u128) {
+        let seq = self.key_for(dst);
+        let d = dst.index();
+        if self.absorb_due(d, now_key) {
+            self.absorb_before(d, now_key);
+        }
+        if !self.components[d].can_absorb(&msg) {
+            self.enqueue(Entry::new(at, seq, Scheduled { dst, msg }));
+            return;
+        }
+        let entry = Entry::new(at, seq, msg);
+        let slot = &mut self.slots[d];
+        slot.due = slot.due.min(entry.key);
+        slot.list.push(entry);
+        self.deferred_len += 1;
+    }
+
+    /// True when component `d` has a deferred event keyed before `key`.
     #[inline(always)]
-    fn deliver(&mut self, sched: Scheduled<M>) {
-        let Scheduled { dst, msg } = sched;
+    fn absorb_due(&self, d: usize, key: u128) -> bool {
+        self.slots[d].due < key
+    }
+
+    /// Absorbs, in key order, every event deferred for component `d` whose
+    /// key precedes `key`; returns the instant of the last one.
+    #[inline(never)]
+    fn absorb_before(&mut self, d: usize, key: u128) -> Option<SimTime> {
+        let mut last = None;
+        while self.slots[d].due < key {
+            let e = self.slots[d].pop_due();
+            let at = e.at();
+            self.deferred_len -= 1;
+            self.stats.events_absorbed += 1;
+            self.slots[d].stats.absorbed += 1;
+            self.components[d].absorb(e.item, at);
+            last = Some(at);
+        }
+        last
+    }
+
+    /// Absorbs every deferred event keyed before `key`, across all
+    /// components; returns the latest instant absorbed.
+    fn absorb_all_before(&mut self, key: u128) -> Option<SimTime> {
+        (0..self.slots.len())
+            .filter_map(|d| self.absorb_before(d, key))
+            .max()
+    }
+
+    /// Queues, under their reserved keys, the events deferred for
+    /// component `d` that `keep` refuses.
+    #[cold]
+    fn materialize(&mut self, d: usize, keep: impl Fn(&dyn Component<M>, &M) -> bool) {
+        let mut i = 0;
+        while i < self.slots[d].list.len() {
+            if keep(self.components[d].as_ref(), &self.slots[d].list[i].item) {
+                i += 1;
+                continue;
+            }
+            let e = self.slots[d].list.swap_remove(i);
+            self.deferred_len -= 1;
+            self.undercut |= e.at() == self.now;
+            self.enqueue(Entry {
+                key: e.key,
+                item: Scheduled {
+                    dst: CompId(d as u32),
+                    msg: e.item,
+                },
+            });
+        }
+        self.slots[d].reset_due();
+    }
+
+    /// Delivers one already-popped event at the current time: earlier
+    /// deferred events of its component, counters, the component's
+    /// handler, the deferred re-check, and the outbox drain.
+    #[inline(always)]
+    fn deliver(&mut self, entry: Entry<Scheduled<M>>) {
+        let key = entry.key;
+        let Scheduled { dst, msg } = entry.item;
+        let d = dst.index();
+        if self.absorb_due(d, key) {
+            self.absorb_before(d, key);
+        }
         self.stats.events_delivered += 1;
-        self.comp_stats[dst.index()].delivered += 1;
+        self.slots[d].stats.delivered += 1;
 
         let mut outbox = std::mem::take(&mut self.outbox);
         {
@@ -330,15 +556,30 @@ impl<M: 'static> Engine<M> {
                 self_id: dst,
                 outbox: &mut outbox,
                 halt: &mut self.halt,
+                recheck: &mut self.recheck,
             };
-            self.components[dst.index()].on_event(msg, &mut ctx);
+            self.components[d].on_event(msg, &mut ctx);
         }
-        for (at, dst, msg) in outbox.drain(..) {
+        if self.recheck {
+            self.recheck = false;
+            self.materialize(d, |c, ev| c.can_absorb(ev));
+        }
+        for Outgoing {
+            at,
+            dst,
+            msg,
+            deferrable,
+        } in outbox.drain(..)
+        {
             assert!(
                 dst.index() < self.components.len(),
                 "event sent to unregistered component {dst}"
             );
-            self.push(at, dst, msg);
+            if deferrable && self.lazy {
+                self.push_deferrable(at, dst, msg, key);
+            } else {
+                self.push(at, dst, msg);
+            }
         }
         self.outbox = outbox;
     }
@@ -357,7 +598,9 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Runs at most `budget` events; a safety valve against livelocked
-    /// component protocols in tests.
+    /// component protocols in tests. The budget counts every event, so a
+    /// budgeted run defers none: it queues the deferred events under
+    /// their keys on entry and delivers everything.
     pub fn run_events(&mut self, budget: u64) -> RunLimit {
         self.run_loop(SimTime::MAX, budget)
     }
@@ -370,13 +613,25 @@ impl<M: 'static> Engine<M> {
     /// for the whole tie instead of one per event) and delivered in their
     /// `(at, seq)` order; events scheduled during the batch carry strictly
     /// higher sequence numbers, so batching cannot reorder anything. A
-    /// halt or an exhausted budget mid-batch pushes the undelivered
-    /// remainder back with keys unchanged, so a later run resumes in the
-    /// identical order.
+    /// deferred event queued at the current instant can sort inside the
+    /// batch, so it sends the undelivered remainder back to the queue. So
+    /// does a halt or an exhausted budget, with keys unchanged, so a later
+    /// run resumes in the identical order.
+    ///
+    /// When the run stops, every deferred event the same run without
+    /// deferral would have delivered is absorbed: all of them on a drain
+    /// (the clock ends at the last one), those up to `deadline` on a
+    /// deadline, and those keyed before the last delivery on a halt.
     fn run_loop(&mut self, deadline: SimTime, mut budget: u64) -> RunLimit {
         self.halt = false;
+        self.lazy = budget == u64::MAX;
+        if !self.lazy {
+            self.materialize_all();
+        }
         let t0 = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
+        // Key of the last event delivered: a halt absorbs what precedes it.
+        let mut last = 0;
         let limit = loop {
             if budget == 0 {
                 break RunLimit::EventBudget;
@@ -393,16 +648,18 @@ impl<M: 'static> Engine<M> {
             assert!(at >= self.now, "event queue went backwards");
             self.now = at;
             budget -= 1;
+            last = first.key;
             if batch.is_empty() {
                 // Singleton batch: the hot path, no vec traffic at all.
-                self.deliver(first.item);
+                self.deliver(first);
                 if self.halt {
                     break RunLimit::Halted;
                 }
                 continue;
             }
             self.in_batch = batch.len();
-            self.deliver(first.item);
+            self.undercut = false;
+            self.deliver(first);
             let mut rest = batch.drain(..);
             let stop = loop {
                 if self.halt {
@@ -411,24 +668,72 @@ impl<M: 'static> Engine<M> {
                 if budget == 0 {
                     break Some(RunLimit::EventBudget);
                 }
+                if self.undercut {
+                    break None;
+                }
                 let Some(entry) = rest.next() else {
                     break None;
                 };
                 self.in_batch -= 1;
                 budget -= 1;
-                self.deliver(entry.item);
+                last = entry.key;
+                self.deliver(entry);
             };
+            for entry in rest {
+                self.queue.push(entry);
+            }
+            self.in_batch = 0;
             if let Some(stop) = stop {
-                for entry in rest {
-                    self.queue.push(entry);
-                }
-                self.in_batch = 0;
                 break stop;
             }
         };
         self.batch = batch;
+        let limit = self.settle(limit, deadline, last);
         self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         limit
+    }
+
+    /// Queues every deferred event under its key.
+    #[cold]
+    fn materialize_all(&mut self) {
+        for d in 0..self.slots.len() {
+            self.materialize(d, |_, _| false);
+        }
+    }
+
+    /// Ends a run that stopped with `limit` after delivering the event
+    /// keyed `last`: absorbs every deferred event the same run without
+    /// deferral would have delivered, and returns the limit that run
+    /// would have reported.
+    #[inline(never)]
+    fn settle(&mut self, limit: RunLimit, deadline: SimTime, last: u128) -> RunLimit {
+        if self.deferred_len == 0 {
+            return limit;
+        }
+        match limit {
+            RunLimit::Halted | RunLimit::EventBudget => {
+                self.absorb_all_before(last);
+                limit
+            }
+            RunLimit::Deadline | RunLimit::Drained => {
+                let bound = match deadline.as_ps().checked_add(1) {
+                    Some(ps) => u128::from(ps) << 64,
+                    None => u128::MAX,
+                };
+                let absorbed = self.absorb_all_before(bound);
+                if self.deferred_len > 0 {
+                    // Only deferred events past the deadline are left:
+                    // without deferral the queue would not have drained.
+                    self.now = self.now.max(deadline);
+                    RunLimit::Deadline
+                } else {
+                    if let Some(at) = absorbed {
+                        self.now = self.now.max(at);
+                    }
+                    limit
+                }
+            }
+        }
     }
 
     /// Immutable access to a registered component, downcast to its concrete
@@ -441,8 +746,12 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Mutable access to a registered component, downcast to its concrete
-    /// type.
+    /// type. The caller may change what the component can absorb, so its
+    /// deferred events are queued under their keys first.
     pub fn get_mut<T: Component<M>>(&mut self, id: CompId) -> Option<&mut T> {
+        if id.index() < self.slots.len() {
+            self.materialize(id.index(), |_, _| false);
+        }
         self.components
             .get_mut(id.index())
             .and_then(|c| (c.as_mut() as &mut dyn Any).downcast_mut::<T>())

@@ -47,13 +47,15 @@ use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 /// One measured workload.
 struct Measurement {
     name: &'static str,
-    /// Events (or protocol messages) delivered in one run.
+    /// Logical events (or protocol messages) in one run: delivered plus
+    /// absorbed (`EngineStats::events_absorbed`), so the count does not
+    /// depend on which events the engine deferred.
     events: u64,
     /// Best wall time over the repetitions, seconds.
     wall_seconds: f64,
-    /// Deepest pending-event count observed (events, not queue buckets;
-    /// includes same-instant batches in flight — see
-    /// `EngineStats::max_queue_len`).
+    /// Deepest queued-event count observed (events, not queue buckets;
+    /// includes same-instant batches in flight, excludes deferred events
+    /// — see `EngineStats::max_queue_len`).
     peak_queue_depth: u64,
 }
 
@@ -128,7 +130,10 @@ fn ping_pong() -> (u64, u64) {
     eng.schedule(SimTime::ZERO, a, 0);
     eng.run();
     let s = eng.stats();
-    (s.events_delivered, s.max_queue_len as u64)
+    (
+        s.events_delivered + s.events_absorbed,
+        s.max_queue_len as u64,
+    )
 }
 
 // ---------------------------------------------------- fabric ping-pong
@@ -192,7 +197,10 @@ fn ping_pong_net_inner(reliable: bool) -> (u64, u64) {
         assert_eq!(ss.retransmits(), 0, "lossless run retransmitted");
     }
     let s = engine.stats();
-    (s.events_delivered, s.max_queue_len as u64)
+    (
+        s.events_delivered + s.events_absorbed,
+        s.max_queue_len as u64,
+    )
 }
 
 // ------------------------------------------------------------- stencil_16
@@ -234,7 +242,10 @@ fn stencil_16_inner(traced: bool) -> (u64, u64) {
     // the benchmark cannot silently measure a broken run.
     harness::verify_stencil(&cluster, &check).expect("stencil verification");
     let s = cluster.engine_stats();
-    (s.events_delivered, s.max_queue_len as u64)
+    (
+        s.events_delivered + s.events_absorbed,
+        s.max_queue_len as u64,
+    )
 }
 
 // ------------------------------------------------------------- proto sweep

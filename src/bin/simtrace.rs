@@ -519,6 +519,12 @@ fn main() -> ExitCode {
             events.len(),
             opts.out
         );
+        // On stderr, so the stdout summary keeps its shape.
+        let engine = cluster.engine_stats();
+        eprintln!(
+            "engine: {} events delivered, {} absorbed",
+            engine.events_delivered, engine.events_absorbed
+        );
         print!("{}", breakdown_report(&collector.breakdowns()));
         if opts.reliable {
             let fs = cluster.fault_stats();
