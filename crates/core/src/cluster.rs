@@ -4,7 +4,7 @@ use tg_hib::{HibConfig, HibTick, PageMode};
 use tg_mem::{PAddr, PageFlags, VAddr};
 use tg_net::{
     build_network_with, CreditLedger, DetectParams, FabricView, FaultInjector, FaultPlan,
-    FaultStats, LinkId, NetConfig, RelParams, StalledLink, Topology, Vertex,
+    FaultStats, LinkId, NetConfig, NetEvent, RelParams, StalledLink, Topology, Vertex,
 };
 use tg_sim::{CompId, Engine, RunLimit, SimTime};
 use tg_wire::trace::{SharedProbe, Site};
@@ -228,8 +228,12 @@ impl ClusterBuilder {
 pub struct ComponentReport {
     /// The component's registered name (`node0`, `switch1`, ...).
     pub name: String,
-    /// Engine-level delivered/absorbed/scheduled event counters.
+    /// Engine-level delivered/absorbed/inlined/scheduled event counters.
     pub events: tg_sim::ComponentStats,
+    /// Deliveries per event variant, indexed by [`ClusterEvent::kind`]
+    /// (names in [`ClusterEvent::KINDS`]); they sum to `events.delivered`.
+    /// A switch only receives the leading `net.*` kinds.
+    pub kinds: [u64; ClusterEvent::KINDS.len()],
     /// Congestion and queue detail for the component kind.
     pub detail: ComponentDetail,
 }
@@ -1020,18 +1024,19 @@ impl Cluster {
         self.engine.now()
     }
 
-    /// Event-engine run counters (delivered, absorbed and scheduled
-    /// totals, queue high-water mark, wall time) — the simulator-throughput
-    /// side of an experiment. Delivered + absorbed is the logical event
-    /// count. `events_per_wall_second()` on the result reports simulator
-    /// speed.
+    /// Event-engine run counters (delivered, absorbed, inlined and
+    /// scheduled totals, queue high-water mark, wall time) — the
+    /// simulator-throughput side of an experiment. Delivered + absorbed +
+    /// inlined is the logical event count. `events_per_wall_second()` on
+    /// the result reports simulator speed.
     pub fn engine_stats(&self) -> tg_sim::EngineStats {
         self.engine.stats()
     }
 
-    /// Per-component delivered/absorbed/scheduled counters plus kind-specific
-    /// congestion detail: receive-FIFO high-water marks and credit-stall
-    /// time for nodes, traffic and queue state for switches — which parts
+    /// Per-component delivered/absorbed/inlined/scheduled counters and
+    /// per-kind delivery counts, plus kind-specific congestion detail:
+    /// receive-FIFO high-water marks and credit-stall time for nodes,
+    /// traffic and queue state for switches — which parts
     /// of the simulated cluster the event budget went to, and where
     /// back-pressure built up.
     pub fn component_stats(&self) -> Vec<ComponentReport> {
@@ -1042,6 +1047,7 @@ impl Cluster {
             out.push(ComponentReport {
                 name: format!("node{}", node.id().raw()),
                 events: per[id.index()],
+                kinds: node.event_kinds(),
                 detail: ComponentDetail::Node {
                     rx_fifo_high_water: node.rx_fifo_high_water(),
                     rx_fifo_depth: node.rx_fifo_depth(),
@@ -1053,9 +1059,12 @@ impl Cluster {
         for (k, &id) in self.switches.iter().enumerate() {
             let sw = self.switch(id);
             let st = sw.stats();
+            let mut kinds = [0; ClusterEvent::KINDS.len()];
+            kinds[..NetEvent::KINDS.len()].copy_from_slice(&sw.event_kinds());
             out.push(ComponentReport {
                 name: format!("switch{k}"),
                 events: per[id.index()],
+                kinds,
                 detail: ComponentDetail::Switch {
                     packets: st.packets,
                     bytes: st.bytes,

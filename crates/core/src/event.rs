@@ -41,6 +41,52 @@ pub enum ClusterEvent {
     Start,
 }
 
+impl ClusterEvent {
+    /// Variant names for per-kind delivery counts, indexed by
+    /// [`ClusterEvent::kind`]. The first five are the [`NetEvent`] kinds,
+    /// in [`NetEvent::KINDS`] order, so switch counts share the indexing.
+    pub const KINDS: [&'static str; 17] = [
+        "net.arrive",
+        "net.credit",
+        "net.pump_out",
+        "net.ctrl",
+        "net.retx_timer",
+        "tick.tx_free",
+        "tick.rx_done",
+        "tick.retx_timer",
+        "tick.rx_unwedge",
+        "tick.heartbeat",
+        "tick.op_check",
+        "hib_done",
+        "interrupt",
+        "os_msg",
+        "os_task",
+        "cpu_step",
+        "start",
+    ];
+
+    /// This event's variant as an index into [`ClusterEvent::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            ClusterEvent::Net(ev) => ev.kind(),
+            ClusterEvent::HibTick(tick) => match tick {
+                HibTick::TxFree => 5,
+                HibTick::RxDone => 6,
+                HibTick::RetxTimer { .. } => 7,
+                HibTick::RxUnwedge => 8,
+                HibTick::Heartbeat => 9,
+                HibTick::OpCheck => 10,
+            },
+            ClusterEvent::HibDone(_) => 11,
+            ClusterEvent::Interrupt(_) => 12,
+            ClusterEvent::OsMsg { .. } => 13,
+            ClusterEvent::OsTask { .. } => 14,
+            ClusterEvent::CpuStep => 15,
+            ClusterEvent::Start => 16,
+        }
+    }
+}
+
 impl NetMessage for ClusterEvent {
     fn from_net(ev: NetEvent) -> Self {
         ClusterEvent::Net(ev)
@@ -70,6 +116,24 @@ mod tests {
             Ok(out) => assert_eq!(out, ev),
             Err(other) => panic!("lost the event: {other:?}"),
         }
+    }
+
+    /// Net kinds line up with [`NetEvent::KINDS`], so a switch's counts
+    /// index the same table.
+    #[test]
+    fn kind_table_extends_the_net_kinds() {
+        for (i, name) in NetEvent::KINDS.iter().enumerate() {
+            assert_eq!(ClusterEvent::KINDS[i], format!("net.{name}"));
+        }
+        let ev = ClusterEvent::Net(NetEvent::PumpOut { port: 0 });
+        assert_eq!(ClusterEvent::KINDS[ev.kind()], "net.pump_out");
+        assert_eq!(
+            ClusterEvent::KINDS[ClusterEvent::CpuStep.kind()],
+            "cpu_step"
+        );
+        assert_eq!(ClusterEvent::KINDS[ClusterEvent::Start.kind()], "start");
+        let tick = ClusterEvent::HibTick(HibTick::OpCheck);
+        assert_eq!(ClusterEvent::KINDS[tick.kind()], "tick.op_check");
     }
 
     #[test]

@@ -138,6 +138,9 @@ pub struct Node {
     probe: Option<SharedProbe>,
     /// Watchdog progress meter, ticked on every completed CPU operation.
     meter: Option<tg_sim::ProgressMeter>,
+    /// Deliveries per event variant, indexed by [`ClusterEvent::kind`];
+    /// events handled in place or absorbed are not deliveries.
+    kinds: [u64; ClusterEvent::KINDS.len()],
 }
 
 impl std::fmt::Debug for Node {
@@ -237,6 +240,7 @@ impl Node {
             now: SimTime::ZERO,
             probe: None,
             meter: None,
+            kinds: [0; ClusterEvent::KINDS.len()],
         }
     }
 
@@ -339,6 +343,12 @@ impl Node {
     /// CPU-side statistics.
     pub fn stats(&self) -> &NodeStats {
         &self.stats
+    }
+
+    /// Events delivered to this node per variant, indexed by
+    /// [`ClusterEvent::kind`].
+    pub fn event_kinds(&self) -> [u64; ClusterEvent::KINDS.len()] {
+        self.kinds
     }
 
     /// The OS layer (cluster-builder configuration).
@@ -1324,9 +1334,10 @@ fn is_vsm_done(msg: &WireMsg) -> bool {
     )
 }
 
-impl Component<ClusterEvent> for Node {
-    fn on_event(&mut self, ev: ClusterEvent, ctx: &mut Ctx<'_, ClusterEvent>) {
-        self.now = ctx.now();
+impl Node {
+    /// Handles one event at `self.now`, buffering what it sends in the
+    /// outbox.
+    fn handle(&mut self, ev: ClusterEvent) {
         match ev {
             ClusterEvent::Start => {
                 // Build the ready queue from every queued (fresh) process.
@@ -1338,13 +1349,41 @@ impl Component<ClusterEvent> for Node {
                 }
                 self.kick(SimTime::ZERO);
             }
-            ClusterEvent::CpuStep => self.step_cpu(ctx.now()),
+            ClusterEvent::CpuStep => self.step_cpu(self.now),
             ClusterEvent::Net(nev) => self.with_hib(|hib, shim| hib.on_net(nev, shim)),
             ClusterEvent::HibTick(t) => self.with_hib(|hib, shim| hib.on_tick(t, shim)),
             ClusterEvent::HibDone(res) => self.on_hib_done(res),
             ClusterEvent::Interrupt(int) => self.on_interrupt(int),
             ClusterEvent::OsMsg { src, msg } => self.on_os_msg(src, msg),
             ClusterEvent::OsTask { kind, a, b } => self.on_os_task(kind, a, b),
+        }
+    }
+}
+
+impl Component<ClusterEvent> for Node {
+    fn on_event(&mut self, ev: ClusterEvent, ctx: &mut Ctx<'_, ClusterEvent>) {
+        self.now = ctx.now();
+        self.kinds[ev.kind()] += 1;
+        self.handle(ev);
+        // Same-instant continuations (DESIGN.md §7): while nothing else is
+        // due now, the first zero-delay event sent to ourselves would be
+        // the next delivery, so handle it here instead of queueing it.
+        loop {
+            if self.hib.take_recheck() {
+                ctx.recheck_deferred();
+            }
+            if !ctx.quiet() {
+                break;
+            }
+            let Some(j) = self.outbox.iter().position(|o| o.0.is_zero()) else {
+                break;
+            };
+            if !matches!(self.outbox[j].1, To::Me) {
+                break;
+            }
+            let (_, _, ev) = self.outbox.remove(j);
+            ctx.count_inlined();
+            self.handle(ev);
         }
         // Drain everything scheduled during this event.
         let self_id = ctx.self_id();
@@ -1355,9 +1394,6 @@ impl Component<ClusterEvent> for Node {
                 To::Peer(dst) => ctx.send(dst, delay, ev),
                 To::PeerDeferrable(dst) => ctx.send_deferrable(dst, delay, ev),
             }
-        }
-        if self.hib.take_recheck() {
-            ctx.recheck_deferred();
         }
     }
 

@@ -192,14 +192,34 @@ fn component_stats_surface_congestion_detail() {
     }
     assert!(saw_node1_rx);
     // Unreliable links: credits and idle port-free events are absorbed,
-    // and every event scheduled was either delivered or absorbed.
+    // and zero-delay CPU continuations run in place. Every event
+    // scheduled was delivered, absorbed or inlined, per component and in
+    // total, and the per-kind delivery counts add up to the deliveries.
     let engine = cluster.engine_stats();
-    let absorbed: u64 = reports.iter().map(|r| r.events.absorbed).sum();
+    for r in &reports {
+        let e = r.events;
+        assert_eq!(
+            e.delivered + e.absorbed + e.inlined,
+            e.scheduled,
+            "{}",
+            r.name
+        );
+        assert_eq!(r.kinds.iter().sum::<u64>(), e.delivered, "{}", r.name);
+    }
+    let total = |count: fn(&tg_sim::ComponentStats) -> u64| -> u64 {
+        reports.iter().map(|r| count(&r.events)).sum()
+    };
+    let (delivered, absorbed, inlined) = (
+        total(|e| e.delivered),
+        total(|e| e.absorbed),
+        total(|e| e.inlined),
+    );
     assert!(absorbed > 0, "nothing absorbed on an unreliable fabric");
-    assert_eq!(absorbed, engine.events_absorbed);
-    let delivered: u64 = reports.iter().map(|r| r.events.delivered).sum();
+    assert!(inlined > 0, "no CPU continuation ran in place");
     assert_eq!(delivered, engine.events_delivered);
-    assert_eq!(delivered + absorbed, engine.events_scheduled);
+    assert_eq!(absorbed, engine.events_absorbed);
+    assert_eq!(inlined, engine.events_inlined);
+    assert_eq!(engine.logical_events(), engine.events_scheduled);
 }
 
 #[test]

@@ -46,6 +46,23 @@ pub enum NetEvent {
     },
 }
 
+impl NetEvent {
+    /// Variant names, indexed by [`NetEvent::kind`].
+    pub const KINDS: [&'static str; 5] = ["arrive", "credit", "pump_out", "ctrl", "retx_timer"];
+
+    /// This event's variant as an index into [`NetEvent::KINDS`], for
+    /// per-kind delivery counts.
+    pub fn kind(&self) -> usize {
+        match self {
+            NetEvent::Arrive { .. } => 0,
+            NetEvent::Credit { .. } => 1,
+            NetEvent::PumpOut { .. } => 2,
+            NetEvent::Ctrl { .. } => 3,
+            NetEvent::RetxTimer { .. } => 4,
+        }
+    }
+}
+
 /// Embeds [`NetEvent`] into a simulation-wide message type.
 ///
 /// The cluster model defines one event enum for the whole simulation; by

@@ -162,6 +162,8 @@ pub struct Switch {
     /// credit stall opening. The handler then asks the engine to
     /// re-check.
     recheck: bool,
+    /// Deliveries per event variant, indexed by [`NetEvent::kind`].
+    kinds: [u64; NetEvent::KINDS.len()],
 }
 
 impl Switch {
@@ -198,6 +200,7 @@ impl Switch {
             route_refreshes: 0,
             lazy_free: vec![0; words],
             recheck: false,
+            kinds: [0; NetEvent::KINDS.len()],
         }
     }
 
@@ -379,6 +382,12 @@ impl Switch {
     /// Traffic counters.
     pub fn stats(&self) -> SwitchStats {
         self.stats
+    }
+
+    /// Events delivered to this switch per variant, indexed by
+    /// [`NetEvent::kind`]; absorbed events are not deliveries.
+    pub fn event_kinds(&self) -> [u64; NetEvent::KINDS.len()] {
+        self.kinds
     }
 
     /// Deepest input-FIFO occupancy seen on any port.
@@ -1305,6 +1314,7 @@ impl<M: NetMessage> Component<M> for Switch {
             Ok(ev) => ev,
             Err(_) => panic!("switch {} received a non-network event", self.name),
         };
+        self.kinds[ev.kind()] += 1;
         self.handle(ev, ctx);
         if std::mem::take(&mut self.recheck) {
             ctx.recheck_deferred();

@@ -142,6 +142,13 @@ impl<T> CalendarQueue<T> {
         self.len
     }
 
+    /// True when no entry is due at or before `ps`. O(1): the cached
+    /// front is the minimum.
+    #[inline]
+    pub(crate) fn front_after(&self, ps: u64) -> bool {
+        self.front.as_ref().is_none_or(|f| f.at_ps() > ps)
+    }
+
     #[inline]
     pub(crate) fn push(&mut self, entry: Entry<T>) {
         self.len += 1;

@@ -88,6 +88,12 @@ pub struct Ctx<'a, M> {
     outbox: &'a mut Vec<Outgoing<M>>,
     halt: &'a mut bool,
     recheck: &'a mut bool,
+    /// Set by the engine before the handler runs: the run is unbudgeted,
+    /// nothing else is pending at `now`, and this component has no
+    /// deferred event keyed at or before `now` (see [`Ctx::quiet`]).
+    calm: bool,
+    /// Events this handler ran in place (see [`Ctx::count_inlined`]).
+    inlined: u64,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -143,6 +149,30 @@ impl<'a, M> Ctx<'a, M> {
     pub fn recheck_deferred(&mut self) {
         *self.recheck = true;
     }
+
+    /// Same-instant continuations: true when a zero-delay event this
+    /// handler sends to itself would be the very next delivery. That
+    /// holds when the run is unbudgeted, no halt or deferred re-check was
+    /// requested, no other event of the current instant is pending (in
+    /// the batch or in the queue), and this component has no deferred
+    /// event keyed at or before the current instant.
+    ///
+    /// While it holds, the handler may handle such an event in place
+    /// instead of sending it, provided no zero-delay event was sent ahead
+    /// of it in this delivery: it sees exactly the state its delivery
+    /// would have seen. Call [`Ctx::count_inlined`] for each one.
+    #[inline]
+    pub fn quiet(&self) -> bool {
+        self.calm && !*self.halt && !*self.recheck
+    }
+
+    /// Counts one event handled in place under [`Ctx::quiet`]; it is
+    /// tallied as scheduled and inlined, never delivered.
+    #[inline]
+    pub fn count_inlined(&mut self) {
+        debug_assert!(self.quiet(), "inlined an event while not quiet");
+        self.inlined += 1;
+    }
 }
 
 /// Why a `run_*` call returned.
@@ -191,10 +221,14 @@ pub struct EngineStats {
     /// Events delivered to a handler since construction.
     pub events_delivered: u64,
     /// Deferred events absorbed instead of delivered (see
-    /// [`Component::can_absorb`]). Delivered + absorbed is the logical
-    /// event count, equal to what a run without deferral delivers.
+    /// [`Component::can_absorb`]).
     pub events_absorbed: u64,
-    /// Total events scheduled since construction.
+    /// Same-instant continuations handled inside the delivery that sent
+    /// them (see [`Ctx::quiet`]). Delivered + absorbed + inlined is the
+    /// logical event count, equal to what a run that neither defers nor
+    /// inlines delivers.
+    pub events_inlined: u64,
+    /// Total events scheduled since construction, inlined ones included.
     pub events_scheduled: u64,
     /// High-water mark of *queued events* — entries in the queue plus
     /// any same-instant batch popped but not yet delivered; deferred
@@ -209,6 +243,12 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// The logical event count: delivered + absorbed + inlined, what a
+    /// run that neither defers nor inlines would deliver.
+    pub fn logical_events(&self) -> u64 {
+        self.events_delivered + self.events_absorbed + self.events_inlined
+    }
+
     /// Delivered events per wall-clock second across all timed runs; 0.0
     /// before any timed run has completed.
     pub fn events_per_wall_second(&self) -> f64 {
@@ -227,16 +267,22 @@ pub struct ComponentStats {
     pub delivered: u64,
     /// Deferred events this component absorbed instead.
     pub absorbed: u64,
-    /// Events scheduled with this component as destination.
+    /// Events this component handled in place (see [`Ctx::quiet`]).
+    pub inlined: u64,
+    /// Events scheduled with this component as destination, inlined ones
+    /// included.
     pub scheduled: u64,
 }
 
 /// The engine's bookkeeping for one component, kept in one cache line:
-/// its counters and its deferred events (accepted by
+/// its delivered/absorbed/scheduled counters (the rarer inlined count
+/// lives in [`Engine::inlined`]) and its deferred events (accepted by
 /// [`Component::can_absorb`], not yet absorbed or queued).
 #[repr(align(64))]
 struct Slot<M> {
-    stats: ComponentStats,
+    delivered: u64,
+    absorbed: u64,
+    scheduled: u64,
     /// The smallest deferred key (`u128::MAX` when none), so the check
     /// before each delivery is one compare.
     due: u128,
@@ -294,6 +340,9 @@ pub struct Engine<M> {
     /// later-keyed delivery to its component, or queued under its key
     /// once the component refuses it.
     slots: Vec<Slot<M>>,
+    /// Per-component inlined counts (see [`Ctx::quiet`]), indexed by
+    /// [`CompId`].
+    inlined: Vec<u64>,
     outbox: Vec<Outgoing<M>>,
     /// Scratch for batched same-instant delivery; kept on the engine so
     /// its capacity is reused across batches.
@@ -342,6 +391,7 @@ impl<M: 'static> Engine<M> {
             halt: false,
             stats: EngineStats::default(),
             slots: Vec::new(),
+            inlined: Vec::new(),
             outbox: Vec::new(),
             batch: Vec::new(),
             in_batch: 0,
@@ -358,8 +408,11 @@ impl<M: 'static> Engine<M> {
         let id = CompId(self.components.len() as u32);
         self.names.push(component.name().into());
         self.components.push(Box::new(component));
+        self.inlined.push(0);
         self.slots.push(Slot {
-            stats: ComponentStats::default(),
+            delivered: 0,
+            absorbed: 0,
+            scheduled: 0,
             due: u128::MAX,
             list: Vec::new(),
         });
@@ -386,18 +439,27 @@ impl<M: 'static> Engine<M> {
         self.stats
     }
 
-    /// Per-component delivered/absorbed/scheduled counters, indexed by
-    /// [`CompId`].
+    /// Per-component delivered/absorbed/inlined/scheduled counters,
+    /// indexed by [`CompId`].
     pub fn component_stats(&self) -> Vec<ComponentStats> {
-        self.slots.iter().map(|s| s.stats).collect()
+        self.per_component().collect()
     }
 
     /// `(name, stats)` pairs for every component, in registration order.
     pub fn component_stats_named(&self) -> impl Iterator<Item = (&str, ComponentStats)> {
-        self.names
+        self.names.iter().map(|n| &**n).zip(self.per_component())
+    }
+
+    fn per_component(&self) -> impl Iterator<Item = ComponentStats> + '_ {
+        self.slots
             .iter()
-            .map(|n| &**n)
-            .zip(self.slots.iter().map(|s| s.stats))
+            .zip(&self.inlined)
+            .map(|(s, &inlined)| ComponentStats {
+                delivered: s.delivered,
+                absorbed: s.absorbed,
+                inlined,
+                scheduled: s.scheduled,
+            })
     }
 
     /// Schedules `msg` for `dst` at `delay` after the current time.
@@ -436,7 +498,7 @@ impl<M: 'static> Engine<M> {
         let seq = self.seq;
         self.seq += 1;
         self.stats.events_scheduled += 1;
-        self.slots[dst.index()].stats.scheduled += 1;
+        self.slots[dst.index()].scheduled += 1;
         seq
     }
 
@@ -496,7 +558,7 @@ impl<M: 'static> Engine<M> {
             let at = e.at();
             self.deferred_len -= 1;
             self.stats.events_absorbed += 1;
-            self.slots[d].stats.absorbed += 1;
+            self.slots[d].absorbed += 1;
             self.components[d].absorb(e.item, at);
             last = Some(at);
         }
@@ -537,9 +599,13 @@ impl<M: 'static> Engine<M> {
 
     /// Delivers one already-popped event at the current time: earlier
     /// deferred events of its component, counters, the component's
-    /// handler, the deferred re-check, and the outbox drain.
+    /// handler, the deferred re-check, and the outbox drain. Returns the
+    /// key of the last event handled: the delivered one's, or, when the
+    /// handler ran continuations in place, one ordered after every event
+    /// that existed before it and before every event it sent, as the
+    /// last continuation's own key would have been.
     #[inline(always)]
-    fn deliver(&mut self, entry: Entry<Scheduled<M>>) {
+    fn deliver(&mut self, entry: Entry<Scheduled<M>>) -> u128 {
         let key = entry.key;
         let Scheduled { dst, msg } = entry.item;
         let d = dst.index();
@@ -547,19 +613,33 @@ impl<M: 'static> Engine<M> {
             self.absorb_before(d, key);
         }
         self.stats.events_delivered += 1;
-        self.slots[d].stats.delivered += 1;
+        self.slots[d].delivered += 1;
 
+        let now_ps = self.now.as_ps();
+        let calm = self.lazy
+            && self.in_batch == 0
+            && self.queue.front_after(now_ps)
+            && (self.slots[d].due >> 64) as u64 > now_ps;
         let mut outbox = std::mem::take(&mut self.outbox);
-        {
+        let inlined = {
             let mut ctx = Ctx {
                 now: self.now,
                 self_id: dst,
                 outbox: &mut outbox,
                 halt: &mut self.halt,
                 recheck: &mut self.recheck,
+                calm,
+                inlined: 0,
             };
             self.components[d].on_event(msg, &mut ctx);
-        }
+            ctx.inlined
+        };
+        let last = if inlined > 0 {
+            self.count_inlined(d, inlined);
+            (u128::from(now_ps) << 64) | u128::from(self.seq)
+        } else {
+            key
+        };
         if self.recheck {
             self.recheck = false;
             self.materialize(d, |c, ev| c.can_absorb(ev));
@@ -582,6 +662,34 @@ impl<M: 'static> Engine<M> {
             }
         }
         self.outbox = outbox;
+        last
+    }
+
+    /// Tallies `n` events component `d` handled in place. Debug builds
+    /// re-check what made that exact: the run is unbudgeted, nothing else
+    /// is queued at `now` and `d` has no deferred event keyed at or
+    /// before it.
+    fn count_inlined(&mut self, d: usize, n: u64) {
+        #[cfg(debug_assertions)]
+        {
+            let now_ps = self.now.as_ps();
+            assert!(self.lazy, "{} inlined in a budgeted run", self.names[d]);
+            assert!(
+                self.in_batch == 0 && self.queue.front_after(now_ps),
+                "{} inlined while another event was due at {}",
+                self.names[d],
+                self.now
+            );
+            assert!(
+                (self.slots[d].due >> 64) as u64 > now_ps,
+                "{} inlined ahead of its own deferred event",
+                self.names[d]
+            );
+        }
+        self.stats.events_inlined += n;
+        self.stats.events_scheduled += n;
+        self.inlined[d] += n;
+        self.slots[d].scheduled += n;
     }
 
     /// Runs until the queue drains or a component halts the engine.
@@ -630,7 +738,7 @@ impl<M: 'static> Engine<M> {
         }
         let t0 = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
-        // Key of the last event delivered: a halt absorbs what precedes it.
+        // Key of the last event handled: a halt absorbs what precedes it.
         let mut last = 0;
         let limit = loop {
             if budget == 0 {
@@ -648,10 +756,9 @@ impl<M: 'static> Engine<M> {
             assert!(at >= self.now, "event queue went backwards");
             self.now = at;
             budget -= 1;
-            last = first.key;
             if batch.is_empty() {
                 // Singleton batch: the hot path, no vec traffic at all.
-                self.deliver(first);
+                last = self.deliver(first);
                 if self.halt {
                     break RunLimit::Halted;
                 }
@@ -659,7 +766,7 @@ impl<M: 'static> Engine<M> {
             }
             self.in_batch = batch.len();
             self.undercut = false;
-            self.deliver(first);
+            last = self.deliver(first);
             let mut rest = batch.drain(..);
             let stop = loop {
                 if self.halt {
@@ -676,8 +783,7 @@ impl<M: 'static> Engine<M> {
                 };
                 self.in_batch -= 1;
                 budget -= 1;
-                last = entry.key;
-                self.deliver(entry);
+                last = self.deliver(entry);
             };
             for entry in rest {
                 self.queue.push(entry);
@@ -916,6 +1022,13 @@ mod tests {
         assert_eq!(s.events_delivered, 5);
         assert_eq!(s.events_scheduled, 5);
         assert_eq!(s.max_queue_len, 5);
+    }
+
+    /// A component's slot is read before every delivery: it must stay
+    /// one cache line.
+    #[test]
+    fn slot_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot<Msg>>(), 64);
     }
 
     #[test]

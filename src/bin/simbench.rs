@@ -47,9 +47,10 @@ use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 /// One measured workload.
 struct Measurement {
     name: &'static str,
-    /// Logical events (or protocol messages) in one run: delivered plus
-    /// absorbed (`EngineStats::events_absorbed`), so the count does not
-    /// depend on which events the engine deferred.
+    /// Logical events (or protocol messages) in one run:
+    /// `EngineStats::logical_events`, delivered + absorbed + inlined, so
+    /// the count does not depend on which events the engine deferred or
+    /// ran in place.
     events: u64,
     /// Best wall time over the repetitions, seconds.
     wall_seconds: f64,
@@ -130,10 +131,7 @@ fn ping_pong() -> (u64, u64) {
     eng.schedule(SimTime::ZERO, a, 0);
     eng.run();
     let s = eng.stats();
-    (
-        s.events_delivered + s.events_absorbed,
-        s.max_queue_len as u64,
-    )
+    (s.logical_events(), s.max_queue_len as u64)
 }
 
 // ---------------------------------------------------- fabric ping-pong
@@ -197,10 +195,7 @@ fn ping_pong_net_inner(reliable: bool) -> (u64, u64) {
         assert_eq!(ss.retransmits(), 0, "lossless run retransmitted");
     }
     let s = engine.stats();
-    (
-        s.events_delivered + s.events_absorbed,
-        s.max_queue_len as u64,
-    )
+    (s.logical_events(), s.max_queue_len as u64)
 }
 
 // ------------------------------------------------------------- stencil_16
@@ -242,10 +237,7 @@ fn stencil_16_inner(traced: bool) -> (u64, u64) {
     // the benchmark cannot silently measure a broken run.
     harness::verify_stencil(&cluster, &check).expect("stencil verification");
     let s = cluster.engine_stats();
-    (
-        s.events_delivered + s.events_absorbed,
-        s.max_queue_len as u64,
-    )
+    (s.logical_events(), s.max_queue_len as u64)
 }
 
 // ------------------------------------------------------------- proto sweep
