@@ -4,7 +4,7 @@ use std::any::Any;
 use std::fmt;
 use std::time::Instant;
 
-use crate::calendar::{CalendarQueue, Entry, Popped};
+use crate::queue::{Entry, Popped, RadixQueue};
 use crate::time::SimTime;
 
 /// Identifier of a component registered with an [`Engine`].
@@ -232,10 +232,10 @@ pub struct EngineStats {
     pub events_scheduled: u64,
     /// High-water mark of *queued events* — entries in the queue plus
     /// any same-instant batch popped but not yet delivered; deferred
-    /// events are not queued and do not count. Counting
-    /// events (never queue-internal structures such as calendar buckets)
-    /// keeps the datapoint independent of the queue's geometry and
-    /// comparable across `BENCH_engine.json` history.
+    /// events are not queued and do not count. Counting events, never
+    /// queue-internal structures such as buckets or slots, keeps the
+    /// datapoint independent of how the queue is built and comparable
+    /// across `BENCH_engine.json` history.
     pub max_queue_len: usize,
     /// Wall-clock nanoseconds spent inside `run`/`run_until`/`run_events`
     /// since construction.
@@ -321,7 +321,7 @@ struct Scheduled<M> {
     msg: M,
 }
 
-/// The discrete-event engine: a clock, a calendar queue of scheduled
+/// The discrete-event engine: a clock, a radix queue of scheduled
 /// events, and the set of registered components.
 ///
 /// See the [crate docs](crate) for a complete example.
@@ -330,7 +330,7 @@ pub struct Engine<M> {
     /// Component names captured once at registration, so name lookups
     /// never make a virtual `name()` call (or allocate).
     names: Vec<Box<str>>,
-    queue: CalendarQueue<Scheduled<M>>,
+    queue: RadixQueue<Scheduled<M>>,
     now: SimTime,
     seq: u64,
     halt: bool,
@@ -385,7 +385,7 @@ impl<M: 'static> Engine<M> {
         Engine {
             components: Vec::new(),
             names: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: RadixQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
             halt: false,

@@ -38,9 +38,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod calendar;
 mod engine;
 mod metrics;
+mod queue;
 mod rng;
 mod stats;
 mod time;

@@ -100,8 +100,8 @@ fn sack_crash_restart_trace_is_pinned_and_eager() {
 /// The `perfbench` `kv` workload shrunk to 4 clients x 64 requests: a
 /// go-back-N ring with heartbeats, where most inlined events are the
 /// CPU's charge-only steps. Pins the audit fingerprint, the latency
-/// percentiles and the logical event count, and checks the per-kind
-/// delivery counts.
+/// percentiles, the delivered, absorbed, inlined and logical event counts
+/// and the peak queue, and checks the per-kind delivery counts.
 #[test]
 fn shrunk_kv_run_is_pinned_and_inlines() {
     let opts = HarnessOptions {
@@ -129,6 +129,17 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
     let engine = cluster.engine_stats();
     assert!(engine.events_inlined > 0, "no continuation ran in place");
     assert_eq!(engine.logical_events(), 171_391);
+    // Go-back-N links defer nothing. The peak counts queued events, so no
+    // event queue design may move it.
+    assert_eq!(
+        (
+            engine.events_delivered,
+            engine.events_absorbed,
+            engine.events_inlined
+        ),
+        (149_969, 0, 21_422)
+    );
+    assert_eq!(engine.max_queue_len, 82);
     // Heartbeats, acks and timers included, every delivery has a kind.
     for r in cluster.component_stats() {
         assert_eq!(
