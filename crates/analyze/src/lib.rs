@@ -18,7 +18,7 @@
 //!   a sampled `Cluster::drive` into per-link usage summaries and a top-K
 //!   "hottest links" report that names the saturated hop.
 //! * [`report`] / [`gate`] — the **`tg-report-v2` JSON schema** shared by
-//!   `simbench`, `simfault` and `simreport`, and the CI perf-regression
+//!   `tg report`, `tg fault` and `tg kv`, and the CI perf-regression
 //!   gate that diffs a current report against a committed baseline with
 //!   per-metric, direction-aware tolerances.
 //!

@@ -1,13 +1,13 @@
 //! The `tg-report-v2` structured report and its std-only JSON model.
 //!
-//! Every run binary (`simbench`, `simfault`, `simreport`, `simkv`) emits
-//! the same schema so the CI gate can diff any report against any
+//! Every report-writing subcommand (`tg report`, `tg fault --report`,
+//! `tg kv --report`) emits the same schema so the CI gate can diff any report against any
 //! baseline:
 //!
 //! ```json
 //! {
 //!   "schema": "tg-report-v2",
-//!   "name": "stencil_16",
+//!   "name": "stencil16",
 //!   "sim_time_us": 123.4,
 //!   "metrics": { "fabric.retransmits": 0, "link.node0-switch0.tx_bytes": 4096, ... },
 //!   "latency": { "remote-write": { "count": 96, "p50_ns": 410, "p99_ns": 870, ... } },
@@ -129,9 +129,9 @@ impl Json {
 
 /// Flattens every numeric leaf into dotted `(path, value)` pairs, in
 /// document order. Array elements use their `"name"` / `"link"` member
-/// as the path component when present (so `BENCH_engine.json`'s
-/// measurement list flattens to `ping_pong.events_per_sec`, …), else
-/// their index.
+/// as the path component when present (so `tg report`'s
+/// `hottest_links` list flattens to `hottest_links.switch0-node5.stall_us`,
+/// …), else their index.
 pub fn flatten(value: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk(value, String::new(), &mut out);
@@ -171,8 +171,8 @@ fn walk(value: &Json, prefix: String, out: &mut Vec<(String, f64)>) {
 
 /// Multiplies every numeric leaf whose flattened path contains `pattern`
 /// by `factor`, returning how many leaves changed. This is the synthetic
-/// regression injector behind `simreport degrade` — the negative test
-/// that proves the CI gate actually fires.
+/// regression injector behind the root `tests/cli.rs` gate test — the
+/// negative test that proves the CI gate actually fires.
 pub fn scale_matching(value: &mut Json, pattern: &str, factor: f64) -> usize {
     fn go(value: &mut Json, prefix: String, pattern: &str, factor: f64) -> usize {
         match value {

@@ -23,7 +23,7 @@
 //! directory-published failover driven by the heartbeat detector's
 //! verdicts, and explicit admission control at the servers.
 //!
-//! The crash campaign (`simkv`) drives the service through crash,
+//! The crash campaign (`tg kv`) drives the service through crash,
 //! crash+restart, switch-outage, and control-plane-fault scenarios and
 //! audits the logs for the service-level contract: **no acknowledged
 //! write is ever lost, no retried request is ever applied twice**, and

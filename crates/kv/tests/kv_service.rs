@@ -1,6 +1,6 @@
 //! End-to-end service tests: the contract gates on a healthy cluster,
 //! under a replica crash, and under crash+restart — in miniature (the
-//! full sweep lives in the `simkv` campaign binary).
+//! full sweep lives in the `tg kv` campaign).
 
 use telegraphos::{ClusterBuilder, DetectParams, FaultPlan, RelParams, Topology};
 use tg_kv::{audit, deploy, drive, fingerprint, KvConfig};

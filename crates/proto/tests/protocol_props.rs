@@ -133,3 +133,19 @@ fn owner_fixes_what_naive_breaks() {
         assert!(naive_diverged > 0, "naive never diverged over 32 seeds");
     }
 }
+
+/// The owner protocol over 2,000 seeded interleavings of one shape (4
+/// writers x 8 writes, 2 observers): every run converges, and the total
+/// message count and the peak in flight are pinned exactly, so any
+/// change to the protocol's message pattern shows.
+#[test]
+fn owner_sweep_message_counts_are_pinned() {
+    let (mut messages, mut peak) = (0u64, 0usize);
+    for seed in 0..2_000 {
+        let out = OwnerSerialized::run(&Scenario::random(4, 8, 2, seed));
+        assert!(out.converged(), "protocol diverged at seed {seed}");
+        messages += out.messages;
+        peak = peak.max(out.peak_in_flight);
+    }
+    assert_eq!((messages, peak), (368_000, 144));
+}

@@ -234,8 +234,9 @@ pub struct EngineStats {
     /// any same-instant batch popped but not yet delivered; deferred
     /// events are not queued and do not count. Counting events, never
     /// queue-internal structures such as buckets or slots, keeps the
-    /// datapoint independent of how the queue is built and comparable
-    /// across `BENCH_engine.json` history.
+    /// datapoint independent of how the queue is built, so the exact
+    /// pins in the root `tests/event_counts.rs` and perfbench's
+    /// `sim.peak_queue` stay comparable across queue designs.
     pub max_queue_len: usize,
     /// Wall-clock nanoseconds spent inside `run`/`run_until`/`run_events`
     /// since construction.

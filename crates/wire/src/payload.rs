@@ -15,8 +15,8 @@
 //!
 //! Equality, hashing and `Debug` all delegate to the inner `Vec<u64>`, so
 //! wrapping is invisible to the frame checksum (which hashes the whole
-//! message) and to rendered traces — a hard requirement, because simtrace
-//! output is pinned byte-identical across engine changes.
+//! message) and to rendered traces — a hard requirement, because
+//! `tg trace` output is pinned byte-identical across engine changes.
 
 use std::fmt;
 use std::ops::Deref;

@@ -116,7 +116,7 @@ pub enum Stage {
     /// A node's failure detector declared a peer dead (heartbeat silence
     /// exceeded the phi/timeout threshold). The trace id encodes the
     /// *declared-dead peer* and the per-observer verdict count; the site
-    /// is the observing node. `simtrace --check` reconciles these
+    /// is the observing node. `tg trace --check` reconciles these
     /// verdicts against the fault plan's crash/outage windows.
     PeerDown,
     /// A node's failure detector saw heartbeats resume from a peer it

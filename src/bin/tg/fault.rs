@@ -1,4 +1,4 @@
-//! `simfault` — seeded fault campaigns against the reliable fabric.
+//! `tg fault` — seeded fault campaigns against the reliable fabric.
 //!
 //! Runs a fixed cluster workload under a matrix of fault scenarios
 //! (frame drops, corruption, a link outage window, credit loss, and a
@@ -25,24 +25,26 @@
 //! gate bounds heartbeat overhead on the zero-fault reliable ping-pong
 //! workload at 2% of mean remote-op latency.
 //!
-//! Usage: `simfault [--seeds N] [--sweep-seeds N] [--report FILE]`
-//! (default 3 matrix seeds, 10 sweep seeds per point). `--report`
-//! writes a `tg-report-v2` JSON document with the per-run recovery
-//! metrics so the CI perf gate can diff fault-recovery behaviour
-//! against a committed baseline — the whole campaign is seeded, so the
-//! report is deterministic.
+//! `--seeds N` sets the matrix seeds (default 3), `--sweep-seeds N`
+//! the sweep seeds per point (default 10). `--report FILE` writes a
+//! `tg-report-v2` JSON document with the per-run recovery metrics so the
+//! CI perf gate can diff fault-recovery behaviour against a committed
+//! baseline — the whole campaign is seeded, so the report is
+//! deterministic.
 
-use std::process::ExitCode;
+use std::num::NonZeroU64;
 
 use telegraphos::{
-    Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, RelParams, RetxMode,
-    Script, SharedPage, Topology,
+    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, RelParams, RetxMode, Script,
+    SharedPage, Topology,
 };
-use telegraphos_suite::harness::{self, HarnessOptions};
-use tg_analyze::{Json, SCHEMA};
+use telegraphos_suite::harness::{self, Args, HarnessOptions};
+use tg_analyze::Json;
 use tg_sim::{LogHistogram, RunLimit, SimTime};
 use tg_wire::trace::{Site, Stage};
 use tg_wire::NodeId;
+
+use crate::write_report;
 
 const NODES: u16 = 3;
 const WRITES: u64 = 60;
@@ -66,18 +68,6 @@ fn script(page: &SharedPage, base: u64) -> Script {
     acts.push(Action::Fence);
     acts.push(Action::Read(page.va(base * 8)));
     Script::new(acts)
-}
-
-fn build(plan: Option<FaultPlan>, mode: RetxMode) -> (Cluster, SharedPage) {
-    let mut b = ClusterBuilder::new(NODES).reliable_links(RelParams::with_mode(mode));
-    if let Some(p) = plan {
-        b = b.with_faults(p);
-    }
-    let mut cluster = b.build();
-    let page = cluster.alloc_shared(2);
-    cluster.set_process(0, script(&page, 0));
-    cluster.set_process(1, script(&page, 16));
-    (cluster, page)
 }
 
 /// Everything a campaign compares between a faulted run and the
@@ -106,8 +96,26 @@ struct RunReport {
     dead_links: bool,
 }
 
+impl RunReport {
+    /// True if the run halted with `reference`'s outcome, conservation
+    /// intact and no link declared dead.
+    fn masked(&self, reference: &RunReport) -> bool {
+        self.halted
+            && self.outcome == reference.outcome
+            && self.violations.is_empty()
+            && !self.dead_links
+    }
+}
+
 fn run(plan: Option<FaultPlan>, mode: RetxMode) -> RunReport {
-    let (mut cluster, page) = build(plan, mode);
+    let mut b = ClusterBuilder::new(NODES).reliable_links(RelParams::with_mode(mode));
+    if let Some(p) = plan {
+        b = b.with_faults(p);
+    }
+    let mut cluster = b.build();
+    let page = cluster.alloc_shared(2);
+    cluster.set_process(0, script(&page, 0));
+    cluster.set_process(1, script(&page, 16));
     cluster.run();
     let memory: Vec<u64> = (0..32).map(|w| cluster.read_shared(&page, w)).collect();
     let st0 = cluster.node(0).stats();
@@ -198,6 +206,8 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
     let params = RelParams::with_mode(mode);
     let faulted = seed.is_some();
     let seedv = seed.unwrap_or(0);
+    let build =
+        |b: ClusterBuilder, plan: FaultPlan| if faulted { b.with_faults(plan) } else { b }.build();
     let crash_from;
     let mut cluster = match scenario {
         "crash" | "crashrestart" => {
@@ -209,11 +219,7 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
             } else {
                 60
             };
-            let mut b = ClusterBuilder::new(3).reliable_links(params);
-            if faulted {
-                b = b.with_faults(plan);
-            }
-            let mut cluster = b.build();
+            let mut cluster = build(ClusterBuilder::new(3).reliable_links(params), plan);
             let victim_page = cluster.alloc_shared(1);
             let survivor_page = cluster.alloc_shared(0);
             cluster.set_process(0, pound(&victim_page, rounds));
@@ -223,13 +229,8 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
         "switchout" => {
             crash_from = SimTime::from_us(100);
             let plan = FaultPlan::new(seedv).switch_outage(1, crash_from, SimTime::from_ms(100));
-            let mut b = ClusterBuilder::new(4)
-                .topology(Topology::ring(4))
-                .reliable_links(params);
-            if faulted {
-                b = b.with_faults(plan);
-            }
-            let mut cluster = b.build();
+            let ring = ClusterBuilder::new(4).topology(Topology::ring(4));
+            let mut cluster = build(ring.reliable_links(params), plan);
             let page = cluster.alloc_shared(2);
             let mut acts = Vec::new();
             for i in 0..30u64 {
@@ -243,13 +244,8 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
         "partition" => {
             crash_from = SimTime::from_us(50);
             let plan = FaultPlan::new(seedv).switch_outage(1, crash_from, SimTime::from_ms(500));
-            let mut b = ClusterBuilder::new(3)
-                .topology(Topology::chain(3))
-                .reliable_links(params);
-            if faulted {
-                b = b.with_faults(plan);
-            }
-            let mut cluster = b.build();
+            let chain = ClusterBuilder::new(3).topology(Topology::chain(3));
+            let mut cluster = build(chain.reliable_links(params), plan);
             let page = cluster.alloc_shared(2);
             cluster.set_process(0, pound(&page, 20));
             cluster
@@ -321,9 +317,20 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
     }
 }
 
-/// Count-weighted mean latency of the remote operation classes, in µs —
-/// the metric the heartbeat-overhead gate compares.
-fn mean_op_latency(cluster: &Cluster) -> f64 {
+/// Count-weighted mean latency of the remote operation classes on the
+/// zero-fault reliable ping-pong, in µs — the metric the
+/// heartbeat-overhead gate compares with and without the detector.
+fn pingpong_op_latency(heartbeats: bool) -> f64 {
+    let opts = HarnessOptions {
+        reliable: true,
+        heartbeats,
+        ..HarnessOptions::default()
+    };
+    let mut cluster = harness::build_pingpong(&opts);
+    assert!(
+        harness::run_cluster(&mut cluster, &opts, None),
+        "pingpong wedged (heartbeats: {heartbeats})"
+    );
     let (mut sum, mut n) = (0.0, 0u64);
     for i in 0..cluster.node_count() {
         let st = cluster.node(i).stats();
@@ -339,34 +346,10 @@ fn mean_op_latency(cluster: &Cluster) -> f64 {
     }
 }
 
-fn main() -> ExitCode {
-    let mut n_seeds: u64 = 3;
-    let mut sweep_seeds: u64 = 10;
-    let mut report_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                n_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds takes a number");
-            }
-            "--sweep-seeds" => {
-                sweep_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sweep-seeds takes a number");
-            }
-            "--report" => {
-                report_path = Some(args.next().expect("--report takes a file path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+pub fn main(mut args: Args) -> Result<(), String> {
+    let (n_seeds, report) = harness::campaign(&mut args)?;
+    let sweep_seeds = args.value("--sweep-seeds")?.map_or(10, NonZeroU64::get);
+    args.finish()?;
 
     // Fault-free reference per discipline. The committed payload state
     // must be identical across disciplines — SACK vs go-back-N is a
@@ -415,10 +398,7 @@ fn main() -> ExitCode {
             for s in 0..n_seeds {
                 let seed = 0xFA_0001 + 0x1000 * s;
                 let r = run(Some(scenario_plan(scenario, seed)), mode);
-                let masked = r.halted
-                    && r.outcome == reference[mi].outcome
-                    && r.violations.is_empty()
-                    && !r.dead_links;
+                let masked = r.masked(&reference[mi]);
                 let recovery = r.finished_at.saturating_sub(reference[mi].finished_at);
                 for (leaf, v) in [
                     ("frames_lost", r.frames_lost as f64),
@@ -486,10 +466,7 @@ fn main() -> ExitCode {
             for s in 0..sweep_seeds {
                 let plan = FaultPlan::new(0xFA2001 + 0x77 * s).drop(pct as f64 / 100.0);
                 let r = run(Some(plan), mode);
-                let masked = r.halted
-                    && r.outcome == reference[mi].outcome
-                    && r.violations.is_empty()
-                    && !r.dead_links;
+                let masked = r.masked(&reference[mi]);
                 if !masked {
                     failures += 1;
                     eprintln!("  sweep drop{pct}/{mode_name}/seed{s}: diverged");
@@ -534,7 +511,7 @@ fn main() -> ExitCode {
         if sack >= gbn {
             failures += 1;
             eprintln!(
-                "simfault: at drop{pct}% SACK retransmitted {sack} bytes, \
+                "tg fault: at drop{pct}% SACK retransmitted {sack} bytes, \
                  go-back-N {gbn} — selective retransmit is not paying for itself"
             );
         }
@@ -667,31 +644,7 @@ fn main() -> ExitCode {
     // Heartbeat overhead gate: on the zero-fault reliable ping-pong
     // workload, running the failure detector must cost at most 2% on the
     // mean remote-operation latency.
-    let base = {
-        let opts = HarnessOptions {
-            reliable: true,
-            ..HarnessOptions::default()
-        };
-        let mut c = harness::build_pingpong(&opts);
-        assert!(
-            harness::run_cluster(&mut c, &opts, None),
-            "baseline pingpong wedged"
-        );
-        mean_op_latency(&c)
-    };
-    let with_hb = {
-        let opts = HarnessOptions {
-            reliable: true,
-            heartbeats: true,
-            ..HarnessOptions::default()
-        };
-        let mut c = harness::build_pingpong(&opts);
-        assert!(
-            harness::run_cluster(&mut c, &opts, None),
-            "heartbeat pingpong wedged"
-        );
-        mean_op_latency(&c)
-    };
+    let (base, with_hb) = (pingpong_op_latency(false), pingpong_op_latency(true));
     let overhead = (with_hb - base) / base;
     metrics.set(
         "campaign.heartbeat_overhead_pct",
@@ -707,30 +660,31 @@ fn main() -> ExitCode {
     if overhead > 0.02 {
         failures += 1;
         eprintln!(
-            "simfault: heartbeat overhead {:.2}% exceeds the 2% budget",
+            "tg fault: heartbeat overhead {:.2}% exceeds the 2% budget",
             overhead * 100.0
         );
     }
 
-    if let Some(path) = report_path {
-        let mut report = Json::obj();
-        report.set("schema", Json::Str(SCHEMA.to_string()));
-        report.set("name", Json::Str("simfault".to_string()));
-        report.set("nodes", Json::Num(f64::from(NODES)));
-        report.set("seeds", Json::Num(n_seeds as f64));
-        report.set("sweep_seeds", Json::Num(sweep_seeds as f64));
-        report.set("metrics", metrics);
-        std::fs::write(&path, report.to_string_pretty()).expect("write report");
+    if let Some(path) = &report {
+        write_report(
+            path,
+            "simfault",
+            [
+                ("nodes", Json::Num(f64::from(NODES))),
+                ("seeds", Json::Num(n_seeds as f64)),
+                ("sweep_seeds", Json::Num(sweep_seeds as f64)),
+                ("metrics", metrics),
+            ],
+        )?;
         println!();
         println!("wrote {path}");
     }
 
     println!();
     if failures > 0 {
-        eprintln!("simfault: {failures} run(s) diverged");
-        ExitCode::FAILURE
+        Err(format!("{failures} run(s) diverged"))
     } else {
-        println!("simfault: all faulted runs fully masked in both disciplines");
-        ExitCode::SUCCESS
+        println!("tg fault: all faulted runs fully masked in both disciplines");
+        Ok(())
     }
 }

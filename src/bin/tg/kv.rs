@@ -1,4 +1,4 @@
-//! `simkv` — the replicated KV service under the crash campaign (E21).
+//! `tg kv` — the replicated KV service under the crash campaign (E21).
 //!
 //! Drives the `tg-kv` service — open-loop heavy-tailed client load over
 //! posted-write mailboxes, eager-update replication fenced before every
@@ -26,19 +26,21 @@
 //! by `P999_LIMIT_US` — the tail is the whole point of request-level
 //! robustness.
 //!
-//! Usage: `simkv [--seeds N] [--requests N] [--report FILE]`. The
-//! report is a `tg-report-v2` document; the whole campaign is seeded
-//! and deterministic, so CI diffs it exactly against a committed
-//! baseline.
+//! `--seeds N` sets the seeds per cell (default 3), `--requests N` the
+//! requests per client (default 16). `--report FILE` writes a
+//! `tg-report-v2` document; the whole campaign is seeded and
+//! deterministic, so CI diffs it exactly against a committed baseline.
 
-use std::process::ExitCode;
+use std::num::NonZeroU32;
 
 use telegraphos::RetxMode;
-use telegraphos_suite::harness::{self, HarnessOptions};
-use tg_analyze::{Json, SCHEMA};
+use telegraphos_suite::harness::{self, Args, HarnessOptions};
+use tg_analyze::Json;
 use tg_kv::{audit, drive, AuditReport, KvConfig};
 use tg_sim::{LogHistogram, RunLimit, SimTime};
 use tg_wire::NodeId;
+
+use crate::write_report;
 
 const MODES: [(&str, RetxMode); 2] = [("gbn", RetxMode::GoBackN), ("sack", RetxMode::Sack)];
 const SCENARIOS: [&str; 5] = ["baseline", "crash", "crashrestart", "switchout", "ctrl"];
@@ -113,34 +115,10 @@ fn run_once(scenario: &str, mode: RetxMode, seed: u64, requests: u32) -> KvRun {
     }
 }
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut n_seeds: u64 = 3;
-    let mut requests: u32 = 16;
-    let mut report_path: Option<String> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                n_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds takes a count");
-            }
-            "--requests" => {
-                requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests takes a count");
-            }
-            "--report" => {
-                report_path = Some(args.next().expect("--report takes a file path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+pub fn main(mut args: Args) -> Result<(), String> {
+    let (n_seeds, report) = harness::campaign(&mut args)?;
+    let requests = args.value("--requests")?.map_or(16, NonZeroU32::get);
+    args.finish()?;
 
     let mut metrics = Json::obj();
     let mut failures = 0u32;
@@ -248,24 +226,27 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = report_path {
-        let mut report = Json::obj();
-        report.set("schema", Json::Str(SCHEMA.to_string()));
-        report.set("name", Json::Str("simkv".to_string()));
-        report.set("seeds", Json::Num(n_seeds as f64));
-        report.set("requests_per_client", Json::Num(f64::from(requests)));
-        report.set("metrics", metrics);
-        std::fs::write(&path, report.to_string_pretty()).expect("write report");
+    if let Some(path) = &report {
+        write_report(
+            path,
+            "simkv",
+            [
+                ("seeds", Json::Num(n_seeds as f64)),
+                ("requests_per_client", Json::Num(f64::from(requests))),
+                ("metrics", metrics),
+            ],
+        )?;
         println!();
         println!("wrote {path}");
     }
 
     println!();
     if failures > 0 {
-        eprintln!("simkv: {failures} scenario/mode cell(s) violated the service contract");
-        ExitCode::FAILURE
+        Err(format!(
+            "{failures} scenario/mode cell(s) violated the service contract"
+        ))
     } else {
-        println!("simkv: service contract held in every scenario, both disciplines");
-        ExitCode::SUCCESS
+        println!("tg kv: service contract held in every scenario, both disciplines");
+        Ok(())
     }
 }

@@ -1,40 +1,19 @@
-//! `simtrace` — packet-lifecycle tracing harness and Chrome-trace exporter.
+//! `tg trace` — packet-lifecycle tracing and Chrome-trace export.
 //!
 //! Runs a small cluster workload with the observability probe installed,
 //! then writes a Chrome trace-event JSON file (loadable in Perfetto or
-//! `chrome://tracing`) and prints the per-stage latency breakdown the
-//! paper's §3.2 cost analysis is built from.
-//!
-//! ```text
-//! simtrace [pingpong|stencil] [--nodes N] [--out FILE] [--metrics]
-//!          [--interval-us U] [--check] [--quiet]
-//!          [--reliable] [--sack] [--drop P] [--corrupt P]
-//!          [--ctrl-drop P] [--ctrl-corrupt P] [--fault-seed S]
-//!          [--heartbeats] [--crash NODE,AT_US] [--restart AT_US]
-//!          [--switch-out S,FROM_US,UNTIL_US]
-//! ```
+//! `chrome://tracing`, default `trace.json`) and prints the per-stage
+//! latency breakdown the paper's §3.2 cost analysis is built from.
 //!
 //! * `pingpong` (default) — every node stores into, fences on, reads from
 //!   and atomically increments a page homed on its ring neighbor.
 //! * `stencil` — an N-node Jacobi stencil over eager-update boundary
-//!   pages (the simbench workload at trace-friendly scale).
+//!   pages, at trace-friendly scale (4 sweeps).
 //! * `--metrics` — sample congestion metrics every `--interval-us` while
 //!   running (crash runs included) and print the registry.
-//! * `--reliable` — run the link-level reliability protocol (checksum +
-//!   seq + ack/retransmit); `--drop P` / `--corrupt P` additionally
-//!   inject seeded frame faults (implies `--reliable`, since a lossy
-//!   fabric without recovery wedges the workload), so the trace shows
-//!   `dropped`, `retransmit` and `credit-resync` lifecycle points.
-//!   `--ctrl-drop P` / `--ctrl-corrupt P` aim the injector at the
-//!   control plane instead: acks, nacks and credit-resync handshakes
-//!   are lost or checksum-corrupted in flight. `--sack` switches the
-//!   retransmit discipline from go-back-N to selective retransmit.
-//! * `--heartbeats` — run per-link heartbeat failure detection during the
-//!   workload; `--crash NODE,AT_US` crashes a workstation mid-run
-//!   (permanent unless `--restart AT_US` closes the window) and
-//!   `--switch-out S,FROM_US,UNTIL_US` silences a whole switch on a ring
-//!   fabric. Crash-stop flags imply `--reliable --heartbeats`, and the
-//!   trace gains `peer-down` / `peer-up` verdict points.
+//! * Harness flags — injected frame faults make the trace show `dropped`,
+//!   `retransmit` and `credit-resync` lifecycle points; crash-stop flags
+//!   add `peer-down` / `peer-up` verdict points.
 //! * `--check` — verify the export: the JSON is well-formed, timestamps
 //!   are monotonically non-decreasing per track, per-stage breakdowns
 //!   sum exactly to the end-to-end latencies in `NodeStats`, and the
@@ -49,186 +28,27 @@
 //!   a declared crash window, every `peer-up` follows a declared restart,
 //!   a declared crash produced at least one verdict, and a crash-free run
 //!   traced no verdicts at all.
-//!
-//! Dependency-free by design (hand-rolled JSON both ways) so it runs in
-//! offline/vendored environments.
 
 use std::collections::HashMap;
-use std::process::ExitCode;
 
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed, ChromeEvent,
 };
-use telegraphos::{Cluster, ClusterEvent, ComponentDetail, CrashWindow, RetxMode, TraceCollector};
-use telegraphos_suite::harness::{self, HarnessOptions, StencilCheck};
-use tg_sim::{MetricsRegistry, SimTime};
+use telegraphos::{Cluster, ClusterEvent, ComponentDetail, CrashWindow, TraceCollector};
+use telegraphos_suite::harness::Args;
+use tg_sim::SimTime;
 use tg_wire::trace::{OpKind, PacketEvent, Site, Stage};
 
-struct Options {
-    workload: String,
-    nodes: u16,
-    out: String,
-    metrics: bool,
-    interval_us: u64,
-    check: bool,
-    quiet: bool,
-    reliable: bool,
-    sack: bool,
-    drop: f64,
-    corrupt: f64,
-    ctrl_drop: f64,
-    ctrl_corrupt: f64,
-    fault_seed: u64,
-    heartbeats: bool,
-    crash: Option<(u16, u64)>,
-    restart_us: Option<u64>,
-    switch_out: Option<(u16, u64, u64)>,
-}
+use crate::{Run, Workload, PINGPONG};
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        workload: "pingpong".to_string(),
+static WORKLOADS: [Workload; 2] = [
+    PINGPONG,
+    Workload {
+        name: "stencil",
+        stencil_iters: Some(4),
         nodes: 4,
-        out: "trace.json".to_string(),
-        metrics: false,
-        interval_us: 1,
-        check: false,
-        quiet: false,
-        reliable: false,
-        sack: false,
-        drop: 0.0,
-        corrupt: 0.0,
-        ctrl_drop: 0.0,
-        ctrl_corrupt: 0.0,
-        fault_seed: 0xFA_0001,
-        heartbeats: false,
-        crash: None,
-        restart_us: None,
-        switch_out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "pingpong" | "stencil" => opts.workload = arg,
-            "--nodes" => {
-                let v = args.next().ok_or("--nodes needs a value")?;
-                opts.nodes = v.parse().map_err(|_| format!("bad --nodes {v}"))?;
-            }
-            "--out" => opts.out = args.next().ok_or("--out needs a value")?,
-            "--interval-us" => {
-                let v = args.next().ok_or("--interval-us needs a value")?;
-                opts.interval_us = v.parse().map_err(|_| format!("bad --interval-us {v}"))?;
-            }
-            "--metrics" => opts.metrics = true,
-            "--check" => opts.check = true,
-            "--quiet" => opts.quiet = true,
-            "--reliable" => opts.reliable = true,
-            "--sack" => opts.sack = true,
-            "--drop" => {
-                let v = args.next().ok_or("--drop needs a value")?;
-                opts.drop = v.parse().map_err(|_| format!("bad --drop {v}"))?;
-            }
-            "--corrupt" => {
-                let v = args.next().ok_or("--corrupt needs a value")?;
-                opts.corrupt = v.parse().map_err(|_| format!("bad --corrupt {v}"))?;
-            }
-            "--ctrl-drop" => {
-                let v = args.next().ok_or("--ctrl-drop needs a value")?;
-                opts.ctrl_drop = v.parse().map_err(|_| format!("bad --ctrl-drop {v}"))?;
-            }
-            "--ctrl-corrupt" => {
-                let v = args.next().ok_or("--ctrl-corrupt needs a value")?;
-                opts.ctrl_corrupt = v.parse().map_err(|_| format!("bad --ctrl-corrupt {v}"))?;
-            }
-            "--fault-seed" => {
-                let v = args.next().ok_or("--fault-seed needs a value")?;
-                opts.fault_seed = v.parse().map_err(|_| format!("bad --fault-seed {v}"))?;
-            }
-            "--heartbeats" => opts.heartbeats = true,
-            "--crash" => {
-                let v = args.next().ok_or("--crash needs NODE,AT_US")?;
-                let parts: Vec<_> = v.split(',').collect();
-                let parsed = (parts.len() == 2)
-                    .then(|| Some((parts[0].parse().ok()?, parts[1].parse().ok()?)))
-                    .flatten();
-                opts.crash = Some(parsed.ok_or(format!("bad --crash {v} (want NODE,AT_US)"))?);
-            }
-            "--restart" => {
-                let v = args.next().ok_or("--restart needs AT_US")?;
-                opts.restart_us = Some(v.parse().map_err(|_| format!("bad --restart {v}"))?);
-            }
-            "--switch-out" => {
-                let v = args
-                    .next()
-                    .ok_or("--switch-out needs SWITCH,FROM_US,UNTIL_US")?;
-                let parts: Vec<_> = v.split(',').collect();
-                let parsed = (parts.len() == 3)
-                    .then(|| {
-                        Some((
-                            parts[0].parse().ok()?,
-                            parts[1].parse().ok()?,
-                            parts[2].parse().ok()?,
-                        ))
-                    })
-                    .flatten();
-                opts.switch_out = Some(parsed.ok_or(format!(
-                    "bad --switch-out {v} (want SWITCH,FROM_US,UNTIL_US)"
-                ))?);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    if opts.nodes < 2 {
-        return Err("need at least 2 nodes".to_string());
-    }
-    for p in [opts.drop, opts.corrupt, opts.ctrl_drop, opts.ctrl_corrupt] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err("fault probabilities must be within [0, 1]".to_string());
-        }
-    }
-    // Injected faults without link-level recovery would wedge the workload.
-    if opts.drop > 0.0 || opts.corrupt > 0.0 || opts.ctrl_drop > 0.0 || opts.ctrl_corrupt > 0.0 {
-        opts.reliable = true;
-    }
-    // Crash-stop windows need the reliability layer (detection and
-    // structured op failure both live there) and heartbeats.
-    if opts.crash.is_some() || opts.switch_out.is_some() {
-        opts.reliable = true;
-        opts.heartbeats = true;
-    }
-    if opts.restart_us.is_some() && opts.crash.is_none() {
-        return Err("--restart needs --crash".to_string());
-    }
-    if let Some((s, _, _)) = opts.switch_out {
-        if s >= opts.nodes {
-            return Err("--switch-out switch index out of range (ring has one per node)".into());
-        }
-    }
-    Ok(opts)
-}
-
-impl Options {
-    fn harness(&self) -> HarnessOptions {
-        HarnessOptions {
-            nodes: self.nodes,
-            reliable: self.reliable,
-            drop: self.drop,
-            corrupt: self.corrupt,
-            ctrl_drop: self.ctrl_drop,
-            ctrl_corrupt: self.ctrl_corrupt,
-            mode: if self.sack {
-                RetxMode::Sack
-            } else {
-                RetxMode::GoBackN
-            },
-            fault_seed: self.fault_seed,
-            heartbeats: self.heartbeats,
-            crash: self.crash,
-            restart_us: self.restart_us,
-            switch_out: self.switch_out,
-        }
-    }
-}
+    },
+];
 
 /// Verifies the export invariants; returns a list of violations.
 fn check_export(
@@ -494,58 +314,26 @@ fn check_peer_verdicts(
     }
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("simtrace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (mut cluster, stencil_check): (Cluster, Option<StencilCheck>) = match opts.workload.as_str()
-    {
-        "pingpong" => (harness::build_pingpong(&opts.harness()), None),
-        _ => {
-            let (c, check) = harness::build_stencil(&opts.harness(), 8, 4);
-            (c, Some(check))
-        }
-    };
-    let collector = cluster.enable_tracing();
-
-    let hopts = opts.harness();
-    let mut metrics = MetricsRegistry::new();
-    let interval = SimTime::from_us(opts.interval_us);
-    let sampled = opts.metrics.then_some((interval, &mut metrics));
-    if !harness::run_cluster(&mut cluster, &hopts, sampled) {
-        eprintln!("simtrace: workload deadlocked");
-        return ExitCode::FAILURE;
-    }
-    // Under a crash-stop plan only the survivors' results are checkable,
-    // so the stencil cross-check (which needs every strip) is skipped.
-    if !hopts.any_crash() {
-        if let Some(check) = &stencil_check {
-            if let Err(e) = harness::verify_stencil(&cluster, check) {
-                eprintln!("simtrace: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+pub fn main(mut args: Args) -> Result<(), String> {
+    let run = Run::parse(&mut args, &WORKLOADS, "trace.json")?;
+    let (sampled, check) = (args.switch("--metrics"), args.switch("--check"));
+    args.finish()?;
+    let (cluster, collector, metrics) = run.execute(sampled)?;
 
     let ops = collector.op_events();
     let packets = collector.packet_events();
     let events = chrome_events(&ops, &packets);
     let json = chrome_trace_json(&events);
-    std::fs::write(&opts.out, &json).expect("write trace file");
+    std::fs::write(&run.out, &json).map_err(|e| format!("write {}: {e}", run.out))?;
 
-    if !opts.quiet {
+    if !run.quiet {
         println!(
             "{}: {} ops, {} packet events, {} trace events -> {}",
-            opts.workload,
+            run.workload.name,
             ops.len(),
             packets.len(),
             events.len(),
-            opts.out
+            run.out
         );
         // On stderr, so the stdout summary keeps its shape.
         let engine = cluster.engine_stats();
@@ -555,7 +343,7 @@ fn main() -> ExitCode {
         );
         eprint!("{}", kind_report(&cluster));
         print!("{}", breakdown_report(&collector.breakdowns()));
-        if opts.reliable {
+        if run.opts.reliable {
             let fs = cluster.fault_stats();
             println!(
                 "recovery: {} retransmits ({} bytes), {} resyncs, {} frames lost, \
@@ -569,23 +357,23 @@ fn main() -> ExitCode {
                 fs.as_ref().map_or(0, |s| s.ctrl_corrupts),
             );
         }
-        if opts.metrics {
+        if sampled {
             print!("{metrics}");
         }
     }
 
-    if opts.check {
+    if check {
         let problems = check_export(&cluster, &collector, &events, &json);
+        for p in &problems {
+            eprintln!("tg trace check: {p}");
+        }
         if !problems.is_empty() {
-            for p in &problems {
-                eprintln!("simtrace check: {p}");
-            }
-            return ExitCode::FAILURE;
+            return Err(format!("check found {} problem(s)", problems.len()));
         }
         println!(
             "check: ok (json well-formed, tracks monotonic, breakdowns and \
              fault-recovery counters reconcile)"
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

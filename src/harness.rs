@@ -1,11 +1,19 @@
-//! Shared workload harness for the suite binaries.
+//! Shared workload harness for the `tg` binary and the benchmark.
 //!
-//! `simtrace`, `simreport` and `simbench` all drive the same two
-//! canonical workloads — the all-pairs ring ping-pong and the N-node
-//! Jacobi stencil over eager-update boundary pages — so the builders
-//! live here once. Keeping one construction path is what makes the CI
-//! perf-gate baselines meaningful: every binary's "stencil_16" is
-//! byte-for-byte the same cluster.
+//! The `tg` subcommands and `perfbench` all drive the same canonical
+//! workloads — the all-pairs ring ping-pong, the N-node Jacobi stencil
+//! over eager-update boundary pages and the replicated KV service — so
+//! the builders live here once. Keeping one construction path is what
+//! makes the CI perf-gate baselines meaningful: every tool's 16-node
+//! stencil is byte-for-byte the same cluster.
+//!
+//! The command-line flags that shape these workloads are parsed here
+//! too, once: [`HarnessOptions::parse`] takes them from an [`Args`],
+//! range-checks them and applies their implications, so every
+//! subcommand rejects the same bad input the same way.
+
+use std::num::NonZeroU64;
+use std::str::FromStr;
 
 use telegraphos::{
     Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, RelParams, RetxMode, Script,
@@ -79,8 +87,7 @@ impl HarnessOptions {
             || self.corrupt > 0.0
             || self.ctrl_drop > 0.0
             || self.ctrl_corrupt > 0.0
-            || self.crash.is_some()
-            || self.switch_out.is_some()
+            || self.any_crash()
     }
 
     /// True when a crash-stop window (node crash or switch outage) is
@@ -89,6 +96,131 @@ impl HarnessOptions {
     pub fn any_crash(&self) -> bool {
         self.crash.is_some() || self.switch_out.is_some()
     }
+
+    /// Takes the harness flags from `args` over the values in `self`,
+    /// checks them and applies their implications: injected faults need
+    /// link-level recovery, and a crash-stop window also needs heartbeats
+    /// (detection and structured op failure both live there).
+    ///
+    /// ```text
+    /// --nodes N  --reliable  --sack  --drop P  --corrupt P  --ctrl-drop P
+    /// --ctrl-corrupt P  --fault-seed S  --heartbeats  --crash NODE,AT_US
+    /// --restart AT_US  --switch-out SWITCH,FROM_US,UNTIL_US
+    /// ```
+    pub fn parse(mut self, args: &mut Args) -> Result<HarnessOptions, String> {
+        self.nodes = args.value("--nodes")?.unwrap_or(self.nodes);
+        if self.nodes < 2 {
+            return Err("need at least 2 nodes".to_string());
+        }
+        self.reliable |= args.switch("--reliable");
+        if args.switch("--sack") {
+            self.mode = RetxMode::Sack;
+        }
+        self.drop = args.value("--drop")?.unwrap_or(self.drop);
+        self.corrupt = args.value("--corrupt")?.unwrap_or(self.corrupt);
+        self.ctrl_drop = args.value("--ctrl-drop")?.unwrap_or(self.ctrl_drop);
+        self.ctrl_corrupt = args.value("--ctrl-corrupt")?.unwrap_or(self.ctrl_corrupt);
+        for p in [self.drop, self.corrupt, self.ctrl_drop, self.ctrl_corrupt] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err("fault probabilities must be within [0, 1]".to_string());
+            }
+        }
+        self.fault_seed = args.value("--fault-seed")?.unwrap_or(self.fault_seed);
+        self.heartbeats |= args.switch("--heartbeats");
+        if let Some(v) = args.value::<String>("--crash")? {
+            let [node, at_us] = numbers(&v).ok_or(format!("bad --crash {v} (want NODE,AT_US)"))?;
+            self.crash = Some((self.index("--crash", node)?, at_us));
+        }
+        self.restart_us = args.value("--restart")?.or(self.restart_us);
+        match (self.crash, self.restart_us) {
+            (None, Some(_)) => return Err("--restart needs --crash".to_string()),
+            (Some((_, at_us)), Some(restart_us)) if restart_us < at_us => {
+                return Err("--restart precedes the --crash it closes".to_string());
+            }
+            _ => {}
+        }
+        if let Some(v) = args.value::<String>("--switch-out")? {
+            let [s, from_us, until_us] = numbers(&v).ok_or(format!(
+                "bad --switch-out {v} (want SWITCH,FROM_US,UNTIL_US)"
+            ))?;
+            // The ring a switch outage runs on has one switch per node.
+            self.switch_out = Some((self.index("--switch-out", s)?, from_us, until_us));
+        }
+        self.reliable |= self.any_faults();
+        self.heartbeats |= self.any_crash();
+        Ok(self)
+    }
+
+    /// `n` as the index of one of the cluster's nodes.
+    fn index(&self, flag: &str, n: u64) -> Result<u16, String> {
+        u16::try_from(n)
+            .ok()
+            .filter(|&n| n < self.nodes)
+            .ok_or(format!(
+                "{flag} index {n} out of range ({} nodes)",
+                self.nodes
+            ))
+    }
+}
+
+/// `N` comma-separated numbers, or `None` if `v` is not that.
+fn numbers<const N: usize>(v: &str) -> Option<[u64; N]> {
+    let numbers: Option<Vec<u64>> = v.split(',').map(|n| n.parse().ok()).collect();
+    numbers?.try_into().ok()
+}
+
+/// A command line from which each reader takes the flags it knows;
+/// [`Args::finish`] rejects what is left.
+#[derive(Debug)]
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The arguments to read, without the program and subcommand names.
+    pub fn new(args: impl IntoIterator<Item = String>) -> Args {
+        Args(args.into_iter().collect())
+    }
+
+    /// Takes every `flag VALUE` pair, returning the values parsed, in
+    /// order.
+    pub fn values<T: FromStr>(&mut self, flag: &str) -> Result<Vec<T>, String> {
+        let mut values = Vec::new();
+        while let Some(i) = self.0.iter().position(|a| a == flag) {
+            self.0.remove(i);
+            if i == self.0.len() {
+                return Err(format!("{flag} needs a value"));
+            }
+            let v = self.0.remove(i);
+            values.push(v.parse().map_err(|_| format!("bad {flag} {v}"))?);
+        }
+        Ok(values)
+    }
+
+    /// Takes `flag VALUE`; the last one given wins.
+    pub fn value<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        Ok(self.values(flag)?.pop())
+    }
+
+    /// Takes a bare `flag`, returning whether it was given.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        let given = self.0.len();
+        self.0.retain(|a| a != flag);
+        self.0.len() < given
+    }
+
+    /// Fails on the first argument no reader took.
+    pub fn finish(self) -> Result<(), String> {
+        self.0
+            .first()
+            .map_or(Ok(()), |a| Err(format!("unknown argument {a}")))
+    }
+}
+
+/// Takes a seeded campaign's flags from `args`: `--seeds N`, the seeds
+/// per scenario (default 3, at least 1), and `--report FILE`, where to
+/// write the campaign's `tg-report-v2` document.
+pub fn campaign(args: &mut Args) -> Result<(u64, Option<String>), String> {
+    let seeds = args.value("--seeds")?.map_or(3, NonZeroU64::get);
+    Ok((seeds, args.value("--report")?))
 }
 
 /// A cluster builder reflecting the reliability / fault options.
@@ -180,9 +312,9 @@ pub struct StencilCheck {
 
 /// The N-node Jacobi stencil over eager-update boundary pages, `strip`
 /// interior cells per node, `iters` sweeps, with the sequential
-/// reference computed for verification. `simbench`'s `stencil_16` is
-/// `nodes = 16, strip = 8, iters = 12`; `simtrace`'s trace-friendly
-/// variant is `iters = 4`.
+/// reference computed for verification. `tg report stencil16` runs
+/// `nodes = 16, strip = 8, iters = 12`; `tg trace stencil` is the
+/// trace-friendly variant, `iters = 4`.
 pub fn build_stencil(opts: &HarnessOptions, strip: usize, iters: u32) -> (Cluster, StencilCheck) {
     let nodes = opts.nodes;
     let (left_bc, right_bc) = (900u64, 100u64);
@@ -262,4 +394,73 @@ pub fn verify_stencil(cluster: &Cluster, check: &StencilCheck) -> Result<(), Str
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::new(line.split_whitespace().map(String::from))
+    }
+
+    fn parse(line: &str) -> Result<HarnessOptions, String> {
+        let mut args = args(line);
+        let opts = HarnessOptions::default().parse(&mut args)?;
+        args.finish().map(|()| opts)
+    }
+
+    #[test]
+    fn flags_apply_their_implications() {
+        let o = parse("--sack --drop 0.1 --nodes 6 --fault-seed 7").unwrap();
+        assert!(o.reliable && !o.heartbeats);
+        assert_eq!((o.nodes, o.drop, o.fault_seed), (6, 0.1, 7));
+        assert_eq!(o.mode, RetxMode::Sack);
+        let o = parse("--crash 1,150 --restart 2500").unwrap();
+        assert!(o.reliable && o.heartbeats);
+        assert_eq!((o.crash, o.restart_us), (Some((1, 150)), Some(2500)));
+        let o = parse("--switch-out 3,100,100000").unwrap();
+        assert!(o.reliable && o.heartbeats);
+        assert_eq!(o.switch_out, Some((3, 100, 100_000)));
+        assert_eq!(parse("--drop 0.2 --drop 0.3").unwrap().drop, 0.3);
+    }
+
+    #[test]
+    fn bad_harness_flags_are_rejected() {
+        for (line, want) in [
+            ("--drop 1.5", "within [0, 1]"),
+            ("--ctrl-corrupt -0.1", "within [0, 1]"),
+            ("--restart 100 --crash 1,150", "--restart precedes"),
+            ("--restart 100", "--restart needs --crash"),
+            ("--crash 9,150", "--crash index 9 out of range"),
+            ("--crash 4,150", "--crash index 4 out of range"),
+            ("--crash 70000,150", "--crash index 70000 out of range"),
+            ("--crash 1", "bad --crash 1"),
+            ("--switch-out 4,100,200", "index 4 out of range"),
+            ("--switch-out 1,100", "bad --switch-out"),
+            ("--nodes 1", "need at least 2 nodes"),
+            ("--nodes x", "bad --nodes x"),
+            ("--drop", "--drop needs a value"),
+            ("--bogus", "unknown argument --bogus"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        assert!(parse("--nodes 16 --crash 9,150").is_ok());
+    }
+
+    #[test]
+    fn campaign_flags_are_read_or_rejected() {
+        assert_eq!(campaign(&mut args("")), Ok((3, None)));
+        let want = Ok((5, Some("r.json".to_string())));
+        assert_eq!(campaign(&mut args("--report r.json --seeds 5")), want);
+        for (line, want) in [
+            ("--seeds x", "bad --seeds x"),
+            ("--seeds", "--seeds needs a value"),
+            ("--seeds 0", "bad --seeds 0"),
+            ("--report", "--report needs a value"),
+        ] {
+            assert_eq!(campaign(&mut args(line)), Err(want.to_string()));
+        }
+    }
 }

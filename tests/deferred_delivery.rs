@@ -1,8 +1,8 @@
 //! Exactness pins for the engine's event elisions: deferred delivery
 //! (absorbed events) and same-instant continuations (inlined events).
 //!
-//! Each trace test rebuilds a `simtrace` configuration, exports its trace
-//! the way `simtrace --out` does, and compares an FNV-1a fingerprint of
+//! Each trace test rebuilds a `tg trace` configuration, exports its trace
+//! the way `tg trace --out` does, and compares an FNV-1a fingerprint of
 //! the file bytes with the one recorded from the trace the simulator
 //! wrote before the engine learnt to absorb events. The stencil run
 //! absorbs credits and port-free events; the two fault runs (a fabric
@@ -27,7 +27,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs `cluster` as `simtrace` does and returns the fingerprint of the
+/// Runs `cluster` as `tg trace` does and returns the fingerprint of the
 /// exported trace and the engine counters.
 fn trace_pin(mut cluster: Cluster, opts: &HarnessOptions) -> (u64, EngineStats) {
     let collector = cluster.enable_tracing();
@@ -39,7 +39,7 @@ fn trace_pin(mut cluster: Cluster, opts: &HarnessOptions) -> (u64, EngineStats) 
     (fnv1a(json.as_bytes()), cluster.engine_stats())
 }
 
-/// `simtrace stencil --nodes 16`: unreliable links on one star, so the
+/// `tg trace stencil --nodes 16`: unreliable links on one star, so the
 /// engine absorbs credits and idle port-free events.
 #[test]
 fn stencil16_trace_is_pinned_and_absorbs() {
@@ -58,7 +58,7 @@ fn stencil16_trace_is_pinned_and_absorbs() {
     assert_eq!(engine.logical_events(), 16_127);
 }
 
-/// `simtrace pingpong --switch-out 1,100,100000`: switches hold a fabric
+/// `tg trace pingpong --switch-out 1,100,100000`: switches hold a fabric
 /// view and links are reliable, so nothing is absorbed.
 #[test]
 fn switch_out_trace_is_pinned_and_eager() {
@@ -75,7 +75,7 @@ fn switch_out_trace_is_pinned_and_eager() {
     assert_eq!(engine.logical_events(), 3_152);
 }
 
-/// `simtrace pingpong --sack --crash 1,150 --restart 2500`: SACK links
+/// `tg trace pingpong --sack --crash 1,150 --restart 2500`: SACK links
 /// and a crash-restart cycle, so nothing is absorbed.
 #[test]
 fn sack_crash_restart_trace_is_pinned_and_eager() {
