@@ -193,8 +193,7 @@ impl ClusterBuilder {
             let node = engine
                 .get_mut::<Node>(node_ids[idx])
                 .expect("node component");
-            node.hib_mut()
-                .wire(wiring.tx, wiring.rx_upstream, wiring.rx_capacity);
+            node.hib_mut().wire(wiring.tx, wiring.rx_capacity);
             if let Some(inj) = injector.as_ref() {
                 node.hib_mut().set_injector(inj.clone());
             }

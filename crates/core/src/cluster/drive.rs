@@ -16,6 +16,8 @@ pub enum Stop<'a> {
     Drained,
     /// Every node with processes has halted or sits inside an active
     /// crash window; heartbeats then stop and the residual events drain.
+    /// A run that reaches its limit first ends there, unfinished, with
+    /// heartbeats running and events still queued.
     Quiescent,
     /// Every listed node has halted; the run stops there with events
     /// still queued.
@@ -52,8 +54,9 @@ impl Drive<'_> {
     }
 
     /// Runs a heartbeat-enabled cluster, which never drains on its own,
-    /// in `step` slices until the workload is done or `limit` passes,
-    /// then stops heartbeats and drains.
+    /// in `step` slices until the workload is done, then stops heartbeats
+    /// and drains. A workload still unfinished when `limit` passes ends
+    /// the run there as [`RunLimit::Deadline`].
     pub fn quiescent(step: SimTime, limit: SimTime) -> Self {
         Drive {
             slice: step,
@@ -127,16 +130,19 @@ impl Cluster {
             }
         }
         let mut ended = self.slices(&mut checks, plan.limit, plan.stop);
-        if plan.stop == Stop::Quiescent && ended.is_ok() {
-            // Detector verdicts already delivered stay in force.
+        if plan.stop == Stop::Quiescent && matches!(ended, Ok(None)) {
+            // The workload is done, so heartbeats are all that keeps the
+            // queue busy: stop them and let the residual acks, credits and
+            // beacons in flight drain, so the final counters settle.
+            // Detector verdicts already delivered stay in force. An
+            // unfinished workload is not drained: survivors spinning on a
+            // crashed peer would keep the queue busy forever.
             for i in 0..self.n {
                 self.node_mut(i).hib_mut().stop_heartbeats();
             }
-            let drained = self.slices(&mut checks, SimTime::MAX, Stop::Drained);
-            // A workload the drain completed counts as done.
-            ended = drained
-                .and(ended)
-                .map(|why| why.filter(|_| !self.workload_done()));
+            ended = self
+                .slices(&mut checks, SimTime::MAX, Stop::Drained)
+                .map(|_| None);
         }
         if let Some(sampler) = checks.sampler {
             sampler.finish(self);

@@ -1,7 +1,10 @@
 //! The run driver's stop rules: a drained engine ends the run, and a run
 //! that ends before its stop condition holds reports itself unfinished.
 
-use telegraphos::{Action, ClusterBuilder, DetectParams, Drive, FaultPlan, RelParams, Script};
+use telegraphos::sync::{BarrierWait, SyncStep};
+use telegraphos::{
+    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, RelParams, Resume, Script,
+};
 use tg_sim::{RunLimit, SimTime};
 use tg_wire::NodeId;
 
@@ -70,4 +73,44 @@ fn a_quiescent_limit_shorter_than_the_workload_is_a_deadline() {
     };
     assert_eq!(run(SimTime::from_us(150)), (RunLimit::Deadline, false));
     assert_eq!(run(SimTime::from_ms(80)), (RunLimit::Drained, true));
+}
+
+/// Regression: survivors of a crash spin forever on a fetch-add barrier
+/// the dead node never reaches, so a quiescent plan must stop at its
+/// limit instead of draining the unfinished workload (the drain used to
+/// run with no limit and never end). Four nodes run stencil-style sweeps
+/// separated by the stencil's sense-reversing barrier on node 0; node 1
+/// crashes at 20 µs.
+#[test]
+fn a_crashed_barrier_peer_ends_a_quiescent_run_at_its_limit() {
+    let plan = FaultPlan::new(0xFA_0001).node_crash(NodeId::new(1), SimTime::from_us(20));
+    let mut cluster = ClusterBuilder::new(4)
+        .reliable_links(RelParams::default())
+        .with_faults(plan)
+        .build();
+    cluster.enable_heartbeats(DetectParams::default());
+    let coord = cluster.alloc_shared(0);
+    for n in 0..4 {
+        let (mut episode, mut barrier) = (0u64, None::<BarrierWait>);
+        let sweep = move |r: Resume| loop {
+            let Some(wait) = barrier.as_mut() else {
+                if episode == 1_000 {
+                    return Action::Halt;
+                }
+                barrier = Some(BarrierWait::new(coord.va(0), coord.va(8), 4, episode % 2));
+                episode += 1;
+                return Action::Compute(SimTime::from_us(1));
+            };
+            match wait.step(r) {
+                SyncStep::Do(a) => return a,
+                SyncStep::Ready => barrier = None,
+            }
+        };
+        cluster.set_process(n, sweep);
+    }
+    let limit = SimTime::from_ms(2);
+    let outcome = cluster.drive(Drive::quiescent(SimTime::from_us(50), limit));
+    assert_eq!(outcome.unwrap(), RunLimit::Deadline);
+    assert!(!cluster.node(0).halted());
+    assert_eq!(cluster.now(), limit);
 }

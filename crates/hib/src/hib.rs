@@ -4,15 +4,14 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use tg_mem::{Decoded, PAddr};
 use tg_net::{
-    DetectParams, FaultInjector, FrameFate, HeartbeatDetector, LinkError, LinkRx, Liveness,
-    NetEvent, RxFifo, RxVerdict, TimerAction, TxPort,
+    Arrival, CtrlOutcome, DetectParams, FaultInjector, FrameFate, HeartbeatDetector, LinkEnd,
+    LinkError, LinkRx, Liveness, NetEvent, RxFifo, TimerAction, TxPort,
 };
 use tg_proto::PendingCam;
-use tg_sim::{CompId, SimTime};
+use tg_sim::SimTime;
 use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
 use tg_wire::{
-    AtomicOp, CtrlFrame, CtrlMsg, GOffset, NodeId, Packet, PageNum, PayloadPool, TimingConfig,
-    WireMsg,
+    AtomicOp, CtrlMsg, GOffset, NodeId, Packet, PageNum, PayloadPool, TimingConfig, WireMsg,
 };
 
 use crate::config::{HibConfig, LaunchMode, LocalWritePolicy};
@@ -182,8 +181,9 @@ pub struct Hib {
     config: HibConfig,
     timing: TimingConfig,
     // Network wiring.
-    tx: Option<TxPort>,
-    rx_upstream: Option<(CompId, u32)>,
+    /// The board's link end: its transmit port and, when reliability is
+    /// on, the receive half of the protocol on the input link.
+    link: Option<LinkEnd>,
     rx_fifo: RxFifo,
     tx_queue: VecDeque<Packet>,
     tx_busy: bool,
@@ -225,19 +225,12 @@ pub struct Hib {
     /// Trace id of the most recently injected packet, for the host to
     /// attribute to the CPU operation that caused it.
     last_injected: Option<TraceId>,
-    /// Receiver half of the link-level reliability protocol on the input
-    /// link, when the transmit port is enrolled.
-    rx_link: Option<LinkRx>,
-    /// Fault injector consulted at frame launch and credit return.
-    injector: Option<FaultInjector>,
     /// Structured link errors observed (also surfaced as interrupts).
     link_errors: Vec<LinkError>,
     /// An RxUnwedge tick is already scheduled.
     unwedge_scheduled: bool,
     /// Watchdog progress meter, ticked on every packet commit.
     meter: Option<tg_sim::ProgressMeter>,
-    /// Control frames discarded for a failed checksum on the input link.
-    ctrl_discards: u64,
     /// The current ack-starvation episode has already raised its
     /// interrupt; cleared when ack progress resumes.
     starvation_alarmed: bool,
@@ -279,8 +272,7 @@ impl Hib {
             node,
             config,
             timing,
-            tx: None,
-            rx_upstream: None,
+            link: None,
             rx_fifo: RxFifo::new(8),
             tx_queue: VecDeque::new(),
             tx_busy: false,
@@ -305,12 +297,9 @@ impl Hib {
             probe: None,
             rx_handling: None,
             last_injected: None,
-            rx_link: None,
-            injector: None,
             link_errors: Vec::new(),
             unwedge_scheduled: false,
             meter: None,
-            ctrl_discards: 0,
             starvation_alarmed: false,
             pending_ops: BTreeMap::new(),
             op_check_armed: false,
@@ -349,10 +338,7 @@ impl Hib {
 
     /// Total simulated time the transmit port spent blocked on credits.
     pub fn credit_stall(&self) -> SimTime {
-        self.tx
-            .as_ref()
-            .map(TxPort::credit_stall)
-            .unwrap_or(SimTime::ZERO)
+        self.tx().map(TxPort::credit_stall).unwrap_or(SimTime::ZERO)
     }
 
     /// Packets queued behind the transmit port.
@@ -376,10 +362,10 @@ impl Hib {
 
     /// Wires the board to the fabric (from `tg-net`'s builder output). A
     /// reliability-enrolled transmit port implies the receiver half of the
-    /// protocol on the input link.
-    pub fn wire(&mut self, tx: TxPort, rx_upstream: (CompId, u32), rx_capacity: u32) {
+    /// protocol on the input link; credits and control frames go back to
+    /// the transmit port's neighbor.
+    pub fn wire(&mut self, tx: TxPort, rx_capacity: u32) {
         if let Some(params) = tx.rel_params() {
-            self.rx_link = Some(LinkRx::for_params(&params));
             if let Some(every) = params.heartbeat_every {
                 self.hb_every = Some(every);
                 self.detector = Some(HeartbeatDetector::new(
@@ -388,9 +374,23 @@ impl Hib {
                 ));
             }
         }
-        self.tx = Some(tx);
-        self.rx_upstream = Some(rx_upstream);
+        self.link = Some(LinkEnd::new(tx));
         self.rx_fifo = RxFifo::new(rx_capacity);
+    }
+
+    #[inline]
+    fn tx(&self) -> Option<&TxPort> {
+        self.link.as_ref().map(LinkEnd::tx)
+    }
+
+    #[inline]
+    fn tx_mut(&mut self) -> Option<&mut TxPort> {
+        self.link.as_mut().map(LinkEnd::tx_mut)
+    }
+
+    #[inline]
+    fn rx(&self) -> Option<&LinkRx> {
+        self.link.as_ref().and_then(LinkEnd::rx)
     }
 
     /// Starts originating liveness beacons and arms the failure detector
@@ -472,9 +472,17 @@ impl Hib {
     }
 
     /// Installs the fault injector consulted when this board launches
-    /// frames or returns credits (and for the rx-wedge fault).
+    /// frames, sends control frames or returns credits (and for the
+    /// rx-wedge fault).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the board is not wired yet.
     pub fn set_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.link
+            .as_mut()
+            .expect("wire the board first")
+            .set_injector(injector);
     }
 
     /// Installs a watchdog progress meter, ticked on every committed
@@ -485,13 +493,13 @@ impl Hib {
 
     /// The directed link this board's transmit port feeds, once wired.
     pub fn tx_link(&self) -> Option<tg_net::LinkId> {
-        self.tx.as_ref().and_then(TxPort::link)
+        self.tx().and_then(TxPort::link)
     }
 
     /// Credit bookkeeping of the output link, for quiescence-time
     /// conservation checks. `None` until the board is wired.
     pub fn credit_ledger(&self) -> Option<tg_net::CreditLedger> {
-        let tx = self.tx.as_ref()?;
+        let tx = self.tx()?;
         Some(tg_net::CreditLedger {
             link: tx.link()?,
             credits: tx.credits(),
@@ -507,52 +515,51 @@ impl Hib {
 
     /// Frames retransmitted on this board's output link.
     pub fn retransmits(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::retransmits)
+        self.tx().map_or(0, TxPort::retransmits)
     }
 
     /// Completed credit-resync handshakes on this board's output link.
     pub fn resyncs(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::resyncs)
+        self.tx().map_or(0, TxPort::resyncs)
     }
 
     /// Credit-resync probes issued on this board's output link.
     pub fn resync_probes(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::resync_probes)
+        self.tx().map_or(0, TxPort::resync_probes)
     }
 
     /// Wire bytes retransmitted on this board's output link.
     pub fn retx_bytes(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::retx_bytes)
+        self.tx().map_or(0, TxPort::retx_bytes)
     }
 
     /// Control frames this board discarded for a failed checksum.
     pub fn ctrl_discards(&self) -> u64 {
-        self.ctrl_discards
+        self.link.as_ref().map_or(0, LinkEnd::ctrl_discards)
     }
 
     /// Frames parked in this board's SACK reorder window (must be zero
     /// at quiescence).
     pub fn reorder_depth(&self) -> usize {
-        self.rx_link.as_ref().map_or(0, LinkRx::reorder_depth)
+        self.rx().map_or(0, LinkRx::reorder_depth)
     }
 
     /// Consecutive unanswered (re)transmissions of the oldest
     /// unacknowledged frame on the output link.
     pub fn consecutive_attempts(&self) -> u32 {
-        self.tx.as_ref().map_or(0, TxPort::consecutive_attempts)
+        self.tx().map_or(0, TxPort::consecutive_attempts)
     }
 
     /// True while the ack-starvation watchdog considers the output link
     /// starved.
     pub fn ack_starved(&self) -> bool {
-        self.tx.as_ref().is_some_and(TxPort::ack_starved)
+        self.tx().is_some_and(TxPort::ack_starved)
     }
 
     /// Frames the receive link layer rejected on this board's input link
     /// (checksum or sequence violations, duplicates).
     pub fn rx_discards(&self) -> u64 {
-        self.rx_link
-            .as_ref()
+        self.rx()
             .map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards())
     }
 
@@ -560,7 +567,7 @@ impl Hib {
     /// of its uplink plus the receive side of the reverse hop. `None`
     /// until the board is wired.
     pub fn port_snapshot(&self) -> Option<tg_net::PortSnapshot> {
-        let tx = self.tx.as_ref()?;
+        let tx = self.tx()?;
         Some(tg_net::PortSnapshot {
             link: tx.link()?,
             tx_packets: tx.tx_packets(),
@@ -580,22 +587,22 @@ impl Hib {
 
     /// True once this board's output link was declared dead.
     pub fn link_dead(&self) -> bool {
-        self.tx.as_ref().is_some_and(TxPort::is_dead)
+        self.tx().is_some_and(TxPort::is_dead)
     }
 
     /// Frames launched but not yet link-acknowledged on the output link.
     pub fn unacked(&self) -> usize {
-        self.tx.as_ref().map_or(0, TxPort::unacked)
+        self.tx().map_or(0, TxPort::unacked)
     }
 
     /// Credits currently in hand at the transmit port.
     pub fn tx_credits(&self) -> u32 {
-        self.tx.as_ref().map_or(0, TxPort::credits)
+        self.tx().map_or(0, TxPort::credits)
     }
 
     /// The transmit port's initial credit allowance.
     pub fn tx_allowance(&self) -> u32 {
-        self.tx.as_ref().map_or(0, TxPort::allowance)
+        self.tx().map_or(0, TxPort::allowance)
     }
 
     /// This board's node id.
@@ -1184,175 +1191,73 @@ impl Hib {
     // Network side
     // ------------------------------------------------------------------
 
-    /// Handles a network event addressed to this board.
+    /// Handles a network event addressed to this board. The board times
+    /// its own wire and recovery timers with [`HibTick`]s, so a port-free
+    /// or timer event is foreign to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`NetEvent::PumpOut`] and [`NetEvent::RetxTimer`].
     pub fn on_net(&mut self, ev: NetEvent, host: &mut dyn HibHost) {
+        let prop = self.timing.link_prop;
         match ev {
             NetEvent::Arrive { packet, .. } => {
-                let verdict = self.rx_link.as_mut().map(|rx| rx.accept(&packet));
-                match verdict {
-                    None => {
-                        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
-                        if let Err(err) = self.rx_fifo.push(packet) {
-                            self.record_link_error(err, host);
-                        }
-                        self.pump_rx(host);
-                    }
-                    Some(RxVerdict::Accept { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Ack { seq: ack, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
-                        if let Err(err) = self.rx_fifo.push(packet) {
-                            self.record_link_error(err, host);
-                        }
-                        // The arrival may have closed a reorder-window
-                        // gap: enqueue the released successors in order.
-                        // Credit accounting bounds FIFO + window occupancy
-                        // by the allowance, so the burst cannot overflow.
-                        let released = self
-                            .rx_link
-                            .as_mut()
-                            .map(LinkRx::take_ready)
-                            .unwrap_or_default();
+                let Some(end) = self.link.as_mut() else {
+                    return;
+                };
+                match end.receive(packet, prop, host) {
+                    // Successors released from the reorder window follow
+                    // in sequence order. Credit accounting bounds FIFO +
+                    // window occupancy by the allowance, so the burst
+                    // cannot overflow.
+                    Arrival::Deliver(packet, released) => {
+                        self.enqueue_rx(packet, host);
                         for p in released {
-                            self.emit(host.now(), &p, Stage::RxEnqueue, None);
-                            if let Err(err) = self.rx_fifo.push(p) {
-                                self.record_link_error(err, host);
-                            }
+                            self.enqueue_rx(p, host);
                         }
                         self.pump_rx(host);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // Spurious retransmit of an already-parked
-                            // frame: drop the copy (the missing base
-                            // frame's ack will carry the bitmap).
-                            self.emit(host.now(), &packet, Stage::Dropped, None);
-                        } else if nack {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack,
-                                },
-                                self.timing.link_prop,
-                                host,
-                            );
-                        } else {
-                            // Refresh the sender's view of the window with
-                            // a duplicate cumulative ack + grown bitmap.
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Ack { seq: ack, sack },
-                                self.timing.link_prop,
-                                host,
-                            );
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        self.emit(host.now(), &packet, Stage::Dropped, None);
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Ack { seq: ack, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        self.emit(host.now(), &packet, Stage::Dropped, None);
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Nack { expected, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    Some(RxVerdict::Discard) => {
+                    Arrival::Held => {}
+                    Arrival::Dropped(packet) => {
                         self.emit(host.now(), &packet, Stage::Dropped, None);
                     }
                 }
             }
             NetEvent::Credit { .. } => {
                 let now = host.now();
-                if let Some(tx) = self.tx.as_mut() {
+                if let Some(tx) = self.tx_mut() {
                     if let Err(err) = tx.on_credit_at(now) {
                         self.record_link_error(err, host);
                     }
                 }
                 self.pump_tx(host);
             }
-            NetEvent::PumpOut { .. } => {
-                // Switch-style pump events are not used by the HIB; its
-                // own TX release travels as HibTick::TxFree.
-                self.on_tick(HibTick::TxFree, host);
-            }
             NetEvent::Ctrl { frame, .. } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
+                let Some(end) = self.link.as_mut() else {
                     return;
-                }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_ack(seq, sack, host.now());
-                        }
+                };
+                match end.on_ctrl(frame, prop, host) {
+                    CtrlOutcome::Done => {}
+                    CtrlOutcome::Acked => {
                         self.check_starvation(host);
                         self.pump_tx(host);
                     }
-                    CtrlMsg::Nack { expected, sack } => {
-                        let action = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_nack(expected, sack, host.now()));
-                        if let Some(TimerAction::Dead(err)) = action {
-                            self.record_link_error(err, host);
-                        }
+                    CtrlOutcome::Dead(err) => {
+                        self.record_link_error(err, host);
                         self.check_starvation(host);
                         self.pump_tx(host);
                     }
-                    CtrlMsg::SyncReq { token } => {
-                        // Resync replies are idempotent: the drain counter
-                        // is monotone, so answering a retried (or
-                        // duplicated) probe never double-credits.
-                        let drained = self.rx_link.as_ref().map(LinkRx::drained).unwrap_or(0);
-                        self.send_ctrl(
-                            CtrlMsg::SyncAck { token, drained },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        let now = host.now();
-                        let applied = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_sync_ack(token, drained, now))
-                            .unwrap_or(false);
-                        if applied {
-                            self.emit_resync(now, token);
+                    CtrlOutcome::SyncAck(done) => {
+                        if let Some(token) = done {
+                            self.emit_resync(host.now(), token);
                         }
                         self.pump_tx(host);
                     }
-                    CtrlMsg::Heartbeat { origin, .. } => {
-                        self.on_heartbeat(origin, host);
-                    }
-                    CtrlMsg::Reset { next } => {
-                        // The neighbor revived its transmit epoch after an
-                        // outage; resynchronize the receive sequence.
-                        if let Some(rx) = self.rx_link.as_mut() {
-                            rx.on_reset(next);
-                        }
-                    }
+                    CtrlOutcome::Heartbeat { origin, .. } => self.on_heartbeat(origin, host),
                 }
             }
-            NetEvent::RetxTimer { gen, .. } => {
-                // Delivered when another component (tests) drives the HIB
-                // with raw net events; the cluster uses HibTick::RetxTimer.
-                self.on_tick(HibTick::RetxTimer { gen }, host);
+            NetEvent::PumpOut { .. } | NetEvent::RetxTimer { .. } => {
+                panic!("node {}: HIB wire and timer events are HibTicks", self.node)
             }
         }
     }
@@ -1363,7 +1268,7 @@ impl Hib {
             HibTick::TxFree => {
                 self.lazy_free = false;
                 self.tx_busy = false;
-                if let Some(tx) = self.tx.as_mut() {
+                if let Some(tx) = self.tx_mut() {
                     tx.on_free();
                 }
                 self.retry_stalled(host);
@@ -1373,29 +1278,22 @@ impl Hib {
             HibTick::RxDone => {
                 let packet = self.rx_current.take().expect("rx pipeline was busy");
                 self.handle_rx(packet, host);
-                if let Some(rx) = self.rx_link.as_mut() {
-                    rx.on_drain();
-                }
-                // Return the credit for the consumed packet.
                 self.return_rx_credit(host);
                 self.pump_rx(host);
                 self.check_fence(host);
             }
             HibTick::RetxTimer { gen } => {
-                let action = self
-                    .tx
-                    .as_mut()
-                    .map(|tx| tx.on_timer(gen, host.now()))
-                    .unwrap_or(TimerAction::Stale);
+                let prop = self.timing.link_prop;
+                let action = match self.link.as_mut() {
+                    Some(end) => end.on_timer(gen, prop, host),
+                    None => TimerAction::Stale,
+                };
                 match action {
                     TimerAction::Retransmit => {
                         self.check_starvation(host);
                         self.pump_tx(host);
                     }
-                    TimerAction::Resync { token } => {
-                        self.emit_resync(host.now(), token);
-                        self.send_ctrl(CtrlMsg::SyncReq { token }, self.timing.link_prop, host);
-                    }
+                    TimerAction::Resync { token } => self.emit_resync(host.now(), token),
                     TimerAction::Dead(err) => self.record_link_error(err, host),
                     TimerAction::Stale | TimerAction::Idle => {}
                 }
@@ -1412,14 +1310,13 @@ impl Hib {
                 }
                 self.hb_seq += 1;
                 self.stats.heartbeats_tx += 1;
-                self.send_ctrl(
-                    CtrlMsg::Heartbeat {
-                        origin: self.node,
-                        seq: self.hb_seq,
-                    },
-                    self.timing.link_prop,
-                    host,
-                );
+                let beacon = CtrlMsg::Heartbeat {
+                    origin: self.node,
+                    seq: self.hb_seq,
+                };
+                if let Some(end) = self.link.as_mut() {
+                    end.send_ctrl(beacon, self.timing.link_prop, host);
+                }
                 self.sweep_detector(host);
                 // Operations issued before heartbeats were enabled get
                 // their sweep armed here.
@@ -1447,7 +1344,7 @@ impl Hib {
     /// [`Component::can_absorb`](tg_sim::Component::can_absorb).
     #[inline]
     pub fn can_absorb_credit(&self) -> bool {
-        self.tx.as_ref().is_some_and(|tx| {
+        self.tx().is_some_and(|tx| {
             !tx.is_reliable()
                 && !tx.is_credit_stalled()
                 && tx.credits() < tx.allowance()
@@ -1460,7 +1357,7 @@ impl Hib {
     /// the transmit side.
     #[inline]
     pub fn can_absorb_tx_free(&self) -> bool {
-        self.tx.as_ref().is_some_and(|tx| !tx.is_reliable())
+        self.tx().is_some_and(|tx| !tx.is_reliable())
             && self.tx_queue.is_empty()
             && self.stalled_store.is_none()
             && !self.fence_waiting
@@ -1478,8 +1375,7 @@ impl Hib {
             "node {}: absorbed an active credit",
             self.node
         );
-        self.tx
-            .as_mut()
+        self.tx_mut()
             .expect("tx wired")
             .on_credit_at(at)
             .expect("an absorbable credit fits the allowance");
@@ -1496,7 +1392,7 @@ impl Hib {
         );
         self.lazy_free = false;
         self.tx_busy = false;
-        self.tx.as_mut().expect("tx wired").on_free();
+        self.tx_mut().expect("tx wired").on_free();
     }
 
     /// Whether the transmit side stopped being idle since the last call
@@ -1518,9 +1414,9 @@ impl Hib {
         // again; if our own uplink had been declared dead (a switch outage
         // severs both directions), revive it under a fresh epoch and tell
         // the neighbor to resynchronize its receive sequence.
-        if self.tx.as_ref().is_some_and(TxPort::is_dead) {
-            let next = self.tx.as_mut().expect("tx wired").reset_epoch(now);
-            self.send_ctrl(CtrlMsg::Reset { next }, self.timing.link_prop, host);
+        if self.tx().is_some_and(TxPort::is_dead) {
+            let end = self.link.as_mut().expect("tx wired");
+            end.revive(self.timing.link_prop, host);
             self.pump_tx(host);
             self.arm_timer(host);
         }
@@ -1760,7 +1656,7 @@ impl Hib {
     /// toward the neighbor is effectively down — raise one interrupt per
     /// episode so the OS can react before the link is declared dead.
     fn check_starvation(&mut self, host: &mut dyn HibHost) {
-        let starved = self.tx.as_ref().is_some_and(TxPort::ack_starved);
+        let starved = self.tx().is_some_and(TxPort::ack_starved);
         if starved && !self.starvation_alarmed {
             self.starvation_alarmed = true;
             self.stats.starvation_alarms += 1;
@@ -1774,40 +1670,18 @@ impl Hib {
         }
     }
 
-    /// Seals and launches one control frame toward the upstream switch
-    /// after `delay`, consulting the injector for its fate. The board's
-    /// uplink and its credit-return path share one physical link, so
-    /// control traffic in either role rides `tx.link()`.
-    fn send_ctrl(&mut self, msg: CtrlMsg, delay: SimTime, host: &mut dyn HibHost) {
-        let Some((up, port)) = self.rx_upstream else {
-            return;
-        };
-        let link = self.tx.as_ref().and_then(TxPort::link);
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, host.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
-        }
-        host.schedule_net(delay, up, NetEvent::Ctrl { port, frame });
-    }
-
-    /// Returns the credit for a consumed arrival, unless the injector
-    /// loses it on the way back upstream.
+    /// Counts the consumed arrival and returns its credit, unless the
+    /// injector loses it on the way back upstream.
     fn return_rx_credit(&mut self, host: &mut dyn HibHost) {
-        let Some((up, port)) = self.rx_upstream else {
+        let Some(end) = self.link.as_mut() else {
             return;
         };
-        let link = self.tx.as_ref().and_then(TxPort::link);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.credit_lost(link, host.now()) {
-                return;
-            }
-        }
-        let credit = NetEvent::Credit { port };
+        let Some((up, credit)) = end.drain(host) else {
+            return;
+        };
         // The sender on a reliable link can never absorb a credit (it may
         // arm a timer), so only unreliable links offer one for deferral.
-        if self.rx_link.is_some() {
+        if end.rx().is_some() {
             host.schedule_net(self.timing.link_prop, up, credit);
         } else {
             host.schedule_net_deferrable(self.timing.link_prop, up, credit);
@@ -1830,10 +1704,18 @@ impl Hib {
 
     /// Arms the link-recovery timer when one is needed and none is armed.
     fn arm_timer(&mut self, host: &mut dyn HibHost) {
-        if let Some(tx) = self.tx.as_mut() {
+        if let Some(tx) = self.tx_mut() {
             if let Some((delay, gen)) = tx.poll_timer(host.now()) {
                 host.schedule_tick(delay, HibTick::RetxTimer { gen });
             }
+        }
+    }
+
+    /// Queues an accepted frame in the receive FIFO.
+    fn enqueue_rx(&mut self, packet: Packet, host: &mut dyn HibHost) {
+        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
+        if let Err(err) = self.rx_fifo.push(packet) {
+            self.record_link_error(err, host);
         }
     }
 
@@ -1843,7 +1725,7 @@ impl Hib {
         }
         // A fault-injected wedge freezes the receive pipeline: frames sit
         // in the FIFO undrained and no credits flow back until release.
-        if let Some(inj) = self.injector.as_ref() {
+        if let Some(inj) = self.link.as_ref().and_then(LinkEnd::injector) {
             if let Some(until) = inj.wedged_until(self.node, host.now()) {
                 if !self.unwedge_scheduled {
                     self.unwedge_scheduled = true;
@@ -2235,15 +2117,14 @@ impl Hib {
         if self.tx_busy {
             return;
         }
-        let Some(tx) = self.tx.as_ref() else {
+        let Some(tx) = self.tx() else {
             return;
         };
         // Go-back-N recovery outranks fresh traffic and needs no credit:
         // the original launch already reserved the receiver's FIFO slot.
         if tx.has_retx_pending() {
             let packet = self
-                .tx
-                .as_mut()
+                .tx_mut()
                 .and_then(TxPort::take_retx)
                 .expect("retx pending");
             self.emit(host.now(), &packet, Stage::Retransmit, None);
@@ -2253,7 +2134,7 @@ impl Hib {
         }
         if !tx.can_send_new() {
             if !self.tx_queue.is_empty() {
-                let opened = self.tx.as_mut().expect("tx wired").note_blocked(host.now());
+                let opened = self.tx_mut().expect("tx wired").note_blocked(host.now());
                 if opened {
                     self.recheck = true;
                     // One CreditStall event per stall window, stamped on
@@ -2274,12 +2155,8 @@ impl Hib {
         let mut packet = self.tx_queue.pop_front().expect("nonempty queue");
         self.stats.pkts_tx += 1;
         self.stats.bytes_tx += u64::from(packet.size_bytes());
-        if self.tx.as_ref().expect("tx wired").is_reliable() {
-            packet = self
-                .tx
-                .as_mut()
-                .expect("tx wired")
-                .frame(packet, host.now());
+        if self.tx().expect("tx wired").is_reliable() {
+            packet = self.tx_mut().expect("tx wired").frame(packet, host.now());
         }
         if self.probe.is_some() {
             self.emit(host.now(), &packet, Stage::TxLaunch, None);
@@ -2293,14 +2170,14 @@ impl Hib {
     /// injector, and schedules the arrival unless the frame was lost.
     fn dispatch_frame(&mut self, mut packet: Packet, fresh: bool, host: &mut dyn HibHost) {
         let now = host.now();
-        let (times, nbr, nbr_port, link) = {
-            let tx = self.tx.as_mut().expect("tx wired");
+        let (times, nbr, nbr_port) = {
+            let tx = self.link.as_mut().expect("tx wired").tx_mut();
             let times = if fresh {
                 tx.launch(&packet, &self.timing)
             } else {
                 tx.relaunch(&packet, &self.timing)
             };
-            (times, tx.neighbor(), tx.neighbor_port(), tx.link())
+            (times, tx.neighbor(), tx.neighbor_port())
         };
         let proc = self.timing.hib_proc;
         self.tx_busy = true;
@@ -2309,18 +2186,15 @@ impl Hib {
         // so it is offered for deferral only otherwise.
         if self.tx_queue.is_empty()
             && !self.fence_waiting
-            && !self.tx.as_ref().is_some_and(TxPort::is_reliable)
+            && !self.tx().is_some_and(TxPort::is_reliable)
         {
             self.lazy_free = true;
             host.schedule_tick_deferrable(proc + times.free, HibTick::TxFree);
         } else {
             host.schedule_tick(proc + times.free, HibTick::TxFree);
         }
-        let fate = match (self.injector.as_ref(), link) {
-            (Some(inj), Some(link)) => inj.frame_fate(link, now, &mut packet),
-            _ => FrameFate::Deliver,
-        };
-        if fate == FrameFate::Drop {
+        let end = self.link.as_ref().expect("tx wired");
+        if end.frame_fate(now, &mut packet) == FrameFate::Drop {
             self.emit(now, &packet, Stage::Dropped, None);
             return;
         }

@@ -1,7 +1,7 @@
 //! The interface between the HIB state machine and its hosting node.
 
 use tg_mem::PhysMem;
-use tg_net::NetEvent;
+use tg_net::{LinkCtx, NetEvent};
 use tg_sim::{CompId, SimTime};
 use tg_wire::{NodeId, PageNum, WireMsg};
 
@@ -46,6 +46,17 @@ pub trait HibHost {
     /// engine time.
     fn now(&self) -> SimTime {
         SimTime::ZERO
+    }
+}
+
+/// The board's link end schedules its control frames through the host.
+impl LinkCtx for dyn HibHost + '_ {
+    fn now(&self) -> SimTime {
+        HibHost::now(self)
+    }
+
+    fn send_net(&mut self, dst: CompId, delay: SimTime, ev: NetEvent) {
+        self.schedule_net(delay, dst, ev);
     }
 }
 

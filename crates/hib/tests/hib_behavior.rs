@@ -95,11 +95,7 @@ impl Bench {
         let mut boards = Vec::new();
         for i in 0..n {
             let mut hib = Hib::new(NodeId::new(i as u16), config.clone(), timing.clone());
-            hib.wire(
-                tg_net::TxPort::new(hub, i as u32, 1_000_000),
-                (hub, i as u32),
-                1_000_000,
-            );
+            hib.wire(tg_net::TxPort::new(hub, i as u32, 1_000_000), 1_000_000);
             boards.push(hib);
         }
         Bench {

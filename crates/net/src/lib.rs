@@ -54,6 +54,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod detect;
+mod end;
 mod event;
 pub mod fault;
 mod link;
@@ -64,6 +65,7 @@ pub mod testing;
 mod topology;
 
 pub use detect::{DetectParams, HeartbeatDetector, Liveness};
+pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd};
 pub use event::{NetEvent, NetMessage};
 pub use fault::{
     CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId, Outage, Wedge,
@@ -91,6 +93,9 @@ pub struct EndpointWiring {
     /// unconsumed packets.
     pub rx_capacity: u32,
     /// Where to send credits for consumed packets: `(component, port)`.
+    /// Always the transmit port's own `(neighbor(), neighbor_port())`:
+    /// the receive link pairs with the transmit link, and the endpoints
+    /// derive it from `tx`.
     pub rx_upstream: (CompId, u32),
 }
 

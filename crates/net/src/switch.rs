@@ -4,12 +4,13 @@ use std::collections::BTreeMap;
 
 use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
-use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet, TimingConfig};
+use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig};
 
 use crate::detect::{HeartbeatDetector, Liveness};
+use crate::end::{Arrival, CtrlOutcome, LinkEnd};
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate, LinkId};
-use crate::link::{CreditLedger, LinkError, LinkRx, RelParams, RxVerdict, StalledLink};
+use crate::link::{CreditLedger, LinkError, LinkRx, RelParams, StalledLink};
 use crate::port::{PortSnapshot, RxFifo, TimerAction, TxPort};
 use crate::route::FabricView;
 use crate::topology::Vertex;
@@ -82,18 +83,21 @@ fn vertex_of_site(s: Site) -> Vertex {
 /// serialization on the output link; a credit is returned to the upstream
 /// sender the moment the packet leaves the input FIFO.
 ///
-/// With [`Switch::set_reliability`] the switch additionally runs the
-/// link-level reliability protocol on every port: arriving frames are
-/// checksum- and sequence-verified by a per-input [`LinkRx`], acknowledged
-/// or NACKed, and each output's [`TxPort`] buffers frames for go-back-N
-/// retransmission. A [`FaultInjector`] installed with
+/// Every port is one [`LinkEnd`]. With [`Switch::set_reliability`] the
+/// switch additionally runs the link-level reliability protocol on every
+/// port: arriving frames are checksum- and sequence-verified by the
+/// port's [`LinkRx`], acknowledged or NACKed, and each output's
+/// [`TxPort`] buffers frames for go-back-N retransmission. A
+/// [`FaultInjector`] installed with
 /// [`Switch::set_injector`] then decides the fate of every launched frame
 /// and returned credit.
 #[derive(Debug)]
 pub struct Switch {
     name: String,
     fifos: Vec<RxFifo>,
-    out: Vec<Option<TxPort>>,
+    /// Per port, the link end: output `i` and input `i` connect to the
+    /// same neighbor.
+    ports: Vec<Option<LinkEnd>>,
     /// dst node index -> output port.
     table: Vec<u32>,
     timing: TimingConfig,
@@ -128,17 +132,12 @@ pub struct Switch {
     probe: Option<SharedProbe>,
     /// This switch's fabric index, reported as the probe [`Site`].
     site: Site,
-    /// Per-input receive-side link-layer state; `None` entries mean the
-    /// reliability protocol is off on that port.
-    rx_links: Vec<Option<LinkRx>>,
     reliability: Option<RelParams>,
+    /// Handed to every port's link end as it attaches.
     injector: Option<FaultInjector>,
     /// Neighbor-originated protocol violations and dead-link declarations
     /// observed so far.
     errors: Vec<LinkError>,
-    /// Control frames discarded because their checksum failed (the
-    /// injector corrupted them in flight).
-    ctrl_discards: u64,
     /// Per-port failure detector over heartbeat arrivals; present when
     /// the reliability parameters enable heartbeats. Ports are watched
     /// lazily, from their first beacon.
@@ -175,7 +174,7 @@ impl Switch {
         Switch {
             name,
             fifos: Vec::new(),
-            out: (0..ports).map(|_| None).collect(),
+            ports: (0..ports).map(|_| None).collect(),
             table,
             timing,
             rr_next: Vec::new(),
@@ -188,11 +187,9 @@ impl Switch {
             stats: SwitchStats::default(),
             probe: None,
             site: Site::Switch(0),
-            rx_links: Vec::new(),
             reliability: None,
             injector: None,
             errors: Vec::new(),
-            ctrl_discards: 0,
             detector: None,
             hb_last: BTreeMap::new(),
             view: None,
@@ -237,9 +234,13 @@ impl Switch {
         self.view = Some(view);
     }
 
-    /// Installs the fault injector consulted at every frame launch and
-    /// credit return.
+    /// Installs the fault injector consulted at every frame launch,
+    /// control frame and credit return, on attached ports and on those
+    /// attached later.
     pub fn set_injector(&mut self, injector: FaultInjector) {
+        for end in self.ports.iter_mut().flatten() {
+            end.set_injector(injector.clone());
+        }
         self.injector = Some(injector);
     }
 
@@ -298,18 +299,48 @@ impl Switch {
             }
         }
         let slot = self
-            .out
+            .ports
             .get_mut(port as usize)
             .expect("port index in range");
         assert!(slot.is_none(), "port attached twice");
-        *slot = Some(tx);
-        while self.fifos.len() < self.out.len() {
+        let mut end = LinkEnd::new(tx);
+        if let Some(injector) = &self.injector {
+            end.set_injector(injector.clone());
+        }
+        *slot = Some(end);
+        while self.fifos.len() < self.ports.len() {
             let cap = self.fifo_capacity;
             self.fifos.push(RxFifo::new(cap));
             self.rr_next.push(0);
-            self.rx_links
-                .push(self.reliability.map(|p| LinkRx::for_params(&p)));
         }
+    }
+
+    /// The transmit side of port `port`, when attached.
+    #[inline]
+    fn tx(&self, port: usize) -> Option<&TxPort> {
+        self.ports.get(port)?.as_ref().map(LinkEnd::tx)
+    }
+
+    /// The transmit side of port `port`, mutably, when attached.
+    #[inline]
+    fn tx_mut(&mut self, port: usize) -> Option<&mut TxPort> {
+        self.ports.get_mut(port)?.as_mut().map(LinkEnd::tx_mut)
+    }
+
+    /// The link end of port `port`, which must be attached.
+    #[inline]
+    fn end_mut(&mut self, port: usize) -> &mut LinkEnd {
+        self.ports[port].as_mut().expect("port attached")
+    }
+
+    /// Every attached port's transmit side.
+    fn txs(&self) -> impl Iterator<Item = &TxPort> {
+        self.ports.iter().flatten().map(LinkEnd::tx)
+    }
+
+    /// Every attached port's receive side, where reliability is on.
+    fn rxs(&self) -> impl Iterator<Item = &LinkRx> {
+        self.ports.iter().flatten().filter_map(LinkEnd::rx)
     }
 
     /// Adds `port` to the pending-work set examined by the next pump.
@@ -363,7 +394,7 @@ impl Switch {
             return false;
         };
         let p = port as usize;
-        let Some(tx) = self.out.get(p).and_then(Option::as_ref) else {
+        let Some(tx) = self.tx(p) else {
             return false;
         };
         if self.view.is_some() || tx.is_reliable() {
@@ -403,29 +434,25 @@ impl Switch {
     /// Total simulated time this switch's output ports spent blocked on
     /// credits (summed across ports; see [`TxPort::credit_stall`]).
     pub fn credit_stall(&self) -> SimTime {
-        self.out
-            .iter()
-            .flatten()
+        self.txs()
             .map(TxPort::credit_stall)
             .fold(SimTime::ZERO, |acc, t| acc + t)
     }
 
     /// Total frames retransmitted across all output ports.
     pub fn retransmits(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::retransmits).sum()
+        self.txs().map(TxPort::retransmits).sum()
     }
 
     /// Completed credit-resync handshakes across all output ports.
     pub fn resyncs(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::resyncs).sum()
+        self.txs().map(TxPort::resyncs).sum()
     }
 
     /// Frames discarded by the receive link layer (corrupt + out of
     /// sequence), across all input ports.
     pub fn rx_discards(&self) -> u64 {
-        self.rx_links
-            .iter()
-            .flatten()
+        self.rxs()
             .map(|rx| rx.corrupt_discards() + rx.seq_discards())
             .sum()
     }
@@ -433,26 +460,26 @@ impl Switch {
     /// Frames NACKed for landing beyond the reorder window (go-back-N:
     /// past the expected frame), across all input ports.
     pub fn rx_gap_discards(&self) -> u64 {
-        self.rx_links
-            .iter()
-            .flatten()
-            .map(LinkRx::gap_discards)
-            .sum()
+        self.rxs().map(LinkRx::gap_discards).sum()
     }
 
     /// Credit-resync probes issued across all output ports.
     pub fn resync_probes(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::resync_probes).sum()
+        self.txs().map(TxPort::resync_probes).sum()
     }
 
     /// Payload + header bytes retransmitted across all output ports.
     pub fn retx_bytes(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::retx_bytes).sum()
+        self.txs().map(TxPort::retx_bytes).sum()
     }
 
     /// Control frames discarded for a failed checksum, across all ports.
     pub fn ctrl_discards(&self) -> u64 {
-        self.ctrl_discards
+        self.ports
+            .iter()
+            .flatten()
+            .map(LinkEnd::ctrl_discards)
+            .sum()
     }
 
     /// (down verdicts, up transitions) this switch's port detector has
@@ -475,37 +502,29 @@ impl Switch {
 
     /// Frames abandoned by link-epoch resets across all output ports.
     pub fn abandoned(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::abandoned).sum()
+        self.txs().map(TxPort::abandoned).sum()
     }
 
     /// Link-epoch resets (peer revivals) across all output ports.
     pub fn revivals(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::revivals).sum()
+        self.txs().map(TxPort::revivals).sum()
     }
 
     /// Frames flushed from reorder windows by epoch resets, across all
     /// input ports.
     pub fn reset_flushes(&self) -> u64 {
-        self.rx_links
-            .iter()
-            .flatten()
-            .map(LinkRx::reset_flushes)
-            .sum()
+        self.rxs().map(LinkRx::reset_flushes).sum()
     }
 
     /// Stale pre-epoch credits swallowed after revivals, across ports.
     pub fn stale_credits(&self) -> u64 {
-        self.out.iter().flatten().map(TxPort::stale_credits).sum()
+        self.txs().map(TxPort::stale_credits).sum()
     }
 
     /// Frames currently parked in SACK reorder windows, across all input
     /// ports (must be zero at quiescence).
     pub fn reorder_depth_total(&self) -> usize {
-        self.rx_links
-            .iter()
-            .flatten()
-            .map(LinkRx::reorder_depth)
-            .sum()
+        self.rxs().map(LinkRx::reorder_depth).sum()
     }
 
     /// Per-port statistics: one snapshot per attached output port, pairing
@@ -513,11 +532,11 @@ impl Switch {
     /// input FIFO fed by the reverse hop (links come in bidirectional
     /// pairs, so output `i` and input `i` share a neighbor).
     pub fn port_snapshots(&self) -> Vec<PortSnapshot> {
-        self.out
+        self.ports
             .iter()
             .enumerate()
-            .filter_map(|(i, tx)| tx.as_ref().map(|tx| (i, tx)))
-            .map(|(i, tx)| PortSnapshot {
+            .filter_map(|(i, end)| end.as_ref().map(|e| (i, e.tx(), e.rx())))
+            .map(|(i, tx, rx)| PortSnapshot {
                 link: tx
                     .link()
                     .unwrap_or_else(|| LinkId::new(self.site, self.site)),
@@ -532,11 +551,7 @@ impl Switch {
                 resync_probes: tx.resync_probes(),
                 rx_fifo_depth: self.fifos.get(i).map_or(0, |f| f.len() as u32),
                 rx_fifo_high_water: self.fifos.get(i).map_or(0, RxFifo::high_water),
-                rx_discards: self
-                    .rx_links
-                    .get(i)
-                    .and_then(Option::as_ref)
-                    .map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards()),
+                rx_discards: rx.map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards()),
             })
             .collect()
     }
@@ -551,9 +566,7 @@ impl Switch {
     /// credit-starved with traffic pending. The watchdog's deadlock report
     /// is assembled from these.
     pub fn stalled_links(&self) -> Vec<StalledLink> {
-        self.out
-            .iter()
-            .flatten()
+        self.txs()
             .filter(|tx| tx.is_dead() || tx.unacked() > 0 || tx.is_credit_stalled())
             .map(|tx| StalledLink {
                 link: tx
@@ -572,9 +585,7 @@ impl Switch {
     /// Credit bookkeeping of every attached output port, for the cluster's
     /// quiescence-time conservation check.
     pub fn credit_ledgers(&self) -> Vec<CreditLedger> {
-        self.out
-            .iter()
-            .flatten()
+        self.txs()
             .map(|tx| CreditLedger {
                 link: tx
                     .link()
@@ -593,9 +604,7 @@ impl Switch {
     /// credits + unacked exceed the allowance (an over-credit leak) —
     /// cluster-level checks add the FIFO term.
     pub fn credit_overcommit(&self) -> Vec<LinkId> {
-        self.out
-            .iter()
-            .flatten()
+        self.txs()
             .filter(|tx| u64::from(tx.credits()) + tx.unacked() as u64 > u64::from(tx.allowance()))
             .map(|tx| {
                 tx.link()
@@ -648,9 +657,6 @@ impl Switch {
     ) {
         self.emit(ctx.now(), packet, Stage::Dropped);
         self.stats.blackholed += 1;
-        if let Some(rx) = self.rx_links.get_mut(in_port).and_then(Option::as_mut) {
-            rx.on_drain();
-        }
         self.return_credit(in_port, ctx);
     }
 
@@ -680,8 +686,8 @@ impl Switch {
             }
             self.sync_head(in_port);
         }
-        for port in 0..self.out.len() {
-            if self.out[port].is_some() {
+        for port in 0..self.ports.len() {
+            if self.ports[port].is_some() {
                 self.mark_pending(port);
             }
         }
@@ -739,9 +745,12 @@ impl Switch {
             .is_none_or(|&last| seq > last);
         if fresh {
             self.hb_last.insert(origin.raw(), seq);
-            for port in 0..self.out.len() {
-                if port != in_port && self.out[port].is_some() {
-                    self.send_ctrl(port, CtrlMsg::Heartbeat { origin, seq }, ctx);
+            let prop = self.timing.link_prop;
+            for (port, end) in self.ports.iter_mut().enumerate() {
+                if port != in_port {
+                    if let Some(end) = end {
+                        end.send_ctrl(CtrlMsg::Heartbeat { origin, seq }, prop, ctx);
+                    }
                 }
             }
         }
@@ -762,12 +771,7 @@ impl Switch {
     /// so routes recompute around it even when no detector is running.
     fn on_link_dead<M: NetMessage>(&mut self, port: usize, err: LinkError, ctx: &mut Ctx<'_, M>) {
         self.errors.push(err);
-        let Some(link) = self
-            .out
-            .get(port)
-            .and_then(Option::as_ref)
-            .and_then(TxPort::link)
-        else {
+        let Some(link) = self.tx(port).and_then(TxPort::link) else {
             return;
         };
         if let Some(view) = self.view.clone() {
@@ -782,12 +786,7 @@ impl Switch {
     /// `port`: trace the verdict and report it to the fabric view, which
     /// recomputes routes around the dead vertex for every switch.
     fn on_peer_down<M: NetMessage>(&mut self, port: usize, ctx: &mut Ctx<'_, M>) {
-        let Some(link) = self
-            .out
-            .get(port)
-            .and_then(Option::as_ref)
-            .and_then(TxPort::link)
-        else {
+        let Some(link) = self.tx(port).and_then(TxPort::link) else {
             return;
         };
         let downs = self
@@ -807,12 +806,7 @@ impl Switch {
     /// the dead incarnation), announcing it to the receiver so both ends
     /// agree on sequence numbers and drain counts.
     fn on_peer_up<M: NetMessage>(&mut self, port: usize, ctx: &mut Ctx<'_, M>) {
-        let Some(link) = self
-            .out
-            .get(port)
-            .and_then(Option::as_ref)
-            .and_then(TxPort::link)
-        else {
+        let Some(link) = self.tx(port).and_then(TxPort::link) else {
             return;
         };
         let ups = self
@@ -824,67 +818,28 @@ impl Switch {
             view.declare_up(vertex_of_site(link.to));
             self.refresh_routes(ctx);
         }
-        let reliable = self
-            .out
-            .get(port)
-            .and_then(Option::as_ref)
-            .is_some_and(TxPort::is_reliable);
-        if reliable {
-            let next = self.out[port]
-                .as_mut()
-                .expect("checked reliable")
-                .reset_epoch(ctx.now());
-            self.send_ctrl(port, CtrlMsg::Reset { next }, ctx);
+        if self.tx(port).is_some_and(TxPort::is_reliable) {
+            let prop = self.timing.link_prop;
+            self.end_mut(port).revive(prop, ctx);
             self.mark_pending(port);
         }
     }
 
-    /// Returns a credit for a frame drained from input `in_port`, unless
-    /// the injector loses it in flight.
+    /// Counts a frame drained from input `in_port` and returns its
+    /// credit, unless the injector loses it in flight.
     fn return_credit<M: NetMessage>(&mut self, in_port: usize, ctx: &mut Ctx<'_, M>) {
-        let (up, up_port, link) = {
-            let p = self.out[in_port].as_ref().expect("paired port attached");
-            (p.neighbor(), p.neighbor_port(), p.link())
+        let end = self.end_mut(in_port);
+        let Some((up, credit)) = end.drain(ctx) else {
+            return;
         };
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.credit_lost(link, ctx.now()) {
-                return;
-            }
-        }
-        let credit = M::from_net(NetEvent::Credit { port: up_port });
+        let (reliable, credit) = (end.rx().is_some(), M::from_net(credit));
         // The sender on a reliable link can never absorb a credit (it may
         // arm a timer), so only unreliable links offer one for deferral.
-        if self.rx_links[in_port].is_some() {
+        if reliable {
             ctx.send(up, self.timing.link_prop, credit);
         } else {
             ctx.send_deferrable(up, self.timing.link_prop, credit);
         }
-    }
-
-    /// Seals and launches one control frame toward the neighbor on the
-    /// link paired with `port`. Control frames are wire traffic like any
-    /// other: the injector may drop them outright (silent return) or
-    /// corrupt them in flight, in which case the receiver's checksum
-    /// check discards them.
-    fn send_ctrl<M: NetMessage>(&mut self, port: usize, msg: CtrlMsg, ctx: &mut Ctx<'_, M>) {
-        let (nbr, nbr_port, link) = {
-            let p = self.out[port].as_ref().expect("paired port attached");
-            (p.neighbor(), p.neighbor_port(), p.link())
-        };
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, ctx.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
-        }
-        ctx.send(
-            nbr,
-            self.timing.link_prop,
-            M::from_net(NetEvent::Ctrl {
-                port: nbr_port,
-                frame,
-            }),
-        );
     }
 
     /// Occupies output `out_port` with `packet` (a fresh launch consumes a
@@ -900,16 +855,17 @@ impl Switch {
     ) {
         let lat = self.timing.switch_latency;
         let now = ctx.now();
-        let (times, nbr, nbr_port, link) = {
-            let tx = self.out[out_port]
+        let (times, nbr, nbr_port) = {
+            let tx = self.ports[out_port]
                 .as_mut()
-                .expect("dispatch on attached port");
+                .expect("dispatch on attached port")
+                .tx_mut();
             let times = if fresh {
                 tx.launch(&packet, &self.timing)
             } else {
                 tx.relaunch(&packet, &self.timing)
             };
-            (times, tx.neighbor(), tx.neighbor_port(), tx.link())
+            (times, tx.neighbor(), tx.neighbor_port())
         };
         // An output that cannot absorb its `PumpOut` now cannot by the
         // end of this event either (its requesters stay until it grants
@@ -923,11 +879,7 @@ impl Switch {
         } else {
             ctx.send_self(lat + times.free, M::from_net(free));
         }
-        let fate = match (self.injector.as_ref(), link) {
-            (Some(inj), Some(link)) => inj.frame_fate(link, now, &mut packet),
-            _ => FrameFate::Deliver,
-        };
-        if fate == FrameFate::Drop {
+        if self.end_mut(out_port).frame_fate(now, &mut packet) == FrameFate::Drop {
             self.emit(now, &packet, Stage::Dropped);
             return;
         }
@@ -944,7 +896,7 @@ impl Switch {
     /// Arms the recovery timer on `out_port` if the port needs one and none
     /// is pending.
     fn arm_timer<M: NetMessage>(&mut self, out_port: usize, ctx: &mut Ctx<'_, M>) {
-        if let Some(tx) = self.out.get_mut(out_port).and_then(Option::as_mut) {
+        if let Some(tx) = self.tx_mut(out_port) {
             if let Some((delay, gen)) = tx.poll_timer(ctx.now()) {
                 ctx.send_self(
                     delay,
@@ -983,18 +935,10 @@ impl Switch {
             // its original launch reserved, so it needs no credit —
             // only a free wire — and fresh traffic must wait behind it
             // to preserve go-back-N order.
-            let retx_pending = self.out[out_port]
-                .as_ref()
-                .map(TxPort::has_retx_pending)
-                .unwrap_or(false);
-            if retx_pending {
-                let wire_free = self.out[out_port]
-                    .as_ref()
-                    .map(TxPort::wire_free)
-                    .unwrap_or(false);
-                if wire_free {
-                    let packet = self.out[out_port]
-                        .as_mut()
+            if self.tx(out_port).is_some_and(TxPort::has_retx_pending) {
+                if self.tx(out_port).is_some_and(TxPort::wire_free) {
+                    let packet = self
+                        .tx_mut(out_port)
                         .and_then(TxPort::take_retx)
                         .expect("retx pending on a free wire");
                     self.emit(ctx.now(), &packet, Stage::Retransmit);
@@ -1007,8 +951,8 @@ impl Switch {
                     // must run — recovery is exactly when the
                     // credit-stall series matters.
                     self.stats.blocked += 1;
-                    let opened = self.out[out_port]
-                        .as_mut()
+                    let opened = self
+                        .tx_mut(out_port)
                         .is_some_and(|tx| tx.note_blocked(ctx.now()));
                     if opened {
                         self.recheck = true;
@@ -1019,10 +963,7 @@ impl Switch {
                 }
                 continue;
             }
-            let can_send = self.out[out_port]
-                .as_ref()
-                .map(TxPort::can_send_new)
-                .unwrap_or(false);
+            let can_send = self.tx(out_port).is_some_and(TxPort::can_send_new);
             let Some(in_port) = self.pick_input(out_port) else {
                 continue;
             };
@@ -1030,8 +971,8 @@ impl Switch {
                 self.stats.blocked += 1;
                 // Start the credit-stall clock when it is specifically
                 // credits (not a busy wire) holding this output back.
-                let opened = self.out[out_port]
-                    .as_mut()
+                let opened = self
+                    .tx_mut(out_port)
                     .is_some_and(|tx| tx.note_blocked(ctx.now()));
                 if opened {
                     self.recheck = true;
@@ -1044,21 +985,11 @@ impl Switch {
             let mut packet = self.fifos[in_port].pop().expect("head checked");
             self.sync_head(in_port);
             self.emit(ctx.now(), &packet, Stage::SwitchTx);
-            if let Some(rx) = self.rx_links.get_mut(in_port).and_then(Option::as_mut) {
-                rx.on_drain();
-            }
             self.return_credit(in_port, ctx);
             self.stats.packets += 1;
             self.stats.bytes += u64::from(packet.size_bytes());
-            let reliable = self.out[out_port]
-                .as_ref()
-                .map(TxPort::is_reliable)
-                .unwrap_or(false);
-            if reliable {
-                packet = self.out[out_port]
-                    .as_mut()
-                    .expect("checked reliable")
-                    .frame(packet, ctx.now());
+            if let Some(tx) = self.tx_mut(out_port).filter(|tx| tx.is_reliable()) {
+                packet = tx.frame(packet, ctx.now());
             }
             self.dispatch(out_port, packet, true, ctx);
             // An output grants at most once until its wire frees (the
@@ -1122,75 +1053,26 @@ impl Switch {
         match ev {
             NetEvent::Arrive { port, packet } => {
                 let in_port = port as usize;
-                let verdict = self
-                    .rx_links
-                    .get_mut(in_port)
-                    .and_then(Option::as_mut)
-                    .map(|rx| rx.accept(&packet));
-                match verdict {
-                    None | Some(RxVerdict::Accept { .. }) => {
-                        if let Some(RxVerdict::Accept { ack }) = verdict {
-                            let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                        }
+                let prop = self.timing.link_prop;
+                match self.end_mut(in_port).receive(packet, prop, ctx) {
+                    // Successors released from the reorder window follow
+                    // in sequence order. Credit accounting bounds FIFO +
+                    // window occupancy by the allowance, so the burst
+                    // cannot overflow.
+                    Arrival::Deliver(packet, released) => {
                         self.enqueue(in_port, packet, ctx);
-                        // The arrival may have closed a reorder-window gap:
-                        // deliver the released successors in sequence order.
-                        // Credit accounting bounds FIFO + window occupancy
-                        // by the allowance, so the burst cannot overflow.
-                        let released = self.rx_links[in_port]
-                            .as_mut()
-                            .map(LinkRx::take_ready)
-                            .unwrap_or_default();
                         for p in released {
                             self.enqueue(in_port, p, ctx);
                         }
                         self.pump(ctx);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // A spurious retransmit of an already-parked
-                            // frame: drop the copy silently (the sweep that
-                            // resent it leads with the missing base frame,
-                            // whose ack will carry the bitmap).
-                            self.emit(ctx.now(), &packet, Stage::Dropped);
-                        } else if nack {
-                            self.send_ctrl(
-                                in_port,
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack: self.rx_links[in_port]
-                                        .as_ref()
-                                        .map_or(0, LinkRx::sack_bits),
-                                },
-                                ctx,
-                            );
-                        } else {
-                            // Refresh the sender's view of the window with
-                            // a duplicate cumulative ack + grown bitmap.
-                            let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                        let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                        let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(in_port, CtrlMsg::Nack { expected, sack }, ctx);
-                    }
-                    Some(RxVerdict::Discard) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                    }
+                    Arrival::Held => {}
+                    Arrival::Dropped(packet) => self.emit(ctx.now(), &packet, Stage::Dropped),
                 }
             }
             NetEvent::Credit { port } => {
-                let result = self.out[port as usize]
-                    .as_mut()
+                let result = self
+                    .tx_mut(port as usize)
                     .expect("credited port attached")
                     .on_credit_at(ctx.now());
                 if let Err(err) = result {
@@ -1201,108 +1083,44 @@ impl Switch {
             }
             NetEvent::PumpOut { port } => {
                 clear_bit(&mut self.lazy_free, port as usize);
-                self.out[port as usize]
-                    .as_mut()
+                self.tx_mut(port as usize)
                     .expect("pumped port attached")
                     .on_free();
                 self.mark_pending(port as usize);
                 self.pump(ctx);
             }
             NetEvent::Ctrl { port, frame } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
-                    return;
+                let p = port as usize;
+                let prop = self.timing.link_prop;
+                match self.end_mut(p).on_ctrl(frame, prop, ctx) {
+                    CtrlOutcome::Done => return,
+                    CtrlOutcome::Heartbeat { origin, seq } => {
+                        self.on_heartbeat(p, origin, seq, ctx);
+                        return;
+                    }
+                    CtrlOutcome::Dead(err) => self.on_link_dead(p, err, ctx),
+                    // Mirror the HIB: a completed handshake is traced too,
+                    // so collectors can reconcile traced resync events
+                    // against probe + completion counters.
+                    CtrlOutcome::SyncAck(Some(token)) => self.emit_resync(ctx.now(), token),
+                    CtrlOutcome::Acked | CtrlOutcome::SyncAck(None) => {}
                 }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.out.get_mut(port as usize).and_then(Option::as_mut) {
-                            tx.on_ack(seq, sack, ctx.now());
-                            self.mark_pending(port as usize);
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::Nack { expected, sack } => {
-                        let action = self
-                            .out
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                            .map(|tx| tx.on_nack(expected, sack, ctx.now()));
-                        if let Some(TimerAction::Dead(err)) = action {
-                            self.on_link_dead(port as usize, err, ctx);
-                        }
-                        if action.is_some() {
-                            self.mark_pending(port as usize);
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::SyncReq { token } => {
-                        // Resync replies are idempotent: the drain counter
-                        // is monotone, so answering a retried (or
-                        // duplicated) probe never double-credits.
-                        let drained = self
-                            .rx_links
-                            .get(port as usize)
-                            .and_then(Option::as_ref)
-                            .map(LinkRx::drained)
-                            .unwrap_or(0);
-                        self.send_ctrl(port as usize, CtrlMsg::SyncAck { token, drained }, ctx);
-                    }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        let applied = self
-                            .out
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                            .map(|tx| tx.on_sync_ack(token, drained, ctx.now()));
-                        if let Some(applied) = applied {
-                            if applied {
-                                // Mirror the HIB: a completed handshake is
-                                // traced too, so collectors can reconcile
-                                // traced resync events against probe +
-                                // completion counters.
-                                self.emit_resync(ctx.now(), token);
-                            }
-                            self.mark_pending(port as usize);
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::Heartbeat { origin, seq } => {
-                        self.on_heartbeat(port as usize, origin, seq, ctx);
-                    }
-                    CtrlMsg::Reset { next } => {
-                        // The neighbor's transmit side started a fresh
-                        // epoch after our revival: reseat the expected
-                        // sequence, flush the reorder window (counted),
-                        // and zero the drain counter for resync math.
-                        if let Some(rx) = self
-                            .rx_links
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                        {
-                            rx.on_reset(next);
-                        }
-                    }
-                }
+                self.mark_pending(p);
+                self.pump(ctx);
             }
             NetEvent::RetxTimer { port, gen } => {
-                let action = self
-                    .out
-                    .get_mut(port as usize)
-                    .and_then(Option::as_mut)
-                    .map(|tx| tx.on_timer(gen, ctx.now()))
-                    .unwrap_or(TimerAction::Stale);
-                match action {
+                let p = port as usize;
+                let prop = self.timing.link_prop;
+                match self.end_mut(p).on_timer(gen, prop, ctx) {
                     TimerAction::Retransmit => {
-                        self.mark_pending(port as usize);
+                        self.mark_pending(p);
                         self.pump(ctx);
                     }
-                    TimerAction::Resync { token } => {
-                        self.emit_resync(ctx.now(), token);
-                        self.send_ctrl(port as usize, CtrlMsg::SyncReq { token }, ctx);
-                    }
-                    TimerAction::Dead(err) => self.on_link_dead(port as usize, err, ctx),
+                    TimerAction::Resync { token } => self.emit_resync(ctx.now(), token),
+                    TimerAction::Dead(err) => self.on_link_dead(p, err, ctx),
                     TimerAction::Stale | TimerAction::Idle => {}
                 }
-                self.arm_timer(port as usize, ctx);
+                self.arm_timer(p, ctx);
             }
         }
     }
@@ -1341,7 +1159,7 @@ impl<M: NetMessage> Component<M> for Switch {
         match ev.into_net() {
             Ok(NetEvent::Credit { port }) => {
                 let p = port as usize;
-                let tx = self.out[p].as_mut().expect("credited port attached");
+                let tx = self.tx_mut(p).expect("credited port attached");
                 if let Err(err) = tx.on_credit_at(at) {
                     self.errors.push(err);
                 }
@@ -1351,8 +1169,7 @@ impl<M: NetMessage> Component<M> for Switch {
             }
             Ok(NetEvent::PumpOut { port }) => {
                 clear_bit(&mut self.lazy_free, port as usize);
-                self.out[port as usize]
-                    .as_mut()
+                self.tx_mut(port as usize)
                     .expect("pumped port attached")
                     .on_free();
             }
@@ -1476,7 +1293,7 @@ mod tests {
                 s.set_reliability(rel);
             }
             s.attach_port(0, TxPort::new(id, 0, credits));
-            s.out[0].as_mut().unwrap().launch(&packet, &timing);
+            s.tx_mut(0).unwrap().launch(&packet, &timing);
             s
         };
         let absorbs = |s: &Switch, ev: NetEvent| Component::<NetEvent>::can_absorb(s, &ev);
@@ -1493,7 +1310,7 @@ mod tests {
         assert!(!absorbs(&reliable, credit.clone()) && !absorbs(&reliable, free.clone()));
 
         let mut stalled = switch(1, None);
-        let tx = stalled.out[0].as_mut().unwrap();
+        let tx = stalled.tx_mut(0).unwrap();
         tx.on_free();
         assert!(tx.note_blocked(SimTime::from_ns(1)));
         assert!(!absorbs(&stalled, credit) && absorbs(&stalled, free));

@@ -4,21 +4,21 @@
 //! scripted list of packets into the fabric (respecting credit flow
 //! control) and records everything it receives, with timestamps. The
 //! crate's integration and property tests — and the network micro-benches —
-//! are built from them. When its transmit port was enrolled in the
-//! link-level reliability protocol (see
-//! [`build_network_with`](crate::build_network_with)), the endpoint also
-//! runs the receiver half on its input link and the sender half on its
-//! output link, so fault-injection tests can exercise the whole recovery
-//! path end to end.
+//! are built from them. The endpoint drives its link through the same
+//! [`LinkEnd`] as the switches and the HIB, so when its transmit port was
+//! enrolled in the link-level reliability protocol (see
+//! [`build_network_with`](crate::build_network_with)), fault-injection
+//! tests exercise the shared recovery path end to end.
 
 use std::collections::VecDeque;
 
 use tg_sim::{Component, Ctx, SimTime};
-use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet, TimingConfig, WireMsg};
+use tg_wire::{NodeId, Packet, TimingConfig, WireMsg};
 
+use crate::end::{Arrival, CtrlOutcome, LinkEnd};
 use crate::event::NetEvent;
 use crate::fault::{FaultInjector, FrameFate};
-use crate::link::{LinkError, LinkRx, RxVerdict};
+use crate::link::{LinkError, LinkRx};
 use crate::port::{TimerAction, TxPort};
 
 /// A packet receipt recorded by a [`SourceSink`].
@@ -41,7 +41,8 @@ pub type DeliveryRecord = Receipt;
 pub struct SourceSink {
     name: String,
     node: NodeId,
-    tx: Option<TxPort>,
+    /// The endpoint's one link end, once wired.
+    link: Option<LinkEnd>,
     timing: TimingConfig,
     consume_delay: SimTime,
     pending: VecDeque<Packet>,
@@ -50,14 +51,7 @@ pub struct SourceSink {
     pub received: Vec<Receipt>,
     /// When each injected packet left the endpoint (issue completion).
     pub injected_at: Vec<SimTime>,
-    rx_upstream: Option<(tg_sim::CompId, u32)>,
-    /// Receiver half of the link-level protocol on the input link, when
-    /// reliability is on.
-    rx_link: Option<LinkRx>,
-    injector: Option<FaultInjector>,
     errors: Vec<LinkError>,
-    /// Control frames discarded for a failed checksum.
-    ctrl_discards: u64,
 }
 
 impl SourceSink {
@@ -66,36 +60,42 @@ impl SourceSink {
         SourceSink {
             name: format!("endpoint{}", node.raw()),
             node,
-            tx: None,
+            link: None,
             timing,
             consume_delay: SimTime::from_ns(100),
             pending: VecDeque::new(),
             next_seq: 0,
             received: Vec::new(),
             injected_at: Vec::new(),
-            rx_upstream: None,
-            rx_link: None,
-            injector: None,
             errors: Vec::new(),
-            ctrl_discards: 0,
         }
     }
 
     /// Wires the endpoint after [`build_network`](crate::build_network).
     /// A reliability-enrolled transmit port implies the receiver half on
-    /// the input link.
+    /// the input link. Credits and control frames go back to the transmit
+    /// port's own neighbor, which `rx_upstream` must name (it is checked
+    /// in debug builds).
     pub fn wire(&mut self, tx: TxPort, rx_upstream: (tg_sim::CompId, u32)) {
-        if let Some(params) = tx.rel_params() {
-            self.rx_link = Some(LinkRx::for_params(&params));
-        }
-        self.tx = Some(tx);
-        self.rx_upstream = Some(rx_upstream);
+        debug_assert_eq!(rx_upstream, (tx.neighbor(), tx.neighbor_port()));
+        self.link = Some(LinkEnd::new(tx));
     }
 
     /// Installs the fault injector consulted when this endpoint launches
-    /// frames and returns credits.
+    /// frames, sends control frames and returns credits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint is not wired yet.
     pub fn set_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.link
+            .as_mut()
+            .expect("wire the endpoint first")
+            .set_injector(injector);
+    }
+
+    fn tx(&self) -> Option<&TxPort> {
+        self.link.as_ref().map(LinkEnd::tx)
     }
 
     /// Sets how long the sink takes to consume each arrival before
@@ -125,57 +125,55 @@ impl SourceSink {
 
     /// Frames retransmitted by this endpoint.
     pub fn retransmits(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::retransmits)
+        self.tx().map_or(0, TxPort::retransmits)
     }
 
     /// Wire bytes retransmitted by this endpoint.
     pub fn retx_bytes(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::retx_bytes)
+        self.tx().map_or(0, TxPort::retx_bytes)
     }
 
     /// Control frames this endpoint discarded for a failed checksum.
     pub fn ctrl_discards(&self) -> u64 {
-        self.ctrl_discards
+        self.link.as_ref().map_or(0, LinkEnd::ctrl_discards)
     }
 
     /// Completed credit-resync handshakes on this endpoint's output link.
     pub fn resyncs(&self) -> u64 {
-        self.tx.as_ref().map_or(0, TxPort::resyncs)
+        self.tx().map_or(0, TxPort::resyncs)
     }
 
     /// True once this endpoint's output link was declared dead.
     pub fn link_dead(&self) -> bool {
-        self.tx.as_ref().is_some_and(TxPort::is_dead)
+        self.tx().is_some_and(TxPort::is_dead)
     }
 
     /// Frames this endpoint's receiver NACKed back for landing beyond
     /// the reorder window (go-back-N: past the expected frame).
     pub fn rx_gap_discards(&self) -> u64 {
-        self.rx_link.as_ref().map_or(0, LinkRx::gap_discards)
+        self.link
+            .as_ref()
+            .and_then(LinkEnd::rx)
+            .map_or(0, LinkRx::gap_discards)
     }
 
     /// Launches `packet` (fresh or retransmission), consulting the fault
     /// injector for its fate.
     fn dispatch(&mut self, mut packet: Packet, fresh: bool, ctx: &mut Ctx<'_, NetEvent>) {
         let now = ctx.now();
-        let (times, nbr, nbr_port, link) = {
-            let tx = self.tx.as_mut().expect("wired endpoint");
-            let times = if fresh {
-                tx.launch(&packet, &self.timing)
-            } else {
-                tx.relaunch(&packet, &self.timing)
-            };
-            (times, tx.neighbor(), tx.neighbor_port(), tx.link())
+        let end = self.link.as_mut().expect("wired endpoint");
+        let tx = end.tx_mut();
+        let times = if fresh {
+            tx.launch(&packet, &self.timing)
+        } else {
+            tx.relaunch(&packet, &self.timing)
         };
+        let (nbr, nbr_port) = (tx.neighbor(), tx.neighbor_port());
         ctx.send_self(times.free, NetEvent::PumpOut { port: 0 });
         if fresh {
             self.injected_at.push(now + times.free);
         }
-        let fate = match (self.injector.as_ref(), link) {
-            (Some(inj), Some(link)) => inj.frame_fate(link, now, &mut packet),
-            _ => FrameFate::Deliver,
-        };
-        if fate == FrameFate::Drop {
+        if end.frame_fate(now, &mut packet) == FrameFate::Drop {
             return;
         }
         ctx.send(
@@ -190,7 +188,7 @@ impl SourceSink {
 
     fn pump(&mut self, ctx: &mut Ctx<'_, NetEvent>) {
         loop {
-            let Some(tx) = self.tx.as_mut() else {
+            let Some(tx) = self.link.as_mut().map(LinkEnd::tx_mut) else {
                 return;
             };
             if tx.has_retx_pending() {
@@ -214,207 +212,80 @@ impl SourceSink {
             }
             self.dispatch(packet, true, ctx);
         }
-        if let Some(tx) = self.tx.as_mut() {
-            if let Some((delay, gen)) = tx.poll_timer(ctx.now()) {
+        self.arm_timer(ctx);
+    }
+
+    /// Arms the link-recovery timer when one is needed and none is armed.
+    fn arm_timer(&mut self, ctx: &mut Ctx<'_, NetEvent>) {
+        if let Some(end) = self.link.as_mut() {
+            if let Some((delay, gen)) = end.tx_mut().poll_timer(ctx.now()) {
                 ctx.send_self(delay, NetEvent::RetxTimer { port: 0, gen });
             }
         }
     }
 
-    /// Returns the credit for a consumed arrival, unless the injector
-    /// loses it on the way back up.
-    fn return_credit(&mut self, ctx: &mut Ctx<'_, NetEvent>) {
-        let (up, port) = self.rx_upstream.expect("wired endpoint");
-        let link = self.tx.as_ref().and_then(TxPort::link);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.credit_lost(link, ctx.now()) {
-                return;
-            }
-        }
-        ctx.send(
-            up,
-            self.consume_delay + self.timing.link_prop,
-            NetEvent::Credit { port },
-        );
-    }
-
-    /// Seals and launches one control frame toward the upstream switch
-    /// after `delay`, consulting the injector for its fate. The endpoint's
-    /// transmit link and its credit-return path share one physical link,
-    /// so control traffic in either role rides `tx.link()`.
-    fn send_ctrl(&mut self, msg: CtrlMsg, delay: SimTime, ctx: &mut Ctx<'_, NetEvent>) {
-        let (up, port) = self.rx_upstream.expect("wired endpoint");
-        let link = self.tx.as_ref().and_then(TxPort::link);
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, ctx.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
-        }
-        ctx.send(up, delay, NetEvent::Ctrl { port, frame });
-    }
-
-    /// Sinks one accepted arrival: record the receipt, bump the drain
-    /// counter, and start the credit on its way back.
+    /// Sinks one accepted arrival: record the receipt, then count the
+    /// drain and start the credit on its way back, unless the injector
+    /// loses it.
     fn consume(&mut self, packet: Packet, ctx: &mut Ctx<'_, NetEvent>) {
-        if let Some(rx) = self.rx_link.as_mut() {
-            rx.on_drain();
-        }
         self.received.push(Receipt {
             at: ctx.now(),
             packet,
         });
-        self.return_credit(ctx);
+        let end = self.link.as_mut().expect("wired endpoint");
+        if let Some((up, credit)) = end.drain(ctx) {
+            ctx.send(up, self.consume_delay + self.timing.link_prop, credit);
+        }
     }
 }
 
 impl Component<NetEvent> for SourceSink {
     fn on_event(&mut self, ev: NetEvent, ctx: &mut Ctx<'_, NetEvent>) {
+        let prop = self.timing.link_prop;
+        let Some(end) = self.link.as_mut() else {
+            return;
+        };
         match ev {
             NetEvent::Arrive { packet, .. } => {
-                let verdict = self.rx_link.as_mut().map(|rx| rx.accept(&packet));
-                match verdict {
-                    None => self.consume(packet, ctx),
-                    Some(RxVerdict::Accept { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(CtrlMsg::Ack { seq: ack, sack }, self.timing.link_prop, ctx);
-                        // The sink consumes immediately for protocol
-                        // purposes; the drain counter feeds resync.
-                        self.consume(packet, ctx);
-                        // The arrival may have closed a reorder-window
-                        // gap: consume the released successors in order.
-                        let released = self
-                            .rx_link
-                            .as_mut()
-                            .map(LinkRx::take_ready)
-                            .unwrap_or_default();
-                        for p in released {
-                            self.consume(p, ctx);
-                        }
+                // The sink consumes at once, in sequence order; the drain
+                // counter feeds resync.
+                if let Arrival::Deliver(packet, released) = end.receive(packet, prop, ctx) {
+                    self.consume(packet, ctx);
+                    for p in released {
+                        self.consume(p, ctx);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // Spurious retransmit of a parked frame;
-                            // nothing to report (the missing base frame's
-                            // ack will carry the bitmap).
-                        } else if nack {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack,
-                                },
-                                self.timing.link_prop,
-                                ctx,
-                            );
-                        } else {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Ack { seq: ack, sack },
-                                self.timing.link_prop,
-                                ctx,
-                            );
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(CtrlMsg::Ack { seq: ack, sack }, self.timing.link_prop, ctx);
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Nack { expected, sack },
-                            self.timing.link_prop,
-                            ctx,
-                        );
-                    }
-                    Some(RxVerdict::Discard) => {}
                 }
             }
             NetEvent::Credit { .. } => {
-                if let Some(tx) = self.tx.as_mut() {
-                    if let Err(err) = tx.on_credit_at(ctx.now()) {
-                        self.errors.push(err);
-                    }
+                if let Err(err) = end.tx_mut().on_credit_at(ctx.now()) {
+                    self.errors.push(err);
                 }
                 self.pump(ctx);
             }
             NetEvent::PumpOut { .. } => {
-                if let Some(tx) = self.tx.as_mut() {
-                    tx.on_free();
-                }
+                end.tx_mut().on_free();
                 self.pump(ctx);
             }
             NetEvent::Ctrl { frame, .. } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
-                    return;
-                }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_ack(seq, sack, ctx.now());
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::Nack { expected, sack } => {
-                        if let Some(TimerAction::Dead(err)) = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_nack(expected, sack, ctx.now()))
-                        {
-                            self.errors.push(err);
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::SyncReq { token } => {
-                        let drained = self.rx_link.as_ref().map(LinkRx::drained).unwrap_or(0);
-                        // The reply travels with the same latency as credit
-                        // returns, so it can never overtake a credit
-                        // already in flight (which the drain count
-                        // includes).
-                        self.send_ctrl(
-                            CtrlMsg::SyncAck { token, drained },
-                            self.consume_delay + self.timing.link_prop,
-                            ctx,
-                        );
-                    }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_sync_ack(token, drained, ctx.now());
-                        }
-                        self.pump(ctx);
-                    }
+                // The resync reply travels with the same latency as credit
+                // returns, so it can never overtake a credit already in
+                // flight (which the drain count includes).
+                match end.on_ctrl(frame, self.consume_delay + prop, ctx) {
+                    CtrlOutcome::Dead(err) => self.errors.push(err),
+                    CtrlOutcome::Acked | CtrlOutcome::SyncAck(_) => {}
                     // Test endpoints run no failure detector: beacons
                     // flooding past are sunk silently.
-                    CtrlMsg::Heartbeat { .. } => {}
-                    CtrlMsg::Reset { next } => {
-                        if let Some(rx) = self.rx_link.as_mut() {
-                            rx.on_reset(next);
-                        }
-                    }
+                    CtrlOutcome::Done | CtrlOutcome::Heartbeat { .. } => return,
                 }
+                self.pump(ctx);
             }
             NetEvent::RetxTimer { gen, .. } => {
-                let action = self
-                    .tx
-                    .as_mut()
-                    .map(|tx| tx.on_timer(gen, ctx.now()))
-                    .unwrap_or(TimerAction::Stale);
-                match action {
+                match end.on_timer(gen, prop, ctx) {
                     TimerAction::Retransmit => self.pump(ctx),
-                    TimerAction::Resync { token } => {
-                        self.send_ctrl(CtrlMsg::SyncReq { token }, self.timing.link_prop, ctx);
-                    }
                     TimerAction::Dead(err) => self.errors.push(err),
-                    TimerAction::Stale | TimerAction::Idle => {}
+                    TimerAction::Resync { .. } | TimerAction::Stale | TimerAction::Idle => {}
                 }
-                if let Some(tx) = self.tx.as_mut() {
-                    if let Some((delay, gen)) = tx.poll_timer(ctx.now()) {
-                        ctx.send_self(delay, NetEvent::RetxTimer { port: 0, gen });
-                    }
-                }
+                self.arm_timer(ctx);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The `tg` binary end to end: the perf gate passes a baseline against
-//! itself and fires on a synthetic 10% latency regression, and bad
-//! command lines exit 1 with one line on stderr.
+//! itself and fires on a synthetic 10% latency regression, bad command
+//! lines exit 1 with one line on stderr, and a crash run that cannot
+//! finish exits 1 instead of hanging.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -63,4 +64,16 @@ fn bad_command_lines_exit_1_with_one_line() {
         assert_eq!(stderr.lines().count(), 1, "{line}: {stderr}");
         assert!(out.stdout.is_empty(), "{line}");
     }
+}
+
+/// A crash run whose survivors wait forever at the stencil barrier ends
+/// at the run limit and reports the deadlock instead of hanging.
+#[test]
+fn a_crash_run_that_cannot_finish_exits_1() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("crash_trace.json");
+    let args = ["trace", "stencil", "--crash", "1,20", "--out"];
+    let run = tg(&[&args[..], &[out.to_str().unwrap()]].concat());
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("workload deadlocked"), "{stderr}");
 }

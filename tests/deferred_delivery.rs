@@ -5,9 +5,10 @@
 //! the way `tg trace --out` does, and compares an FNV-1a fingerprint of
 //! the file bytes with the one recorded from the trace the simulator
 //! wrote before the engine learnt to absorb events. The stencil run
-//! absorbs credits and port-free events; the two fault runs (a fabric
-//! view with go-back-N links, SACK links with a crash and restart) must
-//! absorb nothing and stay eager. The logical event count (delivered +
+//! absorbs credits and port-free events; the fault runs (a fabric view
+//! with go-back-N links, SACK links with a crash and restart, and lossy
+//! control planes on both disciplines) must absorb nothing and stay
+//! eager. The logical event count (delivered +
 //! absorbed + inlined) is pinned to what the simulator delivered before
 //! it inlined anything. The KV test pins a shrunk `perfbench` `kv` run
 //! the same way, by its audit fingerprint and latency percentiles, and a
@@ -95,6 +96,34 @@ fn sack_crash_restart_trace_is_pinned_and_eager() {
     // the same instant, so none runs in place.
     assert_eq!(engine.events_inlined, 0);
     assert_eq!(engine.logical_events(), 1_328);
+}
+
+/// `tg trace stencil --drop 0.10 --ctrl-drop 0.25 --ctrl-corrupt 0.10`
+/// and its `--sack` twin: lossy data and control planes on go-back-N and
+/// SACK links, the main exercise of the held, NACK and credit-resync
+/// reactions. Pinned to the traces the simulator wrote before the switch,
+/// the HIB and the test endpoint shared one link end. Reliable links
+/// absorb nothing.
+#[test]
+fn ctrl_fault_traces_are_pinned_and_eager() {
+    for (mode, pin, logical) in [
+        (RetxMode::GoBackN, 0x4af7_ebfd_14b7_960c, 4_669),
+        (RetxMode::Sack, 0x11df_27a7_2487_f89f, 4_434),
+    ] {
+        let opts = HarnessOptions {
+            reliable: true,
+            mode,
+            drop: 0.10,
+            ctrl_drop: 0.25,
+            ctrl_corrupt: 0.10,
+            ..HarnessOptions::default()
+        };
+        let (cluster, _) = harness::build_stencil(&opts, 8, 4);
+        let (fingerprint, engine) = trace_pin(cluster, &opts);
+        assert_eq!(fingerprint, pin, "{mode:?}");
+        assert_eq!(engine.events_absorbed, 0, "{mode:?}");
+        assert_eq!(engine.logical_events(), logical, "{mode:?}");
+    }
 }
 
 /// The `perfbench` `kv` workload shrunk to 4 clients x 64 requests: a
