@@ -3,8 +3,8 @@
 use tg_hib::{HibConfig, HibTick, PageMode};
 use tg_mem::{PAddr, PageFlags, VAddr};
 use tg_net::{
-    build_network_with, CreditLedger, DetectParams, FabricView, FaultInjector, FaultPlan,
-    FaultStats, LinkId, NetConfig, NetEvent, RelParams, StalledLink, Topology, Vertex,
+    build_network_with, DetectParams, FabricView, FaultInjector, FaultPlan, FaultStats, LinkId,
+    NetConfig, NetEvent, PortSnapshot, RelParams, StalledLink, Topology, Vertex,
 };
 use tg_sim::{CompId, Engine, RunLimit, SimTime};
 use tg_wire::trace::{SharedProbe, Site};
@@ -271,40 +271,16 @@ pub enum ComponentDetail {
     },
 }
 
-/// Statistics for one **directed** link hop, joined from both ends: the
-/// transmit half from the port driving the link, the receive half from
-/// the input FIFO at its far end. Assembled by
-/// [`Cluster::link_snapshots`]; the canonical metric names for these
-/// fields are `link.<from>-<to>.<metric>` (see [`tg_wire::metric`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LinkSnapshot {
-    /// The directed link.
-    pub link: LinkId,
-    /// Frames launched on the link (fresh + retransmitted).
-    pub tx_packets: u64,
-    /// Wire bytes launched on the link.
-    pub tx_bytes: u64,
-    /// Credits in hand at the transmitting port.
-    pub credits: u32,
-    /// Initial credit allowance.
-    pub allowance: u32,
-    /// Cumulative credit-stall time at the transmitting port.
-    pub credit_stall: SimTime,
-    /// Frames retransmitted on the link.
-    pub retransmits: u64,
-    /// Wire bytes retransmitted on the link (header + payload of every
-    /// retransmission — the wire-efficiency cost of recovery).
-    pub retx_bytes: u64,
-    /// Completed credit-resync handshakes on the link.
-    pub resyncs: u64,
-    /// Credit-resync probes issued on the link.
-    pub resync_probes: u64,
-    /// Packets sitting in the receiving end's input FIFO right now.
-    pub rx_fifo_depth: u32,
-    /// Deepest occupancy that FIFO ever reached.
-    pub rx_fifo_high_water: u32,
-    /// Frames the receiving end's link layer rejected.
-    pub rx_discards: u64,
+/// Queue and stall state of one fabric element, folded over its ports'
+/// read-out.
+#[derive(Clone, Copy, Default)]
+struct Occupancy {
+    /// Packets queued in its input FIFOs.
+    depth: usize,
+    /// Deepest occupancy any of its input FIFOs reached.
+    high_water: u32,
+    /// Credit-stall time summed over its transmit ports.
+    stall: SimTime,
 }
 
 /// Queue and link state of one workstation when the watchdog tripped.
@@ -722,45 +698,32 @@ impl Cluster {
     }
 
     fn deadlock_report(&self, at: SimTime, progress: u64) -> DeadlockReport {
-        let mut links = Vec::new();
-        for &id in &self.switches {
-            let sw = self.switch(id);
-            links.extend(sw.stalled_links());
-        }
-        let mut nodes = Vec::new();
-        for i in 0..self.n {
-            let node = self.node(i);
-            if self.site_crashed(Site::Node(node.id()), at) {
+        let (mut links, mut nodes) = (Vec::new(), Vec::new());
+        for p in self.ports() {
+            // A switch port is blocked while its credit-stall window is
+            // open; a workstation's while its HIB queues packets with no
+            // credit in hand.
+            let blocked = match p.link.from {
+                Site::Switch(_) => p.credit_stalled,
                 // A crashed workstation's stranded queues are the fault
                 // plan at work, not a deadlock.
-                continue;
-            }
-            let hib = node.hib();
-            let (tx_queue, rx_fifo) = (node.tx_queue_depth(), node.rx_fifo_depth());
-            let (unacked, dead) = (hib.unacked(), hib.link_dead());
-            if dead || unacked > 0 || (tx_queue > 0 && hib.tx_credits() == 0) {
-                links.push(StalledLink {
-                    link: hib.tx_link().unwrap_or_else(|| {
-                        LinkId::new(Site::Node(node.id()), Site::Node(node.id()))
-                    }),
-                    dead,
-                    stranded: unacked,
-                    credits: hib.tx_credits(),
-                    retransmits: hib.retransmits(),
-                    attempts: hib.consecutive_attempts(),
-                    starved: hib.ack_starved(),
-                });
-            }
-            if tx_queue > 0 || rx_fifo > 0 || unacked > 0 || dead {
-                nodes.push(StalledNode {
-                    node: node.id(),
-                    tx_queue,
-                    rx_fifo,
-                    unacked,
-                    credits: hib.tx_credits(),
-                    dead,
-                });
-            }
+                site @ Site::Node(_) if self.site_crashed(site, at) => continue,
+                Site::Node(id) => {
+                    let tx_queue = self.node(id.raw()).tx_queue_depth();
+                    if tx_queue > 0 || p.rx_fifo_depth > 0 || p.unacked > 0 || p.dead {
+                        nodes.push(StalledNode {
+                            node: id,
+                            tx_queue,
+                            rx_fifo: p.rx_fifo_depth as usize,
+                            unacked: p.unacked,
+                            credits: p.credits,
+                            dead: p.dead,
+                        });
+                    }
+                    tx_queue > 0 && p.credits == 0
+                }
+            };
+            links.extend(p.stalled(blocked));
         }
         // A stalled link with a crashed endpoint is expected silence.
         links.retain(|l| !self.site_crashed(l.link.from, at) && !self.site_crashed(l.link.to, at));
@@ -812,30 +775,22 @@ impl Cluster {
             .map(|inj| !inj.plan().crash_windows().is_empty())
             .unwrap_or(false);
         let mut violations = Vec::new();
-        let mut ledgers: Vec<CreditLedger> = Vec::new();
-        let mut queued: u64 = 0;
-        for &id in &self.switches {
-            let sw = self.switch(id);
-            ledgers.extend(sw.credit_ledgers());
-            queued += sw.fifo_depth_total() as u64;
+        let ports: Vec<PortSnapshot> = self.ports().collect();
+        let queued: u64 = ports.iter().map(|p| u64::from(p.rx_fifo_depth)).sum();
+        let unacked: u64 = ports.iter().map(|p| p.unacked as u64).sum();
+        for p in &ports {
+            if p.overcommitted() || (queued == 0 && !crashy && !p.balanced()) {
+                violations.push(format!(
+                    "credit leak on {}: {} in hand + {} unacked != allowance {}",
+                    p.link, p.credits, p.unacked, p.allowance
+                ));
+            }
         }
         let (mut injected, mut committed) = (0u64, 0u64);
         for i in 0..self.n {
-            let node = self.node(i);
-            ledgers.extend(node.hib().credit_ledger());
-            queued += node.rx_fifo_depth() as u64;
-            let st = node.hib_stats();
+            let st = self.node(i).hib_stats();
             injected += st.pkts_tx;
             committed += st.committed;
-        }
-        let drained = queued == 0;
-        let mut unacked: u64 = 0;
-        for l in &ledgers {
-            unacked += l.unacked as u64;
-            let overcommit = u64::from(l.credits) + l.unacked as u64 > u64::from(l.allowance);
-            if overcommit || (drained && !crashy && !l.balanced()) {
-                violations.push(format!("credit leak on {l}"));
-            }
         }
         if crashy {
             let lost = self
@@ -859,14 +814,7 @@ impl Cluster {
         // Under a crash plan a survivor may legitimately hold frames
         // parked on a gap whose filler died with the crashed origin.
         if !crashy {
-            let mut parked: usize = 0;
-            for &id in &self.switches {
-                let sw = self.switch(id);
-                parked += sw.reorder_depth_total();
-            }
-            for i in 0..self.n {
-                parked += self.node(i).hib().reorder_depth();
-            }
+            let parked: usize = ports.iter().map(|p| p.reorder_depth).sum();
             if parked > 0 {
                 violations.push(format!(
                     "reorder leak: {parked} frames still parked in SACK windows"
@@ -889,28 +837,48 @@ impl Cluster {
         self.injector.as_ref().map(|i| i.plan().clone())
     }
 
-    /// Sums a per-port counter over every switch and every HIB.
-    fn fabric_sum(&self, sw: fn(&tg_net::Switch) -> u64, hib: fn(&tg_hib::Hib) -> u64) -> u64 {
-        let switches: u64 = self.switches.iter().map(|&s| sw(self.switch(s))).sum();
-        switches + (0..self.n).map(|i| hib(self.node(i).hib())).sum::<u64>()
+    /// The read-out of every fabric port, in a deterministic order:
+    /// switch ports in fabric order, then node uplinks. A port belongs to
+    /// the element its link leaves, `link.from`.
+    fn ports(&self) -> impl Iterator<Item = PortSnapshot> + '_ {
+        let switches = self.switches.iter();
+        let switch_ports = switches.flat_map(|&id| self.switch(id).port_snapshots());
+        switch_ports.chain((0..self.n).filter_map(|i| self.node(i).hib().port_snapshot()))
+    }
+
+    /// Per node, then per switch, the occupancy folded from the ports'
+    /// read-out.
+    fn occupancy(&self) -> (Vec<Occupancy>, Vec<Occupancy>) {
+        let mut nodes = vec![Occupancy::default(); usize::from(self.n)];
+        let mut switches = vec![Occupancy::default(); self.switches.len()];
+        for p in self.ports() {
+            let o = match p.link.from {
+                Site::Node(id) => &mut nodes[id.index()],
+                Site::Switch(k) => &mut switches[usize::from(k)],
+            };
+            o.depth += p.rx_fifo_depth as usize;
+            o.high_water = o.high_water.max(p.rx_fifo_high_water);
+            o.stall += p.credit_stall;
+        }
+        (nodes, switches)
     }
 
     /// Frames retransmitted across the whole fabric (switch output ports
     /// and HIB transmit ports).
     pub fn fabric_retransmits(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::retransmits, tg_hib::Hib::retransmits)
+        self.ports().map(|p| p.retransmits).sum()
     }
 
     /// Completed credit-resync handshakes across the whole fabric.
     pub fn fabric_resyncs(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::resyncs, tg_hib::Hib::resyncs)
+        self.ports().map(|p| p.resyncs).sum()
     }
 
     /// Credit-resync probes issued across the whole fabric. Every traced
     /// `CreditResync` event marks either a probe launch or a completed
     /// handshake, so traced events reconcile as probes + resyncs.
     pub fn fabric_resync_probes(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::resync_probes, tg_hib::Hib::resync_probes)
+        self.ports().map(|p| p.resync_probes).sum()
     }
 
     /// Frames rejected by receive link layers across the whole fabric
@@ -918,14 +886,14 @@ impl Cluster {
     /// injector's drop tallies these account for every traced `Dropped`
     /// event on a fabric without FIFO-overflow errors.
     pub fn fabric_rx_discards(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::rx_discards, tg_hib::Hib::rx_discards)
+        self.ports().map(|p| p.rx_discards).sum()
     }
 
     /// Wire bytes retransmitted across the whole fabric — the
     /// wire-efficiency cost of loss recovery (go-back-N resends every
     /// in-flight successor of a lost frame; SACK only the missing ones).
     pub fn fabric_retx_bytes(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::retx_bytes, tg_hib::Hib::retx_bytes)
+        self.ports().map(|p| p.retx_bytes).sum()
     }
 
     /// Control frames discarded for a failed checksum across the whole
@@ -933,72 +901,31 @@ impl Cluster {
     /// bits, it does not drop), so this total reconciles exactly against
     /// the injector's `ctrl_corrupts` tally.
     pub fn fabric_ctrl_discards(&self) -> u64 {
-        self.fabric_sum(tg_net::Switch::ctrl_discards, tg_hib::Hib::ctrl_discards)
+        self.ports().map(|p| p.ctrl_discards).sum()
     }
 
-    /// Per-directed-link statistics joined from both ends of every hop.
+    /// Per-directed-link statistics joined from both ends of every hop,
+    /// in a deterministic order (each port's link, then its reverse, as
+    /// the ports come: switch ports in fabric order, then node uplinks).
     ///
-    /// Each fabric element reports one [`tg_net::PortSnapshot`] per port:
-    /// the transmit half of the link it drives plus the receive half of
-    /// the reverse hop. This method folds those into one
-    /// [`LinkSnapshot`] per directed link, in a deterministic order
-    /// (switch ports in fabric order, then node uplinks).
-    pub fn link_snapshots(&self) -> Vec<LinkSnapshot> {
-        let mut ports = Vec::new();
-        for &id in &self.switches {
-            let sw = self.switch(id);
-            ports.extend(sw.port_snapshots());
-        }
-        for i in 0..self.n {
-            ports.extend(self.node(i).hib().port_snapshot());
-        }
-        let mut order: Vec<LinkId> = Vec::with_capacity(ports.len());
-        let mut index: std::collections::HashMap<LinkId, usize> =
-            std::collections::HashMap::with_capacity(ports.len());
-        let mut slot =
-            |link: LinkId, order: &mut Vec<LinkId>, out: &mut Vec<LinkSnapshot>| -> usize {
-                *index.entry(link).or_insert_with(|| {
-                    order.push(link);
-                    out.push(LinkSnapshot {
-                        link,
-                        tx_packets: 0,
-                        tx_bytes: 0,
-                        credits: 0,
-                        allowance: 0,
-                        credit_stall: SimTime::ZERO,
-                        retransmits: 0,
-                        retx_bytes: 0,
-                        resyncs: 0,
-                        resync_probes: 0,
-                        rx_fifo_depth: 0,
-                        rx_fifo_high_water: 0,
-                        rx_discards: 0,
-                    });
-                    out.len() - 1
-                })
-            };
-        let mut out: Vec<LinkSnapshot> = Vec::with_capacity(ports.len());
-        for p in &ports {
-            let i = slot(p.link, &mut order, &mut out);
-            let s = &mut out[i];
-            s.tx_packets = p.tx_packets;
-            s.tx_bytes = p.tx_bytes;
-            s.credits = p.credits;
-            s.allowance = p.allowance;
-            s.credit_stall = p.credit_stall;
-            s.retransmits = p.retransmits;
-            s.retx_bytes = p.retx_bytes;
-            s.resyncs = p.resyncs;
-            s.resync_probes = p.resync_probes;
-            // The receive half of this element belongs to the reverse hop.
-            let rev = LinkId::new(p.link.to, p.link.from);
-            let j = slot(rev, &mut order, &mut out);
-            let r = &mut out[j];
-            r.rx_fifo_depth = p.rx_fifo_depth;
-            r.rx_fifo_high_water = p.rx_fifo_high_water;
-            r.rx_discards = p.rx_discards;
-        }
-        out
+    /// Each port's read-out holds the transmit half of the link it drives
+    /// and the receive half of the reverse hop; every link is one of a
+    /// bidirectional pair, so [`PortSnapshot::joined`] with the port at
+    /// the far end gives the whole link. The canonical metric names for
+    /// the fields are `link.<from>-<to>.<metric>` (see
+    /// [`tg_wire::metric`]).
+    pub fn link_snapshots(&self) -> Vec<PortSnapshot> {
+        let ports: Vec<PortSnapshot> = self.ports().collect();
+        let driver: std::collections::HashMap<LinkId, &PortSnapshot> =
+            ports.iter().map(|p| (p.link, p)).collect();
+        let mut seen = std::collections::HashSet::with_capacity(ports.len());
+        let links = ports
+            .iter()
+            .flat_map(|p| [p.link, LinkId::new(p.link.to, p.link.from)]);
+        links
+            .filter(|&link| seen.insert(link))
+            .map(|link| driver[&link].joined(driver[&LinkId::new(link.to, link.from)]))
+            .collect()
     }
 
     /// Structured link errors recorded anywhere in the fabric, with the
@@ -1040,22 +967,23 @@ impl Cluster {
     /// back-pressure built up.
     pub fn component_stats(&self) -> Vec<ComponentReport> {
         let per = self.engine.component_stats();
+        let (node_occ, switch_occ) = self.occupancy();
         let mut out = Vec::with_capacity(self.nodes.len() + self.switches.len());
-        for &id in &self.nodes {
+        for (&id, occ) in self.nodes.iter().zip(node_occ) {
             let node = self.engine.get::<Node>(id).expect("node component");
             out.push(ComponentReport {
                 name: format!("node{}", node.id().raw()),
                 events: per[id.index()],
                 kinds: node.event_kinds(),
                 detail: ComponentDetail::Node {
-                    rx_fifo_high_water: node.rx_fifo_high_water(),
-                    rx_fifo_depth: node.rx_fifo_depth(),
+                    rx_fifo_high_water: occ.high_water,
+                    rx_fifo_depth: occ.depth,
                     tx_queue_depth: node.tx_queue_depth(),
-                    credit_stall: node.credit_stall(),
+                    credit_stall: occ.stall,
                 },
             });
         }
-        for (k, &id) in self.switches.iter().enumerate() {
+        for (k, (&id, occ)) in self.switches.iter().zip(switch_occ).enumerate() {
             let sw = self.switch(id);
             let st = sw.stats();
             let mut kinds = [0; ClusterEvent::KINDS.len()];
@@ -1068,9 +996,9 @@ impl Cluster {
                     packets: st.packets,
                     bytes: st.bytes,
                     blocked: st.blocked,
-                    fifo_high_water: sw.max_fifo_high_water(),
-                    fifo_depth: sw.fifo_depth_total(),
-                    credit_stall: sw.credit_stall(),
+                    fifo_high_water: occ.high_water,
+                    fifo_depth: occ.depth,
+                    credit_stall: occ.stall,
                 },
             });
         }

@@ -7,7 +7,7 @@ use tg_wire::metric;
 use tg_wire::trace::{OpKind, Site};
 use tg_wire::NodeId;
 
-use super::{Cluster, DeadlockReport, LinkSnapshot};
+use super::{Cluster, DeadlockReport, PortSnapshot};
 
 /// When a [`Cluster::drive`] run has done its work.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -262,17 +262,12 @@ impl<'a> Sampler<'a> {
         let bytes = c.fabric_bytes();
         let util = utilization(bytes - self.prev_bytes);
         self.prev_bytes = bytes;
+        let (nodes, switches) = c.occupancy();
         let mut stall = SimTime::ZERO;
-        for (i, &series) in self.node_depth.iter().enumerate() {
-            let node = c.node(i as u16);
-            stall += node.credit_stall();
-            self.metrics.record(series, at, node.rx_fifo_depth() as f64);
-        }
-        for (&id, &series) in c.switches.iter().zip(&self.switch_depth) {
-            let sw = c.switch(id);
-            stall += sw.credit_stall();
-            self.metrics
-                .record(series, at, sw.fifo_depth_total() as f64);
+        let depths = self.node_depth.iter().zip(&nodes);
+        for (&series, o) in depths.chain(self.switch_depth.iter().zip(&switches)) {
+            stall += o.stall;
+            self.metrics.record(series, at, o.depth as f64);
         }
         let fabric = [bytes as f64, util, stall.as_us_f64()];
         for (series, value) in self.fabric.into_iter().zip(fabric) {
@@ -293,17 +288,18 @@ impl<'a> Sampler<'a> {
     fn finish(self, c: &Cluster) {
         let m = self.metrics;
         let links = c.link_snapshots();
+        let (nodes, switches) = c.occupancy();
         let mut gauge = |name: String, value: u32| {
             let g = m.gauge(&name);
             m.set_gauge(g, f64::from(value));
         };
-        for i in 0..c.n {
+        for (i, o) in (0..c.n).zip(&nodes) {
             let name = metric::site_metric(node_site(i), "rx_fifo_high_water");
-            gauge(name, c.node(i).rx_fifo_high_water());
+            gauge(name, o.high_water);
         }
-        for (k, &id) in c.switches.iter().enumerate() {
+        for (k, o) in switches.iter().enumerate() {
             let name = metric::site_metric(Site::Switch(k as u16), "fifo_high_water");
-            gauge(name, c.switch(id).max_fifo_high_water());
+            gauge(name, o.high_water);
         }
         // (Final link credit-stall totals live in the `.stall_us` series'
         // last sample; registering a same-named gauge would collide.)
@@ -373,6 +369,6 @@ fn node_site(i: u16) -> Site {
     Site::Node(NodeId::new(i))
 }
 
-fn link_name(l: &LinkSnapshot, leaf: &str) -> String {
+fn link_name(l: &PortSnapshot, leaf: &str) -> String {
     metric::link_metric(l.link.from, l.link.to, leaf)
 }

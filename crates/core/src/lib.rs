@@ -58,8 +58,8 @@ pub mod sync;
 pub mod vsm;
 
 pub use cluster::{
-    Cluster, ClusterBuilder, ComponentDetail, ComponentReport, DeadlockReport, Drive, LinkSnapshot,
-    SharedPage, StalledNode, Stop, PAGED_VA_BASE, PRIVATE_VA_BASE, SHARED_VA_BASE,
+    Cluster, ClusterBuilder, ComponentDetail, ComponentReport, DeadlockReport, Drive, SharedPage,
+    StalledNode, Stop, PAGED_VA_BASE, PRIVATE_VA_BASE, SHARED_VA_BASE,
 };
 pub use event::ClusterEvent;
 pub use node::Node;
@@ -73,6 +73,6 @@ pub use stats::NodeStats;
 // and binaries need only this crate.
 pub use tg_hib::OpError;
 pub use tg_net::{
-    CrashWindow, DetectParams, FaultPlan, FaultStats, LinkError, LinkId, RelParams, RetxMode,
-    StalledLink, Topology,
+    CrashWindow, DetectParams, FaultPlan, FaultStats, LinkError, LinkId, PortSnapshot, RelParams,
+    RetxMode, StalledLink, Topology,
 };

@@ -314,25 +314,9 @@ impl Node {
         self.probe = Some(probe);
     }
 
-    /// Deepest occupancy the HIB's receive FIFO has reached.
-    pub fn rx_fifo_high_water(&self) -> u32 {
-        self.hib.rx_fifo_high_water()
-    }
-
-    /// Packets currently queued in the HIB's receive FIFO.
-    pub fn rx_fifo_depth(&self) -> usize {
-        self.hib.rx_fifo_depth()
-    }
-
     /// Packets currently queued for transmission at the HIB.
     pub fn tx_queue_depth(&self) -> usize {
         self.hib.tx_queue_depth()
-    }
-
-    /// Total simulated time the HIB's transmit port spent blocked on
-    /// credits (link back-pressure).
-    pub fn credit_stall(&self) -> SimTime {
-        self.hib.credit_stall()
     }
 
     /// The HIB's pending-write CAM (experiment E7).

@@ -1,6 +1,7 @@
 //! Fault-tolerance regressions at the full-cluster level: fault masking
 //! (same memory and operation counts as a fault-free run), the
-//! no-progress watchdog naming a dead link, conservation checks catching
+//! no-progress watchdog naming a dead link (at a node and at a switch
+//! port, its rendered report pinned), conservation checks catching
 //! a leaked credit, and fence completion surviving a retransmit storm.
 
 use telegraphos::{Action, ClusterBuilder, Drive, FaultPlan, LinkId, RelParams, Script};
@@ -96,6 +97,12 @@ fn watchdog_names_a_permanently_dead_link() {
     let report = cluster
         .drive(Drive::watchdog(SimTime::from_us(500)))
         .expect_err("a dead link must trip the watchdog");
+    assert_eq!(
+        report.to_string(),
+        "no progress for a full watchdog window (declared at 315.000us, 1 units committed):\n\
+         \x20 link node0->switch0: DEAD, 1 stranded, 7 credits, 5 retransmits (6 unanswered)\n\
+         \x20 node0: 0 queued, 0 in rx FIFO, 1 unacked, 7 credits, link DEAD\n"
+    );
     assert!(
         report.dead_links().contains(&victim_uplink(0)),
         "report does not name the dead link: {report}"
@@ -117,6 +124,36 @@ fn watchdog_names_a_permanently_dead_link() {
     assert!(
         cluster.node(0).stats().link_failures > 0,
         "the OS never saw a link-failure interrupt"
+    );
+}
+
+/// A switch port whose link died: the watchdog names the switch's
+/// transmit side of the dead hop and the nodes still holding work.
+#[test]
+fn watchdog_names_a_dead_switch_port() {
+    let downlink = LinkId::new(Site::Switch(0), Site::Node(NodeId::new(1)));
+    let plan = FaultPlan::new(0xBAD12).permanent_outage(downlink, SimTime::ZERO);
+    let params = RelParams {
+        max_retries: 5,
+        ..RelParams::default()
+    };
+    let mut cluster = ClusterBuilder::new(3)
+        .reliable_links(params)
+        .with_faults(plan)
+        .build();
+    let page = cluster.alloc_shared(1);
+    for n in [0, 2] {
+        let acts = (0..4).flat_map(|i| [Action::Write(page.va(8 * i), i), Action::Fence]);
+        cluster.set_process(n, Script::new(acts.collect()));
+    }
+    let report = cluster
+        .drive(Drive::watchdog(SimTime::from_us(500)))
+        .expect_err("a dead downlink must trip the watchdog");
+    assert_eq!(
+        report.to_string(),
+        "no progress for a full watchdog window (declared at 310.810us, 2 units committed):\n\
+         \x20 link switch0->node1: DEAD, 2 stranded, 6 credits, 10 retransmits (6 unanswered)\n\
+         \x20 PARTITION: live nodes unreachable by routing: node1\n"
     );
 }
 
@@ -168,6 +205,15 @@ fn conservation_check_catches_a_leaked_credit() {
     // still 999ms out.
     cluster.run_until(SimTime::from_us(1_000));
     let violations = cluster.conservation_violations();
+    assert_eq!(
+        violations,
+        [
+            "credit leak on switch0->node0: 7 in hand + 0 unacked != allowance 8",
+            "credit leak on switch0->node1: 7 in hand + 0 unacked != allowance 8",
+            "credit leak on node0->switch0: 7 in hand + 0 unacked != allowance 8",
+            "credit leak on node1->switch0: 7 in hand + 0 unacked != allowance 8",
+        ]
+    );
     assert!(
         violations.iter().any(|v| v.contains("credit leak")),
         "leaked credit not caught: {violations:?}"

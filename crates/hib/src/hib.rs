@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use tg_mem::{Decoded, PAddr};
 use tg_net::{
     Arrival, CtrlOutcome, DetectParams, FaultInjector, FrameFate, HeartbeatDetector, LinkEnd,
-    LinkError, LinkRx, Liveness, NetEvent, RxFifo, TimerAction, TxPort,
+    LinkError, Liveness, NetEvent, PortSnapshot, RxFifo, TimerAction, TxPort,
 };
 use tg_proto::PendingCam;
 use tg_sim::SimTime;
@@ -326,21 +326,6 @@ impl Hib {
         self.last_injected.take()
     }
 
-    /// Deepest receive-FIFO occupancy observed.
-    pub fn rx_fifo_high_water(&self) -> u32 {
-        self.rx_fifo.high_water()
-    }
-
-    /// Packets currently queued in the receive FIFO.
-    pub fn rx_fifo_depth(&self) -> usize {
-        self.rx_fifo.len()
-    }
-
-    /// Total simulated time the transmit port spent blocked on credits.
-    pub fn credit_stall(&self) -> SimTime {
-        self.tx().map(TxPort::credit_stall).unwrap_or(SimTime::ZERO)
-    }
-
     /// Packets queued behind the transmit port.
     pub fn tx_queue_depth(&self) -> usize {
         self.tx_queue.len()
@@ -386,11 +371,6 @@ impl Hib {
     #[inline]
     fn tx_mut(&mut self) -> Option<&mut TxPort> {
         self.link.as_mut().map(LinkEnd::tx_mut)
-    }
-
-    #[inline]
-    fn rx(&self) -> Option<&LinkRx> {
-        self.link.as_ref().and_then(LinkEnd::rx)
     }
 
     /// Starts originating liveness beacons and arms the failure detector
@@ -453,14 +433,6 @@ impl Hib {
             .unwrap_or_default()
     }
 
-    /// `(down, up)` transitions this board's failure detector recorded.
-    pub fn peer_transitions(&self) -> (u64, u64) {
-        self.detector
-            .as_ref()
-            .map(HeartbeatDetector::transition_counts)
-            .unwrap_or((0, 0))
-    }
-
     /// Structured request failures observed so far, in order.
     pub fn op_errors(&self) -> &[OpError] {
         &self.op_errors
@@ -491,118 +463,16 @@ impl Hib {
         self.meter = Some(meter);
     }
 
-    /// The directed link this board's transmit port feeds, once wired.
-    pub fn tx_link(&self) -> Option<tg_net::LinkId> {
-        self.tx().and_then(TxPort::link)
-    }
-
-    /// Credit bookkeeping of the output link, for quiescence-time
-    /// conservation checks. `None` until the board is wired.
-    pub fn credit_ledger(&self) -> Option<tg_net::CreditLedger> {
-        let tx = self.tx()?;
-        Some(tg_net::CreditLedger {
-            link: tx.link()?,
-            credits: tx.credits(),
-            unacked: tx.unacked(),
-            allowance: tx.allowance(),
-        })
-    }
-
     /// Structured link errors observed so far.
     pub fn link_errors(&self) -> &[LinkError] {
         &self.link_errors
     }
 
-    /// Frames retransmitted on this board's output link.
-    pub fn retransmits(&self) -> u64 {
-        self.tx().map_or(0, TxPort::retransmits)
-    }
-
-    /// Completed credit-resync handshakes on this board's output link.
-    pub fn resyncs(&self) -> u64 {
-        self.tx().map_or(0, TxPort::resyncs)
-    }
-
-    /// Credit-resync probes issued on this board's output link.
-    pub fn resync_probes(&self) -> u64 {
-        self.tx().map_or(0, TxPort::resync_probes)
-    }
-
-    /// Wire bytes retransmitted on this board's output link.
-    pub fn retx_bytes(&self) -> u64 {
-        self.tx().map_or(0, TxPort::retx_bytes)
-    }
-
-    /// Control frames this board discarded for a failed checksum.
-    pub fn ctrl_discards(&self) -> u64 {
-        self.link.as_ref().map_or(0, LinkEnd::ctrl_discards)
-    }
-
-    /// Frames parked in this board's SACK reorder window (must be zero
-    /// at quiescence).
-    pub fn reorder_depth(&self) -> usize {
-        self.rx().map_or(0, LinkRx::reorder_depth)
-    }
-
-    /// Consecutive unanswered (re)transmissions of the oldest
-    /// unacknowledged frame on the output link.
-    pub fn consecutive_attempts(&self) -> u32 {
-        self.tx().map_or(0, TxPort::consecutive_attempts)
-    }
-
-    /// True while the ack-starvation watchdog considers the output link
-    /// starved.
-    pub fn ack_starved(&self) -> bool {
-        self.tx().is_some_and(TxPort::ack_starved)
-    }
-
-    /// Frames the receive link layer rejected on this board's input link
-    /// (checksum or sequence violations, duplicates).
-    pub fn rx_discards(&self) -> u64 {
-        self.rx()
-            .map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards())
-    }
-
-    /// Per-port statistics for this board's link pair: the transmit side
-    /// of its uplink plus the receive side of the reverse hop. `None`
-    /// until the board is wired.
-    pub fn port_snapshot(&self) -> Option<tg_net::PortSnapshot> {
-        let tx = self.tx()?;
-        Some(tg_net::PortSnapshot {
-            link: tx.link()?,
-            tx_packets: tx.tx_packets(),
-            tx_bytes: tx.tx_bytes(),
-            credits: tx.credits(),
-            allowance: tx.allowance(),
-            credit_stall: tx.credit_stall(),
-            retransmits: tx.retransmits(),
-            retx_bytes: tx.retx_bytes(),
-            resyncs: tx.resyncs(),
-            resync_probes: tx.resync_probes(),
-            rx_fifo_depth: self.rx_fifo.len() as u32,
-            rx_fifo_high_water: self.rx_fifo.high_water(),
-            rx_discards: self.rx_discards(),
-        })
-    }
-
-    /// True once this board's output link was declared dead.
-    pub fn link_dead(&self) -> bool {
-        self.tx().is_some_and(TxPort::is_dead)
-    }
-
-    /// Frames launched but not yet link-acknowledged on the output link.
-    pub fn unacked(&self) -> usize {
-        self.tx().map_or(0, TxPort::unacked)
-    }
-
-    /// Credits currently in hand at the transmit port.
-    pub fn tx_credits(&self) -> u32 {
-        self.tx().map_or(0, TxPort::credits)
-    }
-
-    /// The transmit port's initial credit allowance.
-    pub fn tx_allowance(&self) -> u32 {
-        self.tx().map_or(0, TxPort::allowance)
+    /// The read-out of this board's port: the transmit side of its
+    /// uplink and the receive side of the reverse hop, with its receive
+    /// FIFO. `None` until the board is wired.
+    pub fn port_snapshot(&self) -> Option<PortSnapshot> {
+        self.link.as_ref()?.snapshot(Some(&self.rx_fifo))
     }
 
     /// This board's node id.
@@ -1660,7 +1530,7 @@ impl Hib {
         if starved && !self.starvation_alarmed {
             self.starvation_alarmed = true;
             self.stats.starvation_alarms += 1;
-            let attempts = self.consecutive_attempts();
+            let attempts = self.tx().map_or(0, TxPort::consecutive_attempts);
             host.interrupt(
                 self.timing.interrupt_latency,
                 HibInterrupt::LinkStarved { attempts },

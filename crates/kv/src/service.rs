@@ -1,8 +1,8 @@
 //! Deployment and drive: wiring the service onto a cluster.
 //!
 //! [`deploy`] allocates the shared pages, seeds the directory, and
-//! installs one [`KvServer`](crate::KvServer) per replica node and one
-//! [`KvClient`](crate::KvClient) per client node. [`drive`] then runs
+//! installs one [`KvServer`] per replica node and one
+//! [`KvClient`] per client node. [`drive`] then runs
 //! the cluster in two phases: slices until every client resolved its
 //! whole schedule (clients always terminate — every request has an
 //! attempt budget), then raises the stop flag so the servers — which

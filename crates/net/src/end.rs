@@ -6,14 +6,20 @@
 //! itself; the owner keeps what differs between elements: where
 //! delivered frames go, tracing, how it schedules ([`LinkCtx`]) and with
 //! what delay, and what it wakes afterwards.
+//!
+//! The end is also the one read-out of a link's counters: every owner,
+//! and the cluster above them, reads a port through
+//! [`LinkEnd::snapshot`].
+
+use std::fmt;
 
 use tg_sim::{CompId, Ctx, SimTime};
 use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet};
 
 use crate::event::{NetEvent, NetMessage};
-use crate::fault::{FaultInjector, FrameFate};
+use crate::fault::{FaultInjector, FrameFate, LinkId};
 use crate::link::{LinkError, LinkRx, RxVerdict};
-use crate::port::{TimerAction, TxPort};
+use crate::port::{RxFifo, TimerAction, TxPort};
 
 /// How a [`LinkEnd`]'s owner schedules network events: an engine
 /// [`Ctx`], or a host that forwards to one.
@@ -143,9 +149,35 @@ impl LinkEnd {
         self.rx.as_deref()
     }
 
-    /// Control frames discarded for a failed checksum.
-    pub fn ctrl_discards(&self) -> u64 {
-        self.ctrl_discards
+    /// The port's read-out: the transmit side of the link it drives and
+    /// the receive side of the reverse hop, whose input FIFO the owner
+    /// holds (`None` for an owner that consumes arrivals at once). `None`
+    /// while the transmit port carries no link label.
+    pub fn snapshot(&self, fifo: Option<&RxFifo>) -> Option<PortSnapshot> {
+        let (tx, rx) = (&self.tx, self.rx.as_deref());
+        Some(PortSnapshot {
+            link: tx.link()?,
+            tx_packets: tx.tx_packets(),
+            tx_bytes: tx.tx_bytes(),
+            credits: tx.credits(),
+            allowance: tx.allowance(),
+            credit_stall: tx.credit_stall(),
+            retransmits: tx.retransmits(),
+            retx_bytes: tx.retx_bytes(),
+            resyncs: tx.resyncs(),
+            resync_probes: tx.resync_probes(),
+            unacked: tx.unacked(),
+            dead: tx.is_dead(),
+            consecutive_attempts: tx.consecutive_attempts(),
+            ack_starved: tx.ack_starved(),
+            credit_stalled: tx.is_credit_stalled(),
+            rx_fifo_depth: fifo.map_or(0, |f| f.len() as u32),
+            rx_fifo_high_water: fifo.map_or(0, RxFifo::high_water),
+            rx_discards: rx.map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards()),
+            gap_discards: rx.map_or(0, LinkRx::gap_discards),
+            reorder_depth: rx.map_or(0, LinkRx::reorder_depth),
+            ctrl_discards: self.ctrl_discards,
+        })
     }
 
     /// Judges an arrived data frame and sends the receiver's reply after
@@ -311,6 +343,155 @@ impl LinkEnd {
             (Some(inj), Some(link)) => inj.frame_fate(link, now, packet),
             _ => FrameFate::Deliver,
         }
+    }
+}
+
+/// Point-in-time counters of one port, read by [`LinkEnd::snapshot`]:
+/// the transmit half of the directed link the port drives (`link`) and
+/// the receive half of the reverse hop (neighbor → self), which arrives
+/// at the same port. `Cluster::link_snapshots` joins the halves per
+/// directed link with [`PortSnapshot::joined`], under the canonical
+/// `link.<a>-<b>.<metric>` names (see [`tg_wire::metric`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PortSnapshot {
+    /// The directed link this port transmits on (self → neighbor).
+    pub link: LinkId,
+    /// Frames launched on `link` (fresh + retransmitted).
+    pub tx_packets: u64,
+    /// Wire bytes launched on `link`.
+    pub tx_bytes: u64,
+    /// Credits currently in hand for `link`.
+    pub credits: u32,
+    /// Initial credit allowance of `link`.
+    pub allowance: u32,
+    /// Cumulative credit-stall time on `link` (closed windows).
+    pub credit_stall: SimTime,
+    /// Frames retransmitted on `link`.
+    pub retransmits: u64,
+    /// Wire bytes of retransmitted frames on `link` (header + payload of
+    /// every retransmission: the wire-efficiency cost of recovery).
+    pub retx_bytes: u64,
+    /// Completed credit-resync handshakes on `link`.
+    pub resyncs: u64,
+    /// Credit-resync probes issued on `link`.
+    pub resync_probes: u64,
+    /// Frames launched on `link` but not yet acknowledged; each holds a
+    /// credit.
+    pub unacked: usize,
+    /// Whether `link` has been declared dead (retry budget exhausted).
+    pub dead: bool,
+    /// Consecutive unanswered (re)transmissions of the oldest frame.
+    pub consecutive_attempts: u32,
+    /// Whether the ack-starvation watchdog considers `link` starved
+    /// (half the retry budget burned with no ack progress).
+    pub ack_starved: bool,
+    /// Whether a credit-stall window is open on `link` right now.
+    pub credit_stalled: bool,
+    /// Current depth of the input FIFO fed by the reverse hop, in
+    /// packets.
+    pub rx_fifo_depth: u32,
+    /// Deepest occupancy that FIFO ever reached.
+    pub rx_fifo_high_water: u32,
+    /// Frames the reverse hop's link layer rejected here (checksum or
+    /// sequence violations, duplicates).
+    pub rx_discards: u64,
+    /// Of those, frames NACKed for landing beyond the reorder window
+    /// (go-back-N: past the expected frame).
+    pub gap_discards: u64,
+    /// Frames parked in the reverse hop's SACK reorder window (zero at
+    /// quiescence).
+    pub reorder_depth: usize,
+    /// Control frames that arrived over the reverse hop and failed their
+    /// checksum.
+    pub ctrl_discards: u64,
+}
+
+impl PortSnapshot {
+    /// True when credits in hand plus unacknowledged frames exceed the
+    /// allowance: a duplicate credit was minted.
+    pub fn overcommitted(&self) -> bool {
+        u64::from(self.credits) + self.unacked as u64 > u64::from(self.allowance)
+    }
+
+    /// True when every credit is accounted for: once all FIFOs have
+    /// drained, each credit is either in hand or riding an unacknowledged
+    /// frame. A shortfall means a credit leaked (lost in flight and never
+    /// resynced).
+    pub fn balanced(&self) -> bool {
+        u64::from(self.credits) + self.unacked as u64 == u64::from(self.allowance)
+    }
+
+    /// The link as a no-progress suspect, when it is holding the fabric:
+    /// dead, carrying unacknowledged frames, or `blocked` (the owner's
+    /// word that traffic waits on it for a credit).
+    pub fn stalled(&self, blocked: bool) -> Option<StalledLink> {
+        (self.dead || self.unacked > 0 || blocked).then_some(StalledLink {
+            link: self.link,
+            dead: self.dead,
+            stranded: self.unacked,
+            credits: self.credits,
+            retransmits: self.retransmits,
+            attempts: self.consecutive_attempts,
+            starved: self.ack_starved,
+        })
+    }
+
+    /// The whole directed link `self.link`: this port's transmit half
+    /// joined with the receive half read at `far`, the port at the link's
+    /// other end (which drives the reverse hop).
+    pub fn joined(&self, far: &PortSnapshot) -> PortSnapshot {
+        PortSnapshot {
+            rx_fifo_depth: far.rx_fifo_depth,
+            rx_fifo_high_water: far.rx_fifo_high_water,
+            rx_discards: far.rx_discards,
+            gap_discards: far.gap_discards,
+            reorder_depth: far.reorder_depth,
+            ctrl_discards: far.ctrl_discards,
+            ..*self
+        }
+    }
+}
+
+/// A structured no-progress diagnosis: which link is holding the fabric,
+/// assembled by the cluster from [`PortSnapshot::stalled`] when the
+/// engine watchdog trips.
+#[derive(Clone, Debug)]
+pub struct StalledLink {
+    /// The stalled directed link.
+    pub link: LinkId,
+    /// Whether the link has been declared dead (retry budget exhausted).
+    pub dead: bool,
+    /// Frames stranded in the retransmit buffer.
+    pub stranded: usize,
+    /// Credits in hand at the transmit port.
+    pub credits: u32,
+    /// Retransmissions attempted on this link.
+    pub retransmits: u64,
+    /// Consecutive unanswered (re)transmissions of the oldest frame.
+    pub attempts: u32,
+    /// Whether the ack-starvation watchdog considers the link starved
+    /// (half the retry budget burned with no ack progress).
+    pub starved: bool,
+}
+
+impl fmt::Display for StalledLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: {}, {} stranded, {} credits, {} retransmits ({} unanswered)",
+            self.link,
+            if self.dead {
+                "DEAD"
+            } else if self.starved {
+                "ack-starved"
+            } else {
+                "stalled"
+            },
+            self.stranded,
+            self.credits,
+            self.retransmits,
+            self.attempts
+        )
     }
 }
 
@@ -494,7 +675,8 @@ mod tests {
         let mut bad = ctrl(CtrlMsg::Ack { seq: 2, sack: 0 });
         bad.corrupt();
         assert_eq!(on(&mut e, bad), CtrlOutcome::Done);
-        assert_eq!((e.ctrl_discards(), e.tx().unacked()), (1, 2));
+        let p = e.snapshot(None).expect("labeled port");
+        assert_eq!((p.ctrl_discards, p.unacked), (1, 2));
         let ack = ctrl(CtrlMsg::Ack { seq: 1, sack: 0 });
         assert_eq!(on(&mut e, ack), CtrlOutcome::Acked);
         assert_eq!(e.tx().unacked(), 1);
@@ -640,6 +822,45 @@ mod tests {
             e.rx().map(LinkRx::drained),
             Some(1),
             "a lost credit still drains"
+        );
+    }
+
+    #[test]
+    fn the_snapshot_reads_both_halves_and_joins_with_the_far_end() {
+        let (mut e, mut ctx) = (reliable(RetxMode::Sack), Rec::default());
+        assert!(end(None).snapshot(None).unwrap().stalled(false).is_none());
+        launch(&mut e, ctx.now);
+        // Frame 2 parks behind the gap at 1; a corrupt ack is discarded.
+        e.receive(frame(2), DELAY, &mut ctx);
+        let mut bad = ctrl(CtrlMsg::Ack { seq: 1, sack: 0 });
+        bad.corrupt();
+        e.on_ctrl(bad, DELAY, &mut ctx);
+        let mut fifo = RxFifo::new(4);
+        fifo.push(frame(7)).unwrap();
+        let p = e.snapshot(Some(&fifo)).expect("labeled port");
+        assert_eq!(
+            (p.tx_packets, p.unacked, p.credits, p.allowance),
+            (1, 1, 7, 8)
+        );
+        assert_eq!(
+            (p.rx_fifo_depth, p.reorder_depth, p.ctrl_discards),
+            (1, 1, 1)
+        );
+        assert!(p.balanced(), "the unacked frame holds the spent credit");
+        // One stall rule: an unacked frame holds the link, whoever owns it.
+        let stalled = p.stalled(false).expect("an unacked frame stalls");
+        assert_eq!(
+            (stalled.link, stalled.stranded, stalled.credits),
+            (p.link, 1, 7)
+        );
+        // The directed link keeps this end's transmit half and takes the
+        // receive half read at the far end.
+        let far = end(None).snapshot(None).unwrap();
+        let link = p.joined(&far);
+        assert_eq!((link.link, link.tx_packets, link.unacked), (p.link, 1, 1));
+        assert_eq!(
+            (link.rx_fifo_depth, link.reorder_depth, link.ctrl_discards),
+            (0, 0, 0)
         );
     }
 }

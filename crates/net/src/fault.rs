@@ -12,7 +12,7 @@
 //! Since reliability round 2 the link-layer *control* traffic (ACKs,
 //! NACKs, credit-resync handshakes) is first-class corruptible wire
 //! traffic too: control messages ride in checksummed
-//! [`CtrlFrame`](tg_wire::CtrlFrame)s and the injector decides their
+//! [`CtrlFrame`]s and the injector decides their
 //! fate via [`FaultInjector::ctrl_fate`] under separate `ctrl_drop` /
 //! `ctrl_corrupt` probabilities (outage windows kill them like anything
 //! else on the link). Receivers discard control frames whose checksum

@@ -65,13 +65,13 @@ pub mod testing;
 mod topology;
 
 pub use detect::{DetectParams, HeartbeatDetector, Liveness};
-pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd};
+pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd, PortSnapshot, StalledLink};
 pub use event::{NetEvent, NetMessage};
 pub use fault::{
     CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId, Outage, Wedge,
 };
-pub use link::{CreditLedger, LinkError, LinkRx, RelParams, RetxMode, RxVerdict, StalledLink};
-pub use port::{PortSnapshot, RxFifo, TimerAction, TxPort, TxTimes};
+pub use link::{LinkError, LinkRx, RelParams, RetxMode, RxVerdict};
+pub use port::{RxFifo, TimerAction, TxPort, TxTimes};
 pub use route::{FabricView, RouteError, Routes};
 pub use switch::{Switch, SwitchStats};
 pub use topology::{Topology, TopologyError, Vertex};

@@ -25,8 +25,6 @@ use std::fmt;
 use tg_sim::SimTime;
 use tg_wire::Packet;
 
-use crate::fault::LinkId;
-
 /// A neighbor-originated protocol violation, reported instead of panicking:
 /// a misbehaving (or fault-injected) peer must degrade the link, not wedge
 /// the whole cluster.
@@ -458,83 +456,6 @@ impl LinkRx {
 impl Default for LinkRx {
     fn default() -> Self {
         LinkRx::new()
-    }
-}
-
-/// Credit bookkeeping of one transmit port, for quiescence-time
-/// conservation checks: once all FIFOs have drained, every credit is
-/// either in hand or riding an unacknowledged frame, so
-/// `credits + unacked == allowance` must hold. A shortfall means a credit
-/// leaked (lost in flight and never resynced); an excess means a duplicate
-/// credit was minted.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CreditLedger {
-    /// The directed link this transmit port feeds.
-    pub link: LinkId,
-    /// Credits currently in hand.
-    pub credits: u32,
-    /// Frames awaiting acknowledgement (each holds one credit).
-    pub unacked: usize,
-    /// The initial credit allowance.
-    pub allowance: u32,
-}
-
-impl CreditLedger {
-    /// True when every credit is accounted for.
-    pub fn balanced(&self) -> bool {
-        u64::from(self.credits) + self.unacked as u64 == u64::from(self.allowance)
-    }
-}
-
-impl fmt::Display for CreditLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} in hand + {} unacked != allowance {}",
-            self.link, self.credits, self.unacked, self.allowance
-        )
-    }
-}
-
-/// A structured no-progress diagnosis: which link or queue is holding the
-/// fabric, assembled by the cluster when the engine watchdog trips.
-#[derive(Clone, Debug)]
-pub struct StalledLink {
-    /// The stalled directed link.
-    pub link: LinkId,
-    /// Whether the link has been declared dead (retry budget exhausted).
-    pub dead: bool,
-    /// Frames stranded in the retransmit buffer.
-    pub stranded: usize,
-    /// Credits in hand at the transmit port.
-    pub credits: u32,
-    /// Retransmissions attempted on this link.
-    pub retransmits: u64,
-    /// Consecutive unanswered (re)transmissions of the oldest frame.
-    pub attempts: u32,
-    /// Whether the ack-starvation watchdog considers the link starved
-    /// (half the retry budget burned with no ack progress).
-    pub starved: bool,
-}
-
-impl fmt::Display for StalledLink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {}, {} stranded, {} credits, {} retransmits ({} unanswered)",
-            self.link,
-            if self.dead {
-                "DEAD"
-            } else if self.starved {
-                "ack-starved"
-            } else {
-                "stalled"
-            },
-            self.stranded,
-            self.credits,
-            self.retransmits,
-            self.attempts
-        )
     }
 }
 

@@ -916,45 +916,6 @@ impl TxPort {
     }
 }
 
-/// Point-in-time statistics for one port pair at a fabric element: the
-/// transmit side of the directed link this element drives (`link`), plus
-/// the receive side of the *reverse* hop (the paired input FIFO this
-/// element drains). Owners ([`Switch`](crate::Switch), the HIB) build
-/// these; `Cluster::link_snapshots` joins the two halves per directed
-/// link under the canonical `link.<a>-<b>.<metric>` names (see
-/// [`tg_wire::metric`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PortSnapshot {
-    /// The directed link this element transmits on (self → neighbor).
-    pub link: LinkId,
-    /// Frames launched on `link` (fresh + retransmitted).
-    pub tx_packets: u64,
-    /// Wire bytes launched on `link`.
-    pub tx_bytes: u64,
-    /// Credits currently in hand for `link`.
-    pub credits: u32,
-    /// Initial credit allowance of `link`.
-    pub allowance: u32,
-    /// Cumulative credit-stall time on `link` (closed windows).
-    pub credit_stall: SimTime,
-    /// Frames retransmitted on `link`.
-    pub retransmits: u64,
-    /// Wire bytes of retransmitted frames on `link`.
-    pub retx_bytes: u64,
-    /// Completed credit-resync handshakes on `link`.
-    pub resyncs: u64,
-    /// Credit-resync probes issued on `link`.
-    pub resync_probes: u64,
-    /// Current depth of the input FIFO fed by the reverse hop
-    /// (neighbor → self), in packets.
-    pub rx_fifo_depth: u32,
-    /// Deepest occupancy that FIFO ever reached.
-    pub rx_fifo_high_water: u32,
-    /// Frames the reverse hop's link layer rejected here (checksum or
-    /// sequence violations, duplicates).
-    pub rx_discards: u64,
-}
-
 /// A bounded input FIFO whose occupancy is mirrored by the credits held at
 /// the upstream [`TxPort`].
 #[derive(Clone, Debug)]

@@ -7,11 +7,11 @@ use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
 use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig};
 
 use crate::detect::{HeartbeatDetector, Liveness};
-use crate::end::{Arrival, CtrlOutcome, LinkEnd};
+use crate::end::{Arrival, CtrlOutcome, LinkEnd, PortSnapshot};
 use crate::event::{NetEvent, NetMessage};
-use crate::fault::{FaultInjector, FrameFate, LinkId};
-use crate::link::{CreditLedger, LinkError, LinkRx, RelParams, StalledLink};
-use crate::port::{PortSnapshot, RxFifo, TimerAction, TxPort};
+use crate::fault::{FaultInjector, FrameFate};
+use crate::link::{LinkError, RelParams};
+use crate::port::{RxFifo, TimerAction, TxPort};
 use crate::route::FabricView;
 use crate::topology::Vertex;
 
@@ -86,7 +86,7 @@ fn vertex_of_site(s: Site) -> Vertex {
 /// Every port is one [`LinkEnd`]. With [`Switch::set_reliability`] the
 /// switch additionally runs the link-level reliability protocol on every
 /// port: arriving frames are checksum- and sequence-verified by the
-/// port's [`LinkRx`], acknowledged or NACKed, and each output's
+/// port's [`LinkRx`](crate::LinkRx), acknowledged or NACKed, and each output's
 /// [`TxPort`] buffers frames for go-back-N retransmission. A
 /// [`FaultInjector`] installed with
 /// [`Switch::set_injector`] then decides the fate of every launched frame
@@ -151,8 +151,6 @@ pub struct Switch {
     view: Option<FabricView>,
     /// Version of `view` the cached `table` reflects.
     view_version: u64,
-    /// Times this switch refreshed its table from the view.
-    route_refreshes: u64,
     /// Outputs whose pending `PumpOut` was sent deferrable: only these
     /// can have a deferred port-free event.
     lazy_free: Vec<u64>,
@@ -194,7 +192,6 @@ impl Switch {
             hb_last: BTreeMap::new(),
             view: None,
             view_version: 0,
-            route_refreshes: 0,
             lazy_free: vec![0; words],
             recheck: false,
             kinds: [0; NetEvent::KINDS.len()],
@@ -333,16 +330,6 @@ impl Switch {
         self.ports[port].as_mut().expect("port attached")
     }
 
-    /// Every attached port's transmit side.
-    fn txs(&self) -> impl Iterator<Item = &TxPort> {
-        self.ports.iter().flatten().map(LinkEnd::tx)
-    }
-
-    /// Every attached port's receive side, where reliability is on.
-    fn rxs(&self) -> impl Iterator<Item = &LinkRx> {
-        self.ports.iter().flatten().filter_map(LinkEnd::rx)
-    }
-
     /// Adds `port` to the pending-work set examined by the next pump.
     fn mark_pending(&mut self, port: usize) {
         if port < self.fifos.len() {
@@ -421,196 +408,26 @@ impl Switch {
         self.kinds
     }
 
-    /// Deepest input-FIFO occupancy seen on any port.
-    pub fn max_fifo_high_water(&self) -> u32 {
-        self.fifos.iter().map(RxFifo::high_water).max().unwrap_or(0)
-    }
-
-    /// Packets currently queued across all input FIFOs.
-    pub fn fifo_depth_total(&self) -> usize {
-        self.fifos.iter().map(RxFifo::len).sum()
-    }
-
-    /// Total simulated time this switch's output ports spent blocked on
-    /// credits (summed across ports; see [`TxPort::credit_stall`]).
-    pub fn credit_stall(&self) -> SimTime {
-        self.txs()
-            .map(TxPort::credit_stall)
-            .fold(SimTime::ZERO, |acc, t| acc + t)
-    }
-
-    /// Total frames retransmitted across all output ports.
+    /// Frames retransmitted across all output ports.
     pub fn retransmits(&self) -> u64 {
-        self.txs().map(TxPort::retransmits).sum()
+        self.port_snapshots().map(|p| p.retransmits).sum()
     }
 
-    /// Completed credit-resync handshakes across all output ports.
-    pub fn resyncs(&self) -> u64 {
-        self.txs().map(TxPort::resyncs).sum()
-    }
-
-    /// Frames discarded by the receive link layer (corrupt + out of
-    /// sequence), across all input ports.
-    pub fn rx_discards(&self) -> u64 {
-        self.rxs()
-            .map(|rx| rx.corrupt_discards() + rx.seq_discards())
-            .sum()
-    }
-
-    /// Frames NACKed for landing beyond the reorder window (go-back-N:
-    /// past the expected frame), across all input ports.
-    pub fn rx_gap_discards(&self) -> u64 {
-        self.rxs().map(LinkRx::gap_discards).sum()
-    }
-
-    /// Credit-resync probes issued across all output ports.
-    pub fn resync_probes(&self) -> u64 {
-        self.txs().map(TxPort::resync_probes).sum()
-    }
-
-    /// Payload + header bytes retransmitted across all output ports.
-    pub fn retx_bytes(&self) -> u64 {
-        self.txs().map(TxPort::retx_bytes).sum()
-    }
-
-    /// Control frames discarded for a failed checksum, across all ports.
-    pub fn ctrl_discards(&self) -> u64 {
+    /// The read-out of every labeled port, in port order: the transmit
+    /// side of the directed link it drives and the receive side of the
+    /// reverse hop (links come in bidirectional pairs, so output `i` and
+    /// input `i` share a neighbor).
+    pub fn port_snapshots(&self) -> impl Iterator<Item = PortSnapshot> + '_ {
         self.ports
             .iter()
-            .flatten()
-            .map(LinkEnd::ctrl_discards)
-            .sum()
-    }
-
-    /// (down verdicts, up transitions) this switch's port detector has
-    /// issued over its life.
-    pub fn peer_transitions(&self) -> (u64, u64) {
-        self.detector
-            .as_ref()
-            .map_or((0, 0), HeartbeatDetector::transition_counts)
-    }
-
-    /// Packets dropped for want of a surviving route.
-    pub fn blackholed(&self) -> u64 {
-        self.stats.blackholed
-    }
-
-    /// Times this switch refreshed its table from the fabric view.
-    pub fn route_refreshes(&self) -> u64 {
-        self.route_refreshes
-    }
-
-    /// Frames abandoned by link-epoch resets across all output ports.
-    pub fn abandoned(&self) -> u64 {
-        self.txs().map(TxPort::abandoned).sum()
-    }
-
-    /// Link-epoch resets (peer revivals) across all output ports.
-    pub fn revivals(&self) -> u64 {
-        self.txs().map(TxPort::revivals).sum()
-    }
-
-    /// Frames flushed from reorder windows by epoch resets, across all
-    /// input ports.
-    pub fn reset_flushes(&self) -> u64 {
-        self.rxs().map(LinkRx::reset_flushes).sum()
-    }
-
-    /// Stale pre-epoch credits swallowed after revivals, across ports.
-    pub fn stale_credits(&self) -> u64 {
-        self.txs().map(TxPort::stale_credits).sum()
-    }
-
-    /// Frames currently parked in SACK reorder windows, across all input
-    /// ports (must be zero at quiescence).
-    pub fn reorder_depth_total(&self) -> usize {
-        self.rxs().map(LinkRx::reorder_depth).sum()
-    }
-
-    /// Per-port statistics: one snapshot per attached output port, pairing
-    /// that port's transmit side (the directed link it drives) with the
-    /// input FIFO fed by the reverse hop (links come in bidirectional
-    /// pairs, so output `i` and input `i` share a neighbor).
-    pub fn port_snapshots(&self) -> Vec<PortSnapshot> {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter_map(|(i, end)| end.as_ref().map(|e| (i, e.tx(), e.rx())))
-            .map(|(i, tx, rx)| PortSnapshot {
-                link: tx
-                    .link()
-                    .unwrap_or_else(|| LinkId::new(self.site, self.site)),
-                tx_packets: tx.tx_packets(),
-                tx_bytes: tx.tx_bytes(),
-                credits: tx.credits(),
-                allowance: tx.allowance(),
-                credit_stall: tx.credit_stall(),
-                retransmits: tx.retransmits(),
-                retx_bytes: tx.retx_bytes(),
-                resyncs: tx.resyncs(),
-                resync_probes: tx.resync_probes(),
-                rx_fifo_depth: self.fifos.get(i).map_or(0, |f| f.len() as u32),
-                rx_fifo_high_water: self.fifos.get(i).map_or(0, RxFifo::high_water),
-                rx_discards: rx.map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards()),
-            })
-            .collect()
+            .zip(&self.fifos)
+            .filter_map(|(end, fifo)| end.as_ref()?.snapshot(Some(fifo)))
     }
 
     /// Neighbor-originated protocol violations and dead-link declarations
     /// recorded so far.
     pub fn link_errors(&self) -> &[LinkError] {
         &self.errors
-    }
-
-    /// Links held up right now: dead, carrying unacknowledged frames, or
-    /// credit-starved with traffic pending. The watchdog's deadlock report
-    /// is assembled from these.
-    pub fn stalled_links(&self) -> Vec<StalledLink> {
-        self.txs()
-            .filter(|tx| tx.is_dead() || tx.unacked() > 0 || tx.is_credit_stalled())
-            .map(|tx| StalledLink {
-                link: tx
-                    .link()
-                    .unwrap_or_else(|| LinkId::new(self.site, self.site)),
-                dead: tx.is_dead(),
-                stranded: tx.unacked(),
-                credits: tx.credits(),
-                retransmits: tx.retransmits(),
-                attempts: tx.consecutive_attempts(),
-                starved: tx.ack_starved(),
-            })
-            .collect()
-    }
-
-    /// Credit bookkeeping of every attached output port, for the cluster's
-    /// quiescence-time conservation check.
-    pub fn credit_ledgers(&self) -> Vec<CreditLedger> {
-        self.txs()
-            .map(|tx| CreditLedger {
-                link: tx
-                    .link()
-                    .unwrap_or_else(|| LinkId::new(self.site, self.site)),
-                credits: tx.credits(),
-                unacked: tx.unacked(),
-                allowance: tx.allowance(),
-            })
-            .collect()
-    }
-
-    /// Conservation check at quiescence: for every attached output port,
-    /// credits in hand + unacknowledged frames must equal the allowance
-    /// minus whatever still sits in the *neighbor's* FIFO. Since a switch
-    /// cannot see its neighbor's FIFO, this local check reports ports whose
-    /// credits + unacked exceed the allowance (an over-credit leak) —
-    /// cluster-level checks add the FIFO term.
-    pub fn credit_overcommit(&self) -> Vec<LinkId> {
-        self.txs()
-            .filter(|tx| u64::from(tx.credits()) + tx.unacked() as u64 > u64::from(tx.allowance()))
-            .map(|tx| {
-                tx.link()
-                    .unwrap_or_else(|| LinkId::new(self.site, self.site))
-            })
-            .collect()
     }
 
     /// The output port toward `packet.dst`, or `None` when no surviving
@@ -677,7 +494,6 @@ impl Switch {
             return;
         };
         self.table = view.table_for_switch(idx);
-        self.route_refreshes += 1;
         for in_port in 0..self.fifos.len() {
             let table = &self.table;
             let orphaned = self.fifos[in_port].drain_matching(|p| table[p.dst.index()] == NO_PORT);
@@ -1188,9 +1004,8 @@ mod tests {
     fn stats_default_zero() {
         let s = Switch::new("s".into(), 2, vec![0, 1], TimingConfig::telegraphos_i());
         assert_eq!(s.stats(), SwitchStats::default());
-        assert_eq!(s.max_fifo_high_water(), 0);
         assert!(s.link_errors().is_empty());
-        assert!(s.stalled_links().is_empty());
+        assert_eq!(s.port_snapshots().count(), 0, "no port attached");
     }
 
     /// A three-word port set holding exactly `ports`.

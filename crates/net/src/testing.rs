@@ -15,10 +15,10 @@ use std::collections::VecDeque;
 use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::{NodeId, Packet, TimingConfig, WireMsg};
 
-use crate::end::{Arrival, CtrlOutcome, LinkEnd};
+use crate::end::{Arrival, CtrlOutcome, LinkEnd, PortSnapshot};
 use crate::event::NetEvent;
 use crate::fault::{FaultInjector, FrameFate};
-use crate::link::{LinkError, LinkRx};
+use crate::link::LinkError;
 use crate::port::{TimerAction, TxPort};
 
 /// A packet receipt recorded by a [`SourceSink`].
@@ -94,10 +94,6 @@ impl SourceSink {
             .set_injector(injector);
     }
 
-    fn tx(&self) -> Option<&TxPort> {
-        self.link.as_ref().map(LinkEnd::tx)
-    }
-
     /// Sets how long the sink takes to consume each arrival before
     /// returning its credit.
     pub fn set_consume_delay(&mut self, d: SimTime) {
@@ -125,36 +121,13 @@ impl SourceSink {
 
     /// Frames retransmitted by this endpoint.
     pub fn retransmits(&self) -> u64 {
-        self.tx().map_or(0, TxPort::retransmits)
+        self.port_snapshot().map_or(0, |p| p.retransmits)
     }
 
-    /// Wire bytes retransmitted by this endpoint.
-    pub fn retx_bytes(&self) -> u64 {
-        self.tx().map_or(0, TxPort::retx_bytes)
-    }
-
-    /// Control frames this endpoint discarded for a failed checksum.
-    pub fn ctrl_discards(&self) -> u64 {
-        self.link.as_ref().map_or(0, LinkEnd::ctrl_discards)
-    }
-
-    /// Completed credit-resync handshakes on this endpoint's output link.
-    pub fn resyncs(&self) -> u64 {
-        self.tx().map_or(0, TxPort::resyncs)
-    }
-
-    /// True once this endpoint's output link was declared dead.
-    pub fn link_dead(&self) -> bool {
-        self.tx().is_some_and(TxPort::is_dead)
-    }
-
-    /// Frames this endpoint's receiver NACKed back for landing beyond
-    /// the reorder window (go-back-N: past the expected frame).
-    pub fn rx_gap_discards(&self) -> u64 {
-        self.link
-            .as_ref()
-            .and_then(LinkEnd::rx)
-            .map_or(0, LinkRx::gap_discards)
+    /// The read-out of this endpoint's port, once wired. The sink
+    /// consumes arrivals at once, so its receive half has no FIFO.
+    pub fn port_snapshot(&self) -> Option<PortSnapshot> {
+        self.link.as_ref()?.snapshot(None)
     }
 
     /// Launches `packet` (fresh or retransmission), consulting the fault

@@ -12,7 +12,8 @@ use std::collections::HashMap;
 
 use tg_net::testing::{kick, Receipt, SourceSink};
 use tg_net::{
-    build_network_with, FaultInjector, FaultPlan, LinkId, NetConfig, RelParams, RetxMode, Topology,
+    build_network_with, FaultInjector, FaultPlan, LinkId, NetConfig, PortSnapshot, RelParams,
+    RetxMode, Topology,
 };
 use tg_sim::{CompId, Engine, RunLimit, SimRng, SimTime};
 use tg_wire::trace::Site;
@@ -37,6 +38,18 @@ fn build_with(
         }
     }
     (engine, ids, handles.switches)
+}
+
+/// The read-out of endpoint `id`'s port.
+fn port(engine: &Engine<tg_net::NetEvent>, id: CompId) -> PortSnapshot {
+    let ss = engine.get::<SourceSink>(id).unwrap();
+    ss.port_snapshot().expect("wired endpoint")
+}
+
+/// The read-out of every port of switch `id`.
+fn switch_ports(engine: &Engine<tg_net::NetEvent>, id: CompId) -> Vec<PortSnapshot> {
+    let sw = engine.get::<tg_net::Switch>(id).unwrap();
+    sw.port_snapshots().collect()
 }
 
 fn write(addr: u64, val: u64) -> WireMsg {
@@ -169,7 +182,7 @@ fn recoverable_faults_are_fully_masked() {
         for &id in &ids {
             let ss = engine.get::<SourceSink>(id).unwrap();
             assert!(
-                !ss.link_dead(),
+                !port(&engine, id).dead,
                 "recoverable plan killed a link (case {case})"
             );
             assert!(ss.link_errors().is_empty(), "case {case}");
@@ -243,10 +256,7 @@ fn lost_credits_are_resynced() {
     }
     let injector = config.injector.as_ref().unwrap();
     if injector.stats().credits_lost > 0 {
-        let resyncs: u64 = ids
-            .iter()
-            .map(|&id| engine.get::<SourceSink>(id).unwrap().resyncs())
-            .sum();
+        let resyncs: u64 = ids.iter().map(|&id| port(&engine, id).resyncs).sum();
         let sw_resyncs = tg_net_switch_resyncs(&engine);
         assert!(
             resyncs + sw_resyncs > 0,
@@ -288,7 +298,7 @@ fn permanent_outage_degrades_into_a_dead_link() {
         "dead link left the engine spinning"
     );
     let src = engine.get::<SourceSink>(ids[0]).unwrap();
-    assert!(src.link_dead(), "link should be declared dead");
+    assert!(port(&engine, ids[0]).dead, "link should be declared dead");
     assert!(
         src.link_errors()
             .iter()
@@ -345,10 +355,10 @@ fn sack_and_gbn_commit_identical_payload_streams() {
             );
             let (mut retx, mut retx_bytes) = (0u64, 0u64);
             for &id in &ids {
-                let ss = engine.get::<SourceSink>(id).unwrap();
-                assert!(!ss.link_dead(), "{mode:?} killed a link (case {case})");
-                retx += ss.retransmits();
-                retx_bytes += ss.retx_bytes();
+                let p = port(&engine, id);
+                assert!(!p.dead, "{mode:?} killed a link (case {case})");
+                retx += p.retransmits;
+                retx_bytes += p.retx_bytes;
             }
             (observe(&engine, &ids), expected, retx, retx_bytes)
         };
@@ -404,8 +414,14 @@ fn drop_recovery_records_switch_stall_time() {
     let (mut engine, ids, switches) = build_with(&topo, &timing, &clean);
     load(&mut engine, &ids);
     assert_eq!(engine.run_events(2_000_000), RunLimit::Drained);
+    let stall = |engine: &Engine<tg_net::NetEvent>, id| -> SimTime {
+        switch_ports(engine, id)
+            .iter()
+            .map(|p| p.credit_stall)
+            .sum()
+    };
     let sw = engine.get::<tg_net::Switch>(switches[0]).unwrap();
-    let (clean_blocked, clean_stall) = (sw.stats().blocked, sw.credit_stall());
+    let (clean_blocked, clean_stall) = (sw.stats().blocked, stall(&engine, switches[0]));
 
     // Faulted: an outage on the switch → node 1 downlink drops every frame
     // inside the window, forcing retransmissions while the backlog keeps
@@ -446,11 +462,10 @@ fn drop_recovery_records_switch_stall_time() {
         sw.stats().blocked,
         clean_blocked
     );
+    let faulted_stall = stall(&engine, switches[0]);
     assert!(
-        sw.credit_stall() > clean_stall,
-        "the stall clock never ran during recovery ({:?} vs clean {:?})",
-        sw.credit_stall(),
-        clean_stall
+        faulted_stall > clean_stall,
+        "the stall clock never ran during recovery ({faulted_stall:?} vs clean {clean_stall:?})"
     );
 }
 
@@ -484,10 +499,13 @@ fn tiny_sack_window_overflow_nacks_and_conserves() {
     // endpoint receivers or switch input ports — or the case is vacuous.
     let mut gap_nacks = 0u64;
     for &id in &ids {
-        gap_nacks += engine.get::<SourceSink>(id).unwrap().rx_gap_discards();
+        gap_nacks += port(&engine, id).gap_discards;
     }
     for &id in &switches {
-        gap_nacks += engine.get::<tg_net::Switch>(id).unwrap().rx_gap_discards();
+        gap_nacks += switch_ports(&engine, id)
+            .iter()
+            .map(|p| p.gap_discards)
+            .sum::<u64>();
     }
     assert!(
         gap_nacks > 0,
@@ -496,10 +514,9 @@ fn tiny_sack_window_overflow_nacks_and_conserves() {
     // Conservation audit: at quiescence every switch credit is either in
     // hand or riding an unacked frame, and no frame is parked forever.
     for &id in &switches {
-        let sw = engine.get::<tg_net::Switch>(id).unwrap();
-        for ledger in sw.credit_ledgers() {
-            assert!(ledger.balanced(), "credit leak after overflow: {ledger}");
+        for p in switch_ports(&engine, id) {
+            assert!(p.balanced(), "credit leak after overflow: {p:?}");
+            assert_eq!(p.reorder_depth, 0, "frames stranded in a window");
         }
-        assert_eq!(sw.reorder_depth_total(), 0, "frames stranded in a window");
     }
 }

@@ -395,12 +395,16 @@ fn route_refresh_under_queued_heads_keeps_arbitration_in_step() {
     engine.run_until(SimTime::from_us(10));
     let sw = handles.switches[0];
     assert!(
-        engine.get::<Switch>(sw).unwrap().fifo_depth_total() > 0,
+        engine
+            .get::<Switch>(sw)
+            .unwrap()
+            .port_snapshots()
+            .any(|p| p.rx_fifo_depth > 0),
         "node 0's packets should be queued behind slow node 3"
     );
     assert!(view.declare_down(Vertex::Node(3)));
     assert_eq!(engine.run(), RunLimit::Drained);
-    let blackholed = engine.get::<Switch>(sw).unwrap().blackholed();
+    let blackholed = engine.get::<Switch>(sw).unwrap().stats().blackholed;
     let to3 = engine.get::<SourceSink>(ids[3]).unwrap().received.len() as u64;
     assert!(blackholed > 0, "the refresh orphaned no queued packet");
     assert_eq!(to3 + blackholed, per_flow, "a packet for node 3 vanished");

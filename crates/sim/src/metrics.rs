@@ -51,7 +51,10 @@ struct Gauge {
     max: f64,
 }
 
-/// The registry. See the [module docs](self) for the model.
+/// The registry: named counters (monotone `u64`), gauges (last-written
+/// `f64` with a tracked maximum) and time series (`(SimTime, f64)`
+/// samples). Instruments are registered once by name and then updated
+/// through integer ids; every iteration follows registration order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counter_names: Vec<Box<str>>,

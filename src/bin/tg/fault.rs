@@ -35,8 +35,8 @@
 use std::num::NonZeroU64;
 
 use telegraphos::{
-    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, RelParams, RetxMode, Script,
-    SharedPage, Topology,
+    Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, RelParams, RetxMode,
+    Script, SharedPage, Topology,
 };
 use telegraphos_suite::harness::{self, Args, HarnessOptions};
 use tg_analyze::Json;
@@ -199,17 +199,17 @@ fn pound(page: &SharedPage, rounds: u64) -> Script {
     Script::new(acts)
 }
 
-/// One crash-stop run. `seed: None` builds the fault-free reference for
-/// the same workload, topology and discipline, driven identically, so
-/// finish-time deltas isolate what the crash cost.
-fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome {
+/// The cluster of one crash-stop scenario, with its workload installed,
+/// and the instant its crash window opens. `seed: None` builds the
+/// fault-free reference for the same workload, topology and discipline.
+fn crash_cluster(scenario: &str, mode: RetxMode, seed: Option<u64>) -> (Cluster, SimTime) {
     let params = RelParams::with_mode(mode);
     let faulted = seed.is_some();
     let seedv = seed.unwrap_or(0);
     let build =
         |b: ClusterBuilder, plan: FaultPlan| if faulted { b.with_faults(plan) } else { b }.build();
     let crash_from;
-    let mut cluster = match scenario {
+    let cluster = match scenario {
         "crash" | "crashrestart" => {
             crash_from = SimTime::from_us(200);
             let mut plan = FaultPlan::new(seedv).node_crash(NodeId::new(1), crash_from);
@@ -252,6 +252,14 @@ fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome 
         }
         other => panic!("unknown crash scenario {other}"),
     };
+    (cluster, crash_from)
+}
+
+/// One crash-stop run. `seed: None` runs the fault-free reference,
+/// driven identically, so finish-time deltas isolate what the crash cost.
+fn crash_run(scenario: &str, mode: RetxMode, seed: Option<u64>) -> CrashOutcome {
+    let faulted = seed.is_some();
+    let (mut cluster, crash_from) = crash_cluster(scenario, mode, seed);
     let collector = cluster.enable_tracing();
     let mut partition = Vec::new();
     cluster.enable_heartbeats(DetectParams::default());
@@ -686,5 +694,29 @@ pub fn main(mut args: Args) -> Result<(), String> {
     } else {
         println!("tg fault: all faulted runs fully masked in both disciplines");
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The deadlock report of the campaign's partition scenario (first
+    /// seed), in both disciplines, as rendered before the switch, the HIB
+    /// and the cluster shared one port read-out.
+    #[test]
+    fn partition_report_text_is_pinned() {
+        let want = "no progress for a full watchdog window (declared at 900.000us, \
+                    66 units committed):\n\
+                    \x20 PARTITION: live nodes unreachable by routing: node1, node2\n";
+        for mode in [RetxMode::GoBackN, RetxMode::Sack] {
+            let (mut cluster, _) = crash_cluster("partition", mode, Some(0xC8A5_0001));
+            let _collector = cluster.enable_tracing();
+            cluster.enable_heartbeats(DetectParams::default());
+            let report = cluster
+                .drive(Drive::watchdog(SimTime::from_us(300)))
+                .expect_err("a disconnecting cut trips the watchdog");
+            assert_eq!(report.to_string(), want, "{mode:?}");
+        }
     }
 }

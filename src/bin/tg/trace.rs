@@ -26,7 +26,8 @@
 //!   violation. Under a crash-stop plan the masking checks give way to
 //!   verdict reconciliation: every traced `peer-down` names a site inside
 //!   a declared crash window, every `peer-up` follows a declared restart,
-//!   a declared crash produced at least one verdict, and a crash-free run
+//!   a crash window still open while traffic flows past the detector's
+//!   silence floor produced at least one verdict, and a crash-free run
 //!   traced no verdicts at all.
 
 use std::collections::HashMap;
@@ -34,7 +35,9 @@ use std::collections::HashMap;
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed, ChromeEvent,
 };
-use telegraphos::{Cluster, ClusterEvent, ComponentDetail, CrashWindow, TraceCollector};
+use telegraphos::{
+    Cluster, ClusterEvent, ComponentDetail, CrashWindow, DetectParams, TraceCollector,
+};
 use telegraphos_suite::harness::Args;
 use tg_sim::SimTime;
 use tg_wire::trace::{OpKind, PacketEvent, Site, Stage};
@@ -250,8 +253,10 @@ fn kind_report(cluster: &Cluster) -> String {
 /// actually have silenced, no earlier than its window opens (a dead
 /// *switch* cuts node↔node heartbeat paths, so node verdicts during a
 /// switch window are legitimate indirect observations); every
-/// rehabilitation follows a closed window; and a crash window the run
-/// straddled produced at least one conviction.
+/// rehabilitation follows a closed window; and a crash window still open
+/// while traffic flows past the detector's silence floor
+/// (`DetectParams::default().peer_timeout`, the floor `tg trace` runs
+/// with) produced at least one conviction.
 fn check_peer_verdicts(
     windows: &[CrashWindow],
     packets: &[PacketEvent],
@@ -301,15 +306,19 @@ fn check_peer_verdicts(
             ));
         }
     }
-    // Only demand a conviction when the fabric was still carrying traffic
-    // once the window opened — a crash scheduled after quiescence (or
-    // after heartbeats stopped) convicts no one, and that is correct.
-    let straddled = windows.iter().any(|w| {
-        packets
-            .iter()
-            .any(|ev| ev.at >= w.from && !matches!(ev.stage, Stage::PeerDown | Stage::PeerUp))
+    // Only demand a conviction of a window that stays open past the
+    // detector's silence floor while the fabric still carries traffic: a
+    // crash scheduled after quiescence (or after heartbeats stopped), or
+    // one that restarts before the floor elapses, convicts no one, and
+    // that is correct.
+    let timeout = DetectParams::default().peer_timeout;
+    let overdue = windows.iter().any(|w| {
+        let due = w.from + timeout;
+        packets.iter().any(|ev| {
+            (due..w.until).contains(&ev.at) && !matches!(ev.stage, Stage::PeerDown | Stage::PeerUp)
+        })
     });
-    if convictions == 0 && straddled {
+    if convictions == 0 && overdue {
         problems.push("a crash was declared but no peer-down verdict was traced".to_string());
     }
 }
@@ -376,4 +385,43 @@ pub fn main(mut args: Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use telegraphos_suite::harness::{self, HarnessOptions};
+
+    /// `tg trace pingpong --crash 1,40` with its peer-down verdicts
+    /// removed: the window stays open long past the silence floor while
+    /// survivors retransmit into it, so the check must fire.
+    #[test]
+    fn a_long_window_without_verdicts_fails_the_check() {
+        let opts = HarnessOptions {
+            reliable: true,
+            heartbeats: true,
+            crash: Some((1, 40)),
+            ..HarnessOptions::default()
+        };
+        let mut cluster = harness::build_pingpong(&opts);
+        let collector = cluster.enable_tracing();
+        assert!(harness::run_cluster(&mut cluster, &opts, None));
+        let windows = cluster
+            .fault_plan()
+            .expect("crash plan")
+            .crash_windows()
+            .to_vec();
+        let mut packets = collector.packet_events();
+        let check = |packets: &[PacketEvent]| {
+            let mut problems = Vec::new();
+            check_peer_verdicts(&windows, packets, &mut problems);
+            problems
+        };
+        assert_eq!(check(&packets), Vec::<String>::new());
+        packets.retain(|ev| ev.stage != Stage::PeerDown);
+        assert_eq!(
+            check(&packets),
+            ["a crash was declared but no peer-down verdict was traced"]
+        );
+    }
 }

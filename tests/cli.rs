@@ -1,7 +1,8 @@
 //! The `tg` binary end to end: the perf gate passes a baseline against
 //! itself and fires on a synthetic 10% latency regression, bad command
-//! lines exit 1 with one line on stderr, and a crash run that cannot
-//! finish exits 1 instead of hanging.
+//! lines exit 1 with one line on stderr, a crash run that cannot finish
+//! exits 1 instead of hanging, and a crash window that closes before the
+//! failure detector could convict passes `--check`.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -76,4 +77,19 @@ fn a_crash_run_that_cannot_finish_exits_1() {
     assert_eq!(run.status.code(), Some(1), "{run:?}");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(stderr.contains("workload deadlocked"), "{stderr}");
+}
+
+/// A crash window of 60 µs closes before the detector's 100 µs silence
+/// floor elapses, so the run correctly convicts no one: `--check` must
+/// not demand a peer-down verdict.
+#[test]
+fn a_crash_shorter_than_the_peer_timeout_passes_the_check() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("short_crash_trace.json");
+    let args = ["trace", "pingpong", "--crash", "1,40", "--restart", "100"];
+    let run = tg(&[
+        &args[..],
+        &["--check", "--quiet", "--out", out.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(run.status.success(), "{run:?}");
 }

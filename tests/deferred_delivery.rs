@@ -76,26 +76,33 @@ fn switch_out_trace_is_pinned_and_eager() {
     assert_eq!(engine.logical_events(), 3_152);
 }
 
-/// `tg trace pingpong --sack --crash 1,150 --restart 2500`: SACK links
-/// and a crash-restart cycle, so nothing is absorbed.
+/// `tg trace pingpong --sack --crash 1,40 --restart 150` and `--crash
+/// 1,150 --restart 2500`: SACK links and a crash-restart cycle, so
+/// nothing is absorbed. Ping-pong's last event falls at 79.3 µs, so only
+/// the first window opens while the workload runs; the second crashes a
+/// node that has already finished. The four nodes run in lockstep: every
+/// continuation ties with another node's event at the same instant, so
+/// none runs in place.
 #[test]
 fn sack_crash_restart_trace_is_pinned_and_eager() {
-    let opts = HarnessOptions {
-        reliable: true,
-        heartbeats: true,
-        mode: RetxMode::Sack,
-        crash: Some((1, 150)),
-        restart_us: Some(2500),
-        ..HarnessOptions::default()
-    };
-    let (fingerprint, engine) = trace_pin(harness::build_pingpong(&opts), &opts);
-    assert_eq!(fingerprint, 0x6f7b_6d32_e307_bc1c);
-    assert_eq!(engine.events_absorbed, 0);
-    // The four nodes run in lockstep until the crash and lose the link
-    // to it after: every continuation ties with another node's event at
-    // the same instant, so none runs in place.
-    assert_eq!(engine.events_inlined, 0);
-    assert_eq!(engine.logical_events(), 1_328);
+    for (crash, restart_us, pin, logical) in [
+        ((1, 40), 150, 0x5855_77e5_863e_65a5, 1_231),
+        ((1, 150), 2500, 0x6f7b_6d32_e307_bc1c, 1_328),
+    ] {
+        let opts = HarnessOptions {
+            reliable: true,
+            heartbeats: true,
+            mode: RetxMode::Sack,
+            crash: Some(crash),
+            restart_us: Some(restart_us),
+            ..HarnessOptions::default()
+        };
+        let (fingerprint, engine) = trace_pin(harness::build_pingpong(&opts), &opts);
+        assert_eq!(fingerprint, pin, "{crash:?}");
+        assert_eq!(engine.events_absorbed, 0, "{crash:?}");
+        assert_eq!(engine.events_inlined, 0, "{crash:?}");
+        assert_eq!(engine.logical_events(), logical, "{crash:?}");
+    }
 }
 
 /// `tg trace stencil --drop 0.10 --ctrl-drop 0.25 --ctrl-corrupt 0.10`
