@@ -238,18 +238,35 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
+/// Scans one number by the JSON grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, so `+1`, `.5`
+/// and `1.` never reach `f64::from_str` (and `01` stops after the `0`).
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = b.get(*pos).is_some_and(|c| set.contains(c));
+        *pos += usize::from(hit);
+        hit
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while eat(pos, b"0123456789") {}
+        *pos > from
+    };
+    eat(pos, b"-");
+    let mut ok = eat(pos, b"0") || digits(pos);
+    if ok && eat(pos, b".") {
+        ok = digits(pos);
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
+    if ok && eat(pos, b"eE") {
+        eat(pos, b"+-");
+        ok = digits(pos);
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    let text = std::str::from_utf8(&b[start..*pos]).expect("scanned ASCII");
+    match text.parse::<f64>() {
+        Ok(n) if ok => Ok(Json::Num(n)),
+        _ => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -277,10 +294,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'u' => {
                         let hex = b
                             .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or("bad \\u escape")?;
+                        let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         *pos += 4;
                         // Surrogate pairs are not produced by our writers;
                         // map lone surrogates to the replacement char.
@@ -497,6 +514,48 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{'a': 1}").is_err());
+        assert!(Json::parse("[1,2,").is_err());
+        assert!(Json::parse("01x").is_err());
+        assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for good in [
+            "0",
+            "-0",
+            "7",
+            "-3e2",
+            "2.5",
+            "1E+9",
+            "0.125e-3",
+            "  [1, 2, 3]  ",
+        ] {
+            assert!(Json::parse(good).is_ok(), "{good:?} rejected");
+        }
+        for bad in [
+            "+1", ".5", "1.", "01", "-", "1e", "1e+", "-.5", "1.e3", "--1", "0x10",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
+        }
+        assert_eq!(
+            Json::parse("{\"a\":[1,2.5,-3e2],\"b\":\"x\\n\",\"c\":null,\"d\":true}")
+                .unwrap()
+                .get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(2.5),
+                Json::Num(-300.0)
+            ]))
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        assert_eq!(Json::parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+        for bad in ["\"\\u+041\"", "\"\\u004\"", "\"\\u00g1\"", "\"\\x\""] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

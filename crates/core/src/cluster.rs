@@ -7,12 +7,11 @@ use tg_net::{
     NetConfig, NetEvent, PortSnapshot, RelParams, StalledLink, Topology, Vertex,
 };
 use tg_sim::{CompId, Engine, RunLimit, SimTime};
-use tg_wire::trace::{SharedProbe, Site};
+use tg_wire::trace::{Site, TraceCollector};
 use tg_wire::{GOffset, NodeId, PageNum, TimingConfig, PAGE_BYTES};
 
 use crate::event::ClusterEvent;
 use crate::node::Node;
-use crate::observe::TraceCollector;
 use crate::os::{Os, ReplicatePolicy};
 use crate::pager::{Backing, RemotePager};
 use crate::process::Process;
@@ -1005,28 +1004,20 @@ impl Cluster {
         out
     }
 
-    /// Installs a packet/operation lifecycle probe on every node (CPU +
-    /// HIB) and every switch of the fabric.
-    pub fn install_probe(&mut self, probe: SharedProbe) {
+    /// Enables cluster-wide packet-lifecycle tracing on every node (CPU +
+    /// HIB) and every switch, and returns the log gathering the events.
+    pub fn enable_tracing(&mut self) -> TraceCollector {
+        let log = TraceCollector::new();
         for i in 0..self.n {
-            self.node_mut(i).set_probe(probe.clone());
+            self.node_mut(i).set_tracer(&log);
         }
-        let switches = self.switches.clone();
-        for (k, id) in switches.into_iter().enumerate() {
+        for &id in &self.switches {
             self.engine
                 .get_mut::<tg_net::Switch>(id)
                 .expect("switch component")
-                .set_probe(probe.clone(), k as u16);
+                .set_tracer(&log);
         }
-    }
-
-    /// Enables cluster-wide packet-lifecycle tracing and returns the
-    /// collector gathering the events. Convenience wrapper around
-    /// [`Cluster::install_probe`] with a [`TraceCollector`].
-    pub fn enable_tracing(&mut self) -> TraceCollector {
-        let collector = TraceCollector::new();
-        self.install_probe(collector.probe());
-        collector
+        log
     }
 
     /// Immutable node access.

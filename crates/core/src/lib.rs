@@ -63,11 +63,12 @@ pub use cluster::{
 };
 pub use event::ClusterEvent;
 pub use node::Node;
-pub use observe::{OpBreakdown, Segment, TraceCollector};
+pub use observe::{OpBreakdown, Segment};
 pub use os::{Os, OsEffect, ReplicatePolicy};
 pub use pager::{Backing, RemotePager};
 pub use process::{Action, Process, Resume, Script};
 pub use stats::NodeStats;
+pub use tg_wire::trace::TraceCollector;
 
 // Fault-injection and reliability vocabulary, re-exported so experiments
 // and binaries need only this crate.

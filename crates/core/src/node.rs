@@ -30,7 +30,7 @@ use tg_hib::{
 use tg_mem::{AccessKind, Decoded, Fault, Mmu, PAddr, PhysMem, VAddr};
 use tg_net::NetEvent;
 use tg_sim::{CompId, Component, Ctx, SimTime};
-use tg_wire::trace::{OpEvent, SharedProbe, TraceId};
+use tg_wire::trace::{Site, TraceCollector, TraceId, Tracer};
 use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 
 use crate::event::ClusterEvent;
@@ -86,7 +86,8 @@ struct Thread {
     cur_start: SimTime,
     cur_class: OpClass,
     /// Trace id of the request packet the current operation injected, for
-    /// linking the CPU-level [`OpEvent`] to the packet lifecycle.
+    /// linking the CPU-level [`OpEvent`](tg_wire::trace::OpEvent) to the
+    /// packet lifecycle.
     cur_trace: Option<TraceId>,
     /// Telegraphos context id + key (Telegraphos II launch).
     ctx: (u16, u32),
@@ -133,9 +134,9 @@ pub struct Node {
     /// Engine time of the event being handled, mirrored into the HIB host
     /// shim so the HIB can timestamp observability events.
     now: SimTime,
-    /// Operation-lifecycle probe; `None` (the default) costs one branch
-    /// per completed operation.
-    probe: Option<SharedProbe>,
+    /// Operation trace handle; `None` (the default) costs one branch per
+    /// completed operation.
+    tracer: Option<Tracer>,
     /// Watchdog progress meter, ticked on every completed CPU operation.
     meter: Option<tg_sim::ProgressMeter>,
     /// Deliveries per event variant, indexed by [`ClusterEvent::kind`];
@@ -238,7 +239,7 @@ impl Node {
             stats: NodeStats::default(),
             outbox: Vec::new(),
             now: SimTime::ZERO,
-            probe: None,
+            tracer: None,
             meter: None,
             kinds: [0; ClusterEvent::KINDS.len()],
         }
@@ -307,11 +308,11 @@ impl Node {
         self.hib.stats()
     }
 
-    /// Installs a packet/operation lifecycle probe on this node and its
-    /// HIB. Without one, every hook is a single `None` branch.
-    pub fn set_probe(&mut self, probe: SharedProbe) {
-        self.hib.set_probe(probe.clone());
-        self.probe = Some(probe);
+    /// Records this node's operation events, and its HIB's packet events,
+    /// into `log`. Without a log, every hook is a single `None` branch.
+    pub fn set_tracer(&mut self, log: &TraceCollector) {
+        self.hib.set_tracer(log);
+        self.tracer = Some(log.tracer(Site::Node(self.id)));
     }
 
     /// Packets currently queued for transmission at the HIB.
@@ -439,16 +440,8 @@ impl Node {
             if let Some(meter) = self.meter.as_ref() {
                 meter.tick();
             }
-            if let Some(probe) = self.probe.as_ref() {
-                if let Some(kind) = class.op_kind() {
-                    probe.op(OpEvent {
-                        node: self.id,
-                        kind,
-                        start,
-                        end: now,
-                        trace: self.threads[i].cur_trace.take(),
-                    });
-                }
+            if let (Some(tracer), Some(kind)) = (&self.tracer, class.op_kind()) {
+                tracer.op(kind, start, now, self.threads[i].cur_trace.take());
             }
         }
         let action = self.threads[i].proc.resume_at(saved.r, now);
@@ -1290,14 +1283,14 @@ impl Node {
     }
 
     /// Like [`Node::with_hib`], but attributes any packet the call injects
-    /// to thread `i`'s current operation (for the op-level probe). Stale
+    /// to thread `i`'s current operation (for its traced op event). Stale
     /// injections from interleaved rx handling are discarded first.
     fn with_hib_traced<R>(&mut self, i: usize, f: impl FnOnce(&mut Hib, &mut Shim<'_>) -> R) -> R {
-        if self.probe.is_some() {
+        if self.tracer.is_some() {
             let _ = self.hib.take_last_injected();
         }
         let r = self.with_hib(f);
-        if self.probe.is_some() {
+        if self.tracer.is_some() {
             if let Some(t) = self.hib.take_last_injected() {
                 self.threads[i].cur_trace = Some(t);
             }

@@ -1,12 +1,12 @@
-//! Cluster-level observability: trace collection, per-stage latency
-//! breakdowns, and Chrome trace-event export.
+//! Cluster-level observability: per-stage latency breakdowns and Chrome
+//! trace-event export.
 //!
-//! The probe hooks scattered through the HIBs and switches report raw
-//! [`PacketEvent`]s and [`OpEvent`]s; this module turns them into the
-//! artifacts the paper's §3.2 evaluation is built from:
+//! [`Cluster::enable_tracing`](crate::Cluster::enable_tracing) gives every
+//! HIB, switch and node CPU a [`Tracer`](tg_wire::trace::Tracer) on one
+//! [`TraceCollector`](tg_wire::trace::TraceCollector), which logs raw [`PacketEvent`]s and [`OpEvent`]s;
+//! this module turns them into the artifacts the paper's §3.2 evaluation
+//! is built from:
 //!
-//! * [`TraceCollector`] — the standard [`Probe`] sink, installed cluster-
-//!   wide by [`Cluster::enable_tracing`](crate::Cluster::enable_tracing);
 //! * [`OpBreakdown`] — where one CPU-visible operation spent its time,
 //!   stage by stage, telescoping exactly to the end-to-end latency the
 //!   node's [`NodeStats`](crate::NodeStats) summaries record;
@@ -18,84 +18,11 @@
 //!   breakdowns are built from, for analyzers needing site/stage context;
 //! * [`breakdown_report`] — a human-readable aggregate table.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use tg_sim::{MetricsRegistry, SimTime};
-use tg_wire::trace::{OpEvent, PacketEvent, Probe, SharedProbe, Site, TraceId};
-
-/// Interior buffers shared between the collector handle and the probe
-/// installed at every component.
-#[derive(Debug, Default)]
-struct TraceBuffer {
-    packets: RefCell<Vec<PacketEvent>>,
-    ops: RefCell<Vec<OpEvent>>,
-}
-
-impl Probe for TraceBuffer {
-    fn packet(&self, ev: PacketEvent) {
-        self.packets.borrow_mut().push(ev);
-    }
-
-    fn op(&self, ev: OpEvent) {
-        self.ops.borrow_mut().push(ev);
-    }
-}
-
-/// Records every probe event of a run, in delivery order.
-///
-/// Cloning the collector clones the *handle*; all clones (and the probe
-/// installed at the components) share one buffer.
-#[derive(Clone, Debug, Default)]
-pub struct TraceCollector {
-    buf: Rc<TraceBuffer>,
-}
-
-impl TraceCollector {
-    /// A fresh, empty collector.
-    pub fn new() -> Self {
-        TraceCollector::default()
-    }
-
-    /// The shareable probe to install at components.
-    pub fn probe(&self) -> SharedProbe {
-        self.buf.clone()
-    }
-
-    /// All packet-lifecycle events recorded so far, in emission order
-    /// (which is the engine's deterministic delivery order).
-    pub fn packet_events(&self) -> Vec<PacketEvent> {
-        self.buf.packets.borrow().clone()
-    }
-
-    /// All completed-operation events recorded so far.
-    pub fn op_events(&self) -> Vec<OpEvent> {
-        self.buf.ops.borrow().clone()
-    }
-
-    /// Number of packet events recorded.
-    pub fn packet_event_count(&self) -> usize {
-        self.buf.packets.borrow().len()
-    }
-
-    /// Number of operation events recorded.
-    pub fn op_event_count(&self) -> usize {
-        self.buf.ops.borrow().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.packet_event_count() == 0 && self.op_event_count() == 0
-    }
-
-    /// Per-stage breakdowns of every recorded operation that injected a
-    /// traceable packet (see [`op_breakdowns`]).
-    pub fn breakdowns(&self) -> Vec<OpBreakdown> {
-        op_breakdowns(&self.op_events(), &self.packet_events())
-    }
-}
+use tg_wire::trace::{OpEvent, PacketEvent, Site, TraceId};
 
 /// One segment of an operation's latency: the time spent reaching the
 /// named lifecycle point from the previous one.
@@ -294,7 +221,7 @@ pub struct ChromeEvent {
     pub num_args: Vec<(String, f64)>,
 }
 
-/// Track-group id for a probe site.
+/// Track-group id for a trace site.
 fn site_pid(site: Site) -> u32 {
     match site {
         Site::Node(n) => u32::from(n.raw()),
@@ -587,167 +514,6 @@ pub fn breakdown_report(breakdowns: &[OpBreakdown]) -> String {
     s
 }
 
-/// Checks that `input` is one syntactically well-formed JSON value — a
-/// dependency-free validator for smoke tests of the exporters.
-pub fn json_is_wellformed(input: &str) -> bool {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => false,
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return false;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return false;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return false;
-        }
-    }
-    *pos > start
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
-                }
-            }
-            _ => *pos += 1,
-        }
-    }
-    false
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') || !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_events_are_monotonic_per_track_and_json_parses() {
+    fn chrome_events_are_monotonic_per_track() {
         let req = TraceId::packet(NodeId::new(0), 0);
         let ops = vec![OpEvent {
             node: NodeId::new(0),
@@ -861,8 +627,6 @@ mod tests {
             *t = ev.ts_us;
         }
         assert!(events.iter().any(|e| e.ph == 'M'));
-        let json = chrome_trace_json(&events);
-        assert!(json_is_wellformed(&json), "exporter emitted invalid JSON");
     }
 
     #[test]
@@ -879,19 +643,5 @@ mod tests {
         let report = breakdown_report(&op_breakdowns(&[op], &packets));
         assert!(report.contains("remote-write"));
         assert!(report.contains("cpu-complete"));
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        assert!(json_is_wellformed("{}"));
-        assert!(json_is_wellformed(
-            "{\"a\":[1,2.5,-3e2],\"b\":\"x\\n\",\"c\":null,\"d\":true}"
-        ));
-        assert!(json_is_wellformed("  [1, 2, 3]  "));
-        assert!(!json_is_wellformed("{\"a\":}"));
-        assert!(!json_is_wellformed("[1,2,"));
-        assert!(!json_is_wellformed("\"unterminated"));
-        assert!(!json_is_wellformed("{} extra"));
-        assert!(!json_is_wellformed("01x"));
     }
 }

@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 
-use telegraphos::observe::{
-    breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed,
-};
+use telegraphos::observe::{breakdown_report, chrome_events, op_breakdowns};
 use telegraphos::{Action, Cluster, ClusterBuilder, ComponentDetail, Drive, Script};
 use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::trace::{OpKind, Stage};
@@ -94,7 +92,7 @@ fn op_events_reconcile_with_node_stats() {
         let want = summary.mean() * summary.count() as f64;
         assert!(
             (sum_us - want).abs() <= 1e-6 * (1.0 + want.abs()),
-            "{label}: probe total {sum_us}us vs NodeStats {want}us"
+            "{label}: traced total {sum_us}us vs NodeStats {want}us"
         );
     }
 }
@@ -104,7 +102,7 @@ fn breakdowns_telescope_to_end_to_end_latency() {
     let (mut cluster, collector, _page) = traced_cluster();
     cluster.run();
 
-    let breakdowns = collector.breakdowns();
+    let breakdowns = op_breakdowns(&collector.op_events(), &collector.packet_events());
     // Remote writes, the read and the atomic all injected traceable
     // requests.
     assert!(
@@ -135,7 +133,7 @@ fn breakdowns_telescope_to_end_to_end_latency() {
 }
 
 #[test]
-fn chrome_export_is_wellformed_and_monotonic_per_track() {
+fn chrome_export_is_monotonic_per_track() {
     let (mut cluster, collector, _page) = traced_cluster();
     cluster.run();
 
@@ -148,9 +146,6 @@ fn chrome_export_is_wellformed_and_monotonic_per_track() {
         assert!(ev.ts_us >= *t, "ts went backwards on a track");
         *t = ev.ts_us;
     }
-    let json = chrome_trace_json(&events);
-    assert!(json_is_wellformed(&json), "export is not valid JSON");
-    assert!(json.contains("\"traceEvents\""));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use tg_net::{
 };
 use tg_proto::PendingCam;
 use tg_sim::SimTime;
-use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
+use tg_wire::trace::{Site, Stage, TraceCollector, TraceId, Tracer};
 use tg_wire::{
     AtomicOp, CtrlMsg, GOffset, NodeId, Packet, PageNum, PayloadPool, TimingConfig, WireMsg,
 };
@@ -186,7 +186,6 @@ pub struct Hib {
     link: Option<LinkEnd>,
     rx_fifo: RxFifo,
     tx_queue: VecDeque<Packet>,
-    tx_busy: bool,
     rx_current: Option<Packet>,
     inject_seq: u64,
     // Sharing metadata.
@@ -217,8 +216,8 @@ pub struct Hib {
     /// copy exchange stops allocating once warm.
     pool: PayloadPool,
     stats: HibStats,
-    // Observability (all `None`/no-op unless a probe is installed).
-    probe: Option<SharedProbe>,
+    /// Trace handle; `None` (the default) costs one branch per hook.
+    tracer: Option<Tracer>,
     /// Trace id of the packet currently being processed in `handle_rx`;
     /// packets enqueued while set are responses and get it as parent.
     rx_handling: Option<TraceId>,
@@ -275,7 +274,6 @@ impl Hib {
             link: None,
             rx_fifo: RxFifo::new(8),
             tx_queue: VecDeque::new(),
-            tx_busy: false,
             rx_current: None,
             inject_seq: 0,
             shared: SharedMap::new(),
@@ -294,7 +292,7 @@ impl Hib {
             contexts,
             pool: PayloadPool::new(),
             stats: HibStats::default(),
-            probe: None,
+            tracer: None,
             rx_handling: None,
             last_injected: None,
             link_errors: Vec::new(),
@@ -314,10 +312,10 @@ impl Hib {
         }
     }
 
-    /// Installs a packet-lifecycle probe; events report this board's node
-    /// as their [`Site`].
-    pub fn set_probe(&mut self, probe: SharedProbe) {
-        self.probe = Some(probe);
+    /// Records this board's packet-lifecycle events into `log`, stamped
+    /// with its node as the [`Site`].
+    pub fn set_tracer(&mut self, log: &TraceCollector) {
+        self.tracer = Some(log.tracer(Site::Node(self.node)));
     }
 
     /// Trace id of the most recently injected packet, consumed by the host
@@ -332,16 +330,8 @@ impl Hib {
     }
 
     fn emit(&self, now: SimTime, packet: &Packet, stage: Stage, parent: Option<TraceId>) {
-        if let Some(probe) = &self.probe {
-            probe.packet(PacketEvent {
-                at: now,
-                trace: packet.trace_id(),
-                parent,
-                site: Site::Node(self.node),
-                stage,
-                kind: packet.msg.kind_str(),
-                bytes: packet.size_bytes(),
-            });
+        if let Some(tracer) = &self.tracer {
+            tracer.stage(now, packet, stage, parent);
         }
     }
 
@@ -514,7 +504,7 @@ impl Hib {
     /// FENCE condition of §2.3.5.
     pub fn quiescent(&self) -> bool {
         self.tx_queue.is_empty()
-            && !self.tx_busy
+            && self.tx().is_none_or(TxPort::wire_free)
             && self.outstanding_writes == 0
             && self.outstanding_updates == 0
             && self.copies_in_flight.is_empty()
@@ -1118,8 +1108,8 @@ impl Hib {
                         self.pump_tx(host);
                     }
                     CtrlOutcome::SyncAck(done) => {
-                        if let Some(token) = done {
-                            self.emit_resync(host.now(), token);
+                        if let (Some(tracer), Some(token)) = (&self.tracer, done) {
+                            tracer.resync(host.now(), token);
                         }
                         self.pump_tx(host);
                     }
@@ -1137,7 +1127,6 @@ impl Hib {
         match tick {
             HibTick::TxFree => {
                 self.lazy_free = false;
-                self.tx_busy = false;
                 if let Some(tx) = self.tx_mut() {
                     tx.on_free();
                 }
@@ -1163,7 +1152,11 @@ impl Hib {
                         self.check_starvation(host);
                         self.pump_tx(host);
                     }
-                    TimerAction::Resync { token } => self.emit_resync(host.now(), token),
+                    TimerAction::Resync { token } => {
+                        if let Some(tracer) = &self.tracer {
+                            tracer.resync(host.now(), token);
+                        }
+                    }
                     TimerAction::Dead(err) => self.record_link_error(err, host),
                     TimerAction::Stale | TimerAction::Idle => {}
                 }
@@ -1218,7 +1211,7 @@ impl Hib {
             !tx.is_reliable()
                 && !tx.is_credit_stalled()
                 && tx.credits() < tx.allowance()
-                && (self.tx_busy || self.tx_queue.is_empty())
+                && (!tx.wire_free() || self.tx_queue.is_empty())
         })
     }
 
@@ -1261,7 +1254,6 @@ impl Hib {
             self.node
         );
         self.lazy_free = false;
-        self.tx_busy = false;
         self.tx_mut().expect("tx wired").on_free();
     }
 
@@ -1314,7 +1306,10 @@ impl Hib {
 
     fn peer_down_transition(&mut self, peer: NodeId, host: &mut dyn HibHost) {
         self.stats.peer_downs += 1;
-        self.emit_peer(host.now(), peer, Stage::PeerDown, self.stats.peer_downs);
+        if let Some(tracer) = &self.tracer {
+            let count = self.stats.peer_downs;
+            tracer.peer(host.now(), Site::Node(peer), Stage::PeerDown, count);
+        }
         host.interrupt(
             self.timing.interrupt_latency,
             HibInterrupt::PeerDown { peer },
@@ -1328,7 +1323,10 @@ impl Hib {
         // space; stale dedupe entries would suppress its fresh requests.
         self.atomic_served.remove(&peer.raw());
         self.writes_seen.remove(&peer.raw());
-        self.emit_peer(host.now(), peer, Stage::PeerUp, self.stats.peer_ups);
+        if let Some(tracer) = &self.tracer {
+            let count = self.stats.peer_ups;
+            tracer.peer(host.now(), Site::Node(peer), Stage::PeerUp, count);
+        }
         host.interrupt(self.timing.interrupt_latency, HibInterrupt::PeerUp { peer });
     }
 
@@ -1494,24 +1492,6 @@ impl Hib {
         true
     }
 
-    fn emit_peer(&self, now: SimTime, peer: NodeId, stage: Stage, count: u64) {
-        if let Some(probe) = &self.probe {
-            probe.packet(PacketEvent {
-                at: now,
-                trace: TraceId::packet(peer, count),
-                parent: None,
-                site: Site::Node(self.node),
-                stage,
-                kind: if stage == Stage::PeerDown {
-                    "peer-down"
-                } else {
-                    "peer-up"
-                },
-                bytes: 0,
-            });
-        }
-    }
-
     fn record_link_error(&mut self, err: LinkError, host: &mut dyn HibHost) {
         self.stats.link_faults += 1;
         self.link_errors.push(err);
@@ -1555,20 +1535,6 @@ impl Hib {
             host.schedule_net(self.timing.link_prop, up, credit);
         } else {
             host.schedule_net_deferrable(self.timing.link_prop, up, credit);
-        }
-    }
-
-    fn emit_resync(&self, now: SimTime, token: u64) {
-        if let Some(probe) = &self.probe {
-            probe.packet(PacketEvent {
-                at: now,
-                trace: TraceId::packet(self.node, token),
-                parent: None,
-                site: Site::Node(self.node),
-                stage: Stage::CreditResync,
-                kind: "credit-resync",
-                bytes: 0,
-            });
         }
     }
 
@@ -1971,11 +1937,9 @@ impl Hib {
         let seq = self.inject_seq;
         self.inject_seq += 1;
         let packet = Packet::new(self.node, dst, msg, seq);
-        if self.probe.is_some() {
-            // Injections made while a received packet is being processed
-            // are responses; chain them to their request.
-            self.emit(host.now(), &packet, Stage::TxEnqueue, self.rx_handling);
-        }
+        // Injections made while a received packet is being processed are
+        // responses; chain them to their request.
+        self.emit(host.now(), &packet, Stage::TxEnqueue, self.rx_handling);
         self.last_injected = Some(packet.trace_id());
         self.recheck |= self.lazy_free && self.tx_queue.is_empty();
         self.tx_queue.push_back(packet);
@@ -1984,10 +1948,7 @@ impl Hib {
     }
 
     fn pump_tx(&mut self, host: &mut dyn HibHost) {
-        if self.tx_busy {
-            return;
-        }
-        let Some(tx) = self.tx() else {
+        let Some(tx) = self.tx().filter(|tx| tx.wire_free()) else {
             return;
         };
         // Go-back-N recovery outranks fresh traffic and needs no credit:
@@ -2028,9 +1989,7 @@ impl Hib {
         if self.tx().expect("tx wired").is_reliable() {
             packet = self.tx_mut().expect("tx wired").frame(packet, host.now());
         }
-        if self.probe.is_some() {
-            self.emit(host.now(), &packet, Stage::TxLaunch, None);
-        }
+        self.emit(host.now(), &packet, Stage::TxLaunch, None);
         self.dispatch_frame(packet, true, host);
         self.arm_timer(host);
     }
@@ -2050,7 +2009,6 @@ impl Hib {
             (times, tx.neighbor(), tx.neighbor_port())
         };
         let proc = self.timing.hib_proc;
-        self.tx_busy = true;
         // A packet queued behind this one, a waiting fence (the busy wire
         // keeps it waiting) or a reliable link keeps the `TxFree` active,
         // so it is offered for deferral only otherwise.

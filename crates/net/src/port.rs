@@ -457,45 +457,22 @@ impl TxPort {
         }
     }
 
-    /// Records a returned credit.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::DuplicateCredit`] if credits would exceed the initial
-    /// allowance: a duplicated credit is a neighbor-originated protocol
-    /// violation and must degrade the link, not wedge the cluster.
-    pub fn on_credit(&mut self) -> Result<(), LinkError> {
-        if self.credits >= self.allowance {
-            if self.stale_credit_grace > 0 {
-                // A pre-reset-epoch credit straggling home after a link
-                // revival restored the full allowance: swallow it within
-                // the grace budget instead of declaring a violation.
-                self.stale_credit_grace -= 1;
-                self.stale_credits += 1;
-                return Ok(());
-            }
-            return Err(LinkError::DuplicateCredit {
-                allowance: self.allowance,
-            });
-        }
-        self.credits += 1;
-        if let Some(rel) = self.rel.as_mut() {
-            rel.probe_streak = 0;
-        }
-        Ok(())
-    }
-
     /// Records a returned credit at simulated time `now`, closing any open
     /// credit-stall window (see [`TxPort::note_blocked`]).
     ///
     /// # Errors
     ///
-    /// Like [`TxPort::on_credit`] on a duplicated credit (the stall window
-    /// stays open: no usable credit arrived).
+    /// [`LinkError::DuplicateCredit`] if credits would exceed the initial
+    /// allowance: a duplicated credit is a neighbor-originated protocol
+    /// violation and must degrade the link, not wedge the cluster. The
+    /// stall window stays open: no usable credit arrived.
     #[inline]
     pub fn on_credit_at(&mut self, now: SimTime) -> Result<(), LinkError> {
         if self.credits >= self.allowance {
             if self.stale_credit_grace > 0 {
+                // A pre-reset-epoch credit straggling home after a link
+                // revival restored the full allowance: swallow it within
+                // the grace budget instead of declaring a violation.
                 self.stale_credit_grace -= 1;
                 self.stale_credits += 1;
                 return Ok(());
@@ -1047,7 +1024,7 @@ mod tests {
         assert!(!tx.ready());
         tx.on_free();
         assert!(!tx.ready(), "still out of credits");
-        tx.on_credit().unwrap();
+        tx.on_credit_at(SimTime::ZERO).unwrap();
         assert!(tx.ready());
     }
 
@@ -1055,7 +1032,7 @@ mod tests {
     fn txport_reports_duplicated_credit() {
         let mut tx = TxPort::new(dummy_comp_id(), 0, 2);
         assert_eq!(
-            tx.on_credit(),
+            tx.on_credit_at(SimTime::ZERO),
             Err(LinkError::DuplicateCredit { allowance: 2 })
         );
         assert_eq!(tx.credits(), 2, "duplicate credit is not banked");
@@ -1425,12 +1402,12 @@ mod tests {
         );
         // Two stale pre-epoch credits straggle home: swallowed under the
         // grace budget; a third is a genuine protocol violation.
-        assert_eq!(tx.on_credit(), Ok(()));
+        assert_eq!(tx.on_credit_at(SimTime::ZERO), Ok(()));
         assert_eq!(tx.on_credit_at(SimTime::from_ms(3)), Ok(()));
         assert_eq!(tx.credits(), 4, "stale credits are not banked");
         assert_eq!(tx.stale_credits(), 2);
         assert_eq!(
-            tx.on_credit(),
+            tx.on_credit_at(SimTime::ZERO),
             Err(LinkError::DuplicateCredit { allowance: 4 })
         );
         // The new epoch frames and delivers normally.
@@ -1451,7 +1428,7 @@ mod tests {
         let _ = tx.launch(&p, &timing);
         tx.on_free();
         tx.on_ack(1, 0, SimTime::from_ns(400));
-        tx.on_credit().unwrap();
+        tx.on_credit_at(SimTime::ZERO).unwrap();
         let _ = tx.reset_epoch(SimTime::from_ms(1));
         // New epoch: one frame delivered and drained, but its credit is
         // lost — the resync probe must conclude exactly one credit is

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use tg_sim::{Component, Ctx, SimTime};
-use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
+use tg_wire::trace::{Site, Stage, TraceCollector, Tracer};
 use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig};
 
 use crate::detect::{HeartbeatDetector, Liveness};
@@ -128,9 +128,9 @@ pub struct Switch {
     /// changed since the last pump armed everything it touched.
     touched: Vec<u64>,
     stats: SwitchStats,
-    /// Observability sink; `None` (the default) costs one branch per hook.
-    probe: Option<SharedProbe>,
-    /// This switch's fabric index, reported as the probe [`Site`].
+    /// Trace handle; `None` (the default) costs one branch per hook.
+    tracer: Option<Tracer>,
+    /// This switch's fabric index, reported in traces and link diagnostics.
     site: Site,
     reliability: Option<RelParams>,
     /// Handed to every port's link end as it attaches.
@@ -183,7 +183,7 @@ impl Switch {
             pending: vec![0; words],
             touched: vec![0; words],
             stats: SwitchStats::default(),
-            probe: None,
+            tracer: None,
             site: Site::Switch(0),
             reliability: None,
             injector: None,
@@ -198,15 +198,14 @@ impl Switch {
         }
     }
 
-    /// Installs a packet-lifecycle probe, reporting this switch as fabric
-    /// index `index` in emitted events.
-    pub fn set_probe(&mut self, probe: SharedProbe, index: u16) {
-        self.probe = Some(probe);
-        self.site = Site::Switch(index);
+    /// Records this switch's packet-lifecycle events into `log`, stamped
+    /// with its [`Site`].
+    pub fn set_tracer(&mut self, log: &TraceCollector) {
+        self.tracer = Some(log.tracer(self.site));
     }
 
-    /// Sets this switch's fabric index (the [`Site`] used in probe events
-    /// and link diagnostics) without installing a probe.
+    /// Sets this switch's fabric index (the [`Site`] used in trace events
+    /// and link diagnostics). Call before [`Switch::set_tracer`].
     pub fn set_site(&mut self, index: u16) {
         self.site = Site::Switch(index);
     }
@@ -242,36 +241,8 @@ impl Switch {
     }
 
     fn emit(&self, at: SimTime, packet: &Packet, stage: Stage) {
-        if let Some(probe) = &self.probe {
-            probe.packet(PacketEvent {
-                at,
-                trace: packet.trace_id(),
-                parent: None,
-                site: self.site,
-                stage,
-                kind: packet.msg.kind_str(),
-                bytes: packet.size_bytes(),
-            });
-        }
-    }
-
-    /// Marks a credit-resync probe launch in the packet trace. Probes carry
-    /// no [`Packet`], so the event is keyed by the switch index and the
-    /// handshake token instead of an inject sequence.
-    fn emit_resync(&self, at: SimTime, token: u64) {
-        if let Some(probe) = &self.probe {
-            let Site::Switch(idx) = self.site else {
-                return;
-            };
-            probe.packet(PacketEvent {
-                at,
-                trace: TraceId::packet(NodeId::new(idx), token),
-                parent: None,
-                site: self.site,
-                stage: Stage::CreditResync,
-                kind: "credit-resync",
-                bytes: 0,
-            });
+        if let Some(tracer) = &self.tracer {
+            tracer.stage(at, packet, stage, None);
         }
     }
 
@@ -509,30 +480,6 @@ impl Switch {
         }
     }
 
-    /// Marks a peer liveness transition in the packet trace. The trace id
-    /// encodes the convicted peer (switch peers carry bit 15) and this
-    /// observer's running verdict count; the site is the observer.
-    fn emit_peer(&self, at: SimTime, peer: Site, stage: Stage, count: u64) {
-        if let Some(probe) = &self.probe {
-            let raw = match peer {
-                Site::Node(n) => n.raw(),
-                Site::Switch(s) => 0x8000 | s,
-            };
-            probe.packet(PacketEvent {
-                at,
-                trace: TraceId::packet(NodeId::new(raw), count),
-                parent: None,
-                site: self.site,
-                stage,
-                kind: match stage {
-                    Stage::PeerDown => "peer-down",
-                    _ => "peer-up",
-                },
-                bytes: 0,
-            });
-        }
-    }
-
     /// Handles a beacon arriving on `in_port`: feeds the port detector
     /// (reviving a convicted port if its silence ended), floods the
     /// beacon out every other port unless an equal-or-newer sequence from
@@ -609,7 +556,9 @@ impl Switch {
             .detector
             .as_ref()
             .map_or(0, |d| d.transition_counts().0);
-        self.emit_peer(ctx.now(), link.to, Stage::PeerDown, downs);
+        if let Some(tracer) = &self.tracer {
+            tracer.peer(ctx.now(), link.to, Stage::PeerDown, downs);
+        }
         if let Some(view) = self.view.clone() {
             view.declare_down(vertex_of_site(link.to));
             self.refresh_routes(ctx);
@@ -629,7 +578,9 @@ impl Switch {
             .detector
             .as_ref()
             .map_or(0, |d| d.transition_counts().1);
-        self.emit_peer(ctx.now(), link.to, Stage::PeerUp, ups);
+        if let Some(tracer) = &self.tracer {
+            tracer.peer(ctx.now(), link.to, Stage::PeerUp, ups);
+        }
         if let Some(view) = self.view.clone() {
             view.declare_up(vertex_of_site(link.to));
             self.refresh_routes(ctx);
@@ -918,7 +869,11 @@ impl Switch {
                     // Mirror the HIB: a completed handshake is traced too,
                     // so collectors can reconcile traced resync events
                     // against probe + completion counters.
-                    CtrlOutcome::SyncAck(Some(token)) => self.emit_resync(ctx.now(), token),
+                    CtrlOutcome::SyncAck(Some(token)) => {
+                        if let Some(tracer) = &self.tracer {
+                            tracer.resync(ctx.now(), token);
+                        }
+                    }
                     CtrlOutcome::Acked | CtrlOutcome::SyncAck(None) => {}
                 }
                 self.mark_pending(p);
@@ -932,7 +887,11 @@ impl Switch {
                         self.mark_pending(p);
                         self.pump(ctx);
                     }
-                    TimerAction::Resync { token } => self.emit_resync(ctx.now(), token),
+                    TimerAction::Resync { token } => {
+                        if let Some(tracer) = &self.tracer {
+                            tracer.resync(ctx.now(), token);
+                        }
+                    }
                     TimerAction::Dead(err) => self.on_link_dead(p, err, ctx),
                     TimerAction::Stale | TimerAction::Idle => {}
                 }

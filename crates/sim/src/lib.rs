@@ -50,5 +50,5 @@ pub use engine::{
 };
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId};
 pub use rng::SimRng;
-pub use stats::{Histogram, LogHistogram, Summary};
+pub use stats::{LogHistogram, Summary};
 pub use time::SimTime;

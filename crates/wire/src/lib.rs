@@ -3,11 +3,12 @@
 //! Pure data types exchanged between the subsystem crates: node identifiers,
 //! the shared-segment address geometry (8 KB Alpha pages, 64-bit words), the
 //! wire-message protocol spoken between Host Interface Boards, network
-//! packets with their size model, and the cluster-wide timing calibration.
+//! packets with their size model, the cluster-wide timing calibration, and
+//! the packet-lifecycle trace log every layer records into.
 //!
-//! Nothing in this crate has behaviour beyond encoding/decoding and size
-//! arithmetic; the state machines live in `tg-net`, `tg-hib`, `tg-proto` and
-//! `telegraphos`.
+//! Nothing in this crate has behaviour beyond encoding/decoding, size
+//! arithmetic and appending to the trace log; the state machines live in
+//! `tg-net`, `tg-hib`, `tg-proto` and `telegraphos`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -27,4 +28,4 @@ pub use ids::NodeId;
 pub use msg::{AtomicOp, Packet, WireMsg, HEADER_BYTES};
 pub use payload::{Payload, PayloadPool};
 pub use timing::TimingConfig;
-pub use trace::{OpEvent, OpKind, PacketEvent, Probe, SharedProbe, Site, Stage, TraceId};
+pub use trace::{OpEvent, OpKind, PacketEvent, Site, Stage, TraceCollector, TraceId, Tracer};

@@ -1,27 +1,29 @@
-//! Packet-lifecycle tracing vocabulary.
+//! Packet-lifecycle tracing: the vocabulary and the event log.
 //!
 //! The paper's evaluation (§3.2) is a *breakdown*: where a remote operation
 //! spends its microseconds — CPU store, TurboChannel, HIB, link, switch,
 //! remote memory. This module defines the shared vocabulary every layer of
-//! the simulated cluster uses to report those stages: a [`TraceId`] naming
-//! one packet, a [`Stage`] naming one lifecycle point, and a [`Probe`]
-//! trait that observability sinks implement.
+//! the simulated cluster uses to report those stages — a [`TraceId`] naming
+//! one packet, a [`Stage`] naming one lifecycle point — and the log that
+//! records them: a [`TraceCollector`] holds a run's events, and a
+//! [`Tracer`] is its handle stamped with the [`Site`] that emits.
 //!
-//! Probes are strictly optional: every hook site holds an
-//! `Option<Rc<dyn Probe>>` and compiles down to a single branch when no
-//! probe is installed, so the simulation's hot paths pay (nearly) nothing
-//! for the instrumentation when it is off.
+//! Tracing is strictly optional: every hook site (HIB, switch, node CPU)
+//! holds an `Option<Tracer>`, so an untraced run pays one branch per hook.
+//! Each kind of event is built in one place, a [`Tracer`] method.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 use tg_sim::SimTime;
 
 use crate::ids::NodeId;
+use crate::Packet;
 
 /// Identity of one traced packet.
 ///
-/// Every [`Packet`](crate::Packet) is already uniquely named by its
+/// Every [`Packet`] is already uniquely named by its
 /// `(src, inject_seq)` pair — the injecting HIB assigns a per-source
 /// sequence number at injection — so the trace id is a stamp derived from
 /// fields the packet carries on the wire rather than an extra header byte.
@@ -242,26 +244,132 @@ pub struct OpEvent {
     pub trace: Option<TraceId>,
 }
 
-/// An observability sink for lifecycle events.
+/// The event log of one traced run: every packet-lifecycle and
+/// completed-operation event, in emission order (the engine's
+/// deterministic delivery order).
 ///
-/// Implementations are shared across components as `Rc<dyn Probe>` (the
-/// simulation is single-threaded) and use interior mutability to record.
-/// Both methods default to no-ops so a sink may care about only one kind
-/// of event.
-pub trait Probe: fmt::Debug {
-    /// Records a packet-lifecycle observation.
-    fn packet(&self, ev: PacketEvent) {
-        let _ = ev;
+/// Cloning the collector clones the *handle*; all clones and every
+/// [`Tracer`] made from them share one log.
+#[derive(Clone, Debug, Default)]
+pub struct TraceCollector {
+    log: Rc<Log>,
+}
+
+#[derive(Debug, Default)]
+struct Log {
+    packets: RefCell<Vec<PacketEvent>>,
+    ops: RefCell<Vec<OpEvent>>,
+}
+
+impl TraceCollector {
+    /// A fresh, empty log.
+    pub fn new() -> Self {
+        TraceCollector::default()
     }
 
-    /// Records a completed CPU-visible operation.
-    fn op(&self, ev: OpEvent) {
-        let _ = ev;
+    /// A handle on this log that stamps every event it records with `site`.
+    pub fn tracer(&self, site: Site) -> Tracer {
+        Tracer {
+            log: self.log.clone(),
+            site,
+        }
+    }
+
+    /// All packet-lifecycle events recorded so far, in emission order.
+    pub fn packet_events(&self) -> Vec<PacketEvent> {
+        self.log.packets.borrow().clone()
+    }
+
+    /// All completed-operation events recorded so far.
+    pub fn op_events(&self) -> Vec<OpEvent> {
+        self.log.ops.borrow().clone()
+    }
+
+    /// Number of packet events recorded.
+    pub fn packet_event_count(&self) -> usize {
+        self.log.packets.borrow().len()
+    }
+
+    /// Number of operation events recorded.
+    pub fn op_event_count(&self) -> usize {
+        self.log.ops.borrow().len()
     }
 }
 
-/// The shared-ownership form every hook site stores.
-pub type SharedProbe = Rc<dyn Probe>;
+/// A [`TraceCollector`] handle stamped with the [`Site`] it records for:
+/// the one builder of every traced event.
+#[derive(Debug)]
+pub struct Tracer {
+    log: Rc<Log>,
+    site: Site,
+}
+
+impl Tracer {
+    /// Records `packet` reaching `stage` here; `parent` chains a response
+    /// to the request it answers.
+    pub fn stage(&self, at: SimTime, packet: &Packet, stage: Stage, parent: Option<TraceId>) {
+        self.log.packets.borrow_mut().push(PacketEvent {
+            at,
+            trace: packet.trace_id(),
+            parent,
+            site: self.site,
+            stage,
+            kind: packet.msg.kind_str(),
+            bytes: packet.size_bytes(),
+        });
+    }
+
+    /// Records a credit-resync probe launch or completion. Probes carry no
+    /// [`Packet`], so the id is this site's index (a switch's carries no
+    /// bit 15) and the handshake token.
+    pub fn resync(&self, at: SimTime, token: u64) {
+        let raw = match self.site {
+            Site::Node(n) => n.raw(),
+            Site::Switch(s) => s,
+        };
+        self.mark(at, raw, token, Stage::CreditResync);
+    }
+
+    /// Records a [`Stage::PeerDown`] or [`Stage::PeerUp`] verdict on
+    /// `peer`. The id encodes the peer (a switch peer carries bit 15) and
+    /// this observer's running verdict `count`.
+    pub fn peer(&self, at: SimTime, peer: Site, stage: Stage, count: u64) {
+        debug_assert!(matches!(stage, Stage::PeerDown | Stage::PeerUp));
+        let raw = match peer {
+            Site::Node(n) => n.raw(),
+            Site::Switch(s) => 0x8000 | s,
+        };
+        self.mark(at, raw, count, stage);
+    }
+
+    /// Records a CPU operation this node issued at `start` and saw
+    /// complete at `end`; `trace` is the request packet it injected.
+    pub fn op(&self, kind: OpKind, start: SimTime, end: SimTime, trace: Option<TraceId>) {
+        let Site::Node(node) = self.site else {
+            unreachable!("only nodes complete CPU operations")
+        };
+        self.log.ops.borrow_mut().push(OpEvent {
+            node,
+            kind,
+            start,
+            end,
+            trace,
+        });
+    }
+
+    /// A packet-less event: keyed by `(raw, seq)`, labelled by its stage.
+    fn mark(&self, at: SimTime, raw: u16, seq: u64, stage: Stage) {
+        self.log.packets.borrow_mut().push(PacketEvent {
+            at,
+            trace: TraceId::packet(NodeId::new(raw), seq),
+            parent: None,
+            site: self.site,
+            stage,
+            kind: stage.label(),
+            bytes: 0,
+        });
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -291,33 +399,26 @@ mod tests {
         assert_eq!(Site::Node(NodeId::new(3)).to_string(), "node3");
     }
 
-    #[derive(Debug, Default)]
-    struct CountingProbe(std::cell::Cell<u32>);
-    impl Probe for CountingProbe {
-        fn packet(&self, _ev: PacketEvent) {
-            self.0.set(self.0.get() + 1);
-        }
-    }
-
     #[test]
-    fn probe_defaults_are_no_ops() {
-        let p = CountingProbe::default();
-        p.op(OpEvent {
-            node: NodeId::new(0),
-            kind: OpKind::Fence,
-            start: SimTime::ZERO,
-            end: SimTime::from_ns(1),
-            trace: None,
-        });
-        p.packet(PacketEvent {
-            at: SimTime::ZERO,
-            trace: TraceId::packet(NodeId::new(0), 0),
-            parent: None,
-            site: Site::Node(NodeId::new(0)),
-            stage: Stage::TxEnqueue,
-            kind: "write_req",
-            bytes: 22,
-        });
-        assert_eq!(p.0.get(), 1);
+    fn tracer_stamps_site_and_encodes_markers() {
+        let log = TraceCollector::new();
+        let sw = log.tracer(Site::Switch(2));
+        sw.resync(SimTime::from_ns(1), 9);
+        sw.peer(SimTime::from_ns(2), Site::Switch(3), Stage::PeerDown, 1);
+        let node = log.tracer(Site::Node(NodeId::new(4)));
+        node.peer(
+            SimTime::from_ns(3),
+            Site::Node(NodeId::new(5)),
+            Stage::PeerUp,
+            2,
+        );
+        node.op(OpKind::Fence, SimTime::ZERO, SimTime::from_ns(4), None);
+        let ids: Vec<_> = log.packet_events().iter().map(|e| e.trace.raw()).collect();
+        assert_eq!(ids, [(2 << 48) | 9, (0x8003 << 48) | 1, (5 << 48) | 2]);
+        let kinds: Vec<_> = log.packet_events().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, ["credit-resync", "peer-down", "peer-up"]);
+        assert_eq!(log.packet_events()[1].site, Site::Switch(2));
+        assert_eq!(log.op_events()[0].node, NodeId::new(4));
+        assert_eq!((log.packet_event_count(), log.op_event_count()), (3, 1));
     }
 }

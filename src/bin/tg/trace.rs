@@ -1,7 +1,7 @@
 //! `tg trace` — packet-lifecycle tracing and Chrome-trace export.
 //!
-//! Runs a small cluster workload with the observability probe installed,
-//! then writes a Chrome trace-event JSON file (loadable in Perfetto or
+//! Runs a small cluster workload with tracing enabled, then writes a
+//! Chrome trace-event JSON file (loadable in Perfetto or
 //! `chrome://tracing`, default `trace.json`) and prints the per-stage
 //! latency breakdown the paper's §3.2 cost analysis is built from.
 //!
@@ -33,12 +33,13 @@
 use std::collections::HashMap;
 
 use telegraphos::observe::{
-    breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed, ChromeEvent,
+    breakdown_report, chrome_events, chrome_trace_json, op_breakdowns, ChromeEvent,
 };
 use telegraphos::{
     Cluster, ClusterEvent, ComponentDetail, CrashWindow, DetectParams, TraceCollector,
 };
 use telegraphos_suite::harness::Args;
+use tg_analyze::Json;
 use tg_sim::SimTime;
 use tg_wire::trace::{OpKind, PacketEvent, Site, Stage};
 
@@ -61,7 +62,7 @@ fn check_export(
     json: &str,
 ) -> Vec<String> {
     let mut problems = Vec::new();
-    if !json_is_wellformed(json) {
+    if Json::parse(json).is_err() {
         problems.push("exported Chrome trace is not well-formed JSON".to_string());
     }
     // Monotonically non-decreasing timestamps per (pid, tid) track.
@@ -93,7 +94,7 @@ fn check_export(
         return problems;
     }
     // Per-stage breakdowns telescope to the op's end-to-end window.
-    for b in collector.breakdowns() {
+    for b in op_breakdowns(&collector.op_events(), &packets) {
         let total = b.total();
         let window = b.op.end.saturating_sub(b.op.start);
         if total != window {
@@ -106,7 +107,7 @@ fn check_export(
             ));
         }
     }
-    // Probe-observed latencies reconcile with the NodeStats summaries the
+    // Traced latencies reconcile with the NodeStats summaries the
     // experiments read (within float rounding: summaries store microsecond
     // floats).
     let mut observed: HashMap<(u16, &'static str), (u64, f64)> = HashMap::new();
@@ -128,7 +129,7 @@ fn check_export(
             let (count, sum_us) = observed.get(&(i, label)).copied().unwrap_or((0, 0.0));
             if count != summary.count() {
                 problems.push(format!(
-                    "node{i} {label}: probe saw {count} ops, NodeStats {}",
+                    "node{i} {label}: trace saw {count} ops, NodeStats {}",
                     summary.count()
                 ));
                 continue;
@@ -136,12 +137,12 @@ fn check_export(
             let want = summary.mean() * summary.count() as f64;
             if (sum_us - want).abs() > 1e-6 * (1.0 + want.abs()) {
                 problems.push(format!(
-                    "node{i} {label}: probe total {sum_us:.6}us, NodeStats {want:.6}us"
+                    "node{i} {label}: trace total {sum_us:.6}us, NodeStats {want:.6}us"
                 ));
             }
         }
     }
-    // Fault-recovery trace reconciles with the fabric counters: the probe
+    // Fault-recovery trace reconciles with the fabric counters: the trace
     // sees exactly the retransmissions the ports count, every frame the
     // injector killed shows up as a dropped lifecycle point, and a
     // lossless run traces no drops at all. Either way, a drained fabric
@@ -351,7 +352,7 @@ pub fn main(mut args: Args) -> Result<(), String> {
             engine.events_delivered, engine.events_absorbed, engine.events_inlined
         );
         eprint!("{}", kind_report(&cluster));
-        print!("{}", breakdown_report(&collector.breakdowns()));
+        print!("{}", breakdown_report(&op_breakdowns(&ops, &packets)));
         if run.opts.reliable {
             let fs = cluster.fault_stats();
             println!(

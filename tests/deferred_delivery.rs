@@ -8,7 +8,10 @@
 //! absorbs credits and port-free events; the fault runs (a fabric view
 //! with go-back-N links, SACK links with a crash and restart, and lossy
 //! control planes on both disciplines) must absorb nothing and stay
-//! eager. The logical event count (delivered +
+//! eager. Two more traces pin the rare lifecycle points: a switch that
+//! returns mid-run (peer-down and peer-up verdicts at nodes and switches)
+//! and a credit-loss plan (credit stalls and resyncs at both site kinds).
+//! The logical event count (delivered +
 //! absorbed + inlined) is pinned to what the simulator delivered before
 //! it inlined anything. The KV test pins a shrunk `perfbench` `kv` run
 //! the same way, by its audit fingerprint and latency percentiles, and a
@@ -16,9 +19,12 @@
 //! ahead of a zero-delay send to another component.
 
 use telegraphos::observe::{chrome_events, chrome_trace_json};
-use telegraphos::{Action, Cluster, ClusterBuilder, RelParams, RetxMode, Script};
+use telegraphos::{
+    Action, Cluster, ClusterBuilder, FaultPlan, RelParams, RetxMode, Script, TraceCollector,
+};
 use telegraphos_suite::harness::{self, HarnessOptions};
 use tg_sim::{EngineStats, RunLimit, SimTime};
+use tg_wire::trace::{PacketEvent, Site, Stage};
 use tg_wire::TimingConfig;
 
 /// FNV-1a over `bytes`.
@@ -28,16 +34,39 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs `cluster` as `tg trace` does and returns the fingerprint of the
-/// exported trace and the engine counters.
-fn trace_pin(mut cluster: Cluster, opts: &HarnessOptions) -> (u64, EngineStats) {
-    let collector = cluster.enable_tracing();
-    assert!(harness::run_cluster(&mut cluster, opts, None), "run wedged");
+/// The fingerprint of the trace `tg trace --out` would export from
+/// `collector`.
+fn export_pin(collector: &TraceCollector) -> u64 {
     let json = chrome_trace_json(&chrome_events(
         &collector.op_events(),
         &collector.packet_events(),
     ));
-    (fnv1a(json.as_bytes()), cluster.engine_stats())
+    fnv1a(json.as_bytes())
+}
+
+/// Runs `cluster` as `tg trace` does and returns the fingerprint of the
+/// exported trace and the engine counters.
+fn trace_pin(cluster: Cluster, opts: &HarnessOptions) -> (u64, EngineStats) {
+    let (fingerprint, engine, _) = traced_run(cluster, opts);
+    (fingerprint, engine)
+}
+
+/// [`trace_pin`], also returning the traced packet events.
+fn traced_run(mut cluster: Cluster, opts: &HarnessOptions) -> (u64, EngineStats, Vec<PacketEvent>) {
+    let collector = cluster.enable_tracing();
+    assert!(harness::run_cluster(&mut cluster, opts, None), "run wedged");
+    let engine = cluster.engine_stats();
+    (export_pin(&collector), engine, collector.packet_events())
+}
+
+/// Whether `stage` was traced at a node and at a switch.
+fn traced_at(packets: &[PacketEvent], stage: Stage) -> (bool, bool) {
+    let at = |switch: bool| {
+        packets
+            .iter()
+            .any(|e| e.stage == stage && matches!(e.site, Site::Switch(_)) == switch)
+    };
+    (at(false), at(true))
 }
 
 /// `tg trace stencil --nodes 16`: unreliable links on one star, so the
@@ -74,6 +103,54 @@ fn switch_out_trace_is_pinned_and_eager() {
     assert_eq!(engine.events_absorbed, 0);
     assert!(engine.events_inlined > 0, "no continuation ran in place");
     assert_eq!(engine.logical_events(), 3_152);
+}
+
+/// `tg trace pingpong --switch-out 1,100,400`: switch 1 returns while
+/// ping-pong still runs, so nodes and switches trace both peer-down and
+/// peer-up verdicts (a switch peer's id carries bit 15), and a node traces
+/// a credit resync.
+#[test]
+fn switch_return_trace_is_pinned() {
+    let opts = HarnessOptions {
+        reliable: true,
+        heartbeats: true,
+        switch_out: Some((1, 100, 400)),
+        ..HarnessOptions::default()
+    };
+    let (fingerprint, engine, packets) = traced_run(harness::build_pingpong(&opts), &opts);
+    assert_eq!(traced_at(&packets, Stage::PeerDown), (true, true));
+    assert_eq!(traced_at(&packets, Stage::PeerUp), (true, true));
+    assert!(traced_at(&packets, Stage::CreditResync).0);
+    assert_eq!(fingerprint, 0xb9b3_dd07_ffe4_a855);
+    assert_eq!(engine.logical_events(), 3_871);
+}
+
+/// The `tg fault` `creditloss` workload with fault seed 1 on go-back-N
+/// links: two writers stream into a page on the third node while half of
+/// all returned credits are lost, so nodes and switches both trace credit
+/// stalls and credit resyncs.
+#[test]
+fn credit_loss_trace_is_pinned() {
+    let mut cluster = ClusterBuilder::new(3)
+        .reliable_links(RelParams::with_mode(RetxMode::GoBackN))
+        .with_faults(FaultPlan::new(1).credit_loss(0.5))
+        .build();
+    let page = cluster.alloc_shared(2);
+    for (node, base) in [(0, 0), (1, 16)] {
+        let mut acts: Vec<Action> = (0..60u64)
+            .map(|i| Action::Write(page.va((base + i % 16) * 8), i + 1))
+            .collect();
+        acts.extend([Action::Fence, Action::Read(page.va(base * 8))]);
+        cluster.set_process(node, Script::new(acts));
+    }
+    let collector = cluster.enable_tracing();
+    cluster.run();
+    assert!(cluster.all_halted());
+    let packets = collector.packet_events();
+    assert_eq!(traced_at(&packets, Stage::CreditStall), (true, true));
+    assert_eq!(traced_at(&packets, Stage::CreditResync), (true, true));
+    assert_eq!(export_pin(&collector), 0x52f2_e5e9_71c5_085a);
+    assert_eq!(cluster.engine_stats().logical_events(), 2_569);
 }
 
 /// `tg trace pingpong --sack --crash 1,40 --restart 150` and `--crash
@@ -220,11 +297,7 @@ fn zero_delay_peer_sends_are_pinned() {
     }
     cluster.run();
     assert!(cluster.all_halted());
-    let json = chrome_trace_json(&chrome_events(
-        &collector.op_events(),
-        &collector.packet_events(),
-    ));
-    assert_eq!(fnv1a(json.as_bytes()), 0xc3c1_41d4_c3c6_18af);
+    assert_eq!(export_pin(&collector), 0xc3c1_41d4_c3c6_18af);
     assert_eq!(cluster.now(), SimTime::from_ps(92_640_000));
     let engine = cluster.engine_stats();
     assert_eq!(engine.logical_events(), 1_614);
