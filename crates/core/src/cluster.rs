@@ -267,6 +267,8 @@ pub enum ComponentDetail {
         /// Total simulated time output ports spent blocked on credits,
         /// summed across ports.
         credit_stall: SimTime,
+        /// Liveness digests received intact, on all ports.
+        heartbeats_rx: u64,
     },
 }
 
@@ -648,7 +650,8 @@ impl Cluster {
     /// Starts per-board heartbeat origination and failure detection on
     /// every node (requires reliable links built with
     /// [`RelParams::heartbeat_every`] set, the default), with the beacon
-    /// cadence and suspicion thresholds taken from `params`. Heartbeats
+    /// cadence and suspicion thresholds taken from `params`. Every
+    /// switch sends its liveness digests on the same period. Heartbeats
     /// self-rearm, so a heartbeat-enabled cluster never drains on its
     /// own — drive it with a [`Drive::quiescent`] plan, which stops
     /// heartbeats once the workload is done and drains.
@@ -674,6 +677,28 @@ impl Cluster {
                     ClusterEvent::HibTick(HibTick::Heartbeat),
                 );
             }
+        }
+        for &comp in &self.switches {
+            let switch = self.engine.get_mut::<tg_net::Switch>(comp);
+            let first = switch
+                .expect("switch component")
+                .start_beacons(params.heartbeat_every);
+            if let Some(delay) = first {
+                let tick = NetEvent::Beacon { to_nodes: false };
+                self.engine.schedule(delay, comp, ClusterEvent::Net(tick));
+            }
+        }
+    }
+
+    /// Stops every board's beacons and every switch's digests: the
+    /// pending ticks do not rearm, so the event queue can drain.
+    pub(crate) fn stop_heartbeats(&mut self) {
+        for i in 0..self.n {
+            self.node_mut(i).hib_mut().stop_heartbeats();
+        }
+        for &comp in &self.switches {
+            let switch = self.engine.get_mut::<tg_net::Switch>(comp);
+            switch.expect("switch component").stop_beacons();
         }
     }
 
@@ -998,6 +1023,7 @@ impl Cluster {
                     fifo_high_water: occ.high_water,
                     fifo_depth: occ.depth,
                     credit_stall: occ.stall,
+                    heartbeats_rx: st.heartbeats_rx,
                 },
             });
         }

@@ -137,9 +137,7 @@ impl Cluster {
             // Detector verdicts already delivered stay in force. An
             // unfinished workload is not drained: survivors spinning on a
             // crashed peer would keep the queue busy forever.
-            for i in 0..self.n {
-                self.node_mut(i).hib_mut().stop_heartbeats();
-            }
+            self.stop_heartbeats();
             ended = self
                 .slices(&mut checks, SimTime::MAX, Stop::Drained)
                 .map(|_| None);

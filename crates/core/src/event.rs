@@ -43,14 +43,15 @@ pub enum ClusterEvent {
 
 impl ClusterEvent {
     /// Variant names for per-kind delivery counts, indexed by
-    /// [`ClusterEvent::kind`]. The first five are the [`NetEvent`] kinds,
+    /// [`ClusterEvent::kind`]. The first six are the [`NetEvent`] kinds,
     /// in [`NetEvent::KINDS`] order, so switch counts share the indexing.
-    pub const KINDS: [&'static str; 17] = [
+    pub const KINDS: [&'static str; 18] = [
         "net.arrive",
         "net.credit",
         "net.pump_out",
         "net.ctrl",
         "net.retx_timer",
+        "net.beacon",
         "tick.tx_free",
         "tick.rx_done",
         "tick.retx_timer",
@@ -70,19 +71,19 @@ impl ClusterEvent {
         match self {
             ClusterEvent::Net(ev) => ev.kind(),
             ClusterEvent::HibTick(tick) => match tick {
-                HibTick::TxFree => 5,
-                HibTick::RxDone => 6,
-                HibTick::RetxTimer { .. } => 7,
-                HibTick::RxUnwedge => 8,
-                HibTick::Heartbeat => 9,
-                HibTick::OpCheck => 10,
+                HibTick::TxFree => 6,
+                HibTick::RxDone => 7,
+                HibTick::RetxTimer { .. } => 8,
+                HibTick::RxUnwedge => 9,
+                HibTick::Heartbeat => 10,
+                HibTick::OpCheck => 11,
             },
-            ClusterEvent::HibDone(_) => 11,
-            ClusterEvent::Interrupt(_) => 12,
-            ClusterEvent::OsMsg { .. } => 13,
-            ClusterEvent::OsTask { .. } => 14,
-            ClusterEvent::CpuStep => 15,
-            ClusterEvent::Start => 16,
+            ClusterEvent::HibDone(_) => 12,
+            ClusterEvent::Interrupt(_) => 13,
+            ClusterEvent::OsMsg { .. } => 14,
+            ClusterEvent::OsTask { .. } => 15,
+            ClusterEvent::CpuStep => 16,
+            ClusterEvent::Start => 17,
         }
     }
 }

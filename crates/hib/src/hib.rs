@@ -4,8 +4,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use tg_mem::{Decoded, PAddr};
 use tg_net::{
-    Arrival, CtrlOutcome, DetectParams, FaultInjector, FrameFate, HeartbeatDetector, LinkEnd,
-    LinkError, Liveness, NetEvent, PortSnapshot, RxFifo, TimerAction, TxPort,
+    Arrival, BeaconTable, CtrlOutcome, DetectParams, FaultInjector, FrameFate, HeartbeatDetector,
+    LinkEnd, LinkError, Liveness, NetEvent, PortSnapshot, RxFifo, TimerAction, TxPort,
 };
 use tg_proto::PendingCam;
 use tg_sim::SimTime;
@@ -70,9 +70,9 @@ pub struct HibStats {
     pub link_faults: u64,
     /// Ack-starvation episodes surfaced as [`HibInterrupt::LinkStarved`].
     pub starvation_alarms: u64,
-    /// Liveness beacons originated by this board.
+    /// Liveness digests originated by this board, one per beacon period.
     pub heartbeats_tx: u64,
-    /// Liveness beacons received from peers.
+    /// Liveness digests received intact from the switch.
     pub heartbeats_rx: u64,
     /// Peers this board's failure detector convicted.
     pub peer_downs: u64,
@@ -237,13 +237,14 @@ pub struct Hib {
     pending_ops: BTreeMap<u32, PendingOp>,
     /// An OpCheck sweep tick is already scheduled.
     op_check_armed: bool,
-    /// Per-peer failure detector, fed by heartbeat beacons; present when
-    /// the link reliability parameters enable heartbeats.
-    detector: Option<HeartbeatDetector>,
+    /// Per-peer failure detector, fed by digest beacons; present once
+    /// heartbeats start.
+    detector: Option<Box<HeartbeatDetector>>,
     /// Beacon origination period, from the link reliability parameters.
     hb_every: Option<SimTime>,
-    /// Sequence number of the next beacon (for switch flood dedupe).
-    hb_seq: u64,
+    /// Newest beacon number heard per origin, sent as this board's
+    /// digest every beacon period; built when heartbeats start.
+    beacons: Option<BeaconTable>,
     /// Beacons are being originated; the Heartbeat tick rearms while set.
     /// Off by default so fault-free runs stay beacon-free and drain.
     hb_active: bool,
@@ -303,7 +304,7 @@ impl Hib {
             op_check_armed: false,
             detector: None,
             hb_every: None,
-            hb_seq: 0,
+            beacons: None,
             hb_active: false,
             updates_to: BTreeMap::new(),
             atomic_served: HashMap::new(),
@@ -341,13 +342,7 @@ impl Hib {
     /// the transmit port's neighbor.
     pub fn wire(&mut self, tx: TxPort, rx_capacity: u32) {
         if let Some(params) = tx.rel_params() {
-            if let Some(every) = params.heartbeat_every {
-                self.hb_every = Some(every);
-                self.detector = Some(HeartbeatDetector::new(
-                    params.peer_timeout,
-                    params.phi_factor,
-                ));
-            }
+            self.hb_every = params.heartbeat_every;
         }
         self.link = Some(LinkEnd::new(tx));
         self.rx_fifo = RxFifo::new(rx_capacity);
@@ -378,11 +373,13 @@ impl Hib {
             return;
         }
         self.hb_every = Some(params.heartbeat_every);
-        self.detector = Some(HeartbeatDetector::new(
+        self.detector = Some(Box::new(HeartbeatDetector::new(
             params.peer_timeout,
             params.phi_factor,
-        ));
+        )));
         self.hb_active = true;
+        let origins = peers.iter().chain([&self.node]).map(|p| p.index() + 1);
+        self.beacons = Some(BeaconTable::new(origins.max().unwrap_or(0)));
         if let Some(det) = self.detector.as_mut() {
             for &p in peers {
                 if p != self.node {
@@ -1113,10 +1110,10 @@ impl Hib {
                         }
                         self.pump_tx(host);
                     }
-                    CtrlOutcome::Heartbeat { origin, .. } => self.on_heartbeat(origin, host),
+                    CtrlOutcome::Heartbeat { newest } => self.on_heartbeat(&newest, host),
                 }
             }
-            NetEvent::PumpOut { .. } | NetEvent::RetxTimer { .. } => {
+            NetEvent::PumpOut { .. } | NetEvent::RetxTimer { .. } | NetEvent::Beacon { .. } => {
                 panic!("node {}: HIB wire and timer events are HibTicks", self.node)
             }
         }
@@ -1171,13 +1168,14 @@ impl Hib {
                 if !self.hb_active {
                     return;
                 }
-                self.hb_seq += 1;
+                // This board's own digest entry counts its beacons.
                 self.stats.heartbeats_tx += 1;
-                let beacon = CtrlMsg::Heartbeat {
-                    origin: self.node,
-                    seq: self.hb_seq,
-                };
-                if let Some(end) = self.link.as_mut() {
+                let me = self.node.index();
+                if let (Some(table), Some(end)) = (self.beacons.as_mut(), self.link.as_mut()) {
+                    table.set(me, self.stats.heartbeats_tx);
+                    let beacon = CtrlMsg::Heartbeat {
+                        newest: table.digest(),
+                    };
                     end.send_ctrl(beacon, self.timing.link_prop, host);
                 }
                 self.sweep_detector(host);
@@ -1265,14 +1263,13 @@ impl Hib {
         std::mem::take(&mut self.recheck)
     }
 
-    /// A peer's beacon reached this board (flooded by the switches).
-    fn on_heartbeat(&mut self, origin: NodeId, host: &mut dyn HibHost) {
-        if origin == self.node {
-            return;
-        }
+    /// A digest reached this board from its switch: every peer whose
+    /// beacon number it advanced is one observation for that peer's
+    /// detector.
+    fn on_heartbeat(&mut self, newest: &[u64], host: &mut dyn HibHost) {
         self.stats.heartbeats_rx += 1;
         let now = host.now();
-        // A beacon reached this board, so the fabric path to it works
+        // A digest reached this board, so the fabric path to it works
         // again; if our own uplink had been declared dead (a switch outage
         // severs both directions), revive it under a fresh epoch and tell
         // the neighbor to resynchronize its receive sequence.
@@ -1282,12 +1279,17 @@ impl Hib {
             self.pump_tx(host);
             self.arm_timer(host);
         }
-        let revived = self
-            .detector
-            .as_mut()
-            .and_then(|d| d.saw(u64::from(origin.raw()), now));
-        if revived == Some(Liveness::Up) {
-            self.peer_up_transition(origin, host);
+        let me = self.node.index();
+        let mut revived = Vec::new();
+        if let (Some(table), Some(d)) = (self.beacons.as_mut(), self.detector.as_mut()) {
+            table.merge(newest, |origin| {
+                if origin != me && d.saw(origin as u64, now) == Some(Liveness::Up) {
+                    revived.push(origin);
+                }
+            });
+        }
+        for origin in revived {
+            self.peer_up_transition(NodeId::new(origin as u16), host);
         }
         self.sweep_detector(host);
     }

@@ -1,11 +1,14 @@
 //! Heartbeat-driven failure detection.
 //!
-//! Every workstation HIB originates periodic [`CtrlMsg::Heartbeat`]
-//! beacons which the switches flood (deduped per origin) across the
-//! fabric, so in steady state every directed link carries every other
-//! node's beacons. Silence is therefore observable *locally*: a HIB
-//! watches per-peer beacon arrivals, a switch watches per-port
-//! arrivals, and each runs its own [`HeartbeatDetector`] — a
+//! Every element of the fabric — workstation HIB and switch — keeps a
+//! [`BeaconTable`]: the newest beacon sequence number it has heard from
+//! every origin (a HIB's own entry counts its own beacons). Once per
+//! beacon period it sends one [`CtrlMsg::Heartbeat`] digest of that
+//! table on each attached link, gossip-style (van Renesse, Minsky &
+//! Hayden), so liveness traffic is one frame per directed link per
+//! period whatever the cluster size. Silence is observable *locally*: a
+//! HIB watches every peer's entry advance, a switch watches per-port
+//! digest arrivals, and each runs its own [`HeartbeatDetector`] — a
 //! simplified phi-accrual detector in the spirit of Hayashibara et
 //! al.: the suspicion threshold adapts to the *observed* inter-arrival
 //! time (an EWMA), floored by a hard timeout so a freshly started
@@ -13,13 +16,13 @@
 //!
 //! The detector is a pure function of (observation sequence, knobs):
 //! it holds no RNG and is evaluated only at event-driven instants
-//! (beacon receipt or the observer's own beacon tick), so identical
+//! (digest receipt or the observer's own beacon tick), so identical
 //! seeds replay identical verdict sequences — the property the crash
 //! campaign's bit-for-bit replay gate rests on.
 //!
 //! [`CtrlMsg::Heartbeat`]: tg_wire::CtrlMsg::Heartbeat
 
-use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use tg_sim::SimTime;
 
@@ -98,17 +101,34 @@ struct Watch {
     down: bool,
 }
 
+impl Watch {
+    fn new(now: SimTime) -> Self {
+        Watch {
+            last_seen: now,
+            mean_gap_ps: 0,
+            down: false,
+        }
+    }
+}
+
 /// A deterministic per-observer failure detector over a set of watched
 /// keys (peer node ids at a HIB, port indexes at a switch).
 ///
 /// `timeout` is the hard silence floor; `phi_factor` scales the
 /// adaptive threshold: a peer is suspected when it has been silent for
 /// `max(timeout, phi_factor * mean_gap)`.
+///
+/// Keys are small dense indexes, so the watches live in a `Vec` indexed
+/// by key. [`HeartbeatDetector::check`] returns at once while `now` is
+/// at or before a cached lower bound on the earliest deadline; only a
+/// check past it sweeps the watches (and recomputes the bound).
 #[derive(Clone, Debug)]
 pub struct HeartbeatDetector {
-    watches: BTreeMap<u64, Watch>,
+    watches: Vec<Option<Watch>>,
     timeout: SimTime,
     phi_factor: u32,
+    /// No live watch can cross its threshold at or before this instant.
+    earliest: SimTime,
     /// Total down verdicts ever issued (monotone, for diagnostics).
     downs: u64,
     /// Total up transitions ever issued.
@@ -126,111 +146,205 @@ impl HeartbeatDetector {
         assert!(phi_factor > 0, "phi factor must be positive");
         assert!(timeout > SimTime::ZERO, "timeout floor must be positive");
         HeartbeatDetector {
-            watches: BTreeMap::new(),
+            watches: Vec::new(),
             timeout,
             phi_factor,
+            earliest: SimTime::MAX,
             downs: 0,
             ups: 0,
         }
     }
 
+    /// The watch slot of `key`, created empty when out of range.
+    fn slot(&mut self, key: u64) -> &mut Option<Watch> {
+        let i = usize::try_from(key).expect("detector keys are dense indexes");
+        if i >= self.watches.len() {
+            self.watches.resize(i + 1, None);
+        }
+        &mut self.watches[i]
+    }
+
+    /// The watch of `key`, if tracked.
+    fn watch(&self, key: u64) -> Option<&Watch> {
+        self.watches.get(usize::try_from(key).ok()?)?.as_ref()
+    }
+
     /// Starts watching `key`, with the silence clock starting at `now`.
     /// Re-tracking an existing key is a no-op (the history is kept).
     pub fn track(&mut self, key: u64, now: SimTime) {
-        self.watches.entry(key).or_insert(Watch {
-            last_seen: now,
-            mean_gap_ps: 0,
-            down: false,
-        });
+        let w = *self.slot(key).get_or_insert(Watch::new(now));
+        self.lower_earliest(&w);
     }
 
     /// Stops watching `key`.
     pub fn untrack(&mut self, key: u64) {
-        self.watches.remove(&key);
+        *self.slot(key) = None;
     }
 
     /// Records a beacon from `key` at `now`. Auto-tracks unknown keys.
     /// Returns `Some(Liveness::Up)` when this beacon revives a peer
     /// previously declared down.
     pub fn saw(&mut self, key: u64, now: SimTime) -> Option<Liveness> {
-        let w = self.watches.entry(key).or_insert(Watch {
-            last_seen: now,
-            mean_gap_ps: 0,
-            down: false,
-        });
-        let gap = now.saturating_sub(w.last_seen).as_ps();
+        self.saw_many(key, now, 1)
+    }
+
+    /// Records `n` (at least one) beacons from `key` arriving together at
+    /// `now`, as if spread evenly over the silence since the last one: the
+    /// gap EWMA takes `n` steps of a `1/n` share of that silence each. A
+    /// switch port counts every origin a digest advanced this way, so it
+    /// learns the same mean gap as from one frame per origin. Returns
+    /// `Some(Liveness::Up)` when this revives a peer declared down.
+    pub fn saw_many(&mut self, key: u64, now: SimTime, n: u32) -> Option<Liveness> {
+        let n = n.max(1);
+        let w = self.slot(key).get_or_insert(Watch::new(now));
+        let gap = now.saturating_sub(w.last_seen).as_ps() / u64::from(n);
         if gap > 0 {
-            // EWMA with alpha = 1/4: slow enough to ride out flood
-            // jitter, fast enough to adapt within a few beacons.
-            w.mean_gap_ps = if w.mean_gap_ps == 0 {
-                gap
-            } else {
-                (3 * w.mean_gap_ps + gap) / 4
-            };
+            for _ in 0..n {
+                // EWMA with alpha = 1/4: slow enough to ride out jitter,
+                // fast enough to adapt within a few beacons.
+                w.mean_gap_ps = if w.mean_gap_ps == 0 {
+                    gap
+                } else {
+                    (3 * w.mean_gap_ps + gap) / 4
+                };
+            }
         }
         w.last_seen = now;
-        if w.down {
-            w.down = false;
+        let revived = std::mem::replace(&mut w.down, false);
+        let w = *w;
+        self.lower_earliest(&w);
+        if revived {
             self.ups += 1;
             return Some(Liveness::Up);
         }
         None
     }
 
-    /// The silence duration after which `key` is suspected.
+    /// Lowers the cached earliest deadline to `w`'s, if that is earlier.
+    fn lower_earliest(&mut self, w: &Watch) {
+        if let Some(at) = self.deadline_of(w) {
+            self.earliest = self.earliest.min(at);
+        }
+    }
+
+    /// The silence duration after which a watch is suspected.
     fn threshold(&self, w: &Watch) -> u64 {
         let adaptive = w.mean_gap_ps.saturating_mul(u64::from(self.phi_factor));
         adaptive.max(self.timeout.as_ps())
     }
 
+    /// The instant a live watch's silence crosses its threshold.
+    fn deadline_of(&self, w: &Watch) -> Option<SimTime> {
+        (!w.down).then(|| {
+            let at = w.last_seen.as_ps().saturating_add(self.threshold(w));
+            SimTime::from_ps(at)
+        })
+    }
+
     /// Sweeps every watch for silence at `now`, returning the keys that
-    /// just crossed their suspicion threshold (deterministic key order).
+    /// just crossed their suspicion threshold (ascending key order).
+    /// Returns at once, without a sweep, while `now` is at or before the
+    /// cached earliest deadline.
     pub fn check(&mut self, now: SimTime) -> Vec<u64> {
         let mut newly_down = Vec::new();
-        let phi = self.phi_factor;
-        let floor = self.timeout.as_ps();
-        for (&key, w) in self.watches.iter_mut() {
-            if w.down {
+        if now <= self.earliest {
+            return newly_down;
+        }
+        let mut earliest = SimTime::MAX;
+        for key in 0..self.watches.len() {
+            let Some(w) = self.watches[key] else {
                 continue;
-            }
-            let silent = now.saturating_sub(w.last_seen).as_ps();
-            let adaptive = w.mean_gap_ps.saturating_mul(u64::from(phi));
-            if silent > adaptive.max(floor) {
-                w.down = true;
+            };
+            let Some(at) = self.deadline_of(&w) else {
+                continue;
+            };
+            if now > at {
+                self.watches[key] = Some(Watch { down: true, ..w });
                 self.downs += 1;
-                newly_down.push(key);
+                newly_down.push(key as u64);
+            } else {
+                earliest = earliest.min(at);
             }
         }
+        self.earliest = earliest;
         newly_down
     }
 
     /// Current verdict for `key` (`false` for untracked keys).
     pub fn is_down(&self, key: u64) -> bool {
-        self.watches.get(&key).is_some_and(|w| w.down)
+        self.watch(key).is_some_and(|w| w.down)
     }
 
     /// Keys currently declared down, in ascending order.
     pub fn down_keys(&self) -> Vec<u64> {
-        self.watches
-            .iter()
-            .filter(|(_, w)| w.down)
-            .map(|(&k, _)| k)
+        (0..self.watches.len() as u64)
+            .filter(|&k| self.is_down(k))
             .collect()
     }
 
     /// The instant `key`'s silence will cross its threshold if no more
     /// beacons arrive — the observer's next useful re-check time.
     pub fn deadline(&self, key: u64) -> Option<SimTime> {
-        let w = self.watches.get(&key)?;
-        if w.down {
-            return None;
-        }
-        Some(w.last_seen + SimTime::from_ps(self.threshold(w)))
+        self.deadline_of(self.watch(key)?)
     }
 
     /// (down verdicts, up transitions) issued over the detector's life.
     pub fn transition_counts(&self) -> (u64, u64) {
         (self.downs, self.ups)
+    }
+}
+
+/// The newest beacon sequence number an element has heard from every
+/// origin (indexed by node; 0 means never heard), and the snapshot of it
+/// that its digest frames share.
+///
+/// The snapshot is refreshed in place once per beacon period: the frames
+/// of the previous period have landed by then, so the refresh reuses the
+/// same allocation and a digest frame costs none.
+#[derive(Clone, Debug)]
+pub struct BeaconTable {
+    newest: Vec<u64>,
+    snapshot: Rc<[u64]>,
+}
+
+impl BeaconTable {
+    /// A table for `origins` nodes, none heard yet.
+    pub fn new(origins: usize) -> Self {
+        BeaconTable {
+            newest: vec![0; origins],
+            snapshot: Rc::from(vec![0; origins]),
+        }
+    }
+
+    /// Records `origin`'s own beacon number (a HIB stamping itself).
+    pub fn set(&mut self, origin: usize, seq: u64) {
+        self.newest[origin] = seq;
+    }
+
+    /// Merges a received digest, calling `advanced` with every origin
+    /// whose newest number it raised, in ascending order; returns how
+    /// many there were. Entries beyond this table's origins are ignored.
+    pub fn merge(&mut self, digest: &[u64], mut advanced: impl FnMut(usize)) -> u32 {
+        let mut n = 0;
+        for (origin, (mine, &theirs)) in self.newest.iter_mut().zip(digest).enumerate() {
+            if theirs > *mine {
+                *mine = theirs;
+                n += 1;
+                advanced(origin);
+            }
+        }
+        n
+    }
+
+    /// The digest to send now: the shared snapshot, refreshed from the
+    /// table.
+    pub fn digest(&mut self) -> Rc<[u64]> {
+        match Rc::get_mut(&mut self.snapshot) {
+            Some(snap) => snap.copy_from_slice(&self.newest),
+            // A frame of an earlier period still holds the snapshot.
+            None => self.snapshot = Rc::from(self.newest.as_slice()),
+        }
+        Rc::clone(&self.snapshot)
     }
 }
 
@@ -333,5 +447,119 @@ mod tests {
         d.track(1, SimTime::ZERO);
         d.untrack(1);
         assert!(d.check(SimTime::from_ms(1)).is_empty());
+    }
+
+    /// The detector as it was before the cached deadline: a sweep of
+    /// every watch on every check, over a map of watches.
+    struct Sweeping {
+        watches: std::collections::BTreeMap<u64, Watch>,
+        timeout: u64,
+        phi: u64,
+    }
+
+    impl Sweeping {
+        fn saw_many(&mut self, key: u64, now: SimTime, n: u32) -> Option<Liveness> {
+            let w = self.watches.entry(key).or_insert(Watch::new(now));
+            let gap = now.saturating_sub(w.last_seen).as_ps() / u64::from(n);
+            if gap > 0 {
+                for _ in 0..n {
+                    w.mean_gap_ps = if w.mean_gap_ps == 0 {
+                        gap
+                    } else {
+                        (3 * w.mean_gap_ps + gap) / 4
+                    };
+                }
+            }
+            w.last_seen = now;
+            std::mem::replace(&mut w.down, false).then_some(Liveness::Up)
+        }
+
+        fn check(&mut self, now: SimTime) -> Vec<u64> {
+            let mut out = Vec::new();
+            for (&k, w) in self.watches.iter_mut() {
+                let silent = now.saturating_sub(w.last_seen).as_ps();
+                if !w.down && silent > (w.mean_gap_ps * self.phi).max(self.timeout) {
+                    w.down = true;
+                    out.push(k);
+                }
+            }
+            out
+        }
+    }
+
+    /// Model test: over random track / saw / check / untrack sequences
+    /// with a non-decreasing clock, the cached-deadline detector issues
+    /// exactly the verdicts of the sweeping one.
+    #[test]
+    fn cached_deadline_matches_the_sweeping_detector() {
+        let mut rng = tg_sim::SimRng::new(0x00DE_7EC7);
+        for _ in 0..200 {
+            let mut fast = det();
+            let mut slow = Sweeping {
+                watches: Default::default(),
+                timeout: SimTime::from_us(100).as_ps(),
+                phi: 8,
+            };
+            let mut now = SimTime::ZERO;
+            for _ in 0..300 {
+                now += SimTime::from_ns(rng.range(40_000));
+                let key = rng.range(6);
+                match rng.range(10) {
+                    0 => {
+                        fast.track(key, now);
+                        slow.watches.entry(key).or_insert(Watch::new(now));
+                    }
+                    1 => {
+                        fast.untrack(key);
+                        slow.watches.remove(&key);
+                    }
+                    2..=5 => {
+                        let n = 1 + rng.range(4) as u32;
+                        assert_eq!(fast.saw_many(key, now, n), slow.saw_many(key, now, n));
+                    }
+                    _ => assert_eq!(fast.check(now), slow.check(now), "at {now:?}"),
+                }
+                let down: Vec<u64> = slow
+                    .watches
+                    .iter()
+                    .filter(|(_, w)| w.down)
+                    .map(|(&k, _)| k)
+                    .collect();
+                assert_eq!(fast.down_keys(), down);
+            }
+        }
+    }
+
+    #[test]
+    fn many_observations_learn_the_per_frame_gap() {
+        let mut d = det();
+        let mut t = SimTime::ZERO;
+        d.saw(1, t);
+        for _ in 0..16 {
+            t += SimTime::from_us(20);
+            d.saw_many(1, t, 4);
+        }
+        // Four origins per 20us digest: a 5us mean gap, so the 100us
+        // floor governs, as it did with one frame per origin.
+        assert_eq!(d.deadline(1), Some(t + SimTime::from_us(100)));
+        assert!(d.check(t + SimTime::from_us(100)).is_empty());
+        assert_eq!(d.check(t + SimTime::from_us(101)), vec![1]);
+    }
+
+    #[test]
+    fn beacon_table_merges_and_shares_its_snapshot() {
+        let mut t = BeaconTable::new(4);
+        t.set(0, 5);
+        let mut seen = Vec::new();
+        assert_eq!(t.merge(&[3, 2, 0, 7], |o| seen.push(o)), 2);
+        assert_eq!(seen, vec![1, 3]);
+        let digest = t.digest();
+        assert_eq!(&*digest, &[5, 2, 0, 7]);
+        assert_eq!(t.merge(&digest, |_| panic!("an echo advances nothing")), 0);
+        drop(digest);
+        t.set(0, 6);
+        let before = Rc::as_ptr(&t.snapshot);
+        assert_eq!(&*t.digest(), &[6, 2, 0, 7]);
+        assert_eq!(Rc::as_ptr(&t.snapshot), before, "refreshed in place");
     }
 }

@@ -12,9 +12,10 @@
 //! [`LinkEnd::snapshot`].
 
 use std::fmt;
+use std::rc::Rc;
 
 use tg_sim::{CompId, Ctx, SimTime};
-use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet};
+use tg_wire::{CtrlFrame, CtrlMsg, Packet};
 
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate, LinkId};
@@ -67,12 +68,11 @@ pub enum CtrlOutcome {
     /// A resync reply, carrying its token when it completed the
     /// handshake; pump the transmit side.
     SyncAck(Option<u64>),
-    /// A liveness beacon for the owner's failure detector.
+    /// A liveness digest for the owner's beacon table and failure
+    /// detector.
     Heartbeat {
-        /// The node that originated the beacon.
-        origin: NodeId,
-        /// The beacon's sequence number.
-        seq: u64,
+        /// The sender's newest beacon number per origin.
+        newest: Rc<[u64]>,
     },
 }
 
@@ -265,7 +265,7 @@ impl LinkEnd {
                 let done = self.tx.on_sync_ack(token, drained, ctx.now());
                 CtrlOutcome::SyncAck(done.then_some(token))
             }
-            CtrlMsg::Heartbeat { origin, seq } => CtrlOutcome::Heartbeat { origin, seq },
+            CtrlMsg::Heartbeat { newest } => CtrlOutcome::Heartbeat { newest },
             CtrlMsg::Reset { next } => {
                 // The neighbor's transmit side started a fresh epoch:
                 // reseat the expected sequence, flush the reorder window
@@ -501,7 +501,7 @@ mod tests {
     use crate::fault::{FaultPlan, LinkId};
     use crate::link::{RelParams, RetxMode};
     use tg_wire::trace::Site;
-    use tg_wire::{TimingConfig, WireMsg};
+    use tg_wire::{NodeId, TimingConfig, WireMsg};
 
     /// The delay every reply in these tests is sent with.
     const DELAY: SimTime = SimTime::from_ns(50);
@@ -692,14 +692,11 @@ mod tests {
             drained: 0,
         });
         assert_eq!(on(&mut e, stray), CtrlOutcome::SyncAck(None));
+        let newest: Rc<[u64]> = Rc::from([0, 7].as_slice());
         let beacon = ctrl(CtrlMsg::Heartbeat {
-            origin: NodeId::new(4),
-            seq: 7,
+            newest: newest.clone(),
         });
-        let heartbeat = CtrlOutcome::Heartbeat {
-            origin: NodeId::new(4),
-            seq: 7,
-        };
+        let heartbeat = CtrlOutcome::Heartbeat { newest };
         assert_eq!(on(&mut e, beacon), heartbeat);
         assert!(ctx.sent.is_empty(), "only a probe is answered");
     }

@@ -44,11 +44,25 @@ pub enum NetEvent {
         /// Timer generation at scheduling time.
         gen: u64,
     },
+    /// Self-scheduled switch beacon tick: send the liveness digest on
+    /// every port facing a node (`to_nodes`) or every port facing
+    /// another switch.
+    Beacon {
+        /// Which ports this tick serves.
+        to_nodes: bool,
+    },
 }
 
 impl NetEvent {
     /// Variant names, indexed by [`NetEvent::kind`].
-    pub const KINDS: [&'static str; 5] = ["arrive", "credit", "pump_out", "ctrl", "retx_timer"];
+    pub const KINDS: [&'static str; 6] = [
+        "arrive",
+        "credit",
+        "pump_out",
+        "ctrl",
+        "retx_timer",
+        "beacon",
+    ];
 
     /// This event's variant as an index into [`NetEvent::KINDS`], for
     /// per-kind delivery counts.
@@ -59,6 +73,7 @@ impl NetEvent {
             NetEvent::PumpOut { .. } => 2,
             NetEvent::Ctrl { .. } => 3,
             NetEvent::RetxTimer { .. } => 4,
+            NetEvent::Beacon { .. } => 5,
         }
     }
 }

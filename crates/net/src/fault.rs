@@ -681,7 +681,8 @@ mod tests {
             assert!(inj.link_crashed(up, t) && inj.link_crashed(down, t));
             assert_eq!(inj.frame_fate(up, t, &mut p), FrameFate::Drop);
             assert_eq!(inj.frame_fate(down, t, &mut p), FrameFate::Drop);
-            let mut f = CtrlFrame::seal(CtrlMsg::Heartbeat { origin: n0, seq: 1 });
+            let newest = std::rc::Rc::from([1].as_slice());
+            let mut f = CtrlFrame::seal(CtrlMsg::Heartbeat { newest });
             assert_eq!(inj.ctrl_fate(down, t, &mut f), FrameFate::Drop);
             assert!(inj.credit_lost(up, t));
             // A link not touching the crashed site is unaffected.

@@ -137,9 +137,9 @@ pub struct RelParams {
     /// Ceiling for the adaptive retransmission timeout (backoff may
     /// still multiply beyond it, bounded by `backoff_cap`).
     pub rto_max: SimTime,
-    /// Interval between the liveness beacons each HIB originates
-    /// (flooded fabric-wide by the switches). `None` disables
-    /// heartbeats — and with them crash-stop failure detection.
+    /// Interval between the liveness digests each HIB and switch sends
+    /// on every attached link. `None` disables heartbeats — and with
+    /// them crash-stop failure detection.
     pub heartbeat_every: Option<SimTime>,
     /// Hard floor on how long a peer may be beacon-silent before the
     /// failure detector declares it down. The effective threshold is

@@ -1,12 +1,10 @@
 //! The cut-through switch component.
 
-use std::collections::BTreeMap;
-
 use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::trace::{Site, Stage, TraceCollector, Tracer};
-use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig};
+use tg_wire::{CtrlMsg, Packet, TimingConfig};
 
-use crate::detect::{HeartbeatDetector, Liveness};
+use crate::detect::{BeaconTable, HeartbeatDetector, Liveness};
 use crate::end::{Arrival, CtrlOutcome, LinkEnd, PortSnapshot};
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate};
@@ -28,6 +26,8 @@ pub struct SwitchStats {
     /// route reaches their destination — the graceful degradation of a
     /// partitioned fabric, in place of the old no-route panic.
     pub blackholed: u64,
+    /// Liveness digests received intact, on all ports.
+    pub heartbeats_rx: u64,
 }
 
 /// The "no output" marker, shared with the routing table's no-route entry.
@@ -138,14 +138,15 @@ pub struct Switch {
     /// Neighbor-originated protocol violations and dead-link declarations
     /// observed so far.
     errors: Vec<LinkError>,
-    /// Per-port failure detector over heartbeat arrivals; present when
-    /// the reliability parameters enable heartbeats. Ports are watched
-    /// lazily, from their first beacon.
-    detector: Option<HeartbeatDetector>,
-    /// Per-origin highest heartbeat sequence flooded so far: the dedupe
-    /// that keeps beacon floods from circulating forever on cyclic
-    /// topologies.
-    hb_last: BTreeMap<u16, u64>,
+    /// Per-port failure detector over digest arrivals; present once
+    /// beacons start. Ports are watched lazily, from their first digest.
+    detector: Option<Box<HeartbeatDetector>>,
+    /// Newest beacon number heard per origin, merged from every port's
+    /// digests and sent on every port once per period; built when
+    /// beacons start.
+    beacons: Option<BeaconTable>,
+    /// The beacon period while this switch sends digests.
+    beacon_every: Option<SimTime>,
     /// The fabric's shared dead-set + route view; `None` leaves the
     /// boot-time table in place forever.
     view: Option<FabricView>,
@@ -189,7 +190,8 @@ impl Switch {
             injector: None,
             errors: Vec::new(),
             detector: None,
-            hb_last: BTreeMap::new(),
+            beacons: None,
+            beacon_every: None,
             view: None,
             view_version: 0,
             lazy_free: vec![0; words],
@@ -214,13 +216,38 @@ impl Switch {
     /// called before [`Switch::attach_port`].
     pub fn set_reliability(&mut self, params: RelParams) {
         assert!(self.fifos.is_empty(), "set reliability before wiring ports");
-        if params.heartbeat_every.is_some() {
-            self.detector = Some(HeartbeatDetector::new(
-                params.peer_timeout,
-                params.phi_factor,
-            ));
-        }
         self.reliability = Some(params);
+    }
+
+    /// Starts sending liveness digests every `every`, unless the
+    /// reliability parameters leave heartbeats off. Returns the delay of
+    /// the first [`NetEvent::Beacon`] tick the caller must schedule at
+    /// this switch, measured from the nodes' first beacon instant; the
+    /// tick then self-rearms until [`Switch::stop_beacons`].
+    ///
+    /// Each period has two ticks. Two link delays after the nodes beacon
+    /// (their digests have landed), the switch sends to the neighbour
+    /// switches; two link delays later (theirs have landed too), to its
+    /// nodes. A beacon thus reaches every node one switch hop away
+    /// within its own period.
+    pub fn start_beacons(&mut self, every: SimTime) -> Option<SimTime> {
+        let params = self.reliability.filter(|p| p.heartbeat_every.is_some())?;
+        let detector = HeartbeatDetector::new(params.peer_timeout, params.phi_factor);
+        self.detector = Some(Box::new(detector));
+        self.beacons = Some(BeaconTable::new(self.table.len()));
+        self.beacon_every = Some(every);
+        Some(self.beacon_lead(every))
+    }
+
+    /// Stops sending digests: the next beacon tick does not rearm.
+    pub fn stop_beacons(&mut self) {
+        self.beacon_every = None;
+    }
+
+    /// The offset of each beacon tick from the one before it in the
+    /// period: two link delays.
+    fn beacon_lead(&self, every: SimTime) -> SimTime {
+        (self.timing.link_prop + self.timing.link_prop).min(SimTime::from_ps(every.as_ps() / 2))
     }
 
     /// Installs the shared fabric view this switch reports peer verdicts
@@ -480,43 +507,79 @@ impl Switch {
         }
     }
 
-    /// Handles a beacon arriving on `in_port`: feeds the port detector
-    /// (reviving a convicted port if its silence ended), floods the
-    /// beacon out every other port unless an equal-or-newer sequence from
-    /// this origin was already flooded (the loop-killer on rings), and
-    /// sweeps all watched ports for silence — detection is event-driven,
-    /// clocked by the surviving ports' beacon arrivals.
+    /// Handles a digest arriving on `in_port`: merges it into the beacon
+    /// table and feeds the port detector one observation per origin it
+    /// advanced (at least one: an intact digest is itself a sign of
+    /// life), reviving a convicted port if its silence ended. The
+    /// detector then sweeps every watched port: detection is
+    /// event-driven, clocked by digest arrivals and beacon ticks.
     fn on_heartbeat<M: NetMessage>(
         &mut self,
         in_port: usize,
-        origin: NodeId,
-        seq: u64,
+        newest: &[u64],
         ctx: &mut Ctx<'_, M>,
     ) {
+        self.stats.heartbeats_rx += 1;
+        let table = self.beacons.as_mut();
+        let advanced = table.map_or(0, |t| t.merge(newest, |_| {}));
         let now = ctx.now();
         let revived = self
             .detector
             .as_mut()
-            .and_then(|d| d.saw(in_port as u64, now))
+            .and_then(|d| d.saw_many(in_port as u64, now, advanced.max(1)))
             == Some(Liveness::Up);
         if revived {
             self.on_peer_up(in_port, ctx);
         }
-        let fresh = self
-            .hb_last
-            .get(&origin.raw())
-            .is_none_or(|&last| seq > last);
-        if fresh {
-            self.hb_last.insert(origin.raw(), seq);
-            let prop = self.timing.link_prop;
-            for (port, end) in self.ports.iter_mut().enumerate() {
-                if port != in_port {
-                    if let Some(end) = end {
-                        end.send_ctrl(CtrlMsg::Heartbeat { origin, seq }, prop, ctx);
-                    }
-                }
+        self.check_peers(ctx);
+    }
+
+    /// A beacon tick: sends the digest on every port of the tick's side
+    /// (node-facing or switch-facing), sweeps the detector and rearms
+    /// the other side's tick, unless beacons were stopped.
+    fn on_beacon<M: NetMessage>(&mut self, to_nodes: bool, ctx: &mut Ctx<'_, M>) {
+        let Some(every) = self.beacon_every else {
+            return;
+        };
+        let lead = self.beacon_lead(every);
+        let next = if to_nodes { every - lead } else { lead };
+        let tick = NetEvent::Beacon {
+            to_nodes: !to_nodes,
+        };
+        ctx.send_self(next, M::from_net(tick));
+        // A switch inside a crash window is inert: it neither sends nor
+        // judges its silent neighbors.
+        let now = ctx.now();
+        if self
+            .injector
+            .as_ref()
+            .is_some_and(|inj| inj.site_down(self.site, now))
+        {
+            return;
+        }
+        let Some(digest) = self.beacons.as_mut().map(BeaconTable::digest) else {
+            return;
+        };
+        let prop = self.timing.link_prop;
+        for end in self.ports.iter_mut().flatten() {
+            let faces_node = end
+                .tx()
+                .link()
+                .is_none_or(|l| matches!(l.to, Site::Node(_)));
+            if faces_node == to_nodes {
+                let msg = CtrlMsg::Heartbeat {
+                    newest: digest.clone(),
+                };
+                end.send_ctrl(msg, prop, ctx);
             }
         }
+        self.check_peers(ctx);
+    }
+
+    /// Sweeps the port detector, declaring every newly silent neighbor
+    /// down, then pumps.
+    fn check_peers<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
+        let now = ctx.now();
         let newly_down = self
             .detector
             .as_mut()
@@ -861,8 +924,8 @@ impl Switch {
                 let prop = self.timing.link_prop;
                 match self.end_mut(p).on_ctrl(frame, prop, ctx) {
                     CtrlOutcome::Done => return,
-                    CtrlOutcome::Heartbeat { origin, seq } => {
-                        self.on_heartbeat(p, origin, seq, ctx);
+                    CtrlOutcome::Heartbeat { newest } => {
+                        self.on_heartbeat(p, &newest, ctx);
                         return;
                     }
                     CtrlOutcome::Dead(err) => self.on_link_dead(p, err, ctx),
@@ -897,6 +960,7 @@ impl Switch {
                 }
                 self.arm_timer(p, ctx);
             }
+            NetEvent::Beacon { to_nodes } => self.on_beacon(to_nodes, ctx),
         }
     }
 }
@@ -958,6 +1022,7 @@ impl<M: NetMessage> Component<M> for Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tg_wire::NodeId;
 
     #[test]
     fn stats_default_zero() {

@@ -246,8 +246,8 @@ impl Component<NetEvent> for SourceSink {
                 match end.on_ctrl(frame, self.consume_delay + prop, ctx) {
                     CtrlOutcome::Dead(err) => self.errors.push(err),
                     CtrlOutcome::Acked | CtrlOutcome::SyncAck(_) => {}
-                    // Test endpoints run no failure detector: beacons
-                    // flooding past are sunk silently.
+                    // Test endpoints run no failure detector: digests
+                    // are sunk silently.
                     CtrlOutcome::Done | CtrlOutcome::Heartbeat { .. } => return,
                 }
                 self.pump(ctx);
@@ -260,6 +260,7 @@ impl Component<NetEvent> for SourceSink {
                 }
                 self.arm_timer(ctx);
             }
+            NetEvent::Beacon { .. } => panic!("{}: endpoints run no beacon ticks", self.name),
         }
     }
 

@@ -16,13 +16,13 @@
 //! a discard never needs a control-plane retransmit of its own.
 
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
-use crate::ids::NodeId;
 use crate::msg::Fnv1a;
 
 /// The control-plane message set of the link-level reliability
 /// protocol. Everything a reliable hop sends that is not a data frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CtrlMsg {
     /// Cumulative acknowledgement: every frame with `link_seq <= seq`
     /// arrived. `sack` is the selective-ack bitmap relative to `seq`:
@@ -58,17 +58,19 @@ pub enum CtrlMsg {
         /// Total frames the receiver has drained from its FIFO.
         drained: u64,
     },
-    /// Liveness beacon originated by a workstation HIB and flooded by
-    /// switches out every port except the ingress (per-origin sequence
-    /// numbers dedupe the flood on cyclic topologies). Heartbeats are
+    /// Liveness digest: once per beacon period every element (HIB and
+    /// switch) sends one on each attached link, carrying the newest
+    /// beacon sequence number it has heard from every origin (a HIB's
+    /// own entry is its own beacon count). Receivers merge it into their
+    /// own table; an origin whose number advanced is alive. Digests are
     /// ordinary control traffic: the fault injector drops them on links
     /// into a crashed fault domain, which is exactly how silence — and
     /// therefore failure detection — propagates.
     Heartbeat {
-        /// The workstation that originated this beacon.
-        origin: NodeId,
-        /// Monotone per-origin beacon number (dedupes flood copies).
-        seq: u64,
+        /// Newest sequence number per origin, indexed by node; 0 means
+        /// never heard. Shared with the sender's table snapshot, so a
+        /// frame costs no allocation.
+        newest: Rc<[u64]>,
     },
     /// Link-epoch reset, sent by a transmit port reviving after its
     /// peer was declared dead and came back: "forget everything before
@@ -101,7 +103,7 @@ impl CtrlMsg {
 /// Constructed with [`CtrlFrame::seal`]; receivers must check
 /// [`CtrlFrame::checksum_ok`] before acting and discard (never act on)
 /// frames that fail.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CtrlFrame {
     /// The control message carried by the frame.
     pub msg: CtrlMsg,
@@ -122,7 +124,12 @@ impl CtrlFrame {
     /// [`crate::Packet::compute_checksum`].
     pub fn compute_checksum(&self) -> u32 {
         let mut h = Fnv1a::default();
-        self.msg.hash(&mut h);
+        match &self.msg {
+            // A word at a time: the derived slice hash would feed the
+            // digest's table to the hasher byte by byte.
+            CtrlMsg::Heartbeat { newest } => newest.iter().for_each(|&w| h.write_u64(w)),
+            msg => msg.hash(&mut h),
+        }
         let v = h.finish();
         (((v >> 32) as u32) ^ (v as u32)) | 1
     }
@@ -161,13 +168,12 @@ mod tests {
                 drained: 42,
             },
             CtrlMsg::Heartbeat {
-                origin: NodeId::new(3),
-                seq: 9,
+                newest: Rc::from([0, 9, 4].as_slice()),
             },
             CtrlMsg::Reset { next: 17 },
         ];
         for msg in msgs {
-            let mut f = CtrlFrame::seal(msg);
+            let mut f = CtrlFrame::seal(msg.clone());
             assert!(f.checksum_ok(), "{msg:?} fails its own checksum");
             f.corrupt();
             assert!(!f.checksum_ok(), "corrupted {msg:?} still verifies");
@@ -184,5 +190,15 @@ mod tests {
         assert_ne!(a.checksum, b.checksum);
         assert_ne!(a.checksum, c.checksum);
         assert_eq!(a.checksum & 1, 1, "fold keeps the low bit set");
+        let digest = |newest: [u64; 3]| {
+            CtrlFrame::seal(CtrlMsg::Heartbeat {
+                newest: Rc::from(newest.as_slice()),
+            })
+        };
+        assert_ne!(
+            digest([1, 2, 3]).checksum,
+            digest([1, 2, 4]).checksum,
+            "the checksum covers every digest entry"
+        );
     }
 }

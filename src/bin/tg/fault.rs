@@ -706,7 +706,7 @@ mod tests {
     /// and the cluster shared one port read-out.
     #[test]
     fn partition_report_text_is_pinned() {
-        let want = "no progress for a full watchdog window (declared at 900.000us, \
+        let want = "no progress for a full watchdog window (declared at 1.200ms, \
                     66 units committed):\n\
                     \x20 PARTITION: live nodes unreachable by routing: node1, node2\n";
         for mode in [RetxMode::GoBackN, RetxMode::Sack] {

@@ -92,6 +92,9 @@ fn silenced(scenario: &str) -> Vec<NodeId> {
 struct KvRun {
     report: AuditReport,
     finished: bool,
+    /// Deliveries per event kind, nodes then switches
+    /// ([`harness::kind_report`]).
+    kinds: String,
 }
 
 fn run_once(scenario: &str, mode: RetxMode, seed: u64, requests: u32) -> KvRun {
@@ -112,6 +115,7 @@ fn run_once(scenario: &str, mode: RetxMode, seed: u64, requests: u32) -> KvRun {
     KvRun {
         report,
         finished: outcome != RunLimit::Deadline,
+        kinds: harness::kind_report(&cluster),
     }
 }
 
@@ -122,6 +126,7 @@ pub fn main(mut args: Args) -> Result<(), String> {
 
     let mut metrics = Json::obj();
     let mut failures = 0u32;
+    let mut first_kinds = None;
     println!("replicated KV service under the crash campaign");
     println!(
         "{:<13} {:>5} {:>6} {:>5} {:>5} {:>5} {:>6} {:>5} {:>9} {:>9} {:>9}  gate",
@@ -140,6 +145,7 @@ pub fn main(mut args: Args) -> Result<(), String> {
             let mut timeouts = 0u64;
             for seed in 0..n_seeds {
                 let r = run_once(scenario, mode, seed, requests);
+                first_kinds.get_or_insert_with(|| r.kinds.clone());
                 if !r.finished {
                     ok = false;
                     eprintln!("  {scenario}/{mode_name}/seed{seed}: run never finished");
@@ -224,6 +230,12 @@ pub fn main(mut args: Args) -> Result<(), String> {
                 if ok { "ok" } else { "FAIL" }
             );
         }
+    }
+
+    if let Some(kinds) = first_kinds {
+        println!();
+        println!("{} / {} / seed 0:", SCENARIOS[0], MODES[0].0);
+        print!("{kinds}");
     }
 
     if let Some(path) = &report {

@@ -35,10 +35,8 @@ use std::collections::HashMap;
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, op_breakdowns, ChromeEvent,
 };
-use telegraphos::{
-    Cluster, ClusterEvent, ComponentDetail, CrashWindow, DetectParams, TraceCollector,
-};
-use telegraphos_suite::harness::Args;
+use telegraphos::{Cluster, CrashWindow, DetectParams, TraceCollector};
+use telegraphos_suite::harness::{self, Args};
 use tg_analyze::Json;
 use tg_sim::SimTime;
 use tg_wire::trace::{OpKind, PacketEvent, Site, Stage};
@@ -221,34 +219,6 @@ fn check_export(
     problems
 }
 
-/// Deliveries per event kind, summed over nodes and over switches: one
-/// line each, nonzero kinds only, in [`ClusterEvent::KINDS`] order.
-fn kind_report(cluster: &Cluster) -> String {
-    let (mut nodes, mut switches) = (
-        [0u64; ClusterEvent::KINDS.len()],
-        [0u64; ClusterEvent::KINDS.len()],
-    );
-    for r in cluster.component_stats() {
-        let sum = match r.detail {
-            ComponentDetail::Node { .. } => &mut nodes,
-            ComponentDetail::Switch { .. } => &mut switches,
-        };
-        for (s, k) in sum.iter_mut().zip(r.kinds) {
-            *s += k;
-        }
-    }
-    let line = |who: &str, sum: &[u64]| {
-        let kinds: Vec<String> = ClusterEvent::KINDS
-            .iter()
-            .zip(sum)
-            .filter(|(_, &n)| n > 0)
-            .map(|(name, n)| format!("{name} {n}"))
-            .collect();
-        format!("{who} deliveries by kind: {}\n", kinds.join(", "))
-    };
-    line("node", &nodes) + &line("switch", &switches)
-}
-
 /// Reconciles traced peer-down / peer-up verdicts against the injector's
 /// declared crash schedule: every conviction names a site the plan could
 /// actually have silenced, no earlier than its window opens (a dead
@@ -351,7 +321,7 @@ pub fn main(mut args: Args) -> Result<(), String> {
             "engine: {} events delivered, {} absorbed, {} inlined",
             engine.events_delivered, engine.events_absorbed, engine.events_inlined
         );
-        eprint!("{}", kind_report(&cluster));
+        eprint!("{}", harness::kind_report(&cluster));
         print!("{}", breakdown_report(&op_breakdowns(&ops, &packets)));
         if run.opts.reliable {
             let fs = cluster.fault_stats();

@@ -16,8 +16,8 @@ use std::num::NonZeroU64;
 use std::str::FromStr;
 
 use telegraphos::{
-    Action, Cluster, ClusterBuilder, DetectParams, Drive, FaultPlan, RelParams, RetxMode, Script,
-    SharedPage, Topology,
+    Action, Cluster, ClusterBuilder, ClusterEvent, ComponentDetail, DetectParams, Drive, FaultPlan,
+    RelParams, RetxMode, Script, SharedPage, Topology,
 };
 use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::NodeId;
@@ -375,6 +375,34 @@ pub fn build_kv(opts: &HarnessOptions, cfg: &tg_kv::KvConfig) -> (Cluster, tg_kv
     cluster.enable_heartbeats(DetectParams::default());
     let handles = tg_kv::deploy(&mut cluster, cfg);
     (cluster, handles)
+}
+
+/// Deliveries per event kind, summed over nodes and over switches: one
+/// line each, nonzero kinds only, in [`ClusterEvent::KINDS`] order.
+pub fn kind_report(cluster: &Cluster) -> String {
+    let (mut nodes, mut switches) = (
+        [0u64; ClusterEvent::KINDS.len()],
+        [0u64; ClusterEvent::KINDS.len()],
+    );
+    for r in cluster.component_stats() {
+        let sum = match r.detail {
+            ComponentDetail::Node { .. } => &mut nodes,
+            ComponentDetail::Switch { .. } => &mut switches,
+        };
+        for (s, k) in sum.iter_mut().zip(r.kinds) {
+            *s += k;
+        }
+    }
+    let line = |who: &str, sum: &[u64]| {
+        let kinds: Vec<String> = ClusterEvent::KINDS
+            .iter()
+            .zip(sum)
+            .filter(|(_, &n)| n > 0)
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect();
+        format!("{who} deliveries by kind: {}\n", kinds.join(", "))
+    };
+    line("node", &nodes) + &line("switch", &switches)
 }
 
 /// Reads the stencil result back and compares it to the sequential
