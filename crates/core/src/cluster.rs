@@ -401,9 +401,9 @@ pub struct Cluster {
     max_seg_page: u32,
     timing: TimingConfig,
     injector: Option<FaultInjector>,
-    /// The shared fabric liveness view (present when reliable links with
-    /// heartbeats are configured): switches consult it for route-around
-    /// tables, the cluster for partition diagnosis.
+    /// The shared fabric liveness view (present when the links are
+    /// reliable): switches consult it for route-around tables, the
+    /// cluster for partition diagnosis.
     view: Option<FabricView>,
 }
 
@@ -647,20 +647,24 @@ impl Cluster {
         self.engine.run_events(n)
     }
 
-    /// Starts per-board heartbeat origination and failure detection on
-    /// every node (requires reliable links built with
-    /// [`RelParams::heartbeat_every`] set, the default), with the beacon
-    /// cadence and suspicion thresholds taken from `params`. Every
-    /// switch sends its liveness digests on the same period. Heartbeats
-    /// self-rearm, so a heartbeat-enabled cluster never drains on its
-    /// own — drive it with a [`Drive::quiescent`] plan, which stops
-    /// heartbeats once the workload is done and drains.
+    /// Starts liveness on every element: each board originates
+    /// heartbeats and runs its failure detector, and each switch sends
+    /// its digests and judges its ports, all with the beacon cadence and
+    /// suspicion thresholds of `params` — the one liveness configuration.
+    /// Heartbeats self-rearm, so a heartbeat-enabled cluster never
+    /// drains on its own — drive it with a [`Drive::quiescent`] plan,
+    /// which stops heartbeats once the workload is done and drains. A
+    /// call while heartbeats run changes nothing: the running beacons
+    /// keep their configuration, and no element runs a second chain.
     ///
     /// # Panics
     ///
-    /// Panics if `params` fails [`DetectParams::validate`] (zero periods
-    /// or an inverted `peer_timeout <= heartbeat_every`).
+    /// Panics if the cluster was built without reliable links
+    /// ([`ClusterBuilder::reliable_links`] or a fault plan), or if
+    /// `params` fails [`DetectParams::validate`] (zero periods or an
+    /// inverted `peer_timeout <= heartbeat_every`).
     pub fn enable_heartbeats(&mut self, params: DetectParams) {
+        assert!(self.view.is_some(), "heartbeats need reliable links");
         if let Err(e) = params.validate() {
             panic!("invalid DetectParams: {e}");
         }
@@ -669,8 +673,7 @@ impl Cluster {
         for i in 0..self.n {
             let comp = self.nodes[i as usize];
             let node = self.engine.get_mut::<Node>(comp).expect("node component");
-            node.hib_mut().prime_heartbeats(&peers, now, &params);
-            if node.hib().heartbeats_active() {
+            if node.hib_mut().prime_heartbeats(&peers, now, &params) {
                 self.engine.schedule(
                     SimTime::ZERO,
                     comp,
@@ -680,9 +683,7 @@ impl Cluster {
         }
         for &comp in &self.switches {
             let switch = self.engine.get_mut::<tg_net::Switch>(comp);
-            let first = switch
-                .expect("switch component")
-                .start_beacons(params.heartbeat_every);
+            let first = switch.expect("switch component").start_beacons(&params);
             if let Some(delay) = first {
                 let tick = NetEvent::Beacon { to_nodes: false };
                 self.engine.schedule(delay, comp, ClusterEvent::Net(tick));

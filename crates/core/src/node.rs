@@ -351,11 +351,6 @@ impl Node {
         self.segment.write(off, val);
     }
 
-    /// Reads a word of private memory (inspection).
-    pub fn private_read(&self, off: u64) -> u64 {
-        self.private.read(GOffset::new(off))
-    }
-
     /// True if at least one process was installed on this node.
     pub fn has_process(&self) -> bool {
         !self.threads.is_empty()

@@ -8,6 +8,7 @@ use telegraphos::{
     Action, ClusterBuilder, DetectParams, Drive, FaultPlan, OpError, RelParams, Script, Topology,
 };
 use tg_sim::{MetricsRegistry, RunLimit, SimTime};
+use tg_wire::trace::{Site, Stage};
 use tg_wire::NodeId;
 
 /// A write/read loop against a page homed on `page_home`, padded with
@@ -257,17 +258,20 @@ fn sends_issued_after_conviction_fail_at_issue_time() {
     );
 }
 
-/// `DetectParams` is a real knob, not decoration: the same crash is
-/// convicted under the default thresholds but goes unnoticed when the
+/// `DetectParams` is a real knob, not decoration, at both element kinds:
+/// the same crash is convicted by the survivor's board and by the switch
+/// under the default thresholds, but goes unnoticed by either when the
 /// caller stretches `peer_timeout` past the whole run.
 #[test]
 fn detect_params_tune_the_conviction_threshold() {
+    // (the survivor's down verdicts, the switch's down verdicts)
     let run = |params: DetectParams| {
         let plan = FaultPlan::new(0xD7EC).node_crash(NodeId::new(1), SimTime::from_us(100));
         let mut cluster = ClusterBuilder::new(2)
             .reliable_links(RelParams::default())
             .with_faults(plan)
             .build();
+        let log = cluster.enable_tracing();
         cluster.enable_heartbeats(params);
         // Pure local compute: the survivor never touches the dead peer,
         // so the only down verdict can come from the detector.
@@ -278,11 +282,21 @@ fn detect_params_tune_the_conviction_threshold() {
         cluster
             .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(10)))
             .unwrap();
-        cluster.node(0).stats().peer_downs
+        let switch_downs = log
+            .packet_events()
+            .iter()
+            .filter(|e| e.stage == Stage::PeerDown && matches!(e.site, Site::Switch(_)))
+            .count();
+        (cluster.node(0).stats().peer_downs, switch_downs)
     };
+    let (node, switch) = run(DetectParams::default());
     assert!(
-        run(DetectParams::default()) > 0,
+        node > 0,
         "default thresholds missed a 100us crash over a 1ms run"
+    );
+    assert!(
+        switch > 0,
+        "the switch missed the crash under default thresholds"
     );
     let deaf = DetectParams {
         peer_timeout: SimTime::from_ms(50),
@@ -290,7 +304,7 @@ fn detect_params_tune_the_conviction_threshold() {
     };
     assert_eq!(
         run(deaf),
-        0,
+        (0, 0),
         "a 50ms peer_timeout convicted within a 1ms run"
     );
 }

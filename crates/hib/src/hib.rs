@@ -4,8 +4,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use tg_mem::{Decoded, PAddr};
 use tg_net::{
-    Arrival, BeaconTable, CtrlOutcome, DetectParams, FaultInjector, FrameFate, HeartbeatDetector,
-    LinkEnd, LinkError, Liveness, NetEvent, PortSnapshot, RxFifo, TimerAction, TxPort,
+    Arrival, Beacons, CtrlOutcome, DetectParams, FaultInjector, FrameFate, LinkEnd, LinkError,
+    Liveness, NetEvent, PortSnapshot, RxFifo, TimerAction, TxPort,
 };
 use tg_proto::PendingCam;
 use tg_sim::SimTime;
@@ -237,17 +237,11 @@ pub struct Hib {
     pending_ops: BTreeMap<u32, PendingOp>,
     /// An OpCheck sweep tick is already scheduled.
     op_check_armed: bool,
-    /// Per-peer failure detector, fed by digest beacons; present once
-    /// heartbeats start.
-    detector: Option<Box<HeartbeatDetector>>,
-    /// Beacon origination period, from the link reliability parameters.
-    hb_every: Option<SimTime>,
-    /// Newest beacon number heard per origin, sent as this board's
-    /// digest every beacon period; built when heartbeats start.
-    beacons: Option<BeaconTable>,
-    /// Beacons are being originated; the Heartbeat tick rearms while set.
-    /// Off by default so fault-free runs stay beacon-free and drain.
-    hb_active: bool,
+    /// Liveness state once heartbeats start: the table is sent as this
+    /// board's digest every period, the detector watches every peer. The
+    /// Heartbeat tick rearms while it has a period; absent by default so
+    /// fault-free runs stay beacon-free and drain.
+    beacons: Option<Box<Beacons>>,
     /// Word keys of coherent updates awaiting their reflection, per owner:
     /// released one-by-one by rule-2 reflections, or wholesale when the
     /// owner is declared dead.
@@ -302,10 +296,7 @@ impl Hib {
             starvation_alarmed: false,
             pending_ops: BTreeMap::new(),
             op_check_armed: false,
-            detector: None,
-            hb_every: None,
             beacons: None,
-            hb_active: false,
             updates_to: BTreeMap::new(),
             atomic_served: HashMap::new(),
             writes_seen: HashMap::new(),
@@ -341,9 +332,6 @@ impl Hib {
     /// protocol on the input link; credits and control frames go back to
     /// the transmit port's neighbor.
     pub fn wire(&mut self, tx: TxPort, rx_capacity: u32) {
-        if let Some(params) = tx.rel_params() {
-            self.hb_every = params.heartbeat_every;
-        }
         self.link = Some(LinkEnd::new(tx));
         self.rx_fifo = RxFifo::new(rx_capacity);
     }
@@ -359,75 +347,58 @@ impl Hib {
     }
 
     /// Starts originating liveness beacons and arms the failure detector
-    /// for `peers` (everyone else in the cluster), reconfiguring the
-    /// beacon period and suspicion thresholds from `params` (which the
-    /// caller has validated). The caller must follow up by routing a
-    /// [`HibTick::Heartbeat`] into [`on_tick`]; the tick then self-rearms
-    /// every `heartbeat_every` until [`stop_heartbeats`]. No-op unless
-    /// the link reliability parameters enable heartbeats.
+    /// for `peers` (everyone else in the cluster), with the beacon period
+    /// and suspicion thresholds of `params` (which the caller has
+    /// validated); the caller runs the link reliably. Returns `true` when
+    /// it started them: the caller must then route a
+    /// [`HibTick::Heartbeat`] into [`on_tick`], and the tick self-rearms
+    /// every `heartbeat_every` until [`stop_heartbeats`]. Returns `false`,
+    /// and changes nothing, while beacons already run.
     ///
     /// [`on_tick`]: Hib::on_tick
     /// [`stop_heartbeats`]: Hib::stop_heartbeats
-    pub fn prime_heartbeats(&mut self, peers: &[NodeId], now: SimTime, params: &DetectParams) {
-        if self.hb_every.is_none() {
-            return;
-        }
-        self.hb_every = Some(params.heartbeat_every);
-        self.detector = Some(Box::new(HeartbeatDetector::new(
-            params.peer_timeout,
-            params.phi_factor,
-        )));
-        self.hb_active = true;
+    pub fn prime_heartbeats(
+        &mut self,
+        peers: &[NodeId],
+        now: SimTime,
+        params: &DetectParams,
+    ) -> bool {
         let origins = peers.iter().chain([&self.node]).map(|p| p.index() + 1);
-        self.beacons = Some(BeaconTable::new(origins.max().unwrap_or(0)));
-        if let Some(det) = self.detector.as_mut() {
-            for &p in peers {
-                if p != self.node {
-                    det.track(u64::from(p.raw()), now);
-                }
+        let origins = origins.max().unwrap_or(0);
+        let Some(beacons) = Beacons::start(&mut self.beacons, params, origins) else {
+            return false;
+        };
+        for &p in peers {
+            if p != self.node {
+                beacons.detector.track(u64::from(p.raw()), now);
             }
         }
+        true
     }
 
     /// Stops beacon origination: the next Heartbeat tick does not rearm,
     /// letting the event queue drain.
     pub fn stop_heartbeats(&mut self) {
-        self.hb_active = false;
+        if let Some(beacons) = &mut self.beacons {
+            beacons.every = None;
+        }
     }
 
-    /// True while this board originates beacons.
-    pub fn heartbeats_active(&self) -> bool {
-        self.hb_active
+    /// The beacon period while this board originates beacons.
+    fn beacon_every(&self) -> Option<SimTime> {
+        self.beacons.as_ref().and_then(|b| b.every)
     }
 
     /// True once this board's failure detector convicted `peer`.
     pub fn peer_down(&self, peer: NodeId) -> bool {
-        self.detector
+        self.beacons
             .as_ref()
-            .is_some_and(|d| d.is_down(u64::from(peer.raw())))
-    }
-
-    /// Peers currently convicted by this board's failure detector.
-    pub fn down_peers(&self) -> Vec<NodeId> {
-        self.detector
-            .as_ref()
-            .map(|d| {
-                d.down_keys()
-                    .into_iter()
-                    .map(|k| NodeId::new(k as u16))
-                    .collect()
-            })
-            .unwrap_or_default()
+            .is_some_and(|b| b.detector.is_down(u64::from(peer.raw())))
     }
 
     /// Structured request failures observed so far, in order.
     pub fn op_errors(&self) -> &[OpError] {
         &self.op_errors
-    }
-
-    /// Tagged remote requests currently awaiting completion.
-    pub fn pending_op_count(&self) -> usize {
-        self.pending_ops.len()
     }
 
     /// Installs the fault injector consulted when this board launches
@@ -480,11 +451,6 @@ impl Hib {
     /// The sharing-metadata table (privileged driver access).
     pub fn shared_map(&mut self) -> &mut SharedMap {
         &mut self.shared
-    }
-
-    /// Read-only sharing metadata.
-    pub fn shared_map_ref(&self) -> &SharedMap {
-        &self.shared
     }
 
     /// Installs the authentication key of a Telegraphos context
@@ -1165,26 +1131,23 @@ impl Hib {
                 self.check_fence(host);
             }
             HibTick::Heartbeat => {
-                if !self.hb_active {
+                let Some(every) = self.beacon_every() else {
                     return;
-                }
+                };
                 // This board's own digest entry counts its beacons.
                 self.stats.heartbeats_tx += 1;
-                let me = self.node.index();
-                if let (Some(table), Some(end)) = (self.beacons.as_mut(), self.link.as_mut()) {
-                    table.set(me, self.stats.heartbeats_tx);
-                    let beacon = CtrlMsg::Heartbeat {
-                        newest: table.digest(),
-                    };
-                    end.send_ctrl(beacon, self.timing.link_prop, host);
-                }
+                let table = &mut self.beacons.as_mut().expect("beacons run").table;
+                table.set(self.node.index(), self.stats.heartbeats_tx);
+                let beacon = CtrlMsg::Heartbeat {
+                    newest: table.digest(),
+                };
+                let end = self.link.as_mut().expect("tx wired");
+                end.send_ctrl(beacon, self.timing.link_prop, host);
                 self.sweep_detector(host);
                 // Operations issued before heartbeats were enabled get
                 // their sweep armed here.
                 self.arm_op_check(host);
-                if let Some(every) = self.hb_every {
-                    host.schedule_tick(every, HibTick::Heartbeat);
-                }
+                host.schedule_tick(every, HibTick::Heartbeat);
             }
             HibTick::OpCheck => {
                 self.op_check_armed = false;
@@ -1281,9 +1244,10 @@ impl Hib {
         }
         let me = self.node.index();
         let mut revived = Vec::new();
-        if let (Some(table), Some(d)) = (self.beacons.as_mut(), self.detector.as_mut()) {
-            table.merge(newest, |origin| {
-                if origin != me && d.saw(origin as u64, now) == Some(Liveness::Up) {
+        if let Some(b) = self.beacons.as_mut() {
+            let detector = &mut b.detector;
+            b.table.merge(newest, |origin| {
+                if origin != me && detector.saw(origin as u64, now) == Some(Liveness::Up) {
                     revived.push(origin);
                 }
             });
@@ -1297,8 +1261,8 @@ impl Hib {
     /// Runs the failure detector; every newly-convicted peer triggers the
     /// down transition (interrupt, trace point, sweep-fail of its ops).
     fn sweep_detector(&mut self, host: &mut dyn HibHost) {
-        let newly = match self.detector.as_mut() {
-            Some(d) => d.check(host.now()),
+        let newly = match self.beacons.as_mut() {
+            Some(b) => b.detector.check(host.now()),
             None => return,
         };
         for key in newly {
@@ -1393,7 +1357,7 @@ impl Hib {
     /// without a failure detector there is no conviction to act on, and
     /// the reliable link layer already guarantees delivery to live peers.
     fn arm_op_check(&mut self, host: &mut dyn HibHost) {
-        if self.op_check_armed || !self.hb_active || self.pending_ops.is_empty() {
+        if self.op_check_armed || self.beacon_every().is_none() || self.pending_ops.is_empty() {
             return;
         }
         self.op_check_armed = true;

@@ -26,10 +26,10 @@ use std::rc::Rc;
 
 use tg_sim::SimTime;
 
-/// Failure-detection knobs, promoted out of the link parameters so a
-/// campaign can tune beacon cadence and suspicion thresholds per run
-/// without rebuilding the cluster: beacons every `heartbeat_every`,
-/// conviction at `max(peer_timeout, phi_factor × observed mean gap)`.
+/// The one liveness configuration: every HIB and every switch beacons
+/// every `heartbeat_every` and convicts a silent peer at
+/// `max(peer_timeout, phi_factor × observed mean gap)`. A campaign tunes
+/// it per run without rebuilding the cluster.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DetectParams {
     /// Beacon origination period.
@@ -42,10 +42,7 @@ pub struct DetectParams {
 }
 
 impl Default for DetectParams {
-    /// The crash-campaign defaults: 20 µs beacons, 100 µs floor, φ = 8 —
-    /// identical to [`RelParams`]'s built-in heartbeat constants.
-    ///
-    /// [`RelParams`]: crate::RelParams
+    /// The crash-campaign defaults: 20 µs beacons, 100 µs floor, φ = 8.
     fn default() -> Self {
         DetectParams {
             heartbeat_every: SimTime::from_us(20),
@@ -275,13 +272,6 @@ impl HeartbeatDetector {
         self.watch(key).is_some_and(|w| w.down)
     }
 
-    /// Keys currently declared down, in ascending order.
-    pub fn down_keys(&self) -> Vec<u64> {
-        (0..self.watches.len() as u64)
-            .filter(|&k| self.is_down(k))
-            .collect()
-    }
-
     /// The instant `key`'s silence will cross its threshold if no more
     /// beacons arrive — the observer's next useful re-check time.
     pub fn deadline(&self, key: u64) -> Option<SimTime> {
@@ -348,6 +338,45 @@ impl BeaconTable {
     }
 }
 
+/// One element's liveness state once it beacons: the period, the
+/// [`BeaconTable`] its digests carry and the [`HeartbeatDetector`] fed by
+/// the digests it hears. HIBs and switches hold one each; what a digest
+/// means stays each element's own rule (one observation per advanced
+/// origin at a HIB, one per port at a switch).
+#[derive(Clone, Debug)]
+pub struct Beacons {
+    /// The beacon period; `None` once beacons stop, so the next tick
+    /// does not rearm. The table and the detector's verdicts stay.
+    pub every: Option<SimTime>,
+    /// Newest beacon number heard per origin.
+    pub table: BeaconTable,
+    /// The failure detector over digest arrivals.
+    pub detector: HeartbeatDetector,
+}
+
+impl Beacons {
+    /// Starts beacons in `slot` from `params` over `origins` origins,
+    /// unless they already run there. Returns the fresh state (for the
+    /// element to watch its peers and schedule its first tick), or
+    /// `None` when a beacon chain already runs: an element never runs
+    /// two. A stopped state is replaced.
+    pub fn start<'a>(
+        slot: &'a mut Option<Box<Beacons>>,
+        params: &DetectParams,
+        origins: usize,
+    ) -> Option<&'a mut Beacons> {
+        if slot.as_ref().is_some_and(|b| b.every.is_some()) {
+            return None;
+        }
+        let beacons = slot.insert(Box::new(Beacons {
+            every: Some(params.heartbeat_every),
+            table: BeaconTable::new(origins),
+            detector: HeartbeatDetector::new(params.peer_timeout, params.phi_factor),
+        }));
+        Some(beacons)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +392,6 @@ mod tests {
         assert!(d.check(SimTime::from_us(100)).is_empty(), "floor inclusive");
         assert_eq!(d.check(SimTime::from_us(101)), vec![1]);
         assert!(d.is_down(1));
-        assert_eq!(d.down_keys(), vec![1]);
         // Re-checking an already-down key issues no duplicate verdict.
         assert!(d.check(SimTime::from_us(500)).is_empty());
         assert_eq!(d.saw(1, SimTime::from_us(600)), Some(Liveness::Up));
@@ -407,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_params_default_is_valid_and_matches_link_constants() {
+    fn detect_params_default_is_valid() {
         let p = DetectParams::default();
         assert!(p.validate().is_ok());
         assert_eq!(p.heartbeat_every, SimTime::from_us(20));
@@ -519,13 +547,10 @@ mod tests {
                     }
                     _ => assert_eq!(fast.check(now), slow.check(now), "at {now:?}"),
                 }
-                let down: Vec<u64> = slow
-                    .watches
-                    .iter()
-                    .filter(|(_, w)| w.down)
-                    .map(|(&k, _)| k)
-                    .collect();
-                assert_eq!(fast.down_keys(), down);
+                for k in 0..6 {
+                    let down = slow.watches.get(&k).is_some_and(|w| w.down);
+                    assert_eq!(fast.is_down(k), down, "key {k} at {now:?}");
+                }
             }
         }
     }

@@ -112,7 +112,10 @@ impl LinkEnd {
     /// matching receiver on the paired input link.
     pub fn new(tx: TxPort) -> Self {
         LinkEnd {
-            rx: tx.rel_params().map(|p| Box::new(LinkRx::for_params(&p))),
+            rx: tx
+                .rel
+                .as_ref()
+                .map(|r| Box::new(LinkRx::for_params(&r.params))),
             tx,
             injector: None,
             ctrl_discards: 0,

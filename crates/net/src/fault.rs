@@ -361,15 +361,6 @@ impl FaultInjector {
         }
     }
 
-    /// True if an outage window covers `now` on the directed link.
-    pub fn outage_active(&self, link: LinkId, now: SimTime) -> bool {
-        let st = self.state.borrow();
-        st.plan
-            .outages
-            .iter()
-            .any(|o| o.link == link && o.from <= now && now < o.until)
-    }
-
     /// True when `site` is inside an active crash-stop window at `now`.
     pub fn site_down(&self, site: Site, now: SimTime) -> bool {
         self.state.borrow().plan.site_down(site, now)

@@ -64,7 +64,7 @@ mod switch;
 pub mod testing;
 mod topology;
 
-pub use detect::{BeaconTable, DetectParams, HeartbeatDetector, Liveness};
+pub use detect::{BeaconTable, Beacons, DetectParams, HeartbeatDetector, Liveness};
 pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd, PortSnapshot, StalledLink};
 pub use event::{NetEvent, NetMessage};
 pub use fault::{
@@ -108,8 +108,8 @@ pub struct NetworkHandles {
     /// Engine ids of the switches, in topology order.
     pub switches: Vec<CompId>,
     /// The shared dead-set + route view the switches report failure
-    /// verdicts to; present when the reliability parameters enable
-    /// heartbeats (the failure-detection substrate).
+    /// verdicts to; present when the links are reliable (the substrate
+    /// of failure detection).
     pub view: Option<FabricView>,
 }
 
@@ -178,12 +178,11 @@ pub fn build_network_with<M: NetMessage>(
         "one engine component required per topology endpoint"
     );
     let routes = Routes::compute(topology)?;
-    // With heartbeats on, the switches share a fabric view: their port
-    // detectors report dead vertices into it and every switch refreshes
-    // its table from the one globally-consistent recomputed tree.
+    // Over reliable links the switches share a fabric view: their port
+    // detectors and dead links report vertices into it and every switch
+    // refreshes its table from the one globally-consistent recomputed tree.
     let view = config
         .reliability
-        .filter(|p| p.heartbeat_every.is_some())
         .map(|_| FabricView::new(topology.clone(), routes.clone()));
 
     // Create the switch components first so every CompId is known.

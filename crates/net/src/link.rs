@@ -137,17 +137,6 @@ pub struct RelParams {
     /// Ceiling for the adaptive retransmission timeout (backoff may
     /// still multiply beyond it, bounded by `backoff_cap`).
     pub rto_max: SimTime,
-    /// Interval between the liveness digests each HIB and switch sends
-    /// on every attached link. `None` disables heartbeats — and with
-    /// them crash-stop failure detection.
-    pub heartbeat_every: Option<SimTime>,
-    /// Hard floor on how long a peer may be beacon-silent before the
-    /// failure detector declares it down. The effective threshold is
-    /// `max(peer_timeout, phi_factor * observed mean beacon gap)`.
-    pub peer_timeout: SimTime,
-    /// Multiplier on the observed mean beacon gap in the suspicion
-    /// threshold (the simplified phi-accrual knob).
-    pub phi_factor: u32,
 }
 
 impl Default for RelParams {
@@ -161,9 +150,6 @@ impl Default for RelParams {
             sack_window: 32,
             rto_min: SimTime::from_us(5),
             rto_max: SimTime::from_us(100),
-            heartbeat_every: Some(SimTime::from_us(20)),
-            peer_timeout: SimTime::from_us(100),
-            phi_factor: 8,
         }
     }
 }
@@ -181,19 +167,6 @@ impl RelParams {
     /// 64-bit receipt bitmap by the receiver).
     pub fn with_sack_window(mut self, frames: u32) -> Self {
         self.sack_window = frames;
-        self
-    }
-
-    /// Disables heartbeat origination (and with it failure detection) —
-    /// the configuration the zero-fault overhead gate compares against.
-    pub fn without_heartbeats(mut self) -> Self {
-        self.heartbeat_every = None;
-        self
-    }
-
-    /// Overrides the heartbeat interval.
-    pub fn with_heartbeat_every(mut self, every: SimTime) -> Self {
-        self.heartbeat_every = Some(every);
         self
     }
 }

@@ -81,8 +81,8 @@ struct FrameSlot {
 /// [`crate::link`]). Boxed inside [`TxPort`] so the unreliable fast path
 /// stays untouched.
 #[derive(Clone, Debug)]
-struct RelTx {
-    params: RelParams,
+pub(crate) struct RelTx {
+    pub(crate) params: RelParams,
     /// Link sequence number the next fresh frame is stamped with.
     next_seq: u64,
     /// Lowest unacknowledged sequence number (`base - 1` frames have been
@@ -220,7 +220,7 @@ pub struct TxPort {
     stale_credit_grace: u32,
     /// Stale pre-epoch credits swallowed after revivals.
     stale_credits: u64,
-    rel: Option<Box<RelTx>>,
+    pub(crate) rel: Option<Box<RelTx>>,
 }
 
 impl TxPort {
@@ -310,14 +310,6 @@ impl TxPort {
     /// True when the reliability protocol is active on this port.
     pub fn is_reliable(&self) -> bool {
         self.rel.is_some()
-    }
-
-    /// The reliability parameter set this port was enrolled with, when
-    /// the protocol is active. Endpoints use it to run a matching
-    /// receiver ([`LinkRx::for_params`](crate::LinkRx::for_params)) on
-    /// their input link.
-    pub fn rel_params(&self) -> Option<RelParams> {
-        self.rel.as_ref().map(|r| r.params)
     }
 
     /// True when a packet may be launched now.

@@ -231,11 +231,6 @@ impl Routes {
         self.tables[s as usize].clone()
     }
 
-    /// The spanning-tree parent of a vertex (`None` for the root).
-    pub fn tree_parent(&self, v: Vertex) -> Option<Vertex> {
-        self.parent.get(&v).copied()
-    }
-
     /// The full tree path between two endpoints (inclusive of both), for
     /// tests and hop-count estimates.
     pub fn path(&self, from: NodeId, to: NodeId) -> Vec<Vertex> {

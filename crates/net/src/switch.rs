@@ -4,7 +4,7 @@ use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::trace::{Site, Stage, TraceCollector, Tracer};
 use tg_wire::{CtrlMsg, Packet, TimingConfig};
 
-use crate::detect::{BeaconTable, HeartbeatDetector, Liveness};
+use crate::detect::{Beacons, DetectParams, Liveness};
 use crate::end::{Arrival, CtrlOutcome, LinkEnd, PortSnapshot};
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate};
@@ -138,15 +138,10 @@ pub struct Switch {
     /// Neighbor-originated protocol violations and dead-link declarations
     /// observed so far.
     errors: Vec<LinkError>,
-    /// Per-port failure detector over digest arrivals; present once
-    /// beacons start. Ports are watched lazily, from their first digest.
-    detector: Option<Box<HeartbeatDetector>>,
-    /// Newest beacon number heard per origin, merged from every port's
-    /// digests and sent on every port once per period; built when
-    /// beacons start.
-    beacons: Option<BeaconTable>,
-    /// The beacon period while this switch sends digests.
-    beacon_every: Option<SimTime>,
+    /// Liveness state once beacons start: the table merges every port's
+    /// digests and is sent on every port once per period; the detector
+    /// watches ports lazily, from their first digest.
+    beacons: Option<Box<Beacons>>,
     /// The fabric's shared dead-set + route view; `None` leaves the
     /// boot-time table in place forever.
     view: Option<FabricView>,
@@ -189,9 +184,7 @@ impl Switch {
             reliability: None,
             injector: None,
             errors: Vec::new(),
-            detector: None,
             beacons: None,
-            beacon_every: None,
             view: None,
             view_version: 0,
             lazy_free: vec![0; words],
@@ -219,29 +212,29 @@ impl Switch {
         self.reliability = Some(params);
     }
 
-    /// Starts sending liveness digests every `every`, unless the
-    /// reliability parameters leave heartbeats off. Returns the delay of
-    /// the first [`NetEvent::Beacon`] tick the caller must schedule at
-    /// this switch, measured from the nodes' first beacon instant; the
-    /// tick then self-rearms until [`Switch::stop_beacons`].
+    /// Starts sending liveness digests every `params.heartbeat_every`
+    /// and judging silent ports at `params`' thresholds; the caller runs
+    /// the ports reliably. Returns the delay of the first
+    /// [`NetEvent::Beacon`] tick the caller must schedule at this switch,
+    /// measured from the nodes' first beacon instant; the tick then
+    /// self-rearms until [`Switch::stop_beacons`]. Returns `None`, and
+    /// changes nothing, while beacons already run.
     ///
     /// Each period has two ticks. Two link delays after the nodes beacon
     /// (their digests have landed), the switch sends to the neighbour
     /// switches; two link delays later (theirs have landed too), to its
     /// nodes. A beacon thus reaches every node one switch hop away
     /// within its own period.
-    pub fn start_beacons(&mut self, every: SimTime) -> Option<SimTime> {
-        let params = self.reliability.filter(|p| p.heartbeat_every.is_some())?;
-        let detector = HeartbeatDetector::new(params.peer_timeout, params.phi_factor);
-        self.detector = Some(Box::new(detector));
-        self.beacons = Some(BeaconTable::new(self.table.len()));
-        self.beacon_every = Some(every);
-        Some(self.beacon_lead(every))
+    pub fn start_beacons(&mut self, params: &DetectParams) -> Option<SimTime> {
+        Beacons::start(&mut self.beacons, params, self.table.len())?;
+        Some(self.beacon_lead(params.heartbeat_every))
     }
 
     /// Stops sending digests: the next beacon tick does not rearm.
     pub fn stop_beacons(&mut self) {
-        self.beacon_every = None;
+        if let Some(beacons) = &mut self.beacons {
+            beacons.every = None;
+        }
     }
 
     /// The offset of each beacon tick from the one before it in the
@@ -520,14 +513,11 @@ impl Switch {
         ctx: &mut Ctx<'_, M>,
     ) {
         self.stats.heartbeats_rx += 1;
-        let table = self.beacons.as_mut();
-        let advanced = table.map_or(0, |t| t.merge(newest, |_| {}));
         let now = ctx.now();
-        let revived = self
-            .detector
-            .as_mut()
-            .and_then(|d| d.saw_many(in_port as u64, now, advanced.max(1)))
-            == Some(Liveness::Up);
+        let revived = self.beacons.as_mut().is_some_and(|b| {
+            let advanced = b.table.merge(newest, |_| {});
+            b.detector.saw_many(in_port as u64, now, advanced.max(1)) == Some(Liveness::Up)
+        });
         if revived {
             self.on_peer_up(in_port, ctx);
         }
@@ -538,7 +528,7 @@ impl Switch {
     /// (node-facing or switch-facing), sweeps the detector and rearms
     /// the other side's tick, unless beacons were stopped.
     fn on_beacon<M: NetMessage>(&mut self, to_nodes: bool, ctx: &mut Ctx<'_, M>) {
-        let Some(every) = self.beacon_every else {
+        let Some(every) = self.beacons.as_ref().and_then(|b| b.every) else {
             return;
         };
         let lead = self.beacon_lead(every);
@@ -557,9 +547,7 @@ impl Switch {
         {
             return;
         }
-        let Some(digest) = self.beacons.as_mut().map(BeaconTable::digest) else {
-            return;
-        };
+        let digest = self.beacons.as_mut().expect("beacons run").table.digest();
         let prop = self.timing.link_prop;
         for end in self.ports.iter_mut().flatten() {
             let faces_node = end
@@ -581,9 +569,9 @@ impl Switch {
     fn check_peers<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
         let now = ctx.now();
         let newly_down = self
-            .detector
+            .beacons
             .as_mut()
-            .map(|d| d.check(now))
+            .map(|b| b.detector.check(now))
             .unwrap_or_default();
         for port in newly_down {
             self.on_peer_down(port as usize, ctx);
@@ -616,9 +604,9 @@ impl Switch {
             return;
         };
         let downs = self
-            .detector
+            .beacons
             .as_ref()
-            .map_or(0, |d| d.transition_counts().0);
+            .map_or(0, |b| b.detector.transition_counts().0);
         if let Some(tracer) = &self.tracer {
             tracer.peer(ctx.now(), link.to, Stage::PeerDown, downs);
         }
@@ -638,9 +626,9 @@ impl Switch {
             return;
         };
         let ups = self
-            .detector
+            .beacons
             .as_ref()
-            .map_or(0, |d| d.transition_counts().1);
+            .map_or(0, |b| b.detector.transition_counts().1);
         if let Some(tracer) = &self.tracer {
             tracer.peer(ctx.now(), link.to, Stage::PeerUp, ups);
         }

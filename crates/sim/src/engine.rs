@@ -425,11 +425,6 @@ impl<M: 'static> Engine<M> {
         self.now
     }
 
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// Number of events currently pending, deferred ones included.
     pub fn pending_events(&self) -> usize {
         self.queue.len() + self.deferred_len
@@ -862,14 +857,6 @@ impl<M: 'static> Engine<M> {
         self.components
             .get_mut(id.index())
             .and_then(|c| (c.as_mut() as &mut dyn Any).downcast_mut::<T>())
-    }
-
-    /// The registered (interned) name of a component.
-    pub fn name_of(&self, id: CompId) -> &str {
-        self.names
-            .get(id.index())
-            .map(|n| &**n)
-            .unwrap_or("<unregistered>")
     }
 }
 

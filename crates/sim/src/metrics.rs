@@ -203,22 +203,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Looks up a gauge's `(last, max)` by name.
-    pub fn gauge_by_name(&self, name: &str) -> Option<(f64, f64)> {
-        match self.lookup.get(name) {
-            Some(Instrument::Gauge(i)) => {
-                let g = &self.gauges[*i];
-                let max = if g.max == f64::NEG_INFINITY {
-                    0.0
-                } else {
-                    g.max
-                };
-                Some((g.value, max))
-            }
-            _ => None,
-        }
-    }
-
     /// Looks up a series' samples by name.
     pub fn series_by_name(&self, name: &str) -> Option<&[Sample]> {
         match self.lookup.get(name) {

@@ -47,7 +47,8 @@ pub struct HarnessOptions {
     /// Run per-link heartbeats (crash-stop failure detection) during the
     /// workload. Implied by any crash-stop fault below — a crashed peer
     /// can only be convicted, and blocked ops only resolved, by the
-    /// detector.
+    /// detector. Implies `reliable` at the CLI: beacons ride reliable
+    /// links.
     pub heartbeats: bool,
     /// Crash workstation `(node, at_us)`. Permanent unless `restart_us`
     /// closes the window.
@@ -98,9 +99,9 @@ impl HarnessOptions {
     }
 
     /// Takes the harness flags from `args` over the values in `self`,
-    /// checks them and applies their implications: injected faults need
-    /// link-level recovery, and a crash-stop window also needs heartbeats
-    /// (detection and structured op failure both live there).
+    /// checks them and applies their implications: a crash-stop window
+    /// needs heartbeats (detection and structured op failure both live
+    /// there), and injected faults and heartbeats need reliable links.
     ///
     /// ```text
     /// --nodes N  --reliable  --sack  --drop P  --corrupt P  --ctrl-drop P
@@ -146,8 +147,8 @@ impl HarnessOptions {
             // The ring a switch outage runs on has one switch per node.
             self.switch_out = Some((self.index("--switch-out", s)?, from_us, until_us));
         }
-        self.reliable |= self.any_faults();
         self.heartbeats |= self.any_crash();
+        self.reliable |= self.any_faults() || self.heartbeats;
         Ok(self)
     }
 
@@ -450,6 +451,9 @@ mod tests {
         let o = parse("--switch-out 3,100,100000").unwrap();
         assert!(o.reliable && o.heartbeats);
         assert_eq!(o.switch_out, Some((3, 100, 100_000)));
+        let o = parse("--heartbeats").unwrap();
+        assert!(o.reliable && o.heartbeats);
+        assert!(!parse("").unwrap().reliable);
         assert_eq!(parse("--drop 0.2 --drop 0.3").unwrap().drop, 0.3);
     }
 

@@ -4,6 +4,7 @@
 //! — 128 on a 64-node star, where a per-origin flood would deliver
 //! 64 × 64 = 4,096 — and 32 on an 8-node ring (8 uplinks, 8 downlinks
 //! and 8 switch-to-switch links each way), where it would deliver 136.
+//! Enabling heartbeats twice must not double that.
 
 use telegraphos::{Cluster, ComponentDetail, DetectParams};
 use telegraphos_suite::harness::{self, HarnessOptions};
@@ -51,15 +52,25 @@ fn a_64_node_star_delivers_one_digest_per_directed_link_per_period() {
     assert_eq!(frames_per_period(cluster), 2 * 64);
 }
 
-#[test]
-fn an_8_node_ring_delivers_one_digest_per_directed_link_per_period() {
+/// The KV deployment on its 8-node ring, which enables heartbeats itself.
+fn kv_ring() -> Cluster {
     let opts = HarnessOptions {
         nodes: 8,
         reliable: true,
         heartbeats: true,
         ..HarnessOptions::default()
     };
-    // The KV deployment enables heartbeats itself.
-    let (cluster, _) = harness::build_kv(&opts, &tg_kv::KvConfig::default());
+    harness::build_kv(&opts, &tg_kv::KvConfig::default()).0
+}
+
+#[test]
+fn an_8_node_ring_delivers_one_digest_per_directed_link_per_period() {
+    assert_eq!(frames_per_period(kv_ring()), 2 * 8 + 2 * 8);
+}
+
+#[test]
+fn a_second_enable_keeps_one_beacon_chain() {
+    let mut cluster = kv_ring();
+    cluster.enable_heartbeats(DetectParams::default());
     assert_eq!(frames_per_period(cluster), 2 * 8 + 2 * 8);
 }

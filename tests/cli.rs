@@ -1,8 +1,9 @@
 //! The `tg` binary end to end: the perf gate passes a baseline against
 //! itself and fires on a synthetic 10% latency regression, bad command
 //! lines exit 1 with one line on stderr, a crash run that cannot finish
-//! exits 1 instead of hanging, and a crash window that closes before the
-//! failure detector could convict passes `--check`.
+//! exits 1 instead of hanging, a crash window that closes before the
+//! failure detector could convict passes `--check`, and `--heartbeats`
+//! alone runs beacons.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -92,4 +93,24 @@ fn a_crash_shorter_than_the_peer_timeout_passes_the_check() {
     ]
     .concat());
     assert!(run.status.success(), "{run:?}");
+}
+
+/// `--heartbeats` implies `--reliable`: without it the beacons would
+/// have no reliable links to ride, and the run would send none.
+#[test]
+fn heartbeats_alone_run_beacons_over_reliable_links() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("heartbeats_trace.json");
+    let run = |extra: &[&str]| {
+        let args = ["trace", "pingpong", "--heartbeats", "--out"];
+        tg(&[&args[..], &[out.to_str().unwrap()], extra].concat())
+    };
+    let alone = run(&[]);
+    assert!(alone.status.success(), "{alone:?}");
+    let stderr = String::from_utf8_lossy(&alone.stderr);
+    assert!(
+        stderr.contains("tick.heartbeat") && stderr.contains("net.beacon"),
+        "{stderr}"
+    );
+    let explicit = run(&["--reliable"]);
+    assert_eq!(alone.stderr, explicit.stderr);
 }
