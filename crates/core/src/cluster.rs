@@ -1,5 +1,7 @@
 //! Cluster construction and the experiment-facing API.
 
+use std::hash::Hasher;
+
 use tg_hib::{HibConfig, HibTick, PageMode};
 use tg_mem::{PAddr, PageFlags, VAddr};
 use tg_net::{
@@ -892,6 +894,16 @@ impl Cluster {
     /// and HIB transmit ports).
     pub fn fabric_retransmits(&self) -> u64 {
         self.ports().map(|p| p.retransmits).sum()
+    }
+
+    /// The fabric's wire fingerprint: every port's wire log
+    /// ([`PortSnapshot::wire`]) folded in port order. Two runs that put
+    /// the same frames on the same wires at the same instants agree on
+    /// it, whatever the engine elided on the way.
+    pub fn wire_fingerprint(&self) -> u64 {
+        let mut h = tg_wire::Fnv1a::default();
+        self.ports().for_each(|p| h.write_u64(p.wire));
+        h.finish()
     }
 
     /// Completed credit-resync handshakes across the whole fabric.
