@@ -218,11 +218,6 @@ impl Inventory {
         self.blocks.iter().map(|b| b.gates).sum()
     }
 
-    /// Total SRAM in Kbit.
-    pub fn total_sram_kbits(&self) -> f64 {
-        self.blocks.iter().map(|b| b.sram_kbits).sum()
-    }
-
     /// MPM size in megabits, as the table footnote reports it.
     pub fn mpm_mbits(&self) -> u64 {
         self.mpm_bytes * 8 / (1 << 20)
