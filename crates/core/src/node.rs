@@ -1373,11 +1373,12 @@ impl Component<ClusterEvent> for Node {
         &self.name
     }
 
-    /// Deferred delivery: the HIB absorbs returned credits and `TxFree`
-    /// ticks that find its transmit side idle.
+    /// Deferred delivery: the HIB absorbs returned credits, acks and
+    /// `TxFree` ticks that would only update its link state.
     fn can_absorb(&self, ev: &ClusterEvent) -> bool {
         match ev {
             ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.can_absorb_credit(),
+            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.can_absorb_ack(frame),
             ClusterEvent::HibTick(HibTick::TxFree) => self.hib.can_absorb_tx_free(),
             _ => false,
         }
@@ -1387,8 +1388,9 @@ impl Component<ClusterEvent> for Node {
         self.now = at;
         match ev {
             ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.absorb_credit(at),
+            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.absorb_ack(frame, at),
             ClusterEvent::HibTick(HibTick::TxFree) => self.hib.absorb_tx_free(),
-            _ => unreachable!("{}: only credits and TxFree absorb", self.name),
+            _ => unreachable!("{}: only link bookkeeping absorbs", self.name),
         }
     }
 }

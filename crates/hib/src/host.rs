@@ -19,7 +19,8 @@ pub trait HibHost {
     /// [`Hib::on_tick`](crate::Hib::on_tick).
     fn schedule_tick(&mut self, delay: SimTime, tick: HibTick);
     /// Like [`schedule_net`](HibHost::schedule_net), for an event the
-    /// receiver may absorb instead of handling (a returned credit; see
+    /// receiver may absorb instead of handling (a returned credit or an
+    /// ack; see
     /// [`Ctx::send_deferrable`](tg_sim::Ctx::send_deferrable)).
     fn schedule_net_deferrable(&mut self, delay: SimTime, dst: CompId, ev: NetEvent) {
         self.schedule_net(delay, dst, ev);
@@ -57,6 +58,10 @@ impl LinkCtx for dyn HibHost + '_ {
 
     fn send_net(&mut self, dst: CompId, delay: SimTime, ev: NetEvent) {
         self.schedule_net(delay, dst, ev);
+    }
+
+    fn send_net_deferrable(&mut self, dst: CompId, delay: SimTime, ev: NetEvent) {
+        self.schedule_net_deferrable(delay, dst, ev);
     }
 }
 

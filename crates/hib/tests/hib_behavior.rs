@@ -10,9 +10,10 @@ use tg_hib::{
     LocalWritePolicy, PageMode, StoreOutcome,
 };
 use tg_mem::{PAddr, PhysMem};
-use tg_net::NetEvent;
+use tg_net::{LinkId, NetEvent, RelParams, TxPort};
 use tg_sim::{CompId, SimTime};
-use tg_wire::{GOffset, NodeId, PageNum, TimingConfig, WireMsg, PAGE_BYTES};
+use tg_wire::trace::Site;
+use tg_wire::{CtrlFrame, CtrlMsg, GOffset, NodeId, PageNum, TimingConfig, WireMsg, PAGE_BYTES};
 
 /// Events queued by the harness.
 #[derive(Debug)]
@@ -534,6 +535,67 @@ fn tx_free_absorbs_only_while_nothing_waits() {
     assert!(!b.boards[0].can_absorb_tx_free());
     b.run();
     assert!(b.boards[0].can_absorb_credit(), "idle wire, empty queue");
+}
+
+/// Deferred delivery on a reliable link: with frames in flight and the
+/// recovery timer armed, an intact ack and a credit only move the
+/// window, on a busy wire or a free one; a Nack, a SyncAck or a corrupt
+/// ack always acts. A go-back-N sweep asks for a re-check and keeps the
+/// `TxFree` active until the last frame is resent.
+#[test]
+fn reliable_link_absorbs_acks_and_credits_that_only_move_the_window() {
+    let mut b = Bench::new(2, HibConfig::default());
+    let mut tx = TxPort::new(b.hub, 0, 8);
+    tx.set_link(LinkId::new(Site::Node(NodeId::new(0)), Site::Switch(0)));
+    tx.enable_reliability(RelParams::default());
+    b.boards[0].wire(tx, 8);
+    let ctrl = |msg| CtrlFrame::seal(msg);
+    let ack = ctrl(CtrlMsg::Ack { seq: 1, sack: 0 });
+    let free_wire = |b: &mut Bench| b.with_board(0, |h, host| h.on_tick(HibTick::TxFree, host));
+    let deliver = |b: &mut Bench, frame| {
+        b.with_board(0, |h, host| {
+            h.on_net(NetEvent::Ctrl { port: 0, frame }, host)
+        })
+    };
+
+    // Frame 1 on the wire.
+    assert_eq!(b.store(0, remote(1, 0), 7), StoreOutcome::Done);
+    let board = &b.boards[0];
+    assert!(board.can_absorb_ack(&ack) && board.can_absorb_credit());
+    // Frame 2 launches on the freed wire; then the wire frees again.
+    free_wire(&mut b);
+    assert_eq!(b.store(0, remote(1, 8), 8), StoreOutcome::Done);
+    free_wire(&mut b);
+    let board = &b.boards[0];
+    assert!(board.can_absorb_ack(&ack) && board.can_absorb_credit());
+    assert!(board.can_absorb_tx_free(), "nothing waits on the wire");
+    let mut corrupt = ack.clone();
+    corrupt.corrupt();
+    let acting = [
+        ctrl(CtrlMsg::Nack {
+            expected: 1,
+            sack: 0,
+        }),
+        ctrl(CtrlMsg::SyncAck {
+            token: 1,
+            drained: 0,
+        }),
+        corrupt,
+    ];
+    assert!(!acting.iter().any(|f| board.can_absorb_ack(f)));
+
+    // A Nack starts a sweep: frame 1 is resent, frame 2 still waits.
+    let _ = b.boards[0].take_recheck();
+    deliver(&mut b, acting[0].clone());
+    assert!(b.boards[0].take_recheck(), "a sweep asks for a re-check");
+    assert!(!b.boards[0].can_absorb_tx_free(), "frame 2 waits");
+    free_wire(&mut b);
+    free_wire(&mut b);
+    assert!(b.boards[0].can_absorb_tx_free(), "the sweep is done");
+    // The ack is absorbed: the window moves, nothing is sent.
+    b.boards[0].absorb_ack(ctrl(CtrlMsg::Ack { seq: 2, sack: 0 }), b.now);
+    let port = b.boards[0].port_snapshot().expect("labeled port");
+    assert_eq!(port.unacked, 0);
 }
 
 #[test]

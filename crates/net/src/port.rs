@@ -637,6 +637,17 @@ impl TxPort {
         Some((delay, rel.timer_gen))
     }
 
+    /// True when [`poll_timer`](TxPort::poll_timer) would arm nothing
+    /// now: the port is unreliable or dead, its recovery timer is already
+    /// armed, or nothing is outstanding (no unacknowledged frame and no
+    /// missing credit). An ack or a returned credit keeps it true.
+    #[inline]
+    pub fn timer_settled(&self) -> bool {
+        self.rel.as_ref().is_none_or(|r| {
+            r.dead || r.timer_armed || (r.buf.is_empty() && self.credits >= self.allowance)
+        })
+    }
+
     /// Handles a fired recovery timer of generation `gen` at simulated
     /// time `now`. A timer that fires before the (slid) deadline is
     /// reported `Stale`; the caller's pump re-arms it for the remainder.

@@ -402,7 +402,10 @@ fn route_refresh_under_queued_heads_keeps_arbitration_in_step() {
             .any(|p| p.rx_fifo_depth > 0),
         "node 0's packets should be queued behind slow node 3"
     );
-    assert!(view.declare_down(Vertex::Node(3)));
+    assert!(view.declare_down(Vertex::Node(3), engine.now()));
+    // A verdict from outside any handler: queue the switch's deferred
+    // events, which assumed the old routes.
+    engine.get_mut::<Switch>(sw).expect("switch");
     assert_eq!(engine.run(), RunLimit::Drained);
     let blackholed = engine.get::<Switch>(sw).unwrap().stats().blackholed;
     let to3 = engine.get::<SourceSink>(ids[3]).unwrap().received.len() as u64;

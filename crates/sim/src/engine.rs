@@ -66,6 +66,16 @@ pub trait Component<M>: Any {
     }
 }
 
+/// A re-check of deferred events asked for during a delivery.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Recheck {
+    No,
+    /// This component's (see [`Ctx::recheck_deferred`]).
+    Own,
+    /// Every component's (see [`Ctx::recheck_all_deferred`]).
+    All,
+}
+
 /// An event scheduled during a delivery, drained into the engine when the
 /// handler returns.
 #[derive(Debug)]
@@ -87,7 +97,7 @@ pub struct Ctx<'a, M> {
     self_id: CompId,
     outbox: &'a mut Vec<Outgoing<M>>,
     halt: &'a mut bool,
-    recheck: &'a mut bool,
+    recheck: &'a mut Recheck,
     /// Set by the engine before the handler runs: the run is unbudgeted,
     /// nothing else is pending at `now`, and this component has no
     /// deferred event keyed at or before `now` (see [`Ctx::quiet`]).
@@ -147,7 +157,16 @@ impl<'a, M> Ctx<'a, M> {
     /// returns, the engine asks [`Component::can_absorb`] again for each
     /// and queues the refused ones under their original keys.
     pub fn recheck_deferred(&mut self) {
-        *self.recheck = true;
+        *self.recheck = (*self.recheck).max(Recheck::Own);
+    }
+
+    /// Like [`Ctx::recheck_deferred`], for every component: this handler
+    /// changed state that other components' absorbability reads. After
+    /// it returns, the engine absorbs every deferred event keyed before
+    /// the current one (they saw the old state), then re-asks the rest.
+    #[cold]
+    pub fn recheck_all_deferred(&mut self) {
+        *self.recheck = Recheck::All;
     }
 
     /// Same-instant continuations: true when a zero-delay event this
@@ -163,7 +182,7 @@ impl<'a, M> Ctx<'a, M> {
     /// would have seen. Call [`Ctx::count_inlined`] for each one.
     #[inline]
     pub fn quiet(&self) -> bool {
-        self.calm && !*self.halt && !*self.recheck
+        self.calm && !*self.halt && *self.recheck == Recheck::No
     }
 
     /// Counts one event handled in place under [`Ctx::quiet`]; it is
@@ -356,8 +375,9 @@ pub struct Engine<M> {
     deferred_len: usize,
     /// False inside a budgeted run, which queues every event.
     lazy: bool,
-    /// Set by [`Ctx::recheck_deferred`] during a delivery.
-    recheck: bool,
+    /// Set by [`Ctx::recheck_deferred`] and
+    /// [`Ctx::recheck_all_deferred`] during a delivery.
+    recheck: Recheck,
     /// Set when a deferred event is queued at the current instant: it may
     /// sort before the rest of a same-instant batch already popped.
     undercut: bool,
@@ -398,7 +418,7 @@ impl<M: 'static> Engine<M> {
             in_batch: 0,
             deferred_len: 0,
             lazy: true,
-            recheck: false,
+            recheck: Recheck::No,
             undercut: false,
         }
     }
@@ -636,9 +656,13 @@ impl<M: 'static> Engine<M> {
         } else {
             key
         };
-        if self.recheck {
-            self.recheck = false;
-            self.materialize(d, |c, ev| c.can_absorb(ev));
+        if self.recheck != Recheck::No {
+            if std::mem::replace(&mut self.recheck, Recheck::No) == Recheck::All {
+                self.absorb_all_before(key);
+                (0..self.slots.len()).for_each(|c| self.materialize(c, |c, ev| c.can_absorb(ev)));
+            } else {
+                self.materialize(d, |c, ev| c.can_absorb(ev));
+            }
         }
         for Outgoing {
             at,

@@ -1,6 +1,9 @@
 //! Model test of deferred delivery: seeded random component networks run
 //! twice, once absorbing and once with every `can_absorb` answering
-//! false, must agree event for event.
+//! false, must agree event for event. The cells share one gate, a
+//! version number standing in for a switch's fabric view: some jobs move
+//! it, which makes every other cell's deferred events active, so those
+//! handlers ask every component to re-check.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,8 +30,10 @@ impl Ev {
 }
 
 /// One model component. `Idle` and `Credit` are absorbable while no job
-/// is queued: their handlers then only count. A job arriving on an empty
-/// queue makes them active again, so the handler asks for a re-check.
+/// is queued and the shared gate has not moved since this cell last saw
+/// it: their handlers then only count. A job arriving on an empty queue
+/// makes them active again, so the handler asks for a re-check; a job
+/// that moves the gate asks every component to re-check.
 struct Cell {
     index: u64,
     peers: Vec<CompId>,
@@ -41,6 +46,12 @@ struct Cell {
     idles: u32,
     /// Jobs this component may still fan out.
     budget: u32,
+    /// The gate shared by every cell of a network.
+    gate: Rc<std::cell::Cell<u64>>,
+    /// The gate's value when this cell last handled an event.
+    seen: u64,
+    /// Handled events that found the gate moved.
+    refreshes: u32,
     next_id: u64,
     /// Every event applied here, delivered or absorbed: `(ps, event)`.
     applied: Vec<(u64, Ev)>,
@@ -104,6 +115,8 @@ impl Cell {
             self.credits,
             self.idles,
             self.budget,
+            self.seen,
+            self.refreshes,
             self.next_id,
             self.applied.clone(),
         )
@@ -113,9 +126,18 @@ impl Cell {
 impl Component<Ev> for Cell {
     fn on_event(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
         self.delivered.borrow_mut().push(ev.id());
+        if self.gate.get() != self.seen {
+            self.seen = self.gate.get();
+            self.refreshes += 1;
+        }
         match ev {
             Ev::Job(id) => {
                 self.applied.push((ctx.now().as_ps(), ev));
+                if id % 7 == 3 {
+                    self.seen += 1;
+                    self.gate.set(self.seen);
+                    ctx.recheck_all_deferred();
+                }
                 self.queue += 1;
                 if self.queue == 1 {
                     ctx.recheck_deferred();
@@ -148,11 +170,19 @@ impl Component<Ev> for Cell {
     }
 
     fn can_absorb(&self, ev: &Ev) -> bool {
-        self.absorbing && !matches!(ev, Ev::Job(_)) && self.queue == 0
+        self.absorbing
+            && !matches!(ev, Ev::Job(_))
+            && self.queue == 0
+            && self.gate.get() == self.seen
     }
 
     fn absorb(&mut self, ev: Ev, at: SimTime) {
-        assert!(self.can_absorb(&ev), "absorbed an active event");
+        // The gate may have moved since: an event keyed before the move
+        // is absorbed after it, when the mover asks for a re-check.
+        assert!(
+            self.absorbing && !matches!(ev, Ev::Job(_)) && self.queue == 0,
+            "absorbed an active event"
+        );
         self.absorbed.push(ev.id());
         self.count(ev, at);
     }
@@ -170,6 +200,9 @@ fn cell(index: u64, seed: u64, absorbing: bool, delivered: &Rc<RefCell<Vec<u64>>
         credits: 0,
         idles: 0,
         budget: 40,
+        gate: Rc::default(),
+        seen: 0,
+        refreshes: 0,
         next_id: 0,
         applied: Vec::new(),
         delivered: delivered.clone(),
@@ -180,9 +213,15 @@ fn cell(index: u64, seed: u64, absorbing: bool, delivered: &Rc<RefCell<Vec<u64>>
 /// A network of `n` cells seeded from `seed`, with a few initial jobs.
 fn network(seed: u64, n: u64, absorbing: bool) -> (Engine<Ev>, Vec<CompId>, Rc<RefCell<Vec<u64>>>) {
     let delivered = Rc::new(RefCell::new(Vec::new()));
+    let gate = Rc::new(std::cell::Cell::new(0));
     let mut eng = Engine::new();
     let ids: Vec<CompId> = (1..=n)
-        .map(|i| eng.add(cell(i, seed, absorbing, &delivered)))
+        .map(|i| {
+            eng.add(Cell {
+                gate: gate.clone(),
+                ..cell(i, seed, absorbing, &delivered)
+            })
+        })
         .collect();
     let mut rng = SimRng::new(seed);
     for &id in &ids {
@@ -215,8 +254,9 @@ fn step(eng: &mut Engine<Ev>, s: Step) -> RunLimit {
 }
 
 /// Runs the same network with and without absorption through `plan` and
-/// compares them after every step; returns how many events were absorbed.
-fn compare(seed: u64, plan: &[Step]) -> u64 {
+/// compares them after every step; returns how many events were absorbed
+/// and how many handled events found the gate moved.
+fn compare(seed: u64, plan: &[Step]) -> (u64, u32) {
     let (mut lazy, ids, lazy_log) = network(seed, 6, true);
     let (mut eager, _, eager_log) = network(seed, 6, false);
     for (i, &s) in plan.iter().enumerate() {
@@ -255,17 +295,26 @@ fn compare(seed: u64, plan: &[Step]) -> u64 {
         assert_eq!(*lazy_log.borrow(), survivors, "{at}: delivery order");
         assert_eq!(absorbed.len() as u64, l.events_absorbed, "{at}");
     }
-    lazy.stats().events_absorbed
+    let refreshes = ids
+        .iter()
+        .map(|&id| lazy.get::<Cell>(id).expect("cell").refreshes);
+    (lazy.stats().events_absorbed, refreshes.sum())
 }
 
-/// Plain drains: identical outcome, and a substantial share absorbed.
+/// Plain drains: identical outcome, a substantial share absorbed, and
+/// the gate moved often enough to matter.
 #[test]
 fn drained_runs_match_the_eager_reference() {
-    let mut absorbed = 0;
+    let (mut absorbed, mut refreshes) = (0, 0);
     for seed in 0..40 {
-        absorbed += compare(seed, &[Step::Run, Step::Run, Step::Run]);
+        let (a, r) = compare(seed, &[Step::Run, Step::Run, Step::Run]);
+        (absorbed, refreshes) = (absorbed + a, refreshes + r);
     }
     assert!(absorbed > 1000, "the model absorbed only {absorbed} events");
+    assert!(
+        refreshes > 100,
+        "the gate moved under only {refreshes} events"
+    );
 }
 
 /// Random mixes of deadlines (some behind the clock), event budgets and
@@ -371,6 +420,62 @@ fn get_mut_queues_the_deferred_events_of_its_component() {
     assert_eq!(eng.run(), RunLimit::Drained);
     assert_eq!(*delivered.borrow(), vec![2, 1]);
     assert_eq!(eng.stats().events_absorbed, 0);
+}
+
+/// A component that moves the gate and asks every component to re-check.
+struct Mover {
+    gate: Rc<std::cell::Cell<u64>>,
+}
+
+impl Component<Ev> for Mover {
+    fn on_event(&mut self, _: Ev, ctx: &mut Ctx<'_, Ev>) {
+        self.gate.set(self.gate.get() + 1);
+        ctx.recheck_all_deferred();
+    }
+    fn name(&self) -> &str {
+        "mover"
+    }
+}
+
+/// A cell's credit deferred at 30 ns is keyed before a gate move at
+/// 40 ns: it saw the old gate, so the re-check absorbs it rather than
+/// queueing it into the past. Its idle tick at 50 ns, keyed after the
+/// move, is queued and delivered, and finds the gate moved.
+#[test]
+fn a_recheck_of_every_component_absorbs_what_precedes_it() {
+    struct Twice {
+        to: CompId,
+    }
+    impl Component<Ev> for Twice {
+        fn on_event(&mut self, _: Ev, ctx: &mut Ctx<'_, Ev>) {
+            ctx.send_deferrable(self.to, SimTime::from_ns(30), Ev::Credit(1));
+            ctx.send_deferrable(self.to, SimTime::from_ns(50), Ev::Idle(2));
+        }
+        fn name(&self) -> &str {
+            "twice"
+        }
+    }
+    let delivered = Rc::new(RefCell::new(Vec::new()));
+    let gate = Rc::new(std::cell::Cell::new(0));
+    let mut eng = Engine::new();
+    let b = eng.add(Cell {
+        gate: gate.clone(),
+        ..cell(1, 0, true, &delivered)
+    });
+    let s = eng.add(Twice { to: b });
+    let m = eng.add(Mover { gate });
+    eng.schedule(SimTime::ZERO, s, Ev::Job(0));
+    eng.schedule(SimTime::from_ns(40), m, Ev::Job(0));
+    assert_eq!(eng.run(), RunLimit::Drained);
+    let cb = eng.get::<Cell>(b).expect("cell");
+    assert_eq!(cb.absorbed, vec![1]);
+    assert_eq!(*delivered.borrow(), vec![2]);
+    assert_eq!(
+        cb.applied,
+        vec![(30_000, Ev::Credit(1)), (50_000, Ev::Idle(2))]
+    );
+    assert_eq!((cb.seen, cb.refreshes), (1, 1));
+    assert_eq!(eng.now(), SimTime::from_ns(50));
 }
 
 /// A drain whose last event was absorbed still ends the clock at that

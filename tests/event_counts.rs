@@ -109,9 +109,11 @@ fn fabric_stream_is_pinned() {
     assert_eq!(fabric_stream(false), (360_002, 14));
 }
 
+/// The switches absorb the endpoints' acks, which therefore never queue:
+/// the peak was 20 while reliable links absorbed nothing.
 #[test]
 fn reliable_fabric_stream_is_pinned() {
-    assert_eq!(fabric_stream(true), (500_000, 20));
+    assert_eq!(fabric_stream(true), (500_000, 18));
 }
 
 /// The 16-node stencil at 12 sweeps (`tg report stencil16`), verified
