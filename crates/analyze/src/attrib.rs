@@ -74,15 +74,15 @@ pub struct AttributedSegment {
     /// What the time was spent on.
     pub class: SegClass,
     /// The site where the segment ended (where the time accrued).
-    pub site: Site,
+    pub(crate) site: Site,
     /// The directed link the segment belongs to: the traversed hop for
     /// [`SegClass::Wire`], the *outgoing* hop for queue/stall/retransmit
     /// segments, `None` for CPU and receive-side segments.
-    pub link: Option<(Site, Site)>,
+    pub(crate) link: Option<(Site, Site)>,
     /// Segment duration; all of an op's segments sum to its latency.
     pub dur: SimTime,
     /// True when the segment lies on the chained response packet's path.
-    pub response: bool,
+    pub(crate) response: bool,
 }
 
 impl AttributedSegment {
@@ -247,27 +247,6 @@ pub fn class_breakdown(attribs: &[OpAttribution]) -> Vec<(SegClass, SimTime)> {
                 .filter(|s| s.class == class)
                 .fold(SimTime::ZERO, |acc, s| acc + s.dur);
             (class, total)
-        })
-        .collect()
-}
-
-/// Total time per hop label (`wire node0->switch0`, …) across the given
-/// attributions, in first-seen order — the per-hop attribution table.
-pub fn hop_breakdown(attribs: &[OpAttribution]) -> Vec<(String, SimTime)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut totals: std::collections::HashMap<String, SimTime> = std::collections::HashMap::new();
-    for seg in attribs.iter().flat_map(|a| &a.segments) {
-        let label = seg.hop_label();
-        if !totals.contains_key(&label) {
-            order.push(label.clone());
-        }
-        *totals.entry(label).or_insert(SimTime::ZERO) += seg.dur;
-    }
-    order
-        .into_iter()
-        .map(|label| {
-            let t = totals[&label];
-            (label, t)
         })
         .collect()
 }
@@ -460,8 +439,5 @@ mod tests {
         let total: SimTime = classes.iter().fold(SimTime::ZERO, |acc, (_, t)| acc + *t);
         let whole: SimTime = attribs.iter().fold(SimTime::ZERO, |acc, a| acc + a.total());
         assert_eq!(total, whole, "class totals partition the whole");
-        let hops = hop_breakdown(&attribs);
-        let hop_total: SimTime = hops.iter().fold(SimTime::ZERO, |acc, (_, t)| acc + *t);
-        assert_eq!(hop_total, whole, "hop totals partition the whole");
     }
 }

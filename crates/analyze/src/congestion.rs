@@ -37,7 +37,7 @@ pub struct LinkUsage {
     /// Timeout-driven relaunches at `<a>`.
     pub retransmits: u64,
     /// Completed credit resynchronizations at `<a>`.
-    pub resyncs: u64,
+    pub(crate) resyncs: u64,
     /// Frames the `<b>` end's link layer rejected.
     pub rx_discards: u64,
 }
@@ -47,7 +47,7 @@ impl LinkUsage {
     /// stall time breaks ties among equally-busy links (a link can be
     /// fully utilized without anyone queueing behind it — stall is the
     /// *harm* signal).
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.mean_utilization + self.stall_us / 1e6 + self.peak_fifo_depth / 1e9
     }
 }
@@ -134,7 +134,7 @@ pub fn link_usage(metrics: &MetricsRegistry) -> Vec<LinkUsage> {
 }
 
 /// The `k` most saturated links, hottest first. Deterministic: ties in
-/// [`LinkUsage::score`] are broken by link name.
+/// `LinkUsage::score` are broken by link name.
 pub fn hottest_links(usage: &[LinkUsage], k: usize) -> Vec<LinkUsage> {
     let mut ranked: Vec<LinkUsage> = usage.to_vec();
     ranked.sort_by(|x, y| {

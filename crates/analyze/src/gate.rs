@@ -24,7 +24,7 @@ use crate::report::{flatten, Json};
 
 /// Which way a metric is allowed to move.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Larger values are improvements (throughput).
     HigherBetter,
     /// Smaller values are improvements (latency, loss, stall).
@@ -34,7 +34,7 @@ pub enum Direction {
 }
 
 /// Infers a metric's direction from its canonical name.
-pub fn direction_of(name: &str) -> Direction {
+pub(crate) fn direction_of(name: &str) -> Direction {
     let leaf = name.rsplit('.').next().unwrap_or(name);
     if leaf.ends_with("_per_sec") || leaf.contains("throughput") {
         return Direction::HigherBetter;
@@ -89,7 +89,7 @@ impl Tolerances {
     }
 
     /// The tolerance in effect for `name`, or `None` when skipped.
-    pub fn for_metric(&self, name: &str) -> Option<f64> {
+    pub(crate) fn for_metric(&self, name: &str) -> Option<f64> {
         if self.skip.iter().any(|p| name.contains(p.as_str())) {
             return None;
         }
@@ -108,15 +108,15 @@ impl Tolerances {
 #[derive(Clone, Debug)]
 pub struct GateFailure {
     /// Flattened metric path.
-    pub metric: String,
+    pub(crate) metric: String,
     /// Baseline value.
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// Current value (`None` when the metric disappeared).
-    pub current: Option<f64>,
+    pub(crate) current: Option<f64>,
     /// Tolerance that was in effect.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Direction the metric was judged under.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
 }
 
 impl std::fmt::Display for GateFailure {

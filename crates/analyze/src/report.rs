@@ -37,7 +37,7 @@ pub const SCHEMA: &str = "tg-report-v2";
 /// The previous schema tag, still accepted by readers: a v1 report is a
 /// v2 report minus the p999 fields, and the gate treats current-only
 /// metrics as informational rather than failures.
-pub const SCHEMA_V1: &str = "tg-report-v1";
+pub(crate) const SCHEMA_V1: &str = "tg-report-v1";
 
 /// Whether `tag` names a report schema this crate's readers understand.
 pub fn schema_accepted(tag: &str) -> bool {

@@ -105,7 +105,7 @@ pub fn galactica_anomaly(seeds: u64) -> Galactica {
 #[derive(Clone, Copy, Debug)]
 pub struct Galactica {
     /// Interleavings tried.
-    pub seeds: u64,
+    pub(crate) seeds: u64,
     /// Ring runs where some node observed a "1,2,1"-style revisit.
     pub ring_anomalies: u64,
     /// Ring runs that failed to converge (back-off must prevent this).
@@ -156,7 +156,7 @@ impl fmt::Display for SharingMode {
 #[derive(Clone, Copy, Debug)]
 pub struct SharingRow {
     /// The sharing mode.
-    pub mode: SharingMode,
+    pub(crate) mode: SharingMode,
     /// Completion time of the whole workload (µs).
     pub total_us: f64,
     /// Mean consumer-side data read latency (µs).
@@ -171,9 +171,9 @@ pub struct SharingRow {
 #[derive(Clone, Debug)]
 pub struct UpdateVsInvalidate {
     /// Producer/consumer rows.
-    pub producer_consumer: Vec<SharingRow>,
+    pub(crate) producer_consumer: Vec<SharingRow>,
     /// Migratory rows.
-    pub migratory: Vec<SharingRow>,
+    pub(crate) migratory: Vec<SharingRow>,
 }
 
 impl UpdateVsInvalidate {
@@ -349,7 +349,7 @@ pub struct CamRow {
     /// Write stalls for want of a free entry.
     pub stalls: u64,
     /// Peak simultaneous non-zero counters.
-    pub high_water: usize,
+    pub(crate) high_water: usize,
     /// Workload completion (µs).
     pub total_us: f64,
 }
@@ -417,7 +417,7 @@ impl fmt::Display for CamSweep {
 #[derive(Clone, Debug)]
 pub struct TraceRow {
     /// Write fraction of the traces.
-    pub write_fraction: f64,
+    pub(crate) write_fraction: f64,
     /// Data alignment (false = false sharing).
     pub aligned: bool,
     /// Update-mode completion (µs).
@@ -425,9 +425,9 @@ pub struct TraceRow {
     /// Invalidate-mode completion (µs).
     pub invalidate_us: f64,
     /// Update-mode wire bytes.
-    pub update_bytes: u64,
+    pub(crate) update_bytes: u64,
     /// Invalidate-mode wire bytes.
-    pub invalidate_bytes: u64,
+    pub(crate) invalidate_bytes: u64,
 }
 
 /// Result of [`trace_driven`].
@@ -519,7 +519,7 @@ impl fmt::Display for TraceDriven {
 #[derive(Clone, Debug)]
 pub struct WritePolicyRow {
     /// Policy label.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Mean CPU-observed cost of a coherent store (µs).
     pub write_us: f64,
     /// Workload completion (µs).

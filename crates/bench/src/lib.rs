@@ -12,9 +12,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod coherence;
-pub mod micro;
-pub mod replication;
-pub mod scale;
+pub(crate) mod micro;
+pub(crate) mod replication;
+pub(crate) mod scale;
 
 pub use coherence::{
     cam_sweep, fig2_inconsistency, galactica_anomaly, trace_driven, update_vs_invalidate,

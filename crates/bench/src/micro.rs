@@ -116,7 +116,7 @@ pub fn batch_writes(sizes: &[u64]) -> BatchWrites {
 #[derive(Clone, Copy, Debug)]
 pub struct BatchRow {
     /// Writes in the burst.
-    pub n: u64,
+    pub(crate) n: u64,
     /// CPU-side time to issue the whole burst (µs).
     pub total_us: f64,
     /// Per-write issue cost (µs).

@@ -10,17 +10,17 @@ use tg_workloads::hot_page_reader;
 #[derive(Clone, Debug)]
 pub struct ReplicationRow {
     /// Policy label.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Mean latency over all data reads (µs).
     pub mean_read_us: f64,
     /// Remote reads performed.
     pub remote_reads: u64,
     /// Local reads performed.
-    pub local_reads: u64,
+    pub(crate) local_reads: u64,
     /// Pages replicated.
     pub replications: u64,
     /// Workload completion (µs).
-    pub total_us: f64,
+    pub(crate) total_us: f64,
 }
 
 /// Result of [`access_counter_replication`].

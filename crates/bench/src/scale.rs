@@ -13,7 +13,7 @@ use tg_workloads::stream_reads;
 #[derive(Clone, Debug)]
 pub struct PagingRow {
     /// Backing-store label.
-    pub backing: String,
+    pub(crate) backing: String,
     /// Total workload time (µs).
     pub total_us: f64,
     /// Page faults taken.
@@ -107,7 +107,7 @@ impl fmt::Display for PagingSweep {
 #[derive(Clone, Copy, Debug)]
 pub struct HopRow {
     /// Switches between the endpoints.
-    pub switches: u16,
+    pub(crate) switches: u16,
     /// Remote read latency (µs).
     pub read_us: f64,
 }
@@ -161,7 +161,7 @@ pub struct LockRow {
     /// Contending nodes.
     pub nodes: u16,
     /// Total critical sections completed.
-    pub sections: u64,
+    pub(crate) sections: u64,
     /// Mean time per critical section, test-and-set lock (µs).
     pub per_section_us: f64,
     /// Mean time per critical section, ticket lock (µs).
@@ -400,7 +400,7 @@ impl fmt::Display for LockContention {
 #[derive(Clone, Debug)]
 pub struct OverlapRow {
     /// Configuration label.
-    pub config: String,
+    pub(crate) config: String,
     /// Completion time (µs).
     pub total_us: f64,
 }
@@ -411,7 +411,7 @@ pub struct MultiprogrammingOverlap {
     /// Measured configurations.
     pub rows: Vec<OverlapRow>,
     /// Sum of the two single-process runs (no overlap baseline).
-    pub serial_sum_us: f64,
+    pub(crate) serial_sum_us: f64,
 }
 
 /// E15: multiprogramming on one workstation — a paging-bound process and a
@@ -499,7 +499,7 @@ impl fmt::Display for MultiprogrammingOverlap {
 #[derive(Clone, Copy, Debug)]
 pub struct IncastRow {
     /// Concurrent senders.
-    pub senders: u16,
+    pub(crate) senders: u16,
     /// Aggregate delivered write throughput (writes/µs).
     pub throughput: f64,
     /// Worst/best sender completion ratio (1.0 = perfectly fair).

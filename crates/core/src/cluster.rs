@@ -22,12 +22,12 @@ mod drive;
 pub use drive::{Drive, Stop};
 
 /// Base virtual address of each node's private heap.
-pub const PRIVATE_VA_BASE: u64 = 0x1000_0000;
+pub(crate) const PRIVATE_VA_BASE: u64 = 0x1000_0000;
 /// Base virtual address of the cluster-wide shared region (same on every
 /// node, as the OS of the paper would arrange).
-pub const SHARED_VA_BASE: u64 = 0x4000_0000;
+pub(crate) const SHARED_VA_BASE: u64 = 0x4000_0000;
 /// Base virtual address of a node's pager-managed region (experiment E11).
-pub const PAGED_VA_BASE: u64 = 0x6000_0000;
+pub(crate) const PAGED_VA_BASE: u64 = 0x6000_0000;
 /// Segment frames reserved for OS use (replication, VSM frames) per node.
 const OS_FRAME_POOL: u32 = 256;
 
@@ -230,7 +230,7 @@ pub struct ComponentReport {
     pub name: String,
     /// Engine-level delivered/absorbed/inlined/scheduled event counters.
     pub events: tg_sim::ComponentStats,
-    /// Deliveries per event variant, indexed by [`ClusterEvent::kind`]
+    /// Deliveries per event variant, indexed by `ClusterEvent::kind`
     /// (names in [`ClusterEvent::KINDS`]); they sum to `events.delivered`.
     /// A switch only receives the leading `net.*` kinds.
     pub kinds: [u64; ClusterEvent::KINDS.len()],
@@ -292,15 +292,15 @@ pub struct StalledNode {
     /// The workstation.
     pub node: NodeId,
     /// Packets awaiting transmission at its HIB.
-    pub tx_queue: usize,
+    pub(crate) tx_queue: usize,
     /// Packets sitting in its receive FIFO.
-    pub rx_fifo: usize,
+    pub(crate) rx_fifo: usize,
     /// Frames launched but not link-acknowledged on its output link.
-    pub unacked: usize,
+    pub(crate) unacked: usize,
     /// Credits in hand at its transmit port.
-    pub credits: u32,
+    pub(crate) credits: u32,
     /// Whether its output link has been declared dead.
-    pub dead: bool,
+    pub(crate) dead: bool,
 }
 
 impl std::fmt::Display for StalledNode {
@@ -329,13 +329,13 @@ pub struct DeadlockReport {
     pub at: SimTime,
     /// Progress (committed packets + completed CPU operations) when the
     /// meter stopped advancing.
-    pub progress: u64,
+    pub(crate) progress: u64,
     /// Links held up: dead, carrying unacknowledged frames, or
     /// credit-starved with traffic pending. Stalls attributable to a
     /// crash-injected site (either endpoint inside an active crash
     /// window) are filtered out — a declared-dead peer is expected
     /// silence, not a deadlock.
-    pub links: Vec<StalledLink>,
+    pub(crate) links: Vec<StalledLink>,
     /// Workstations with work still queued (crash-injected sites
     /// likewise filtered).
     pub nodes: Vec<StalledNode>,
@@ -343,17 +343,6 @@ pub struct DeadlockReport {
     /// disconnected the graph. Named so a partition reads as a
     /// partition, not an anonymous wedge.
     pub partition: Vec<NodeId>,
-}
-
-impl DeadlockReport {
-    /// The stalled links that have been declared dead.
-    pub fn dead_links(&self) -> Vec<LinkId> {
-        self.links
-            .iter()
-            .filter(|l| l.dead)
-            .map(|l| l.link)
-            .collect()
-    }
 }
 
 impl std::fmt::Display for DeadlockReport {
@@ -539,7 +528,7 @@ impl Cluster {
     }
 
     /// Configures remote-memory (or disk) paging on `node`: `n_pages`
-    /// virtual pages at [`PAGED_VA_BASE`], of which at most `capacity` are
+    /// virtual pages at `PAGED_VA_BASE`, of which at most `capacity` are
     /// resident. With [`Backing::RemoteMemory`] the backing frames live in
     /// `server`'s segment and pages move over the fabric; with
     /// [`Backing::Disk`] each transfer costs the configured disk latency.
@@ -642,11 +631,6 @@ impl Cluster {
     /// Runs until the given simulated instant.
     pub fn run_until(&mut self, t: SimTime) -> RunLimit {
         self.engine.run_until(t)
-    }
-
-    /// Runs at most `n` events (livelock guard for tests).
-    pub fn run_events(&mut self, n: u64) -> RunLimit {
-        self.engine.run_events(n)
     }
 
     /// Starts liveness on every element: each board originates
@@ -988,10 +972,9 @@ impl Cluster {
     }
 
     /// Event-engine run counters (delivered, absorbed, inlined and
-    /// scheduled totals, queue high-water mark, wall time) — the
-    /// simulator-throughput side of an experiment. Delivered + absorbed +
-    /// inlined is the logical event count. `events_per_wall_second()` on
-    /// the result reports simulator speed.
+    /// scheduled totals, queue high-water mark) — the simulator-throughput
+    /// side of an experiment. Delivered + absorbed + inlined is the
+    /// logical event count.
     pub fn engine_stats(&self) -> tg_sim::EngineStats {
         self.engine.stats()
     }

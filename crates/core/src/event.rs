@@ -43,9 +43,9 @@ pub enum ClusterEvent {
 
 impl ClusterEvent {
     /// Variant names for per-kind delivery counts, indexed by
-    /// [`ClusterEvent::kind`]. The first six are the [`NetEvent`] kinds,
+    /// `ClusterEvent::kind`. The first six are the [`NetEvent`] kinds,
     /// in [`NetEvent::KINDS`] order, so switch counts share the indexing.
-    pub const KINDS: [&'static str; 18] = [
+    pub const KINDS: [&'static str; 17] = [
         "net.arrive",
         "net.credit",
         "net.pump_out",
@@ -55,7 +55,6 @@ impl ClusterEvent {
         "tick.tx_free",
         "tick.rx_done",
         "tick.retx_timer",
-        "tick.rx_unwedge",
         "tick.heartbeat",
         "tick.op_check",
         "hib_done",
@@ -67,23 +66,22 @@ impl ClusterEvent {
     ];
 
     /// This event's variant as an index into [`ClusterEvent::KINDS`].
-    pub fn kind(&self) -> usize {
+    pub(crate) fn kind(&self) -> usize {
         match self {
             ClusterEvent::Net(ev) => ev.kind(),
             ClusterEvent::HibTick(tick) => match tick {
                 HibTick::TxFree => 6,
                 HibTick::RxDone => 7,
                 HibTick::RetxTimer { .. } => 8,
-                HibTick::RxUnwedge => 9,
-                HibTick::Heartbeat => 10,
-                HibTick::OpCheck => 11,
+                HibTick::Heartbeat => 9,
+                HibTick::OpCheck => 10,
             },
-            ClusterEvent::HibDone(_) => 12,
-            ClusterEvent::Interrupt(_) => 13,
-            ClusterEvent::OsMsg { .. } => 14,
-            ClusterEvent::OsTask { .. } => 15,
-            ClusterEvent::CpuStep => 16,
-            ClusterEvent::Start => 17,
+            ClusterEvent::HibDone(_) => 11,
+            ClusterEvent::Interrupt(_) => 12,
+            ClusterEvent::OsMsg { .. } => 13,
+            ClusterEvent::OsTask { .. } => 14,
+            ClusterEvent::CpuStep => 15,
+            ClusterEvent::Start => 16,
         }
     }
 }

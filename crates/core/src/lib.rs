@@ -51,20 +51,20 @@ mod event;
 mod node;
 pub mod observe;
 mod os;
-pub mod pager;
+pub(crate) mod pager;
 mod process;
 mod stats;
 pub mod sync;
-pub mod vsm;
+pub(crate) mod vsm;
 
 pub use cluster::{
     Cluster, ClusterBuilder, ComponentDetail, ComponentReport, DeadlockReport, Drive, SharedPage,
-    StalledNode, Stop, PAGED_VA_BASE, PRIVATE_VA_BASE, SHARED_VA_BASE,
+    StalledNode, Stop,
 };
 pub use event::ClusterEvent;
 pub use node::Node;
 pub use observe::{OpBreakdown, Segment};
-pub use os::{Os, OsEffect, ReplicatePolicy};
+pub use os::{Os, ReplicatePolicy};
 pub use pager::{Backing, RemotePager};
 pub use process::{Action, Process, Resume, Script};
 pub use stats::NodeStats;

@@ -246,21 +246,21 @@ impl Node {
     }
 
     /// The node id.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
     /// Installs a process (run from the engine's `Start` event).
     /// Equivalent to [`Node::add_process`]; kept for the common
     /// one-process-per-workstation case.
-    pub fn set_process(&mut self, p: Box<dyn Process>) {
+    pub(crate) fn set_process(&mut self, p: Box<dyn Process>) {
         self.add_process(p);
     }
 
     /// Adds a process to this workstation. Each process receives its own
     /// Telegraphos context and key (§2.2.4); processes are scheduled
     /// cooperatively, switching on OS-level blocks.
-    pub fn add_process(&mut self, p: Box<dyn Process>) -> usize {
+    pub(crate) fn add_process(&mut self, p: Box<dyn Process>) -> usize {
         let idx = self.threads.len();
         let key = 0x5EED_0000 | (u32::from(self.id.raw()) << 8) | idx as u32;
         if self.launch_mode == LaunchMode::ContextShadow {
@@ -286,7 +286,7 @@ impl Node {
     }
 
     /// The node's HIB (cluster-builder driver operations).
-    pub fn hib_mut(&mut self) -> &mut Hib {
+    pub(crate) fn hib_mut(&mut self) -> &mut Hib {
         &mut self.hib
     }
 
@@ -298,7 +298,7 @@ impl Node {
     /// Installs a watchdog progress meter on this node and its HIB: the
     /// CPU ticks it on every completed operation, the HIB on every
     /// committed packet.
-    pub fn set_progress_meter(&mut self, meter: tg_sim::ProgressMeter) {
+    pub(crate) fn set_progress_meter(&mut self, meter: tg_sim::ProgressMeter) {
         self.hib.set_progress_meter(meter.clone());
         self.meter = Some(meter);
     }
@@ -310,13 +310,13 @@ impl Node {
 
     /// Records this node's operation events, and its HIB's packet events,
     /// into `log`. Without a log, every hook is a single `None` branch.
-    pub fn set_tracer(&mut self, log: &TraceCollector) {
+    pub(crate) fn set_tracer(&mut self, log: &TraceCollector) {
         self.hib.set_tracer(log);
         self.tracer = Some(log.tracer(Site::Node(self.id)));
     }
 
     /// Packets currently queued for transmission at the HIB.
-    pub fn tx_queue_depth(&self) -> usize {
+    pub(crate) fn tx_queue_depth(&self) -> usize {
         self.hib.tx_queue_depth()
     }
 
@@ -332,7 +332,7 @@ impl Node {
 
     /// Events delivered to this node per variant, indexed by
     /// [`ClusterEvent::kind`].
-    pub fn event_kinds(&self) -> [u64; ClusterEvent::KINDS.len()] {
+    pub(crate) fn event_kinds(&self) -> [u64; ClusterEvent::KINDS.len()] {
         self.kinds
     }
 
@@ -342,7 +342,7 @@ impl Node {
     }
 
     /// Reads a word of the exported shared segment (inspection).
-    pub fn segment_read(&self, off: GOffset) -> u64 {
+    pub(crate) fn segment_read(&self, off: GOffset) -> u64 {
         self.segment.read(off)
     }
 
@@ -352,13 +352,8 @@ impl Node {
     }
 
     /// True if at least one process was installed on this node.
-    pub fn has_process(&self) -> bool {
+    pub(crate) fn has_process(&self) -> bool {
         !self.threads.is_empty()
-    }
-
-    /// Number of processes on this node.
-    pub fn process_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// True when every installed process has halted.

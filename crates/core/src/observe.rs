@@ -33,7 +33,7 @@ pub struct Segment {
     /// `"cpu-complete"`.
     pub label: String,
     /// Time spent in this segment.
-    pub dur: SimTime,
+    pub(crate) dur: SimTime,
 }
 
 /// Where one CPU-visible operation spent its time, stage by stage.
@@ -201,24 +201,24 @@ pub fn op_breakdowns(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<OpBreakdow
 #[derive(Clone, Debug)]
 pub struct ChromeEvent {
     /// Event name shown on the track.
-    pub name: String,
+    pub(crate) name: String,
     /// Category (`"op"`, `"packet"`, `"metric"`, or `"__metadata"`).
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Phase: `'X'` complete, `'i'` instant, `'C'` counter, `'M'` metadata.
     pub ph: char,
     /// Timestamp in microseconds.
     pub ts_us: f64,
     /// Duration in microseconds (complete events only).
-    pub dur_us: f64,
+    pub(crate) dur_us: f64,
     /// Process id (track group): node index, or `1000 + switch index`.
     pub pid: u32,
     /// Thread id within the process: 0 = CPU ops, 1 = packets.
     pub tid: u32,
     /// Extra `args` key/value pairs (both rendered as JSON strings).
-    pub args: Vec<(String, String)>,
+    pub(crate) args: Vec<(String, String)>,
     /// Numeric `args` entries, rendered as bare JSON numbers — counter
     /// (`'C'`) tracks need numeric values to plot.
-    pub num_args: Vec<(String, f64)>,
+    pub(crate) num_args: Vec<(String, f64)>,
 }
 
 /// Track-group id for a trace site.
@@ -352,11 +352,11 @@ pub fn chrome_events(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<ChromeEven
 
 /// Track-group id for the metrics pseudo-process hosting counter tracks —
 /// distinct from node pids (raw index) and switch pids (`1000 +`).
-pub const METRICS_PID: u32 = 2000;
+pub(crate) const METRICS_PID: u32 = 2000;
 
 /// Renders every time series in a [`MetricsRegistry`] as Perfetto counter
 /// tracks: one `'C'` event per sample, all under the `"metrics"`
-/// pseudo-process ([`METRICS_PID`]), named by the series' canonical
+/// pseudo-process (`METRICS_PID`), named by the series' canonical
 /// metric name (`link.<a>-<b>.utilization`, `fabric.credit_stall_us`, …).
 /// Events are sorted by timestamp so every track stays monotonic when the
 /// list is appended to a [`chrome_events`] export.

@@ -13,21 +13,21 @@ use crate::pager::RemotePager;
 use crate::vsm::VsmNode;
 
 /// Deferred-OS-work task codes (scheduled as `ClusterEvent::OsTask`).
-pub mod task {
+pub(crate) mod task {
     /// VSM fault processing after the trap entry (`a` = vpage, `b` = write).
-    pub const VSM_FAULT: u16 = 0x100;
+    pub(crate) const VSM_FAULT: u16 = 0x100;
     /// Retry the faulted action after mapping.
-    pub const VSM_RETRY: u16 = 0x101;
+    pub(crate) const VSM_RETRY: u16 = 0x101;
     /// Start alarm-driven replication (`a` = home node, `b` = page).
-    pub const REPLICATE: u16 = 0x102;
+    pub(crate) const REPLICATE: u16 = 0x102;
     /// Pager fault processing after the trap entry (`a` = vpage).
-    pub const PAGER_FAULT: u16 = 0x103;
+    pub(crate) const PAGER_FAULT: u16 = 0x103;
     /// A disk page transfer finished (`a` = vpage).
-    pub const PAGER_DISK_DONE: u16 = 0x104;
+    pub(crate) const PAGER_DISK_DONE: u16 = 0x104;
 }
 
 /// Tag namespace for alarm-replication page fetches.
-pub const REPL_TAG_BASE: u32 = 0x4000_0000;
+pub(crate) const REPL_TAG_BASE: u32 = 0x4000_0000;
 
 /// How the OS responds to page-access alarms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -42,7 +42,7 @@ pub enum ReplicatePolicy {
 
 /// Node-level actions requested by the OS.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OsEffect {
+pub(crate) enum OsEffect {
     /// Transmit an OS message (HIB transport; loop back if to self).
     SendMsg {
         /// Destination node.
@@ -113,7 +113,7 @@ pub struct Os {
 
 impl Os {
     /// Creates the OS layer for `me`.
-    pub fn new(me: NodeId) -> Self {
+    pub(crate) fn new(me: NodeId) -> Self {
         Os {
             vsm: VsmNode::new(me),
             pager: None,
@@ -128,23 +128,23 @@ impl Os {
     }
 
     /// Sets the alarm policy.
-    pub fn set_policy(&mut self, policy: ReplicatePolicy) {
+    pub(crate) fn set_policy(&mut self, policy: ReplicatePolicy) {
         self.policy = policy;
     }
 
     /// Grants the OS a pool of free local frames (cluster setup).
-    pub fn grant_frames(&mut self, frames: impl IntoIterator<Item = PageNum>) {
+    pub(crate) fn grant_frames(&mut self, frames: impl IntoIterator<Item = PageNum>) {
         self.free_frames.extend(frames);
     }
 
     /// Registers where a remote page is mapped locally (cluster setup), so
     /// alarm replication can find the vpage to remap.
-    pub fn note_remote_mapping(&mut self, home: NodeId, page: PageNum, vpage: u64) {
+    pub(crate) fn note_remote_mapping(&mut self, home: NodeId, page: PageNum, vpage: u64) {
         self.remote_vpage.insert((home, page), vpage);
     }
 
     /// Should an alarm on this page trigger replication?
-    pub fn wants_replication(&self, node: NodeId, page: PageNum) -> bool {
+    pub(crate) fn wants_replication(&self, node: NodeId, page: PageNum) -> bool {
         self.policy == ReplicatePolicy::OnAlarm
             && !self.replicated.contains_key(&(node, page))
             && self.remote_vpage.contains_key(&(node, page))
@@ -153,7 +153,7 @@ impl Os {
 
     /// Kicks off replication of a hot remote page: fetch the page image
     /// with the hardware page-fetch stream.
-    pub fn start_replication(&mut self, node: NodeId, page: PageNum) -> Vec<OsEffect> {
+    pub(crate) fn start_replication(&mut self, node: NodeId, page: PageNum) -> Vec<OsEffect> {
         if !self.wants_replication(node, page) {
             return Vec::new();
         }
@@ -182,12 +182,12 @@ impl Os {
     }
 
     /// True if this PageData tag belongs to a replication fetch.
-    pub fn is_replication_tag(&self, tag: u32) -> bool {
+    pub(crate) fn is_replication_tag(&self, tag: u32) -> bool {
         tag & REPL_TAG_BASE != 0 && tag & crate::vsm::VSM_TAG_BASE == 0
     }
 
     /// Accepts a replication PageData burst.
-    pub fn replication_data(
+    pub(crate) fn replication_data(
         &mut self,
         tag: u32,
         index: u32,
@@ -217,14 +217,9 @@ impl Os {
         fx
     }
 
-    /// Local frame a page was replicated into, if any.
-    pub fn replica_frame(&self, node: NodeId, page: PageNum) -> Option<PageNum> {
-        self.replicated.get(&(node, page)).copied()
-    }
-
     /// Accumulates a DMA burst; returns the total byte count when the
     /// message completes.
-    pub fn accept_dma(&mut self, tag: u32, nbytes: u32, last: bool) -> Option<u64> {
+    pub(crate) fn accept_dma(&mut self, tag: u32, nbytes: u32, last: bool) -> Option<u64> {
         let buf = self.inbox.entry(tag).or_default();
         buf.bytes += u64::from(nbytes);
         if last {
@@ -236,7 +231,7 @@ impl Os {
     }
 
     /// True if the pager manages this virtual page.
-    pub fn pager_manages(&self, vpage: u64) -> bool {
+    pub(crate) fn pager_manages(&self, vpage: u64) -> bool {
         self.pager
             .as_ref()
             .map(|p| p.manages(vpage))
@@ -244,14 +239,14 @@ impl Os {
     }
 
     /// LRU touch for pager-managed pages (no-op without a pager).
-    pub fn pager_touch(&mut self, vpage: u64) {
+    pub(crate) fn pager_touch(&mut self, vpage: u64) {
         if let Some(p) = self.pager.as_mut() {
             p.touch(vpage);
         }
     }
 
     /// Consumes a completed message, returning its size.
-    pub fn take_message(&mut self, tag: u32) -> Option<u64> {
+    pub(crate) fn take_message(&mut self, tag: u32) -> Option<u64> {
         match self.inbox.get(&tag) {
             Some(buf) if buf.complete => {
                 let bytes = buf.bytes;
@@ -306,7 +301,9 @@ mod tests {
             .iter()
             .any(|e| matches!(e, OsEffect::DisarmCounters { .. })));
         assert_eq!(
-            os.replica_frame(NodeId::new(1), PageNum::new(3)),
+            os.replicated
+                .get(&(NodeId::new(1), PageNum::new(3)))
+                .copied(),
             Some(PageNum::new(101))
         );
     }

@@ -19,10 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use tg_wire::{NodeId, PageNum, WireMsg};
 
 /// Tag namespace for pager fetch streams.
-pub const PAGER_TAG_BASE: u32 = 0x2000_0000;
-
-/// OS-task code: a disk transfer completed (`a` = vpage).
-pub const TASK_DISK_DONE: u16 = 0x200;
+pub(crate) const PAGER_TAG_BASE: u32 = 0x2000_0000;
 
 /// Where evicted pages go.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,7 +37,7 @@ pub enum Backing {
 
 /// What the node must do for the pager.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum PagerEffect {
+pub(crate) enum PagerEffect {
     /// Send a message through the HIB (page fetch / evicted data).
     SendMsg {
         /// Destination node.
@@ -94,7 +91,7 @@ struct PagedPage {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagerStats {
     /// Page faults taken.
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// Evictions performed.
     pub evictions: u64,
 }
@@ -120,7 +117,7 @@ impl RemotePager {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(backing: Backing, capacity: usize) -> Self {
+    pub(crate) fn new(backing: Backing, capacity: usize) -> Self {
         assert!(capacity > 0, "need at least one resident page");
         RemotePager {
             backing,
@@ -133,13 +130,8 @@ impl RemotePager {
         }
     }
 
-    /// The configured backing store.
-    pub fn backing(&self) -> Backing {
-        self.backing
-    }
-
     /// The remote-memory server, if the backing is remote.
-    pub fn server(&self) -> Option<NodeId> {
+    pub(crate) fn server(&self) -> Option<NodeId> {
         match self.backing {
             Backing::RemoteMemory { server } => Some(server),
             Backing::Disk => None,
@@ -147,7 +139,7 @@ impl RemotePager {
     }
 
     /// True while the backing memory server is convicted dead.
-    pub fn server_is_down(&self) -> bool {
+    pub(crate) fn server_is_down(&self) -> bool {
         self.server_down
     }
 
@@ -157,7 +149,7 @@ impl RemotePager {
     /// the waiting thread with a structured error. Pages already resident
     /// stay usable; pages swapped out to the dead server are simply lost
     /// until it restarts (crash-stop).
-    pub fn on_peer_down(&mut self, peer: NodeId) -> Option<u64> {
+    pub(crate) fn on_peer_down(&mut self, peer: NodeId) -> Option<u64> {
         if self.server() != Some(peer) {
             return None;
         }
@@ -168,7 +160,7 @@ impl RemotePager {
     /// The convicted server's beacons resumed: resume fetching. The
     /// restarted server's frames were re-zeroed by the crash, which is
     /// the documented crash-stop data loss, not an inconsistency.
-    pub fn on_peer_up(&mut self, peer: NodeId) {
+    pub(crate) fn on_peer_up(&mut self, peer: NodeId) {
         if self.server() == Some(peer) {
             self.server_down = false;
         }
@@ -182,7 +174,7 @@ impl RemotePager {
     /// Registers a paged virtual page. `local_frame` is the frame used
     /// while resident; `server_frame` is its backing slot. Pages start
     /// non-resident.
-    pub fn register(&mut self, vpage: u64, local_frame: PageNum, server_frame: PageNum) {
+    pub(crate) fn register(&mut self, vpage: u64, local_frame: PageNum, server_frame: PageNum) {
         self.pages.insert(
             vpage,
             PagedPage {
@@ -194,7 +186,7 @@ impl RemotePager {
     }
 
     /// True if `vpage` is pager-managed.
-    pub fn manages(&self, vpage: u64) -> bool {
+    pub(crate) fn manages(&self, vpage: u64) -> bool {
         self.pages.contains_key(&vpage)
     }
 
@@ -205,7 +197,7 @@ impl RemotePager {
 
     /// Notes a successful access for LRU bookkeeping. The node calls this
     /// on every access to a managed page (cheap: only on pager pages).
-    pub fn touch(&mut self, vpage: u64) {
+    pub(crate) fn touch(&mut self, vpage: u64) {
         if let Some(pos) = self.lru.iter().position(|&v| v == vpage) {
             self.lru.remove(pos);
             self.lru.push_back(vpage);
@@ -218,7 +210,7 @@ impl RemotePager {
     ///
     /// Panics if the page is unmanaged, already resident, or another pager
     /// fault is already in flight (the single CPU faults one at a time).
-    pub fn on_fault(&mut self, vpage: u64) -> Vec<PagerEffect> {
+    pub(crate) fn on_fault(&mut self, vpage: u64) -> Vec<PagerEffect> {
         assert!(self.pending.is_none(), "pager fault already in flight");
         let page = *self.pages.get(&vpage).expect("managed page");
         assert!(!page.resident, "fault on a resident page");
@@ -260,14 +252,14 @@ impl RemotePager {
     }
 
     /// True if this PageData tag belongs to a pager fetch.
-    pub fn is_pager_tag(tag: u32) -> bool {
+    pub(crate) fn is_pager_tag(tag: u32) -> bool {
         tag & PAGER_TAG_BASE != 0
             && tag & crate::vsm::VSM_TAG_BASE == 0
             && tag & crate::os::REPL_TAG_BASE == 0
     }
 
     /// Accepts a fetch burst; completes the fault on the last one.
-    pub fn on_page_data(&mut self, tag: u32, last: bool) -> Vec<PagerEffect> {
+    pub(crate) fn on_page_data(&mut self, tag: u32, last: bool) -> Vec<PagerEffect> {
         let vpage = u64::from(tag & !PAGER_TAG_BASE);
         if self.pending != Some(vpage) {
             // A burst from a fetch that crash cleanup already abandoned
@@ -281,7 +273,7 @@ impl RemotePager {
     }
 
     /// Completes a disk fetch (the node's `TASK_DISK_DONE` handler).
-    pub fn on_disk_done(&mut self, vpage: u64) -> Vec<PagerEffect> {
+    pub(crate) fn on_disk_done(&mut self, vpage: u64) -> Vec<PagerEffect> {
         self.complete(vpage)
     }
 

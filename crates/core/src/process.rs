@@ -132,7 +132,6 @@ impl<F: FnMut(Resume) -> Action + 'static> Process for F {
 pub struct Script {
     actions: std::vec::IntoIter<Action>,
     values: Vec<u64>,
-    failures: Vec<tg_hib::OpError>,
 }
 
 impl Script {
@@ -141,7 +140,6 @@ impl Script {
         Script {
             actions: actions.into_iter(),
             values: Vec::new(),
-            failures: Vec::new(),
         }
     }
 
@@ -149,21 +147,12 @@ impl Script {
     pub fn values(&self) -> &[u64] {
         &self.values
     }
-
-    /// Every structured operation failure delivered to the script, in
-    /// order. A script presses on past failures (crash-stop survivors
-    /// keep computing), recording them here for the test or experiment.
-    pub fn failures(&self) -> &[tg_hib::OpError] {
-        &self.failures
-    }
 }
 
 impl Process for Script {
     fn resume(&mut self, r: Resume) -> Action {
-        match r {
-            Resume::Value(v) => self.values.push(v),
-            Resume::Failed(err) => self.failures.push(err),
-            _ => {}
+        if let Resume::Value(v) = r {
+            self.values.push(v);
         }
         self.actions.next().unwrap_or(Action::Halt)
     }

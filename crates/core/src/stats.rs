@@ -18,11 +18,11 @@ pub struct NodeStats {
     /// Local shared-segment writes (incl. replica/owned/eager pages).
     pub local_writes: Summary,
     /// Private-memory accesses.
-    pub private_accesses: Summary,
+    pub(crate) private_accesses: Summary,
     /// Atomic operations (full launch sequence).
     pub atomics: Summary,
     /// Remote-copy launches (CPU-side cost only; completion is async).
-    pub copies: Summary,
+    pub(crate) copies: Summary,
     /// Fence stalls.
     pub fences: Summary,
     /// OS message sends (trap + copy).
@@ -36,14 +36,14 @@ pub struct NodeStats {
     /// Pages invalidated under VSM.
     pub invalidations: u64,
     /// Protection violations observed.
-    pub protection_faults: u64,
+    pub(crate) protection_faults: u64,
     /// Link-layer faults surfaced to the OS (duplicate credits, FIFO
     /// overflows, dead links).
     pub link_failures: u64,
     /// Ack-starvation warnings surfaced to the OS: the control plane on
     /// the board's uplink went quiet while retransmissions kept burning
     /// budget.
-    pub link_starvations: u64,
+    pub(crate) link_starvations: u64,
     /// Peer-down verdicts delivered to the OS by the failure detector.
     pub peer_downs: u64,
     /// Peer-up (restart) verdicts delivered to the OS.

@@ -45,7 +45,7 @@ pub struct LockAcquire {
     backoff: SimTime,
     spinning: bool,
     /// Failed attempts (contention statistic).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
 impl LockAcquire {

@@ -17,33 +17,33 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use tg_wire::{NodeId, PageNum, WireMsg};
 
 /// OS-control message kinds used by the protocol.
-pub mod kind {
+pub(crate) mod kind {
     /// Requester → manager: read fault on `a = gpage` by `b = node`.
-    pub const READ_REQ: u16 = 0x10;
+    pub(crate) const READ_REQ: u16 = 0x10;
     /// Requester → manager: write fault.
-    pub const WRITE_REQ: u16 = 0x11;
+    pub(crate) const WRITE_REQ: u16 = 0x11;
     /// Manager → owner: send the page to `b` and downgrade to read.
-    pub const FWD_READ: u16 = 0x12;
+    pub(crate) const FWD_READ: u16 = 0x12;
     /// Manager → owner: send the page to `b` and invalidate yourself.
-    pub const FWD_WRITE: u16 = 0x13;
+    pub(crate) const FWD_WRITE: u16 = 0x13;
     /// Manager → holder: invalidate `a = gpage`.
-    pub const INV: u16 = 0x14;
+    pub(crate) const INV: u16 = 0x14;
     /// Holder → manager: invalidation done (`b = holder`).
-    pub const INV_ACK: u16 = 0x15;
+    pub(crate) const INV_ACK: u16 = 0x15;
     /// Manager → requester: your (still valid) copy may be upgraded.
-    pub const GRANT_WRITE: u16 = 0x16;
+    pub(crate) const GRANT_WRITE: u16 = 0x16;
     /// Requester → manager: read mapping installed (`b = requester`).
-    pub const DONE_READ: u16 = 0x17;
+    pub(crate) const DONE_READ: u16 = 0x17;
     /// Requester → manager: write mapping installed (`b = requester`).
-    pub const DONE_WRITE: u16 = 0x18;
+    pub(crate) const DONE_WRITE: u16 = 0x18;
 }
 
 /// Tag namespace for VSM page-data streams.
-pub const VSM_TAG_BASE: u32 = 0x8000_0000;
+pub(crate) const VSM_TAG_BASE: u32 = 0x8000_0000;
 
 /// Access mode of a VSM page at one node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VsmMode {
+pub(crate) enum VsmMode {
     /// Not mapped; any access faults.
     Invalid,
     /// Mapped read-only.
@@ -54,7 +54,7 @@ pub enum VsmMode {
 
 /// What the node must do on behalf of the protocol.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum VsmEffect {
+pub(crate) enum VsmEffect {
     /// Send a protocol message (possibly to ourselves — loop it back).
     Send {
         /// Destination node.
@@ -169,7 +169,7 @@ pub struct VsmNode {
 
 impl VsmNode {
     /// VSM state for node `me`.
-    pub fn new(me: NodeId) -> Self {
+    pub(crate) fn new(me: NodeId) -> Self {
         VsmNode {
             me,
             pages: HashMap::new(),
@@ -181,7 +181,7 @@ impl VsmNode {
 
     /// Registers a managed page at this node. The home node starts as the
     /// owner with a writable mapping; everyone else starts invalid.
-    pub fn register(&mut self, gpage: u64, vpage: u64, home: NodeId, frame: PageNum) {
+    pub(crate) fn register(&mut self, gpage: u64, vpage: u64, home: NodeId, frame: PageNum) {
         let meta = PageMeta { gpage, home, frame };
         let mode = if home == self.me {
             VsmMode::Write
@@ -212,17 +212,8 @@ impl VsmNode {
     }
 
     /// True if `vpage` is VSM-managed here.
-    pub fn manages(&self, vpage: u64) -> bool {
+    pub(crate) fn manages(&self, vpage: u64) -> bool {
         self.pages.contains_key(&vpage)
-    }
-
-    /// Current mode of a managed page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not managed.
-    pub fn mode(&self, vpage: u64) -> VsmMode {
-        self.pages[&vpage].mode
     }
 
     /// The local frame backing a managed page.
@@ -236,7 +227,7 @@ impl VsmNode {
     ///
     /// Panics if the page is not managed or a fault is already pending on
     /// it (the single CPU cannot fault twice).
-    pub fn on_fault(&mut self, vpage: u64, write: bool) -> Vec<VsmEffect> {
+    pub(crate) fn on_fault(&mut self, vpage: u64, write: bool) -> Vec<VsmEffect> {
         let page = self.pages.get_mut(&vpage).expect("managed page");
         assert!(!page.faulted, "double fault on {vpage:#x}");
         page.faulted = true;
@@ -258,7 +249,7 @@ impl VsmNode {
 
     /// Handles a protocol message (OsCtl with a VSM kind, or PageData with
     /// a VSM tag).
-    pub fn on_msg(&mut self, _src: NodeId, msg: &WireMsg) -> Vec<VsmEffect> {
+    pub(crate) fn on_msg(&mut self, _src: NodeId, msg: &WireMsg) -> Vec<VsmEffect> {
         match *msg {
             WireMsg::OsCtl { kind: k, a, b } => self.on_ctl(k, a, NodeId::new(b as u16)),
             WireMsg::PageData {
@@ -272,7 +263,7 @@ impl VsmNode {
     }
 
     /// True if this message belongs to the VSM protocol.
-    pub fn is_vsm_msg(msg: &WireMsg) -> bool {
+    pub(crate) fn is_vsm_msg(msg: &WireMsg) -> bool {
         match *msg {
             WireMsg::OsCtl { kind: k, .. } => (kind::READ_REQ..=kind::DONE_WRITE).contains(&k),
             WireMsg::PageData { tag, .. } => tag & VSM_TAG_BASE != 0,
@@ -565,7 +556,7 @@ impl VsmNode {
     // ---------------- crash-stop fault domain ----------------
 
     /// The home (manager) node of a managed page.
-    pub fn home(&self, vpage: u64) -> NodeId {
+    pub(crate) fn home(&self, vpage: u64) -> NodeId {
         self.pages[&vpage].meta.home
     }
 
@@ -573,7 +564,7 @@ impl VsmNode {
     /// convicted dead, so sending the request would only hang until the
     /// request timeout. Returns the [`VsmEffect::FailFault`] for the node
     /// to release the thread with.
-    pub fn fail_fast_fault(&mut self, vpage: u64) -> Vec<VsmEffect> {
+    pub(crate) fn fail_fast_fault(&mut self, vpage: u64) -> Vec<VsmEffect> {
         let page = self.pages.get_mut(&vpage).expect("managed page");
         debug_assert!(!page.faulted, "fail-fast on an in-flight fault");
         let peer = page.meta.home;
@@ -595,7 +586,7 @@ impl VsmNode {
     /// Crash-stop loses the dead owner's unreflected writes: recovery
     /// re-serves the newest image a survivor holds. That is the
     /// documented fault-model semantics, not silent corruption.
-    pub fn on_peer_down(&mut self, peer: NodeId) -> Vec<VsmEffect> {
+    pub(crate) fn on_peer_down(&mut self, peer: NodeId) -> Vec<VsmEffect> {
         if peer == self.me {
             return Vec::new();
         }
@@ -630,7 +621,7 @@ impl VsmNode {
     /// directory: invalidate locally and let the next access refault.
     /// Copies of pages the restarted node merely *held* are untouched;
     /// conviction already pruned it from those copysets.
-    pub fn on_peer_up(&mut self, peer: NodeId) -> Vec<VsmEffect> {
+    pub(crate) fn on_peer_up(&mut self, peer: NodeId) -> Vec<VsmEffect> {
         if peer == self.me {
             return Vec::new();
         }
@@ -806,8 +797,8 @@ mod tests {
     #[test]
     fn initial_modes() {
         let nodes = setup(3, 0);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Write);
-        assert_eq!(nodes[1].mode(VP), VsmMode::Invalid);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Write);
+        assert_eq!(nodes[1].pages[&VP].mode, VsmMode::Invalid);
         assert!(nodes[0].manages(VP));
     }
 
@@ -820,8 +811,8 @@ mod tests {
             .map(|e| (1usize, e))
             .collect();
         let local = pump(&mut nodes, fx);
-        assert_eq!(nodes[1].mode(VP), VsmMode::Read);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Read, "owner downgraded");
+        assert_eq!(nodes[1].pages[&VP].mode, VsmMode::Read);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Read, "owner downgraded");
         assert!(local
             .iter()
             .any(|(n, e)| *n == 1 && matches!(e, VsmEffect::ResumeFault { .. })));
@@ -849,9 +840,17 @@ mod tests {
             .map(|e| (2usize, e))
             .collect();
         let local = pump(&mut nodes, fx);
-        assert_eq!(nodes[2].mode(VP), VsmMode::Write);
-        assert_eq!(nodes[1].mode(VP), VsmMode::Invalid, "reader invalidated");
-        assert_eq!(nodes[0].mode(VP), VsmMode::Invalid, "old owner invalidated");
+        assert_eq!(nodes[2].pages[&VP].mode, VsmMode::Write);
+        assert_eq!(
+            nodes[1].pages[&VP].mode,
+            VsmMode::Invalid,
+            "reader invalidated"
+        );
+        assert_eq!(
+            nodes[0].pages[&VP].mode,
+            VsmMode::Invalid,
+            "old owner invalidated"
+        );
         assert!(local
             .iter()
             .any(|(n, e)| *n == 1 && matches!(e, VsmEffect::Unmap { .. })));
@@ -871,8 +870,8 @@ mod tests {
             .map(|e| (1usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Invalid);
-        assert_eq!(nodes[1].mode(VP), VsmMode::Write);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Invalid);
+        assert_eq!(nodes[1].pages[&VP].mode, VsmMode::Write);
         // Home reads back: owner 1 serves and downgrades.
         let fx: Vec<_> = nodes[0]
             .on_fault(VP, false)
@@ -880,8 +879,8 @@ mod tests {
             .map(|e| (0usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Read);
-        assert_eq!(nodes[1].mode(VP), VsmMode::Read);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Read);
+        assert_eq!(nodes[1].pages[&VP].mode, VsmMode::Read);
     }
 
     #[test]
@@ -916,14 +915,14 @@ mod tests {
             .map(|e| (1usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Invalid);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Invalid);
         // Node 1 crashes: no surviving copies, so the home reclaims the
         // page writable from its own frame.
         let fx = nodes[0].on_peer_down(NodeId::new(1));
         assert!(fx
             .iter()
             .any(|e| matches!(e, VsmEffect::MapWrite { vpage, .. } if *vpage == VP)));
-        assert_eq!(nodes[0].mode(VP), VsmMode::Write);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Write);
         // A survivor's read fault is now served by the home again.
         let fx: Vec<_> = nodes[2]
             .on_fault(VP, false)
@@ -931,7 +930,7 @@ mod tests {
             .map(|e| (2usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[2].mode(VP), VsmMode::Read);
+        assert_eq!(nodes[2].pages[&VP].mode, VsmMode::Read);
     }
 
     #[test]
@@ -958,7 +957,11 @@ mod tests {
             fx.is_empty(),
             "no local remap: a surviving holder serves, got {fx:?}"
         );
-        assert_eq!(nodes[0].mode(VP), VsmMode::Invalid, "home stays invalid");
+        assert_eq!(
+            nodes[0].pages[&VP].mode,
+            VsmMode::Invalid,
+            "home stays invalid"
+        );
         // The home's own read fault is served by node 2.
         let fx: Vec<_> = nodes[0]
             .on_fault(VP, false)
@@ -966,7 +969,7 @@ mod tests {
             .map(|e| (0usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[0].mode(VP), VsmMode::Read);
+        assert_eq!(nodes[0].pages[&VP].mode, VsmMode::Read);
     }
 
     #[test]
@@ -1043,7 +1046,7 @@ mod tests {
             .map(|e| (2usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[2].mode(VP), VsmMode::Write);
+        assert_eq!(nodes[2].pages[&VP].mode, VsmMode::Write);
     }
 
     #[test]
@@ -1072,6 +1075,6 @@ mod tests {
             .map(|e| (0usize, e))
             .collect();
         pump(&mut nodes, fx);
-        assert_eq!(nodes[2].mode(VP), VsmMode::Read, "fault completed");
+        assert_eq!(nodes[2].pages[&VP].mode, VsmMode::Read, "fault completed");
     }
 }

@@ -478,13 +478,12 @@ fn replica_frame(
     page: &SharedPage,
     node: u16,
 ) -> tg_wire::PageNum {
-    let pte = cluster
+    let pa = cluster
         .node_mut(node)
         .mmu_mut()
-        .table()
-        .lookup(page.vpage())
+        .translate(page.va(0), tg_mem::AccessKind::Read)
         .expect("mapped replica");
-    match pte.base.decode() {
+    match pa.decode() {
         tg_mem::Decoded::LocalShared { off } => off.page(),
         other => panic!("replica not local: {other:?}"),
     }

@@ -4,7 +4,7 @@
 //! sweep is deterministic and dependency-free.
 
 use telegraphos::{Action, ClusterBuilder, Script};
-use tg_sim::{RunLimit, SimRng};
+use tg_sim::{RunLimit, SimRng, SimTime};
 
 /// Disjoint-word writers over plain shared pages: every write lands, the
 /// simulation drains, and the result is exactly the last write per word.
@@ -12,8 +12,8 @@ use tg_sim::{RunLimit, SimRng};
 fn plain_writes_always_land() {
     let mut cases = SimRng::new(0x11AD);
     for _ in 0..16 {
-        let nodes = cases.range_between(2, 5) as u16;
-        let writes_per_node = cases.range_between(1, 40) as usize;
+        let nodes = (2 + cases.range(3)) as u16;
+        let writes_per_node = (1 + cases.range(39)) as usize;
         let home = (cases.range(5) as u16) % nodes;
         let seed = cases.next_u64();
 
@@ -34,7 +34,10 @@ fn plain_writes_always_land() {
             actions.push(Action::Fence);
             cluster.set_process(n, Script::new(actions));
         }
-        assert_eq!(cluster.run_events(5_000_000), RunLimit::Drained);
+        assert_eq!(
+            cluster.run_until(SimTime::from_ms(1_000)),
+            RunLimit::Drained
+        );
         assert!(cluster.all_halted());
         for (w, v) in expected {
             assert_eq!(cluster.read_shared(&page, w), v, "word {w}");
@@ -48,9 +51,9 @@ fn plain_writes_always_land() {
 fn coherent_replicas_always_converge() {
     let mut cases = SimRng::new(0xC0CE);
     for _ in 0..16 {
-        let nodes = cases.range_between(3, 5) as u16;
-        let writes_per_node = cases.range_between(1, 25) as usize;
-        let cam = cases.range_between(1, 20) as usize;
+        let nodes = (3 + cases.range(2)) as u16;
+        let writes_per_node = (1 + cases.range(24)) as usize;
+        let cam = (1 + cases.range(19)) as usize;
         let seed = cases.next_u64();
 
         let hib = tg_hib::HibConfig {
@@ -72,17 +75,19 @@ fn coherent_replicas_always_converge() {
             actions.push(Action::Fence);
             cluster.set_process(n, Script::new(actions));
         }
-        assert_eq!(cluster.run_events(5_000_000), RunLimit::Drained);
+        assert_eq!(
+            cluster.run_until(SimTime::from_ms(1_000)),
+            RunLimit::Drained
+        );
         // Every replica frame equals the owner's page image.
         let owner_image: Vec<u64> = (0..1024).map(|w| cluster.read_shared(&page, w)).collect();
         for c in copies {
-            let pte = cluster
+            let pa = cluster
                 .node_mut(c)
                 .mmu_mut()
-                .table()
-                .lookup(page.vpage())
+                .translate(page.va(0), tg_mem::AccessKind::Read)
                 .expect("replica mapped");
-            let frame = match pte.base.decode() {
+            let frame = match pa.decode() {
                 tg_mem::Decoded::LocalShared { off } => off.page(),
                 other => panic!("replica not local: {other:?}"),
             };
@@ -103,8 +108,8 @@ fn coherent_replicas_always_converge() {
 fn chaotic_mixes_always_drain() {
     let mut cases = SimRng::new(0xC4A0);
     for _ in 0..16 {
-        let nodes = cases.range_between(2, 4) as u16;
-        let ops = cases.range_between(5, 50) as usize;
+        let nodes = (2 + cases.range(2)) as u16;
+        let ops = (5 + cases.range(45)) as usize;
         let seed = cases.next_u64();
 
         let build = || {
@@ -126,7 +131,7 @@ fn chaotic_mixes_always_drain() {
                 }
                 cluster.set_process(n, Script::new(actions));
             }
-            let outcome = cluster.run_events(5_000_000);
+            let outcome = cluster.run_until(SimTime::from_ms(1_000));
             (outcome, cluster.now(), cluster.fabric_bytes())
         };
         let a = build();

@@ -53,16 +53,11 @@ fn ops_to_a_crashed_peer_fail_structurally() {
     let st = cluster.node(0).stats();
     assert!(st.peer_downs > 0, "node 0 never convicted the dead peer");
     assert!(st.op_failures > 0, "no op ever failed structurally");
-    let errs = cluster.node(0).hib().op_errors();
-    assert!(
-        errs.iter()
-            .any(|e| matches!(e, OpError::PeerUnreachable { peer } if *peer == NodeId::new(1))),
-        "no PeerUnreachable{{peer: node1}} was recorded: {errs:?}"
-    );
     let cons = cluster.conservation_violations();
     assert!(cons.is_empty(), "crash run broke conservation: {cons:?}");
-    let samples = metrics
-        .series_by_name("fabric.bytes_total")
+    let (_, samples) = metrics
+        .all_series()
+        .find(|(n, _)| *n == "fabric.bytes_total")
         .expect("series registered");
     assert!(
         samples.iter().filter(|s| s.at > crash).count() > 1,

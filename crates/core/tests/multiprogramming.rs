@@ -165,7 +165,6 @@ fn many_processes_round_robin_fairly() {
     }
     cluster.run();
     assert!(cluster.all_halted());
-    assert_eq!(cluster.node(0).process_count(), k);
     // Total = k * 10 * 10us of serialized compute.
     let total = cluster.now().as_us_f64();
     assert!((395.0..=450.0).contains(&total), "total {total:.1}");

@@ -40,7 +40,7 @@ pub struct HibStats {
     /// Remote copies launched.
     pub copies: u64,
     /// Coherent updates sent to page owners.
-    pub updates_sent: u64,
+    pub(crate) updates_sent: u64,
     /// Reflected writes received.
     pub reflections_rx: u64,
     /// Reflected writes ignored under rule 3 (counter non-zero).
@@ -54,40 +54,40 @@ pub struct HibStats {
     /// Packets transmitted / received.
     pub pkts_tx: u64,
     /// Packets received.
-    pub pkts_rx: u64,
+    pub(crate) pkts_rx: u64,
     /// Bytes transmitted.
-    pub bytes_tx: u64,
+    pub(crate) bytes_tx: u64,
     /// Bytes received.
-    pub bytes_rx: u64,
+    pub(crate) bytes_rx: u64,
     /// CPU stalls because the TX queue was full.
     pub tx_stalls: u64,
     /// Page-access alarms raised.
     pub alarms: u64,
     /// Deepest TX-queue occupancy observed.
-    pub tx_high_water: usize,
+    pub(crate) tx_high_water: usize,
     /// Received packets fully processed (committed) by the rx pipeline.
     pub committed: u64,
     /// Link-layer faults surfaced as [`HibInterrupt::LinkFault`].
-    pub link_faults: u64,
+    pub(crate) link_faults: u64,
     /// Ack-starvation episodes surfaced as [`HibInterrupt::LinkStarved`].
-    pub starvation_alarms: u64,
+    pub(crate) starvation_alarms: u64,
     /// Liveness digests originated by this board, one per beacon period.
-    pub heartbeats_tx: u64,
+    pub(crate) heartbeats_tx: u64,
     /// Liveness digests received intact from the switch.
     pub heartbeats_rx: u64,
     /// Peers this board's failure detector convicted.
-    pub peer_downs: u64,
+    pub(crate) peer_downs: u64,
     /// Convicted peers whose beacons later resumed.
-    pub peer_ups: u64,
+    pub(crate) peer_ups: u64,
     /// Tagged requests retried after the request timeout.
-    pub op_retries: u64,
+    pub(crate) op_retries: u64,
     /// Tagged requests failed with [`OpError::PeerUnreachable`].
-    pub op_failures: u64,
+    pub(crate) op_failures: u64,
     /// Completions that arrived for an operation already resolved (late
     /// acks after a failover, duplicate responses to a retry).
-    pub stale_acks: u64,
+    pub(crate) stale_acks: u64,
     /// Duplicate requests suppressed by the idempotent-retry dedupe.
-    pub dup_requests: u64,
+    pub(crate) dup_requests: u64,
     /// OS messages refused at issue time because the destination peer was
     /// already convicted (fail-fast instead of burning the retry budget).
     pub os_sends_refused: u64,
@@ -229,8 +229,6 @@ pub struct Hib {
     last_injected: Option<TraceId>,
     /// Structured link errors observed (also surfaced as interrupts).
     link_errors: Vec<LinkError>,
-    /// An RxUnwedge tick is already scheduled.
-    unwedge_scheduled: bool,
     /// Watchdog progress meter, ticked on every packet commit.
     meter: Option<tg_sim::ProgressMeter>,
     /// The current ack-starvation episode has already raised its
@@ -255,9 +253,6 @@ pub struct Hib {
     /// Recently applied write/multicast tags per source, so a retried
     /// write is acked but not re-applied.
     writes_seen: HashMap<u16, VecDeque<u32>>,
-    /// Structured request failures observed (also posted to the CPU for
-    /// blocking operations).
-    op_errors: Vec<OpError>,
 }
 
 impl Hib {
@@ -294,7 +289,6 @@ impl Hib {
             rx_handling: None,
             last_injected: None,
             link_errors: Vec::new(),
-            unwedge_scheduled: false,
             meter: None,
             starvation_alarmed: false,
             pending_ops: BTreeMap::new(),
@@ -303,7 +297,6 @@ impl Hib {
             updates_to: BTreeMap::new(),
             atomic_served: HashMap::new(),
             writes_seen: HashMap::new(),
-            op_errors: Vec::new(),
         }
     }
 
@@ -399,14 +392,8 @@ impl Hib {
             .is_some_and(|b| b.detector.is_down(u64::from(peer.raw())))
     }
 
-    /// Structured request failures observed so far, in order.
-    pub fn op_errors(&self) -> &[OpError] {
-        &self.op_errors
-    }
-
     /// Installs the fault injector consulted when this board launches
-    /// frames, sends control frames or returns credits (and for the
-    /// rx-wedge fault).
+    /// frames, sends control frames or returns credits.
     ///
     /// # Panics
     ///
@@ -434,11 +421,6 @@ impl Hib {
     /// FIFO. `None` until the board is wired.
     pub fn port_snapshot(&self) -> Option<PortSnapshot> {
         self.link.as_ref()?.snapshot(Some(&self.rx_fifo))
-    }
-
-    /// This board's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Operation counters.
@@ -558,7 +540,7 @@ impl Hib {
         if self.peer_down(node) {
             // Fail fast: posted writes to a convicted peer resolve as a
             // recorded structured error instead of burning retries.
-            return self.fail_posted(node);
+            return self.fail_posted();
         }
         if !self.tx_has_room(1) {
             self.stats.tx_stalls += 1;
@@ -587,11 +569,10 @@ impl Hib {
     }
 
     /// Resolves a posted (non-blocking) operation to a convicted peer: the
-    /// error is recorded, the CPU proceeds — posted semantics never stall
+    /// failure is counted, the CPU proceeds — posted semantics never stall
     /// on a dead destination.
-    fn fail_posted(&mut self, peer: NodeId) -> StoreOutcome {
+    fn fail_posted(&mut self) -> StoreOutcome {
         self.stats.op_failures += 1;
-        self.op_errors.push(OpError::PeerUnreachable { peer });
         StoreOutcome::Done
     }
 
@@ -623,7 +604,7 @@ impl Hib {
                 let in_page = off.in_page();
                 for (dst, dst_page) in outs {
                     if self.peer_down(dst) {
-                        self.fail_posted(dst);
+                        self.fail_posted();
                         continue;
                     }
                     self.outstanding_writes += 1;
@@ -668,7 +649,7 @@ impl Hib {
             // at least visible here, record the structured error. Ownership
             // failover (the OS layer) re-homes the page.
             host.segment().write(off, val);
-            return self.fail_posted(owner);
+            return self.fail_posted();
         }
         if !self.tx_has_room(1) {
             self.stats.tx_stalls += 1;
@@ -822,7 +803,6 @@ impl Hib {
     fn fail_blocking(&mut self, peer: NodeId, host: &mut dyn HibHost) -> LoadOutcome {
         let err = OpError::PeerUnreachable { peer };
         self.stats.op_failures += 1;
-        self.op_errors.push(err);
         host.cpu_complete(SimTime::ZERO, CpuResult::OpFailed { err });
         LoadOutcome::Pending
     }
@@ -979,7 +959,7 @@ impl Hib {
                     // Copies are posted (§2.2.2): record the error and
                     // return control without tracking a transfer that can
                     // never complete.
-                    self.fail_posted(node);
+                    self.fail_posted();
                     return LoadOutcome::Ready(0);
                 }
                 self.count_page_access(node, off.page(), CounterKind::Read, host);
@@ -1139,11 +1119,6 @@ impl Hib {
                     TimerAction::Stale | TimerAction::Idle => {}
                 }
                 self.arm_timer(host);
-            }
-            HibTick::RxUnwedge => {
-                self.unwedge_scheduled = false;
-                self.pump_rx(host);
-                self.check_fence(host);
             }
             HibTick::Heartbeat => {
                 let Some(every) = self.beacon_every() else {
@@ -1389,7 +1364,6 @@ impl Hib {
                         if owner == peer {
                             self.stalled_store = None;
                             self.stats.op_failures += 1;
-                            self.op_errors.push(err);
                             host.cpu_complete(SimTime::ZERO, CpuResult::OpFailed { err });
                         }
                     }
@@ -1479,7 +1453,6 @@ impl Hib {
             return;
         };
         self.stats.op_failures += 1;
-        self.op_errors.push(err);
         match op.kind {
             OpKind::Write { .. } | OpKind::Multicast { .. } => {
                 self.outstanding_writes = self.outstanding_writes.saturating_sub(1);
@@ -1577,17 +1550,6 @@ impl Hib {
     fn pump_rx(&mut self, host: &mut dyn HibHost) {
         if self.rx_current.is_some() {
             return;
-        }
-        // A fault-injected wedge freezes the receive pipeline: frames sit
-        // in the FIFO undrained and no credits flow back until release.
-        if let Some(inj) = self.link.as_ref().and_then(LinkEnd::injector) {
-            if let Some(until) = inj.wedged_until(self.node, host.now()) {
-                if !self.unwedge_scheduled {
-                    self.unwedge_scheduled = true;
-                    host.schedule_tick(until - host.now(), HibTick::RxUnwedge);
-                }
-                return;
-            }
         }
         let Some(packet) = self.rx_fifo.pop() else {
             return;

@@ -79,9 +79,6 @@ pub enum HibTick {
         /// Timer generation at scheduling time.
         gen: u64,
     },
-    /// A fault-injected receive-pipeline wedge released; resume draining
-    /// the rx FIFO.
-    RxUnwedge,
     /// The periodic heartbeat-origination timer: emit a liveness beacon
     /// toward the fabric and sweep the per-peer failure detector.
     /// Self-rearming while heartbeats are enabled.

@@ -35,6 +35,7 @@ pub mod regs;
 
 pub use config::{HibConfig, LaunchMode, LocalWritePolicy};
 pub use hib::{Hib, HibStats};
+
 pub use host::{
     CounterKind, CpuResult, HibFault, HibHost, HibInterrupt, HibTick, LoadOutcome, OpError,
     StoreOutcome,

@@ -55,12 +55,12 @@ pub struct AccessCounters {
 
 impl SharedMap {
     /// An all-plain map with no armed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedMap::default()
     }
 
     /// The mode of a local segment page.
-    pub fn mode(&self, page: PageNum) -> &PageMode {
+    pub(crate) fn mode(&self, page: PageNum) -> &PageMode {
         static PLAIN: PageMode = PageMode::Plain;
         self.modes.get(&page.raw()).unwrap_or(&PLAIN)
     }
@@ -98,7 +98,7 @@ impl SharedMap {
     /// Records one remote access; returns `true` exactly when the counter
     /// crosses from one to zero (the alarm condition). Counters stick at
     /// zero ("the counter is decremented, unless the counter is zero").
-    pub fn count_access(&mut self, node: NodeId, page: PageNum, kind: CounterKind) -> bool {
+    pub(crate) fn count_access(&mut self, node: NodeId, page: PageNum, kind: CounterKind) -> bool {
         let Some(c) = self.counters.get_mut(&(node, page)) else {
             return false;
         };
@@ -112,11 +112,6 @@ impl SharedMap {
         *ctr -= 1;
         *ctr == 0
     }
-
-    /// Number of non-plain pages (directory occupancy).
-    pub fn tracked_pages(&self) -> usize {
-        self.modes.len()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +122,7 @@ mod tests {
     fn default_mode_is_plain() {
         let map = SharedMap::new();
         assert_eq!(*map.mode(PageNum::new(5)), PageMode::Plain);
-        assert_eq!(map.tracked_pages(), 0);
+        assert_eq!(map.modes.len(), 0);
     }
 
     #[test]
@@ -144,9 +139,9 @@ mod tests {
             map.mode(PageNum::new(1)),
             PageMode::Replica { .. }
         ));
-        assert_eq!(map.tracked_pages(), 1);
+        assert_eq!(map.modes.len(), 1);
         map.set_mode(PageNum::new(1), PageMode::Plain);
-        assert_eq!(map.tracked_pages(), 0);
+        assert_eq!(map.modes.len(), 0);
     }
 
     #[test]

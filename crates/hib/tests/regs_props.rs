@@ -73,7 +73,7 @@ fn unaligned_ctx_regs_are_rejected() {
     for _ in 0..1024 {
         let ctx = rng.range(64);
         let slot = rng.range(8);
-        let off = rng.range_between(1, 8);
+        let off = 1 + rng.range(7);
         let regno = reg::CTX_BASE + ctx * reg::CTX_STRIDE + slot * 8 + off;
         assert_eq!(decode_ctx_reg(regno), None);
     }

@@ -5,17 +5,16 @@
 //! are configuration-determined — 16 K multicast entries × 32 bits, 64 K
 //! countable pages × (16+16)-bit counters, 16 MB of multiprocessor memory —
 //! so this crate models them as functions of the configuration and
-//! regenerates the table (experiment E1), plus ablations the paper
-//! discusses: the proposed pending-write counter CAM (§2.3.4) and the
-//! directory shrink from moving to ownership-based coherence (§3.1).
+//! regenerates the table (experiment E1), plus the ablation the paper
+//! proposes: the pending-write counter CAM (§2.3.4).
 //!
 //! # Example
 //!
 //! ```
-//! use tg_hw::HwConfig;
+//! use tg_hw::{BlockClass, HwConfig};
 //! let inv = HwConfig::telegraphos_i().inventory();
-//! assert_eq!(inv.total_gates(), 3300 + 2700);
-//! assert_eq!(inv.block("Atomic operations").unwrap().gates, 1500);
+//! assert_eq!(inv.gates(BlockClass::Message), 3300);
+//! assert_eq!(inv.gates(BlockClass::SharedMemory), 2700);
 //! ```
 
 #![warn(missing_docs)]
@@ -27,26 +26,26 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub struct HwConfig {
     /// Multicast (eager-sharing) list entries.
-    pub multicast_entries: u64,
+    pub(crate) multicast_entries: u64,
     /// Bits per multicast entry (destination node + page).
-    pub multicast_entry_bits: u64,
+    pub(crate) multicast_entry_bits: u64,
     /// Remote pages with access counters.
-    pub counted_pages: u64,
+    pub(crate) counted_pages: u64,
     /// Bits per page for the read+write counter pair.
-    pub counter_bits_per_page: u64,
+    pub(crate) counter_bits_per_page: u64,
     /// Multiprocessor memory (the shared segment) in bytes; DRAM, not SRAM.
-    pub mpm_bytes: u64,
+    pub(crate) mpm_bytes: u64,
     /// Pending-write CAM entries (0 in Telegraphos I as built; §2.3.4
     /// proposes 16–32).
-    pub cam_entries: u64,
+    pub(crate) cam_entries: u64,
     /// Synchronizing FIFO bits on the incoming link (2 + 2 Kbit).
-    pub link_in_fifo_kbits: f64,
+    pub(crate) link_in_fifo_kbits: f64,
     /// FIFO bits on the outgoing link.
-    pub link_out_fifo_kbits: f64,
+    pub(crate) link_out_fifo_kbits: f64,
     /// Central-control scratch SRAM in Kbit.
-    pub central_sram_kbits: f64,
+    pub(crate) central_sram_kbits: f64,
     /// TurboChannel interface register bits.
-    pub tc_register_bits: u64,
+    pub(crate) tc_register_bits: u64,
 }
 
 impl HwConfig {
@@ -69,19 +68,6 @@ impl HwConfig {
     /// The §2.3.4 proposal: Telegraphos I plus a pending-write CAM.
     pub fn with_cam(mut self, entries: u64) -> Self {
         self.cam_entries = entries;
-        self
-    }
-
-    /// The §3.1 remark: under ownership-based coherence only the owner
-    /// keeps the copy list, so the directory (multicast list) shrinks —
-    /// modeled as a reduction factor on the entry count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shrink_factor` is zero.
-    pub fn with_ownership_directory(mut self, shrink_factor: u64) -> Self {
-        assert!(shrink_factor > 0, "shrink factor must be positive");
-        self.multicast_entries /= shrink_factor;
         self
     }
 
@@ -150,15 +136,15 @@ pub enum BlockClass {
 
 /// One row of Table 1.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Block {
+pub(crate) struct Block {
     /// Block name, as printed in the table.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Random-logic gate-equivalents.
-    pub gates: u64,
+    pub(crate) gates: u64,
     /// SRAM in Kbit.
-    pub sram_kbits: f64,
+    pub(crate) sram_kbits: f64,
     /// Subtotal class.
-    pub class: BlockClass,
+    pub(crate) class: BlockClass,
 }
 
 impl Block {
@@ -184,17 +170,12 @@ impl Block {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Inventory {
     /// Table rows, in Table 1 order.
-    pub blocks: Vec<Block>,
+    pub(crate) blocks: Vec<Block>,
     /// Multiprocessor memory (DRAM) in bytes.
-    pub mpm_bytes: u64,
+    pub(crate) mpm_bytes: u64,
 }
 
 impl Inventory {
-    /// Looks a block up by its table name.
-    pub fn block(&self, name: &str) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.name == name)
-    }
-
     /// Gate subtotal for a class.
     pub fn gates(&self, class: BlockClass) -> u64 {
         self.blocks
@@ -205,17 +186,12 @@ impl Inventory {
     }
 
     /// SRAM subtotal (Kbit) for a class.
-    pub fn sram_kbits(&self, class: BlockClass) -> f64 {
+    pub(crate) fn sram_kbits(&self, class: BlockClass) -> f64 {
         self.blocks
             .iter()
             .filter(|b| b.class == class)
             .map(|b| b.sram_kbits)
             .sum()
-    }
-
-    /// Total gate count.
-    pub fn total_gates(&self) -> u64 {
-        self.blocks.iter().map(|b| b.gates).sum()
     }
 
     /// MPM size in megabits, as the table footnote reports it.
@@ -258,17 +234,26 @@ impl fmt::Display for Inventory {
 mod tests {
     use super::*;
 
+    /// Looks a block up by its Table 1 name.
+    fn block<'a>(inv: &'a Inventory, name: &str) -> Option<&'a Block> {
+        inv.blocks.iter().find(|b| b.name == name)
+    }
+
+    fn total_gates(inv: &Inventory) -> u64 {
+        inv.blocks.iter().map(|b| b.gates).sum()
+    }
+
     #[test]
     fn reproduces_table1_gate_counts() {
         let inv = HwConfig::telegraphos_i().inventory();
-        assert_eq!(inv.block("Central control").unwrap().gates, 1000);
-        assert_eq!(inv.block("Turbochannel interface").unwrap().gates, 550);
-        assert_eq!(inv.block("Incoming link intf.").unwrap().gates, 1000);
-        assert_eq!(inv.block("Outgoing link intf.").unwrap().gates, 750);
+        assert_eq!(block(&inv, "Central control").unwrap().gates, 1000);
+        assert_eq!(block(&inv, "Turbochannel interface").unwrap().gates, 550);
+        assert_eq!(block(&inv, "Incoming link intf.").unwrap().gates, 1000);
+        assert_eq!(block(&inv, "Outgoing link intf.").unwrap().gates, 750);
         assert_eq!(inv.gates(BlockClass::Message), 3300);
-        assert_eq!(inv.block("Atomic operations").unwrap().gates, 1500);
-        assert_eq!(inv.block("Multicast (eager sharing)").unwrap().gates, 400);
-        assert_eq!(inv.block("Page Access Counters").unwrap().gates, 800);
+        assert_eq!(block(&inv, "Atomic operations").unwrap().gates, 1500);
+        assert_eq!(block(&inv, "Multicast (eager sharing)").unwrap().gates, 400);
+        assert_eq!(block(&inv, "Page Access Counters").unwrap().gates, 800);
         assert_eq!(inv.gates(BlockClass::SharedMemory), 2700);
     }
 
@@ -276,12 +261,12 @@ mod tests {
     fn reproduces_table1_sram_sizes() {
         let inv = HwConfig::telegraphos_i().inventory();
         assert_eq!(
-            inv.block("Multicast (eager sharing)").unwrap().sram_kbits,
+            block(&inv, "Multicast (eager sharing)").unwrap().sram_kbits,
             512.0,
             "16 K entries x 32 bits"
         );
         assert_eq!(
-            inv.block("Page Access Counters").unwrap().sram_kbits,
+            block(&inv, "Page Access Counters").unwrap().sram_kbits,
             2048.0,
             "64 K pages x (16+16) bits"
         );
@@ -296,25 +281,12 @@ mod tests {
     fn cam_adds_modest_logic() {
         let base = HwConfig::telegraphos_i().inventory();
         let with = HwConfig::telegraphos_i().with_cam(16).inventory();
-        let extra = with.total_gates() - base.total_gates();
+        let extra = total_gates(&with) - total_gates(&base);
         // §2.3.4: "Its size can be relatively small" — a 16-entry CAM costs
         // on the order of the atomic unit, not of the directories.
         assert!(extra > 0);
         assert!(extra <= 5_000, "CAM exploded to {extra} gates");
-        assert!(with.block("Pending-write CAM").is_some());
-    }
-
-    #[test]
-    fn ownership_shrinks_the_directory() {
-        let base = HwConfig::telegraphos_i().inventory();
-        let owned = HwConfig::telegraphos_i()
-            .with_ownership_directory(8)
-            .inventory();
-        let b = base.block("Multicast (eager sharing)").unwrap().sram_kbits;
-        let o = owned.block("Multicast (eager sharing)").unwrap().sram_kbits;
-        assert_eq!(o, b / 8.0, "directory SRAM shrinks with ownership");
-        // Logic is unchanged; only the table shrinks.
-        assert_eq!(base.total_gates(), owned.total_gates());
+        assert!(block(&with, "Pending-write CAM").is_some());
     }
 
     #[test]

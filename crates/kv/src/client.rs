@@ -76,7 +76,7 @@ enum CState {
 }
 
 /// One client node's load generator. See the module docs.
-pub struct KvClient {
+pub(crate) struct KvClient {
     ci: u16,
     replicas: u16,
     map: RangeMap,

@@ -84,17 +84,17 @@ impl KvConfig {
     }
 
     /// Total keys in the service (clients × keys each).
-    pub fn total_keys(&self) -> u32 {
+    pub(crate) fn total_keys(&self) -> u32 {
         u32::from(self.clients) * self.keys_per_client
     }
 
     /// The replica node ids, ascending.
-    pub fn replica_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn replica_nodes(&self) -> Vec<NodeId> {
         (1..=self.replicas).map(NodeId::new).collect()
     }
 
     /// The client node ids, ascending.
-    pub fn client_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn client_nodes(&self) -> Vec<NodeId> {
         (self.replicas + 1..self.nodes_required())
             .map(NodeId::new)
             .collect()
@@ -103,7 +103,7 @@ impl KvConfig {
     /// Checks structural bounds: non-empty roles, the single-page layouts
     /// fit (mailbox slot per client, store word per key, 2 directory
     /// words per range), and the encodings' field widths hold.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.replicas == 0 {
             return Err("at least one replica required".into());
         }

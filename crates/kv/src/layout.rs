@@ -29,11 +29,11 @@
 //!   reads before committing.
 
 /// Bits in a request id (per client). ~1M requests per client.
-pub const REQ_BITS: u32 = 20;
+pub(crate) const REQ_BITS: u32 = 20;
 /// Bits in a key. 64Ki keys service-wide.
-pub const KEY_BITS: u32 = 16;
+pub(crate) const KEY_BITS: u32 = 16;
 /// Bits in an attempt counter (saturating; only freshness matters).
-pub const ATTEMPT_BITS: u32 = 6;
+pub(crate) const ATTEMPT_BITS: u32 = 6;
 
 const REQ_MASK: u64 = (1 << REQ_BITS) - 1;
 const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
@@ -41,7 +41,7 @@ const ATTEMPT_MASK: u64 = (1 << ATTEMPT_BITS) - 1;
 
 /// Request kind carried in a request word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum OpKindKv {
+pub(crate) enum OpKindKv {
     /// Write `value_of(client, req)` to the key.
     Put,
     /// Read the key's current stamp.
@@ -50,7 +50,7 @@ pub enum OpKindKv {
 
 /// Ack status carried in an ack word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AckCode {
+pub(crate) enum AckCode {
     /// Committed (put) or served (get; stamp field holds the result).
     Ok,
     /// Shed by admission control: retry after backoff.
@@ -62,38 +62,38 @@ pub enum AckCode {
 
 /// A decoded request word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ReqWord {
+pub(crate) struct ReqWord {
     /// Per-client request id, starting at 1 (0 is "empty slot").
-    pub req: u32,
+    pub(crate) req: u32,
     /// Attempt number of this transmission (0 = first send).
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Put or get.
-    pub op: OpKindKv,
+    pub(crate) op: OpKindKv,
     /// Target key.
-    pub key: u32,
+    pub(crate) key: u32,
 }
 
 /// A decoded ack word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AckWord {
+pub(crate) struct AckWord {
     /// The request this ack answers.
-    pub req: u32,
+    pub(crate) req: u32,
     /// Outcome code.
-    pub code: AckCode,
+    pub(crate) code: AckCode,
     /// The attempt of the request transmission this ack answers, echoed
     /// from the request word. `Ok` is terminal and accepted regardless,
     /// but `Busy`/`NotOwner` only steer the client when they answer the
     /// *latest* transmission — without the echo, a fresh shed of attempt
     /// `k+1` would be bit-identical to the stale shed of attempt `k`.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// For `Ok` gets: the key's merged stamp (0 = never written). For
     /// `Ok` puts: the committed stamp (== `req`). Otherwise 0.
-    pub stamp: u32,
+    pub(crate) stamp: u32,
 }
 
 /// Encodes a request into its slot word. Bit 0 is a presence flag so an
 /// empty (zeroed) slot can never decode as a request.
-pub fn enc_req(r: ReqWord) -> u64 {
+pub(crate) fn enc_req(r: ReqWord) -> u64 {
     let op = match r.op {
         OpKindKv::Put => 0u64,
         OpKindKv::Get => 1u64,
@@ -105,7 +105,7 @@ pub fn enc_req(r: ReqWord) -> u64 {
 }
 
 /// Decodes a request slot word; `None` for an empty slot.
-pub fn dec_req(w: u64) -> Option<ReqWord> {
+pub(crate) fn dec_req(w: u64) -> Option<ReqWord> {
     if w & 1 == 0 {
         return None;
     }
@@ -122,7 +122,7 @@ pub fn dec_req(w: u64) -> Option<ReqWord> {
 }
 
 /// Encodes an ack into its slot word (bit 0 = presence, as for requests).
-pub fn enc_ack(a: AckWord) -> u64 {
+pub(crate) fn enc_ack(a: AckWord) -> u64 {
     let code = match a.code {
         AckCode::Ok => 1u64,
         AckCode::Busy => 2,
@@ -135,7 +135,7 @@ pub fn enc_ack(a: AckWord) -> u64 {
 }
 
 /// Decodes an ack slot word; `None` for an empty slot or a corrupt code.
-pub fn dec_ack(w: u64) -> Option<AckWord> {
+pub(crate) fn dec_ack(w: u64) -> Option<AckWord> {
     if w & 1 == 0 {
         return None;
     }
@@ -151,14 +151,6 @@ pub fn dec_ack(w: u64) -> Option<AckWord> {
         attempt: ((w >> 3) & ATTEMPT_MASK) as u32,
         stamp: ((w >> 29) & REQ_MASK) as u32,
     })
-}
-
-/// The deterministic put payload for `(client, req)`. The audit (and a
-/// get's caller) reconstructs the value a stamp denotes without the wire
-/// ever carrying it; distinct `(client, req)` pairs map to distinct
-/// values, so a wrong apply is always detectable.
-pub fn value_of(client: u16, req: u32) -> u64 {
-    (u64::from(req) << 17) | (u64::from(client) + 1)
 }
 
 #[cfg(test)]
@@ -230,16 +222,5 @@ mod tests {
             stamp: 0,
         });
         assert_ne!(fresh, stale, "retransmission sheds are distinguishable");
-    }
-
-    #[test]
-    fn payloads_are_distinct_per_writer_and_request() {
-        let mut seen = std::collections::HashSet::new();
-        for c in 0..4u16 {
-            for r in 1..64u32 {
-                assert!(seen.insert(value_of(c, r)));
-            }
-        }
-        assert_ne!(value_of(0, 1), 0, "payloads never collide with 'unwritten'");
     }
 }

@@ -31,20 +31,13 @@
 
 #![warn(missing_docs)]
 
-pub mod audit;
-pub mod client;
-pub mod config;
-pub mod layout;
-pub mod server;
-pub mod service;
+pub(crate) mod audit;
+pub(crate) mod client;
+pub(crate) mod config;
+pub(crate) mod layout;
+pub(crate) mod server;
+pub(crate) mod service;
 
 pub use audit::{audit, fingerprint, AuditReport};
-pub use client::KvClient;
 pub use config::KvConfig;
-pub use layout::{
-    dec_ack, dec_req, enc_ack, enc_req, value_of, AckCode, AckWord, OpKindKv, ReqWord,
-};
-pub use server::KvServer;
-pub use service::{
-    deploy, drive, ApplyEvent, ClientLog, KvHandles, KvPages, Outcome, RequestRecord, ServerLog,
-};
+pub use service::{deploy, drive, ClientLog, KvHandles, Outcome, RequestRecord};

@@ -72,7 +72,7 @@ enum SState {
 }
 
 /// One replica's server process. See the module docs for the protocol.
-pub struct KvServer {
+pub(crate) struct KvServer {
     me: u16,
     me_node: NodeId,
     clients: u16,

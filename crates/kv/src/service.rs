@@ -39,63 +39,63 @@ pub enum Outcome {
 #[derive(Clone, Copy, Debug)]
 pub struct RequestRecord {
     /// Client index (0-based; node id is `1 + replicas + client`).
-    pub client: u16,
+    pub(crate) client: u16,
     /// Request id (1-based, per client).
-    pub req: u32,
+    pub(crate) req: u32,
     /// Put or get.
-    pub op: OpKindKv,
+    pub(crate) op: OpKindKv,
     /// Target key.
-    pub key: u32,
+    pub(crate) key: u32,
     /// Open-loop scheduled arrival.
-    pub arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// When the terminal outcome was reached.
-    pub resolved: SimTime,
+    pub(crate) resolved: SimTime,
     /// Transmissions (1 = first try succeeded).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Ownership failovers this request drove.
-    pub failovers: u32,
+    pub(crate) failovers: u32,
     /// Terminal state.
-    pub outcome: Outcome,
+    pub(crate) outcome: Outcome,
     /// For committed gets: the merged stamp served (0 = unwritten key).
-    pub get_stamp: u32,
+    pub(crate) get_stamp: u32,
 }
 
 /// One apply decision at a server, for the audit.
 #[derive(Clone, Copy, Debug)]
-pub struct ApplyEvent {
+pub(crate) struct ApplyEvent {
     /// Replica index of the applying server.
-    pub server: u16,
+    pub(crate) server: u16,
     /// Client index the request came from.
-    pub client: u16,
+    pub(crate) client: u16,
     /// Request id.
-    pub req: u32,
+    pub(crate) req: u32,
     /// Key written.
-    pub key: u32,
+    pub(crate) key: u32,
     /// True if this apply wrote the store; false if the idempotence
     /// guard recognised a duplicate and only re-acked.
-    pub fresh: bool,
+    pub(crate) fresh: bool,
     /// Simulated instant of the decision.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// Per-server counters and the apply log.
 #[derive(Default, Debug)]
-pub struct ServerLog {
+pub(crate) struct ServerLog {
     /// Every apply decision (fresh and dedup), in order.
-    pub applies: Vec<ApplyEvent>,
+    pub(crate) applies: Vec<ApplyEvent>,
     /// Requests shed with `Busy` by admission control.
-    pub busy_acks: u64,
+    pub(crate) busy_acks: u64,
     /// Duplicate puts recognised by the idempotence guard.
-    pub dedup_hits: u64,
+    pub(crate) dedup_hits: u64,
     /// Requests refused because the directory says the range moved.
-    pub not_owner_acks: u64,
+    pub(crate) not_owner_acks: u64,
     /// Requests parked because the directory was unreachable (the
     /// split-brain guard: never commit without an ownership check).
-    pub parked: u64,
+    pub(crate) parked: u64,
     /// Gets served.
-    pub gets_served: u64,
+    pub(crate) gets_served: u64,
     /// Mailbox sweep passes.
-    pub sweeps: u64,
+    pub(crate) sweeps: u64,
 }
 
 /// Per-client counters and the request log.
@@ -109,56 +109,48 @@ pub struct ClientLog {
     pub busy_acks: u64,
     /// Re-routes where the blocking reachability probe failed fast at
     /// issue time instead of waiting out a timeout.
-    pub fail_fast_reroutes: u64,
+    pub(crate) fail_fast_reroutes: u64,
     /// Acks observed for a request other than the live one (stale).
     pub stale_acks: u64,
     /// Directory re-reads after a `NotOwner` ack.
     pub dir_refreshes: u64,
     /// Directory operations that failed structurally.
-    pub dir_failures: u64,
+    pub(crate) dir_failures: u64,
 }
 
 /// The page subset a process carries (pages are `Copy`; each process
 /// keeps its own vector).
 #[derive(Clone)]
 pub(crate) struct KvPagesLite {
-    pub mailboxes: Vec<SharedPage>,
-    pub acks: Vec<SharedPage>,
-    pub stores: Vec<SharedPage>,
-    pub dir: SharedPage,
+    pub(crate) mailboxes: Vec<SharedPage>,
+    pub(crate) acks: Vec<SharedPage>,
+    pub(crate) stores: Vec<SharedPage>,
+    pub(crate) dir: SharedPage,
 }
 
 /// The service's shared pages.
-pub struct KvPages {
-    /// Request mailboxes, one per replica (homed on it).
-    pub mailboxes: Vec<SharedPage>,
-    /// Ack pages, one per client (homed on it).
-    pub acks: Vec<SharedPage>,
+pub(crate) struct KvPages {
     /// Store pages, one per replica (homed on it, eager-mapped to the
     /// rest of the replica set).
-    pub stores: Vec<SharedPage>,
+    pub(crate) stores: Vec<SharedPage>,
     /// Per store page: the consumer replicas' local frames, for audits
     /// that inspect replica copies directly.
-    pub store_copies: Vec<Vec<(NodeId, PageNum)>>,
-    /// The ownership directory on node 0.
-    pub dir: SharedPage,
+    pub(crate) store_copies: Vec<Vec<(NodeId, PageNum)>>,
 }
 
 /// Everything a campaign needs to drive and audit a deployment.
 pub struct KvHandles {
     /// The deployed configuration.
-    pub cfg: KvConfig,
+    pub(crate) cfg: KvConfig,
     /// The shared pages.
-    pub pages: KvPages,
-    /// The ownership map (identical at every participant).
-    pub map: RangeMap,
+    pub(crate) pages: KvPages,
     /// One log per replica server.
-    pub server_logs: Vec<Rc<RefCell<ServerLog>>>,
+    pub(crate) server_logs: Vec<Rc<RefCell<ServerLog>>>,
     /// One log per client.
     pub client_logs: Vec<Rc<RefCell<ClientLog>>>,
     /// Raised by [`drive`] once every client resolved; servers halt at
     /// their next wake.
-    pub stop: Rc<Cell<bool>>,
+    pub(crate) stop: Rc<Cell<bool>>,
 }
 
 /// Allocates the pages, seeds the directory, and installs the server
@@ -168,7 +160,7 @@ pub struct KvHandles {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`KvConfig::validate`] or the cluster has
+/// Panics if `cfg` fails `KvConfig::validate` or the cluster has
 /// fewer than [`KvConfig::nodes_required`] nodes.
 pub fn deploy(cluster: &mut Cluster, cfg: &KvConfig) -> KvHandles {
     if let Err(e) = cfg.validate() {
@@ -251,13 +243,9 @@ pub fn deploy(cluster: &mut Cluster, cfg: &KvConfig) -> KvHandles {
     KvHandles {
         cfg: cfg.clone(),
         pages: KvPages {
-            mailboxes,
-            acks,
             stores,
             store_copies,
-            dir,
         },
-        map,
         server_logs,
         client_logs,
         stop,

@@ -82,13 +82,8 @@ pub enum Decoded {
 
 impl PAddr {
     /// Raw bits.
-    pub const fn bits(self) -> u64 {
+    pub(crate) const fn bits(self) -> u64 {
         self.0
-    }
-
-    /// Reconstructs from raw bits (e.g. out of a page-table entry).
-    pub const fn from_bits(bits: u64) -> Self {
-        PAddr(bits)
     }
 
     /// A private main-memory address.
@@ -149,13 +144,8 @@ impl PAddr {
     }
 
     /// Adds a byte displacement (stays within the region's offset field).
-    pub const fn add(self, bytes: u64) -> Self {
+    pub(crate) const fn add(self, bytes: u64) -> Self {
         PAddr((self.0 & !OFF_MASK) | ((self.0 & OFF_MASK).wrapping_add(bytes) & OFF_MASK))
-    }
-
-    /// True if the offset field is word-aligned.
-    pub const fn is_word_aligned(self) -> bool {
-        (self.0 & OFF_MASK).is_multiple_of(8)
     }
 }
 
@@ -236,14 +226,23 @@ mod tests {
     }
 
     #[test]
-    fn alignment_check() {
-        assert!(PAddr::private(16).is_word_aligned());
-        assert!(!PAddr::private(12).is_word_aligned());
-    }
-
-    #[test]
     fn display_is_informative() {
         let pa = PAddr::remote(NodeId::new(2), GOffset::new(0x10)).shadow();
         assert_eq!(pa.to_string(), "~n2+0x10");
+    }
+
+    #[test]
+    fn shadow_is_exactly_the_top_bit() {
+        let mut rng = tg_sim::SimRng::new(4);
+        for _ in 0..512 {
+            let node = rng.range(64) as u16;
+            let off = rng.range(0x1_0000_0000);
+            let pa = PAddr::remote(NodeId::new(node), GOffset::new(off));
+            let sh = pa.shadow();
+            assert_eq!(pa.bits() ^ sh.bits(), 1u64 << 63);
+            assert_eq!(sh.unshadow(), pa);
+            assert_eq!(sh.decode(), pa.decode());
+            assert_eq!(sh.shadow(), sh, "shadow is idempotent");
+        }
     }
 }

@@ -18,8 +18,6 @@ const V_SHADOW_BIT: u64 = 1 << 63;
 /// use tg_mem::VAddr;
 /// let va = VAddr::new(0x4000_0010);
 /// assert_eq!(va.vpage(), 0x4000_0000 / 8192);
-/// assert_eq!(va.in_page(), 0x10);
-/// assert!(va.shadow().is_shadow());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct VAddr(u64);
@@ -41,28 +39,17 @@ impl VAddr {
     }
 
     /// Byte offset within the page.
-    pub const fn in_page(self) -> u64 {
+    pub(crate) const fn in_page(self) -> u64 {
         self.0 & (PAGE_BYTES - 1)
     }
 
-    /// The shadow twin (top bit set) used to pass physical addresses to the
-    /// HIB from user level.
-    pub const fn shadow(self) -> Self {
-        VAddr(self.0 | V_SHADOW_BIT)
-    }
-
     /// True if the shadow bit is set.
-    pub const fn is_shadow(self) -> bool {
+    pub(crate) const fn is_shadow(self) -> bool {
         self.0 & V_SHADOW_BIT != 0
     }
 
-    /// This address advanced by `bytes`.
-    pub const fn add(self, bytes: u64) -> Self {
-        VAddr(self.0 + bytes)
-    }
-
     /// True if word-aligned.
-    pub const fn is_word_aligned(self) -> bool {
+    pub(crate) const fn is_word_aligned(self) -> bool {
         (self.0 & !V_SHADOW_BIT).is_multiple_of(WORD_BYTES)
     }
 }
@@ -77,9 +64,9 @@ impl fmt::Display for VAddr {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageFlags {
     /// Loads allowed.
-    pub read: bool,
+    pub(crate) read: bool,
     /// Stores allowed.
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 impl PageFlags {
@@ -95,7 +82,7 @@ impl PageFlags {
     };
 
     /// Does this permission set allow `kind`?
-    pub fn allows(self, kind: AccessKind) -> bool {
+    pub(crate) fn allows(self, kind: AccessKind) -> bool {
         match kind {
             AccessKind::Read => self.read,
             AccessKind::Write => self.write,
@@ -125,9 +112,9 @@ impl fmt::Display for AccessKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Pte {
     /// Page-aligned physical base address.
-    pub base: PAddr,
+    pub(crate) base: PAddr,
     /// Permissions.
-    pub flags: PageFlags,
+    pub(crate) flags: PageFlags,
 }
 
 /// Translation faults (delivered to the simulated OS).
@@ -162,7 +149,7 @@ pub struct PageTable {
 
 impl PageTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageTable {
             entries: HashMap::new(),
         }
@@ -190,18 +177,8 @@ impl PageTable {
     }
 
     /// Looks up a virtual page.
-    pub fn lookup(&self, vpage: u64) -> Option<Pte> {
+    pub(crate) fn lookup(&self, vpage: u64) -> Option<Pte> {
         self.entries.get(&vpage).copied()
-    }
-
-    /// Number of mappings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no pages are mapped.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -224,11 +201,6 @@ impl Mmu {
         Mmu {
             table: PageTable::new(),
         }
-    }
-
-    /// The backing page table.
-    pub fn table(&self) -> &PageTable {
-        &self.table
     }
 
     /// Mutable access to the page table (OS mapping operations).
@@ -336,7 +308,7 @@ mod tests {
     fn shadow_translation_sets_shadow_pa() {
         let base = PAddr::remote(NodeId::new(1), GOffset::new(0));
         let mmu = mmu_with(6, base, PageFlags::RW);
-        let va = VAddr::new(6 * PAGE_BYTES + 16).shadow();
+        let va = VAddr::new((6 * PAGE_BYTES + 16) | V_SHADOW_BIT);
         let pa = mmu.translate(va, AccessKind::Write).unwrap();
         assert!(pa.is_shadow());
         assert_eq!(
@@ -353,7 +325,7 @@ mod tests {
         // A malicious user cannot leak physical addresses of read-only
         // pages to the HIB.
         let mmu = mmu_with(6, PAddr::private(0), PageFlags::RO);
-        let va = VAddr::new(6 * PAGE_BYTES).shadow();
+        let va = VAddr::new((6 * PAGE_BYTES) | V_SHADOW_BIT);
         assert_eq!(
             mmu.translate(va, AccessKind::Write),
             Err(Fault::Protection(va, AccessKind::Write))
@@ -380,7 +352,6 @@ mod tests {
                 off: GOffset::new(0)
             }
         );
-        assert_eq!(mmu.table().len(), 1);
     }
 
     #[test]

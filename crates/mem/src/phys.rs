@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use tg_wire::{GOffset, PAGE_WORDS, WORD_BYTES};
+use tg_wire::{GOffset, WORD_BYTES};
 
 /// A sparse 64-bit-word memory, used both for each node's private DRAM and
 /// for its exported shared segment. Unwritten words read as zero, like
@@ -76,39 +76,17 @@ impl PhysMem {
             self.write(off.add(i as u64 * WORD_BYTES), v);
         }
     }
-
-    /// Snapshot of one whole page (1024 words), for page transfers and for
-    /// the coherence tests' convergence checks.
-    pub fn read_page(&self, page: tg_wire::PageNum) -> Vec<u64> {
-        self.read_block(page.base(), PAGE_WORDS)
-    }
-
-    /// Overwrites one whole page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` is not exactly a page of words.
-    pub fn write_page(&mut self, page: tg_wire::PageNum, vals: &[u64]) {
-        assert_eq!(vals.len() as u64, PAGE_WORDS, "page image has 1024 words");
-        self.write_block(page.base(), vals);
-    }
-
-    /// Number of non-zero words stored (footprint diagnostics).
-    pub fn resident_words(&self) -> usize {
-        self.words.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_wire::PageNum;
 
     #[test]
     fn unwritten_reads_zero() {
         let m = PhysMem::new();
         assert_eq!(m.read(GOffset::new(8)), 0);
-        assert_eq!(m.resident_words(), 0);
+        assert_eq!(m.words.len(), 0);
     }
 
     #[test]
@@ -118,7 +96,7 @@ mod tests {
         m.write(GOffset::new(8), 1);
         assert_eq!(m.read(GOffset::new(0)), u64::MAX);
         assert_eq!(m.read(GOffset::new(8)), 1);
-        assert_eq!(m.resident_words(), 2);
+        assert_eq!(m.words.len(), 2);
     }
 
     #[test]
@@ -126,7 +104,7 @@ mod tests {
         let mut m = PhysMem::new();
         m.write(GOffset::new(0), 5);
         m.write(GOffset::new(0), 0);
-        assert_eq!(m.resident_words(), 0);
+        assert_eq!(m.words.len(), 0);
         assert_eq!(m.read(GOffset::new(0)), 0);
     }
 
@@ -138,29 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn pages_round_trip() {
-        let mut m = PhysMem::new();
-        let mut img = vec![0u64; PAGE_WORDS as usize];
-        img[0] = 7;
-        img[1023] = 9;
-        m.write_page(PageNum::new(2), &img);
-        assert_eq!(m.read_page(PageNum::new(2)), img);
-        // Neighboring pages untouched.
-        assert_eq!(m.read(PageNum::new(1).base()), 0);
-        assert_eq!(m.read(PageNum::new(3).base()), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "unaligned")]
     fn unaligned_read_is_a_bug() {
         let m = PhysMem::new();
         let _ = m.read(GOffset::new(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "1024 words")]
-    fn short_page_image_rejected() {
-        let mut m = PhysMem::new();
-        m.write_page(PageNum::new(0), &[1, 2, 3]);
     }
 }

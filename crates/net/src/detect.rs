@@ -139,7 +139,7 @@ impl HeartbeatDetector {
     ///
     /// Panics if `phi_factor == 0` (the adaptive threshold would be
     /// instant suspicion) or `timeout` is zero.
-    pub fn new(timeout: SimTime, phi_factor: u32) -> Self {
+    pub(crate) fn new(timeout: SimTime, phi_factor: u32) -> Self {
         assert!(phi_factor > 0, "phi factor must be positive");
         assert!(timeout > SimTime::ZERO, "timeout floor must be positive");
         HeartbeatDetector {
@@ -186,7 +186,7 @@ impl HeartbeatDetector {
     /// switch port counts every origin a digest advanced this way, so it
     /// learns the same mean gap as from one frame per origin. Returns
     /// `Some(Liveness::Up)` when this revives a peer declared down.
-    pub fn saw_many(&mut self, key: u64, now: SimTime, n: u32) -> Option<Liveness> {
+    pub(crate) fn saw_many(&mut self, key: u64, now: SimTime, n: u32) -> Option<Liveness> {
         let n = n.max(1);
         let w = self.slot(key).get_or_insert(Watch::new(now));
         let gap = now.saturating_sub(w.last_seen).as_ps() / u64::from(n);
@@ -268,7 +268,7 @@ impl HeartbeatDetector {
     }
 
     /// (down verdicts, up transitions) issued over the detector's life.
-    pub fn transition_counts(&self) -> (u64, u64) {
+    pub(crate) fn transition_counts(&self) -> (u64, u64) {
         (self.downs, self.ups)
     }
 }
@@ -288,7 +288,7 @@ pub struct BeaconTable {
 
 impl BeaconTable {
     /// A table for `origins` nodes, none heard yet.
-    pub fn new(origins: usize) -> Self {
+    pub(crate) fn new(origins: usize) -> Self {
         BeaconTable {
             newest: vec![0; origins],
             snapshot: Rc::from(vec![0; origins]),

@@ -91,7 +91,7 @@ pub enum CtrlOutcome {
 }
 
 /// One end of a link: the transmit port ([`TxPort`]), the receive half
-/// of the reliability protocol ([`LinkRx`]) when the port is enrolled,
+/// of the reliability protocol (`LinkRx`) when the port is enrolled,
 /// and the reactions of both. Control frames and credits pass the fault
 /// injector on the transmit port's link.
 ///
@@ -167,12 +167,6 @@ impl LinkEnd {
         self.injector = Some(injector);
     }
 
-    /// The installed fault injector.
-    #[inline]
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
     /// The transmit port.
     #[inline]
     pub fn tx(&self) -> &TxPort {
@@ -183,12 +177,6 @@ impl LinkEnd {
     #[inline]
     pub fn tx_mut(&mut self) -> &mut TxPort {
         &mut self.tx
-    }
-
-    /// The receive half of the reliability protocol, when enrolled.
-    #[inline]
-    pub fn rx(&self) -> Option<&LinkRx> {
-        self.rx.as_deref()
     }
 
     /// The port's read-out: the transmit side of the link it drives and
@@ -455,10 +443,10 @@ pub struct PortSnapshot {
     /// Whether `link` has been declared dead (retry budget exhausted).
     pub dead: bool,
     /// Consecutive unanswered (re)transmissions of the oldest frame.
-    pub consecutive_attempts: u32,
+    pub(crate) consecutive_attempts: u32,
     /// Whether the ack-starvation watchdog considers `link` starved
     /// (half the retry budget burned with no ack progress).
-    pub ack_starved: bool,
+    pub(crate) ack_starved: bool,
     /// Whether a credit-stall window is open on `link` right now.
     pub credit_stalled: bool,
     /// Current depth of the input FIFO fed by the reverse hop, in
@@ -539,18 +527,18 @@ pub struct StalledLink {
     /// The stalled directed link.
     pub link: LinkId,
     /// Whether the link has been declared dead (retry budget exhausted).
-    pub dead: bool,
+    pub(crate) dead: bool,
     /// Frames stranded in the retransmit buffer.
-    pub stranded: usize,
+    pub(crate) stranded: usize,
     /// Credits in hand at the transmit port.
-    pub credits: u32,
+    pub(crate) credits: u32,
     /// Retransmissions attempted on this link.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Consecutive unanswered (re)transmissions of the oldest frame.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Whether the ack-starvation watchdog considers the link starved
     /// (half the retry budget burned with no ack progress).
-    pub starved: bool,
+    pub(crate) starved: bool,
 }
 
 impl fmt::Display for StalledLink {
@@ -807,7 +795,7 @@ mod tests {
         e.drain(&ctx);
         let reset = ctrl(CtrlMsg::Reset { next: 10 });
         assert_eq!(e.on_ctrl(reset, DELAY, &mut ctx), CtrlOutcome::Done);
-        let rx = e.rx().expect("reliable end");
+        let rx = e.rx.as_deref().expect("reliable end");
         assert_eq!((rx.reorder_depth(), rx.drained()), (0, 0));
         ctx.sent.clear();
         // Pre-epoch frames are duplicates; the new epoch flows in order.
@@ -895,7 +883,7 @@ mod tests {
         let stats = injector.stats();
         assert_eq!((stats.ctrl_drops, stats.credits_lost), (1, 1));
         assert_eq!(
-            e.rx().map(LinkRx::drained),
+            e.rx.as_deref().map(LinkRx::drained),
             Some(1),
             "a lost credit still drains"
         );

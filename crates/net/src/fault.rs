@@ -1,8 +1,8 @@
 //! Seeded, deterministic fault injection for the fabric.
 //!
 //! A [`FaultPlan`] describes *what can go wrong* — per-hop frame drop and
-//! corruption probabilities, link outage windows, credit-loss probability,
-//! and a one-shot HIB rx-FIFO wedge — and a [`FaultInjector`] executes the
+//! corruption probabilities, link outage windows, credit-loss probability
+//! and crash-stop windows — and a [`FaultInjector`] executes the
 //! plan with a [`SimRng`] stream, so a fixed seed replays the exact same
 //! fault sequence bit-for-bit. Every link hop consults the injector at
 //! launch time; the link-level reliability protocol (checksums, per-link
@@ -54,13 +54,13 @@ impl fmt::Display for LinkId {
 /// A scheduled window during which a directed link delivers nothing:
 /// data frames and credits launched in `[from, until)` are lost.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Outage {
+pub(crate) struct Outage {
     /// The affected directed link.
-    pub link: LinkId,
+    pub(crate) link: LinkId,
     /// Window start (inclusive).
-    pub from: SimTime,
+    pub(crate) from: SimTime,
     /// Window end (exclusive); `SimTime::MAX` makes the outage permanent.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
 }
 
 /// A crash-stop window for a whole fault domain (a workstation or a
@@ -84,22 +84,9 @@ pub struct CrashWindow {
 
 impl CrashWindow {
     /// True when the window covers `now`.
-    pub fn covers(&self, now: SimTime) -> bool {
+    pub(crate) fn covers(&self, now: SimTime) -> bool {
         self.from <= now && now < self.until
     }
-}
-
-/// A window during which one HIB's receive pipeline wedges: arrived frames
-/// sit in the rx FIFO undrained (and no credits flow back) until the wedge
-/// releases.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Wedge {
-    /// The wedged workstation.
-    pub node: NodeId,
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
 }
 
 /// What can go wrong, and with what probability. Build with the chained
@@ -107,26 +94,24 @@ pub struct Wedge {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Seed of the injector's RNG stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-hop probability that a data frame is dropped in flight.
-    pub drop_p: f64,
+    pub(crate) drop_p: f64,
     /// Per-hop probability that a data frame arrives corrupted.
-    pub corrupt_p: f64,
+    pub(crate) corrupt_p: f64,
     /// Per-return probability that a flow-control credit is lost.
-    pub credit_loss_p: f64,
+    pub(crate) credit_loss_p: f64,
     /// Per-hop probability that a link-layer control frame (ack, nack,
     /// resync handshake) is dropped in flight.
-    pub ctrl_drop_p: f64,
+    pub(crate) ctrl_drop_p: f64,
     /// Per-hop probability that a link-layer control frame arrives
     /// corrupted (checksum broken; the receiver discards it).
-    pub ctrl_corrupt_p: f64,
+    pub(crate) ctrl_corrupt_p: f64,
     /// Scheduled link outage windows.
-    pub outages: Vec<Outage>,
+    pub(crate) outages: Vec<Outage>,
     /// Scheduled crash-stop windows for whole fault domains (nodes and
     /// switches).
-    pub crashes: Vec<CrashWindow>,
-    /// Optional one-shot HIB rx-FIFO wedge.
-    pub wedge: Option<Wedge>,
+    pub(crate) crashes: Vec<CrashWindow>,
 }
 
 impl FaultPlan {
@@ -141,7 +126,6 @@ impl FaultPlan {
             ctrl_corrupt_p: 0.0,
             outages: Vec::new(),
             crashes: Vec::new(),
-            wedge: None,
         }
     }
 
@@ -207,18 +191,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a permanent outage starting at `from` on the directed link.
-    pub fn permanent_outage(self, link: LinkId, from: SimTime) -> Self {
-        self.outage(link, from, SimTime::MAX)
-    }
-
-    /// Schedules the one-shot HIB rx-FIFO wedge on `node` over
-    /// `[from, until)`.
-    pub fn wedge(mut self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        self.wedge = Some(Wedge { node, from, until });
-        self
-    }
-
     /// Crashes workstation `node` at `at`. The crash is permanent unless
     /// a later [`FaultPlan::node_restart`] closes the window.
     pub fn node_crash(mut self, node: NodeId, at: SimTime) -> Self {
@@ -261,18 +233,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_zero(&self) -> bool {
-        self.drop_p == 0.0
-            && self.corrupt_p == 0.0
-            && self.credit_loss_p == 0.0
-            && self.ctrl_drop_p == 0.0
-            && self.ctrl_corrupt_p == 0.0
-            && self.outages.is_empty()
-            && self.crashes.is_empty()
-            && self.wedge.is_none()
-    }
-
     /// All crash-stop windows, in plan order (for trace reconciliation
     /// and declared-dead filtering in diagnostics).
     pub fn crash_windows(&self) -> &[CrashWindow] {
@@ -281,7 +241,7 @@ impl FaultPlan {
 
     /// True when `site` is inside one of the plan's crash windows at
     /// `now`.
-    pub fn site_down(&self, site: Site, now: SimTime) -> bool {
+    pub(crate) fn site_down(&self, site: Site, now: SimTime) -> bool {
         self.crashes.iter().any(|w| w.site == site && w.covers(now))
     }
 }
@@ -316,12 +276,12 @@ pub struct FaultStats {
     pub ctrl_corrupts: u64,
     /// Data frames swallowed by a crashed fault domain (either link
     /// endpoint inside an active crash window).
-    pub crash_frame_drops: u64,
+    pub(crate) crash_frame_drops: u64,
     /// Control frames (acks, heartbeats, resyncs…) swallowed by a
     /// crashed fault domain.
-    pub crash_ctrl_drops: u64,
+    pub(crate) crash_ctrl_drops: u64,
     /// Flow-control credits swallowed by a crashed fault domain.
-    pub crash_credit_drops: u64,
+    pub(crate) crash_credit_drops: u64,
 }
 
 impl FaultStats {
@@ -366,17 +326,10 @@ impl FaultInjector {
         self.state.borrow().plan.site_down(site, now)
     }
 
-    /// True when either endpoint of the directed link is crashed at
-    /// `now` — nothing crosses such a link, in either direction.
-    pub fn link_crashed(&self, link: LinkId, now: SimTime) -> bool {
-        let st = self.state.borrow();
-        st.plan.site_down(link.from, now) || st.plan.site_down(link.to, now)
-    }
-
     /// Decides the fate of a data frame launched on `link` at `now`,
     /// corrupting `packet` in place when the fate is
     /// [`FrameFate::Corrupt`]. One injector-RNG consultation per hop.
-    pub fn frame_fate(&self, link: LinkId, now: SimTime, packet: &mut Packet) -> FrameFate {
+    pub(crate) fn frame_fate(&self, link: LinkId, now: SimTime, packet: &mut Packet) -> FrameFate {
         let mut st = self.state.borrow_mut();
         // Crash-stop silence is checked first and consumes no RNG, so a
         // plan that only adds crash windows replays the same probability
@@ -414,7 +367,7 @@ impl FaultInjector {
     /// checksum in place when the fate is [`FrameFate::Corrupt`]. Zero
     /// control probabilities consume no RNG, so plans written before the
     /// control plane became corruptible replay identical fault streams.
-    pub fn ctrl_fate(&self, link: LinkId, now: SimTime, frame: &mut CtrlFrame) -> FrameFate {
+    pub(crate) fn ctrl_fate(&self, link: LinkId, now: SimTime, frame: &mut CtrlFrame) -> FrameFate {
         let mut st = self.state.borrow_mut();
         if st.plan.site_down(link.from, now) || st.plan.site_down(link.to, now) {
             st.stats.crash_ctrl_drops += 1;
@@ -445,7 +398,7 @@ impl FaultInjector {
 
     /// Decides whether a flow-control credit returned on `link` at `now`
     /// is lost.
-    pub fn credit_lost(&self, link: LinkId, now: SimTime) -> bool {
+    pub(crate) fn credit_lost(&self, link: LinkId, now: SimTime) -> bool {
         let mut st = self.state.borrow_mut();
         if st.plan.site_down(link.from, now) || st.plan.site_down(link.to, now) {
             st.stats.crash_credit_drops += 1;
@@ -466,16 +419,6 @@ impl FaultInjector {
             return true;
         }
         false
-    }
-
-    /// If `node`'s rx pipeline is wedged at `now`, returns when the wedge
-    /// releases.
-    pub fn wedged_until(&self, node: NodeId, now: SimTime) -> Option<SimTime> {
-        let st = self.state.borrow();
-        st.plan
-            .wedge
-            .filter(|w| w.node == node && w.from <= now && now < w.until)
-            .map(|w| w.until)
     }
 
     /// Running fault totals.
@@ -522,7 +465,6 @@ mod tests {
             assert!(!inj.credit_lost(link(), SimTime::from_ns(5)));
         }
         assert_eq!(inj.stats(), FaultStats::default());
-        assert!(inj.plan().is_zero());
     }
 
     #[test]
@@ -669,7 +611,6 @@ mod tests {
         // Inside the window: both directions dead, ctrl and credits too.
         for t in [SimTime::from_us(10), SimTime::from_us(19)] {
             assert!(inj.site_down(Site::Node(n0), t));
-            assert!(inj.link_crashed(up, t) && inj.link_crashed(down, t));
             assert_eq!(inj.frame_fate(up, t, &mut p), FrameFate::Drop);
             assert_eq!(inj.frame_fate(down, t, &mut p), FrameFate::Drop);
             let newest = std::rc::Rc::from([1].as_slice());
@@ -689,7 +630,6 @@ mod tests {
         assert_eq!(s.crash_frame_drops, 4);
         assert_eq!(s.crash_ctrl_drops, 2);
         assert_eq!(s.crash_credit_drops, 2);
-        assert!(!inj.plan().is_zero());
     }
 
     #[test]
@@ -742,22 +682,5 @@ mod tests {
     #[should_panic(expected = "node_restart without a matching node_crash")]
     fn restart_requires_a_crash() {
         let _ = FaultPlan::new(1).node_restart(NodeId::new(0), SimTime::from_us(1));
-    }
-
-    #[test]
-    fn wedge_reports_release_time() {
-        let n = NodeId::new(3);
-        let inj = FaultInjector::new(FaultPlan::new(1).wedge(
-            n,
-            SimTime::from_us(1),
-            SimTime::from_us(2),
-        ));
-        assert_eq!(inj.wedged_until(n, SimTime::from_ns(900)), None);
-        assert_eq!(
-            inj.wedged_until(n, SimTime::from_us(1)),
-            Some(SimTime::from_us(2))
-        );
-        assert_eq!(inj.wedged_until(NodeId::new(4), SimTime::from_us(1)), None);
-        assert_eq!(inj.wedged_until(n, SimTime::from_us(2)), None);
     }
 }

@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use tg_net::{build_network, testing::SourceSink, Topology};
+//! use tg_net::{build_network_with, testing::SourceSink, NetConfig, Topology};
 //! use tg_sim::Engine;
 //! use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 //!
@@ -32,7 +32,7 @@
 //! let mut engine = Engine::new();
 //! let a = engine.add(SourceSink::new(NodeId::new(0), timing.clone()));
 //! let b = engine.add(SourceSink::new(NodeId::new(1), timing.clone()));
-//! let handles = build_network(&mut engine, &topo, &timing, &[a, b])?;
+//! let handles = build_network_with(&mut engine, &topo, &timing, &[a, b], &NetConfig::default())?;
 //! for (id, w) in [a, b].into_iter().zip(handles.endpoints) {
 //!     engine
 //!         .get_mut::<SourceSink>(id)
@@ -53,10 +53,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod detect;
+pub(crate) mod detect;
 mod end;
 mod event;
-pub mod fault;
+pub(crate) mod fault;
 mod link;
 mod port;
 mod route;
@@ -67,14 +67,12 @@ mod topology;
 pub use detect::{BeaconTable, Beacons, DetectParams, HeartbeatDetector, Liveness};
 pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd, PortSnapshot, StalledLink};
 pub use event::{NetEvent, NetMessage};
-pub use fault::{
-    CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId, Outage, Wedge,
-};
-pub use link::{LinkError, LinkRx, RelParams, RetxMode, RxVerdict};
+pub use fault::{CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId};
+pub use link::{LinkError, RelParams, RetxMode};
 pub use port::{RxFifo, TimerAction, TxPort, TxTimes};
 pub use route::{FabricView, RouteError, Routes};
 pub use switch::{Switch, SwitchStats};
-pub use topology::{Topology, TopologyError, Vertex};
+pub use topology::{Topology, Vertex};
 
 use tg_sim::{CompId, Engine};
 use tg_wire::trace::Site;
@@ -99,7 +97,7 @@ pub struct EndpointWiring {
     pub rx_upstream: (CompId, u32),
 }
 
-/// Everything [`build_network`] created: per-endpoint wiring plus the
+/// Everything [`build_network_with`] created: per-endpoint wiring plus the
 /// engine ids of the instantiated switches (for stats inspection).
 #[derive(Debug)]
 pub struct NetworkHandles {
@@ -133,30 +131,13 @@ fn site_of(v: Vertex) -> Site {
 }
 
 /// Instantiates switches for `topology` inside `engine` and wires them to
-/// the given endpoint components (one per topology endpoint, in order).
+/// the given endpoint components (one per topology endpoint, in order),
+/// with the fabric options in `config`: reliability protocol parameters
+/// and a fault injector. Every transmit port is labeled with its directed
+/// [`LinkId`] so the injector and diagnostics can name links.
 ///
 /// Returns per-endpoint wiring and the switch component ids. Endpoint
 /// components must interpret [`NetEvent`]s embedded in `M`.
-///
-/// # Errors
-///
-/// Returns [`RouteError`] if the topology is disconnected.
-///
-/// # Panics
-///
-/// Panics if `endpoints.len()` differs from the topology's endpoint count.
-pub fn build_network<M: NetMessage>(
-    engine: &mut Engine<M>,
-    topology: &Topology,
-    timing: &TimingConfig,
-    endpoints: &[CompId],
-) -> Result<NetworkHandles, RouteError> {
-    build_network_with(engine, topology, timing, endpoints, &NetConfig::default())
-}
-
-/// [`build_network`] with explicit fabric options: reliability protocol
-/// parameters and a fault injector. Every transmit port is labeled with its
-/// directed [`LinkId`] so the injector and diagnostics can name links.
 ///
 /// # Errors
 ///

@@ -162,18 +162,11 @@ impl RelParams {
             ..RelParams::default()
         }
     }
-
-    /// Overrides the SACK reorder-window size (frames; clamped to the
-    /// 64-bit receipt bitmap by the receiver).
-    pub fn with_sack_window(mut self, frames: u32) -> Self {
-        self.sack_window = frames;
-        self
-    }
 }
 
 /// What the receiving link layer decided about one arrived frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RxVerdict {
+pub(crate) enum RxVerdict {
     /// In-order, intact: deliver to the input FIFO and send the
     /// cumulative ACK for `ack`. In SACK mode the arrival may have
     /// released buffered successors — drain [`LinkRx::take_ready`] into
@@ -224,7 +217,7 @@ pub enum RxVerdict {
 /// verification, checksum checking, NACK suppression, the SACK reorder
 /// window, and the drain counter the credit-resync handshake reports.
 #[derive(Clone, Debug)]
-pub struct LinkRx {
+pub(crate) struct LinkRx {
     /// The retransmit discipline this receiver runs.
     mode: RetxMode,
     /// Reorder-window size in frames (SACK mode; ≤ 64 so the receipt
@@ -251,19 +244,17 @@ pub struct LinkRx {
     dups: u64,
     /// Frames discarded for a sequence gap.
     gaps: u64,
-    /// Frames flushed by link-epoch resets (the sender abandoned them).
-    reset_flushed: u64,
 }
 
 impl LinkRx {
     /// Fresh go-back-N state: expecting sequence 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LinkRx::with_mode(RetxMode::GoBackN, 0)
     }
 
     /// Fresh state under an explicit retransmit discipline. The SACK
     /// reorder window is clamped to the 64-frame bitmap.
-    pub fn with_mode(mode: RetxMode, sack_window: u32) -> Self {
+    pub(crate) fn with_mode(mode: RetxMode, sack_window: u32) -> Self {
         LinkRx {
             mode,
             window: u64::from(sack_window.clamp(1, 64)),
@@ -275,17 +266,16 @@ impl LinkRx {
             corrupt: 0,
             dups: 0,
             gaps: 0,
-            reset_flushed: 0,
         }
     }
 
     /// Fresh state matching a parameter set.
-    pub fn for_params(params: &RelParams) -> Self {
+    pub(crate) fn for_params(params: &RelParams) -> Self {
         LinkRx::with_mode(params.mode, params.sack_window)
     }
 
     /// Judges one arrived frame.
-    pub fn accept(&mut self, packet: &Packet) -> RxVerdict {
+    pub(crate) fn accept(&mut self, packet: &Packet) -> RxVerdict {
         if !packet.checksum_ok() {
             self.corrupt += 1;
             // A corrupt frame's sequence number is untrustworthy; always
@@ -347,7 +337,7 @@ impl LinkRx {
 
     /// Drains the frames released from the reorder window by the last
     /// in-order arrival, in sequence order.
-    pub fn take_ready(&mut self) -> Vec<Packet> {
+    pub(crate) fn take_ready(&mut self) -> Vec<Packet> {
         std::mem::take(&mut self.ready)
     }
 
@@ -355,7 +345,7 @@ impl LinkRx {
     /// set means frame `ack + 1 + i` is parked in the reorder window
     /// (bit 0 is always clear — `ack + 1` is the missing frame). Zero
     /// in go-back-N mode.
-    pub fn sack_bits(&self) -> u64 {
+    pub(crate) fn sack_bits(&self) -> u64 {
         let mut bits = 0u64;
         for &seq in self.buffer.keys() {
             bits |= 1 << (seq - self.expected);
@@ -365,28 +355,28 @@ impl LinkRx {
 
     /// Frames currently parked in the reorder window (must be zero at
     /// quiescence — a non-empty window means a gap never filled).
-    pub fn reorder_depth(&self) -> usize {
+    pub(crate) fn reorder_depth(&self) -> usize {
         self.buffer.len()
     }
 
     /// Records one frame drained from the input FIFO (its credit is being
     /// returned upstream).
-    pub fn on_drain(&mut self) {
+    pub(crate) fn on_drain(&mut self) {
         self.drained += 1;
     }
 
     /// Total frames drained on this link.
-    pub fn drained(&self) -> u64 {
+    pub(crate) fn drained(&self) -> u64 {
         self.drained
     }
 
     /// Frames discarded as corrupt so far.
-    pub fn corrupt_discards(&self) -> u64 {
+    pub(crate) fn corrupt_discards(&self) -> u64 {
         self.corrupt
     }
 
     /// Frames discarded as duplicates or gaps so far.
-    pub fn seq_discards(&self) -> u64 {
+    pub(crate) fn seq_discards(&self) -> u64 {
         self.dups + self.gaps
     }
 
@@ -395,7 +385,7 @@ impl LinkRx {
     /// retransmission rather than parked. A non-zero count under a small
     /// SACK window shows the overflow path ran — the frame was asked for
     /// again, never silently dropped.
-    pub fn gap_discards(&self) -> u64 {
+    pub(crate) fn gap_discards(&self) -> u64 {
         self.gaps
     }
 
@@ -408,21 +398,14 @@ impl LinkRx {
     /// `next`. Returns the number of frames flushed.
     ///
     /// [`CtrlMsg::Reset`]: tg_wire::CtrlMsg::Reset
-    pub fn on_reset(&mut self, next: u64) -> usize {
+    pub(crate) fn on_reset(&mut self, next: u64) -> usize {
         let flushed = self.buffer.len() + self.ready.len();
         self.buffer.clear();
         self.ready.clear();
         self.expected = next;
         self.nacked_for = None;
         self.drained = 0;
-        self.reset_flushed += flushed as u64;
         flushed
-    }
-
-    /// Frames flushed by link-epoch resets so far (conservation-audit
-    /// input: these frames were abandoned by the sender, not leaked).
-    pub fn reset_flushes(&self) -> u64 {
-        self.reset_flushed
     }
 }
 
@@ -613,7 +596,6 @@ mod tests {
         assert_eq!(rx.on_reset(10), 2);
         assert_eq!(rx.reorder_depth(), 0);
         assert_eq!(rx.drained(), 0, "drain counter restarts with the epoch");
-        assert_eq!(rx.reset_flushes(), 2);
         // Pre-epoch retransmits are dups; the new epoch flows in order.
         assert_eq!(rx.accept(&frame(2)), RxVerdict::DupAck { ack: 9 });
         assert_eq!(rx.accept(&frame(10)), RxVerdict::Accept { ack: 10 });

@@ -6,7 +6,6 @@ use std::fmt;
 use std::rc::Rc;
 
 use tg_sim::SimTime;
-use tg_wire::NodeId;
 
 use crate::topology::{Topology, Vertex};
 
@@ -40,8 +39,6 @@ impl std::error::Error for RouteError {}
 pub struct Routes {
     /// `tables[s][dst_node] = output port on switch s`.
     tables: Vec<Vec<u32>>,
-    /// Parent pointers of the spanning tree, for diagnostics/tests.
-    parent: HashMap<Vertex, Vertex>,
     /// Vertices the spanning tree could not reach (only non-empty for
     /// [`Routes::compute_avoiding`]: the named partition cut off by the
     /// avoided fault domain), in ascending vertex order.
@@ -55,7 +52,7 @@ impl Routes {
     ///
     /// Returns [`RouteError::Disconnected`] if any vertex is unreachable
     /// from the root.
-    pub fn compute(topology: &Topology) -> Result<Routes, RouteError> {
+    pub(crate) fn compute(topology: &Topology) -> Result<Routes, RouteError> {
         let root = if topology.switch_count() > 0 {
             Vertex::Switch(0)
         } else {
@@ -126,7 +123,6 @@ impl Routes {
         }
         Ok(Routes {
             tables,
-            parent,
             unreachable: Vec::new(),
         })
     }
@@ -143,7 +139,7 @@ impl Routes {
     /// The tree is rooted at the first live switch (first live node in a
     /// switchless wiring), so every survivor computes the identical tree
     /// from the identical dead set — route-around stays deterministic.
-    pub fn compute_avoiding(topology: &Topology, dead: &BTreeSet<Vertex>) -> Routes {
+    pub(crate) fn compute_avoiding(topology: &Topology, dead: &BTreeSet<Vertex>) -> Routes {
         let root = (0..topology.switch_count())
             .map(|s| Vertex::Switch(s as u16))
             .chain((0..topology.endpoint_count()).map(|n| Vertex::Node(n as u16)))
@@ -210,7 +206,6 @@ impl Routes {
         unreachable.sort();
         Routes {
             tables,
-            parent,
             unreachable,
         }
     }
@@ -218,7 +213,7 @@ impl Routes {
     /// Vertices no surviving route reaches (the partition cut off by the
     /// dead set handed to [`Routes::compute_avoiding`]; dead vertices
     /// themselves are included). Empty for a fully connected computation.
-    pub fn unreachable(&self) -> &[Vertex] {
+    pub(crate) fn unreachable(&self) -> &[Vertex] {
         &self.unreachable
     }
 
@@ -228,25 +223,8 @@ impl Routes {
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn table_for_switch(&self, s: u16) -> Vec<u32> {
+    pub(crate) fn table_for_switch(&self, s: u16) -> Vec<u32> {
         self.tables[s as usize].clone()
-    }
-
-    /// The full tree path between two endpoints (inclusive of both), for
-    /// tests and hop-count estimates.
-    pub fn path(&self, from: NodeId, to: NodeId) -> Vec<Vertex> {
-        let up_a = self.root_path(Vertex::Node(from.raw()));
-        let up_b = self.root_path(Vertex::Node(to.raw()));
-        join_tree_paths(&up_a, &up_b)
-    }
-
-    fn root_path(&self, mut v: Vertex) -> Vec<Vertex> {
-        let mut path = vec![v];
-        while let Some(&p) = self.parent.get(&v) {
-            path.push(p);
-            v = p;
-        }
-        path
     }
 }
 
@@ -258,7 +236,6 @@ struct ViewInner {
     /// When the last verdict moved the view.
     moved_at: SimTime,
     routes: Routes,
-    recomputes: u64,
 }
 
 /// The fabric's shared, versioned view of which vertices are dead and
@@ -285,7 +262,7 @@ pub struct FabricView {
 
 impl FabricView {
     /// Wraps the initial (fault-free) routes over `topology`.
-    pub fn new(topology: Topology, routes: Routes) -> Self {
+    pub(crate) fn new(topology: Topology, routes: Routes) -> Self {
         FabricView {
             inner: Rc::new(RefCell::new(ViewInner {
                 topology,
@@ -293,7 +270,6 @@ impl FabricView {
                 version: 0,
                 moved_at: SimTime::ZERO,
                 routes,
-                recomputes: 0,
             })),
         }
     }
@@ -308,39 +284,39 @@ impl FabricView {
         }
         st.version += 1;
         st.moved_at = now;
-        st.recomputes += 1;
         st.routes = Routes::compute_avoiding(&st.topology, &st.dead);
         true
     }
 
     /// Declares `v` alive again at `now` and recomputes. Returns `true`
     /// if `v` was previously dead.
-    pub fn declare_up(&self, v: Vertex, now: SimTime) -> bool {
+    pub(crate) fn declare_up(&self, v: Vertex, now: SimTime) -> bool {
         let mut st = self.inner.borrow_mut();
         if !st.dead.remove(&v) {
             return false;
         }
         st.version += 1;
         st.moved_at = now;
-        st.recomputes += 1;
         st.routes = Routes::compute_avoiding(&st.topology, &st.dead);
         true
     }
 
     /// Monotone change counter; a switch whose cached table carries an
     /// older version must refresh it.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.inner.borrow().version
     }
 
     /// The instant of the last verdict that moved the view (zero before
-    /// any): a switch whose table is older has seen nothing since.
-    pub fn moved_at(&self) -> SimTime {
+    /// any): a switch whose table is older has seen nothing since. Only
+    /// the switch's debug-build absorb guard reads it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn moved_at(&self) -> SimTime {
         self.inner.borrow().moved_at
     }
 
     /// The current routing table for switch `s`.
-    pub fn table_for_switch(&self, s: u16) -> Vec<u32> {
+    pub(crate) fn table_for_switch(&self, s: u16) -> Vec<u32> {
         self.inner.borrow().routes.table_for_switch(s)
     }
 
@@ -349,11 +325,6 @@ impl FabricView {
     /// fully connected.
     pub fn unreachable(&self) -> Vec<Vertex> {
         self.inner.borrow().routes.unreachable().to_vec()
-    }
-
-    /// Route recomputations performed over the view's life.
-    pub fn recomputes(&self) -> u64 {
-        self.inner.borrow().recomputes
     }
 }
 
@@ -383,6 +354,24 @@ fn join_tree_paths(up_a: &[Vertex], up_b: &[Vertex]) -> Vec<Vertex> {
 mod tests {
     use super::*;
 
+    /// The vertices a packet from node `from` to node `to` visits, read
+    /// off the route tables hop by hop.
+    fn path(routes: &Routes, topo: &Topology, from: u16, to: u16) -> Vec<Vertex> {
+        let mut path = vec![Vertex::Node(from)];
+        let mut at = topo.ports_of(Vertex::Node(from))[0].0;
+        loop {
+            path.push(at);
+            match at {
+                Vertex::Node(_) => return path,
+                Vertex::Switch(sw) => {
+                    let port = routes.table_for_switch(sw)[usize::from(to)];
+                    at = topo.ports_of(at)[port as usize].0;
+                    assert!(path.len() < 64, "routing loop");
+                }
+            }
+        }
+    }
+
     #[test]
     fn star_routes_through_single_switch() {
         let topo = Topology::star(3);
@@ -390,7 +379,7 @@ mod tests {
         let table = routes.table_for_switch(0);
         // Switch port i is node i (links added in node order).
         assert_eq!(table, vec![0, 1, 2]);
-        let p = routes.path(NodeId::new(0), NodeId::new(2));
+        let p = path(&routes, &topo, 0, 2);
         assert_eq!(p, vec![Vertex::Node(0), Vertex::Switch(0), Vertex::Node(2)]);
     }
 
@@ -398,7 +387,7 @@ mod tests {
     fn chain_routes_walk_the_line() {
         let topo = Topology::chain(4);
         let routes = Routes::compute(&topo).unwrap();
-        let p = routes.path(NodeId::new(0), NodeId::new(3));
+        let p = path(&routes, &topo, 0, 3);
         assert_eq!(
             p,
             vec![
@@ -422,8 +411,8 @@ mod tests {
         // exactly one tree path.
         let topo = Topology::ring(3);
         let routes = Routes::compute(&topo).unwrap();
-        let p01 = routes.path(NodeId::new(0), NodeId::new(1));
-        let p12 = routes.path(NodeId::new(1), NodeId::new(2));
+        let p01 = path(&routes, &topo, 0, 1);
+        let p12 = path(&routes, &topo, 1, 2);
         // Paths are simple: no repeated vertices.
         for p in [&p01, &p12] {
             let mut sorted = p.clone();
@@ -442,7 +431,7 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let p = routes.path(NodeId::new(a), NodeId::new(b));
+                let p = path(&routes, &topo, a, b);
                 assert!(p.len() >= 3);
                 assert_eq!(p[0], Vertex::Node(a));
                 assert_eq!(*p.last().unwrap(), Vertex::Node(b));

@@ -83,13 +83,13 @@ fn vertex_of_site(s: Site) -> Vertex {
 /// serialization on the output link; a credit is returned to the upstream
 /// sender the moment the packet leaves the input FIFO.
 ///
-/// Every port is one [`LinkEnd`]. With [`Switch::set_reliability`] the
+/// Every port is one [`LinkEnd`]. With `Switch::set_reliability` the
 /// switch additionally runs the link-level reliability protocol on every
 /// port: arriving frames are checksum- and sequence-verified by the
-/// port's [`LinkRx`](crate::LinkRx), acknowledged or NACKed, and each output's
+/// port's `LinkRx`, acknowledged or NACKed, and each output's
 /// [`TxPort`] buffers frames for go-back-N retransmission. A
 /// [`FaultInjector`] installed with
-/// [`Switch::set_injector`] then decides the fate of every launched frame
+/// `Switch::set_injector` then decides the fate of every launched frame
 /// and returned credit.
 #[derive(Debug)]
 pub struct Switch {
@@ -164,7 +164,7 @@ impl Switch {
     /// Creates a switch with `ports` ports and the given routing table
     /// (`table[dst.index()]` = output port). Ports must then be attached
     /// with [`Switch::attach_port`] before traffic flows.
-    pub fn new(name: String, ports: usize, table: Vec<u32>, timing: TimingConfig) -> Self {
+    pub(crate) fn new(name: String, ports: usize, table: Vec<u32>, timing: TimingConfig) -> Self {
         let words = ports.div_ceil(64);
         Switch {
             name,
@@ -202,13 +202,13 @@ impl Switch {
 
     /// Sets this switch's fabric index (the [`Site`] used in trace events
     /// and link diagnostics). Call before [`Switch::set_tracer`].
-    pub fn set_site(&mut self, index: u16) {
+    pub(crate) fn set_site(&mut self, index: u16) {
         self.site = Site::Switch(index);
     }
 
     /// Turns on the link-level reliability protocol for every port. Must be
     /// called before [`Switch::attach_port`].
-    pub fn set_reliability(&mut self, params: RelParams) {
+    pub(crate) fn set_reliability(&mut self, params: RelParams) {
         assert!(self.fifos.is_empty(), "set reliability before wiring ports");
         self.reliability = Some(params);
     }
@@ -246,7 +246,7 @@ impl Switch {
 
     /// Installs the shared fabric view this switch reports peer verdicts
     /// to and refreshes its routing table from.
-    pub fn set_fabric(&mut self, view: FabricView) {
+    pub(crate) fn set_fabric(&mut self, view: FabricView) {
         self.view_version = view.version();
         self.view = Some(view);
     }
@@ -254,7 +254,7 @@ impl Switch {
     /// Installs the fault injector consulted at every frame launch,
     /// control frame and credit return, on attached ports and on those
     /// attached later.
-    pub fn set_injector(&mut self, injector: FaultInjector) {
+    pub(crate) fn set_injector(&mut self, injector: FaultInjector) {
         for end in self.ports.iter_mut().flatten() {
             end.set_injector(injector.clone());
         }
@@ -270,7 +270,7 @@ impl Switch {
     /// Overrides the per-port input FIFO capacity (must match the credits
     /// granted to upstream senders; the network builder keeps these in
     /// sync).
-    pub fn set_fifo_capacity(&mut self, cap: u32) {
+    pub(crate) fn set_fifo_capacity(&mut self, cap: u32) {
         assert!(self.fifos.is_empty(), "set capacity before traffic");
         self.fifo_capacity = cap;
     }
@@ -281,7 +281,7 @@ impl Switch {
     /// # Panics
     ///
     /// Panics if the port index is out of range or already attached.
-    pub fn attach_port(&mut self, port: u32, mut tx: TxPort) {
+    pub(crate) fn attach_port(&mut self, port: u32, mut tx: TxPort) {
         if let Some(params) = self.reliability {
             if !tx.is_reliable() {
                 tx.enable_reliability(params);
@@ -1310,6 +1310,7 @@ mod tests {
             },
         );
         eng.run();
+        #[cfg(debug_assertions)]
         assert_eq!(view.moved_at(), SimTime::from_ns(50));
         let b = eng.get::<Switch>(b).unwrap();
         let credit = NetEvent::Credit { port: 0 }.kind();

@@ -30,10 +30,6 @@ pub struct Receipt {
     pub packet: Packet,
 }
 
-/// The delivery stream a fault-equivalence test compares across runs: the
-/// ordered receipts of one endpoint.
-pub type DeliveryRecord = Receipt;
-
 /// A scriptable endpoint: injects queued packets as fast as flow control
 /// allows and sinks arrivals (consuming each after a fixed delay, then
 /// returning the credit).
@@ -71,7 +67,7 @@ impl SourceSink {
         }
     }
 
-    /// Wires the endpoint after [`build_network`](crate::build_network).
+    /// Wires the endpoint after [`build_network_with`](crate::build_network_with).
     /// A reliability-enrolled transmit port implies the receiver half on
     /// the input link. Credits and control frames go back to the transmit
     /// port's own neighbor, which `rx_upstream` must name (it is checked
@@ -106,11 +102,6 @@ impl SourceSink {
         self.next_seq += 1;
         self.pending
             .push_back(Packet::new(self.node, dst, msg, seq));
-    }
-
-    /// Packets still waiting to be injected.
-    pub fn backlog(&self) -> usize {
-        self.pending.len()
     }
 
     /// Link errors observed by this endpoint (duplicate credits, dead

@@ -23,7 +23,7 @@ impl fmt::Display for Vertex {
 
 /// Errors from topology construction.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TopologyError {
+pub(crate) enum TopologyError {
     /// A link references a vertex that does not exist.
     UnknownVertex(Vertex),
     /// The same unordered link was added twice.
@@ -64,7 +64,6 @@ impl std::error::Error for TopologyError {}
 /// // Two workstations on one switch — the paper's §3.2 testbed.
 /// let topo = Topology::star(2);
 /// assert_eq!(topo.endpoint_count(), 2);
-/// assert_eq!(topo.switch_count(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -80,7 +79,7 @@ pub struct Topology {
 impl Topology {
     /// Creates an empty topology with the given vertex counts; add links
     /// with [`Topology::link`].
-    pub fn new(n_nodes: u16, n_switches: u16) -> Self {
+    pub(crate) fn new(n_nodes: u16, n_switches: u16) -> Self {
         let mut ports = HashMap::new();
         for n in 0..n_nodes {
             ports.insert(Vertex::Node(n), Vec::new());
@@ -104,7 +103,7 @@ impl Topology {
     ///
     /// Rejects unknown vertices, self links, duplicate links, and endpoints
     /// acquiring a second link (workstations have one HIB cable).
-    pub fn link(&mut self, a: Vertex, b: Vertex) -> Result<(), TopologyError> {
+    pub(crate) fn link(&mut self, a: Vertex, b: Vertex) -> Result<(), TopologyError> {
         if a == b {
             return Err(TopologyError::SelfLink(a));
         }
@@ -246,7 +245,7 @@ impl Topology {
     }
 
     /// Number of switches.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.n_switches as usize
     }
 
@@ -255,18 +254,13 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the vertex does not exist.
-    pub fn ports_of(&self, v: Vertex) -> &[(Vertex, u32)] {
+    pub(crate) fn ports_of(&self, v: Vertex) -> &[(Vertex, u32)] {
         &self.ports[&v]
-    }
-
-    /// All links, in insertion order.
-    pub fn links(&self) -> &[(Vertex, Vertex)] {
-        &self.links
     }
 
     /// Input-FIFO capacity (credits granted to each upstream sender) at a
     /// vertex.
-    pub fn fifo_capacity(&self, v: Vertex) -> u32 {
+    pub(crate) fn fifo_capacity(&self, v: Vertex) -> u32 {
         match v {
             Vertex::Switch(_) => self.switch_fifo_capacity,
             Vertex::Node(_) => self.endpoint_fifo_capacity,
@@ -329,7 +323,7 @@ mod tests {
     fn ring_closes() {
         let t = Topology::ring(3);
         assert_eq!(t.ports_of(Vertex::Switch(0)).len(), 3);
-        assert_eq!(t.links().len(), 3 + 3);
+        assert_eq!(t.links.len(), 3 + 3);
     }
 
     #[test]
@@ -352,7 +346,7 @@ mod tests {
     #[test]
     fn port_indices_are_symmetric() {
         let t = Topology::chain(3);
-        for &(a, b) in t.links() {
+        for &(a, b) in &t.links {
             let pa = t
                 .ports_of(a)
                 .iter()

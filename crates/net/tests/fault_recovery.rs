@@ -119,13 +119,13 @@ fn recoverable_faults_are_fully_masked() {
     let mut sweep = SimRng::new(0xFA11_7E57);
     let mut total_retx = 0u64;
     for case in 0..10 {
-        let nodes = sweep.range_between(2, 5) as u16;
-        let n_sends = sweep.range_between(20, 120) as usize;
-        let drop_p = sweep.range_between(1, 25) as f64 / 100.0;
-        let corrupt_p = sweep.range_between(1, 15) as f64 / 100.0;
-        let credit_p = sweep.range_between(0, 10) as f64 / 100.0;
-        let ctrl_drop_p = sweep.range_between(0, 25) as f64 / 100.0;
-        let ctrl_corrupt_p = sweep.range_between(0, 20) as f64 / 100.0;
+        let nodes = (2 + sweep.range(3)) as u16;
+        let n_sends = (20 + sweep.range(100)) as usize;
+        let drop_p = (1 + sweep.range(24)) as f64 / 100.0;
+        let corrupt_p = (1 + sweep.range(14)) as f64 / 100.0;
+        let credit_p = sweep.range(10) as f64 / 100.0;
+        let ctrl_drop_p = sweep.range(25) as f64 / 100.0;
+        let ctrl_corrupt_p = sweep.range(20) as f64 / 100.0;
         let case_seed = sweep.range(u64::MAX);
         // Alternate retransmit disciplines so the sweep proves the
         // masking guarantee for both.
@@ -143,7 +143,7 @@ fn recoverable_faults_are_fully_masked() {
         };
         let (mut engine, ids, _) = build_with(&topo, &timing, &reliable);
         let expected = load_workload(&mut engine, &ids, case_seed, n_sends);
-        assert_eq!(engine.run_events(4_000_000), RunLimit::Drained);
+        assert_eq!(engine.run_until(SimTime::from_ms(1_000)), RunLimit::Drained);
         let reference = observe(&engine, &ids);
         assert_eq!(reference, expected, "lossless baseline broke (case {case})");
 
@@ -165,7 +165,7 @@ fn recoverable_faults_are_fully_masked() {
         let (mut engine, ids, _) = build_with(&topo, &timing, &faulty);
         let expected = load_workload(&mut engine, &ids, case_seed, n_sends);
         assert_eq!(
-            engine.run_events(8_000_000),
+            engine.run_until(SimTime::from_ms(1_000)),
             RunLimit::Drained,
             "faulted run wedged (case {case})"
         );
@@ -214,7 +214,7 @@ fn identical_seeds_replay_identical_delivery_streams() {
         };
         let (mut engine, ids, _) = build_with(&topo, &timing, &config);
         load_workload(&mut engine, &ids, 0xB17F_0B17, 150);
-        assert_eq!(engine.run_events(8_000_000), RunLimit::Drained);
+        assert_eq!(engine.run_until(SimTime::from_ms(1_000)), RunLimit::Drained);
         ids.iter()
             .map(|&id| engine.get::<SourceSink>(id).unwrap().received.clone())
             .collect()
@@ -248,7 +248,7 @@ fn lost_credits_are_resynced() {
             .enqueue(NodeId::new(1), write(i * 8, i));
     }
     kick(&mut engine, ids[0]);
-    assert_eq!(engine.run_events(4_000_000), RunLimit::Drained);
+    assert_eq!(engine.run_until(SimTime::from_ms(1_000)), RunLimit::Drained);
     let rx = &engine.get::<SourceSink>(ids[1]).unwrap().received;
     assert_eq!(rx.len(), 40, "traffic wedged on lost credits");
     for (i, r) in rx.iter().enumerate() {
@@ -279,7 +279,7 @@ fn permanent_outage_degrades_into_a_dead_link() {
     let timing = TimingConfig::telegraphos_i();
     let topo = Topology::star(2);
     let victim = LinkId::new(Site::Node(NodeId::new(0)), Site::Switch(0));
-    let plan = FaultPlan::new(0xDEAD).permanent_outage(victim, SimTime::ZERO);
+    let plan = FaultPlan::new(0xDEAD).outage(victim, SimTime::ZERO, SimTime::MAX);
     let config = NetConfig {
         reliability: Some(RelParams::default()),
         injector: Some(FaultInjector::new(plan)),
@@ -293,7 +293,7 @@ fn permanent_outage_degrades_into_a_dead_link() {
     }
     kick(&mut engine, ids[0]);
     assert_eq!(
-        engine.run_events(4_000_000),
+        engine.run_until(SimTime::from_ms(1_000)),
         RunLimit::Drained,
         "dead link left the engine spinning"
     );
@@ -326,12 +326,12 @@ fn sack_and_gbn_commit_identical_payload_streams() {
     let mut sweep = SimRng::new(0x5AC6_B47E);
     let (mut gbn_total_bytes, mut sack_total_bytes) = (0u64, 0u64);
     for case in 0..6 {
-        let nodes = sweep.range_between(2, 5) as u16;
-        let n_sends = sweep.range_between(40, 120) as usize;
-        let drop_p = sweep.range_between(5, 25) as f64 / 100.0;
-        let corrupt_p = sweep.range_between(1, 10) as f64 / 100.0;
-        let ctrl_drop_p = sweep.range_between(5, 25) as f64 / 100.0;
-        let ctrl_corrupt_p = sweep.range_between(1, 15) as f64 / 100.0;
+        let nodes = (2 + sweep.range(3)) as u16;
+        let n_sends = (40 + sweep.range(80)) as usize;
+        let drop_p = (5 + sweep.range(20)) as f64 / 100.0;
+        let corrupt_p = (1 + sweep.range(9)) as f64 / 100.0;
+        let ctrl_drop_p = (5 + sweep.range(20)) as f64 / 100.0;
+        let ctrl_corrupt_p = (1 + sweep.range(14)) as f64 / 100.0;
         let case_seed = sweep.range(u64::MAX);
         let topo = Topology::star(nodes);
 
@@ -349,7 +349,7 @@ fn sack_and_gbn_commit_identical_payload_streams() {
             let (mut engine, ids, _) = build_with(&topo, &timing, &config);
             let expected = load_workload(&mut engine, &ids, case_seed, n_sends);
             assert_eq!(
-                engine.run_events(16_000_000),
+                engine.run_until(SimTime::from_ms(1_000)),
                 RunLimit::Drained,
                 "{mode:?} wedged (case {case})"
             );
@@ -413,7 +413,7 @@ fn drop_recovery_records_switch_stall_time() {
     };
     let (mut engine, ids, switches) = build_with(&topo, &timing, &clean);
     load(&mut engine, &ids);
-    assert_eq!(engine.run_events(2_000_000), RunLimit::Drained);
+    assert_eq!(engine.run_until(SimTime::from_ms(1_000)), RunLimit::Drained);
     let stall = |engine: &Engine<tg_net::NetEvent>, id| -> SimTime {
         switch_ports(engine, id)
             .iter()
@@ -439,7 +439,7 @@ fn drop_recovery_records_switch_stall_time() {
     let (mut engine, ids, switches) = build_with(&topo, &timing, &faulty);
     load(&mut engine, &ids);
     assert_eq!(
-        engine.run_events(4_000_000),
+        engine.run_until(SimTime::from_ms(1_000)),
         RunLimit::Drained,
         "recovery wedged"
     );
@@ -477,7 +477,10 @@ fn drop_recovery_records_switch_stall_time() {
 fn tiny_sack_window_overflow_nacks_and_conserves() {
     let timing = TimingConfig::telegraphos_i();
     let topo = Topology::star(3);
-    let params = RelParams::with_mode(RetxMode::Sack).with_sack_window(2);
+    let params = RelParams {
+        sack_window: 2,
+        ..RelParams::with_mode(RetxMode::Sack)
+    };
     let plan = FaultPlan::new(0x0F10_5ACC).drop(0.30).corrupt(0.10);
     let config = NetConfig {
         reliability: Some(params),
@@ -486,7 +489,7 @@ fn tiny_sack_window_overflow_nacks_and_conserves() {
     let (mut engine, ids, switches) = build_with(&topo, &timing, &config);
     let expected = load_workload(&mut engine, &ids, 0x5ACC_F00D, 200);
     assert_eq!(
-        engine.run_events(8_000_000),
+        engine.run_until(SimTime::from_ms(1_000)),
         RunLimit::Drained,
         "overflowing the reorder window wedged the fabric"
     );

@@ -2,7 +2,7 @@
 //! deadlock freedom under randomized topologies and traffic.
 
 use tg_net::testing::{kick, Receipt, SourceSink};
-use tg_net::{build_network, build_network_with, NetConfig, RelParams, Switch, Topology, Vertex};
+use tg_net::{build_network_with, NetConfig, RelParams, Switch, Topology, Vertex};
 use tg_sim::{CompId, Engine, RunLimit, SimTime};
 use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
 
@@ -15,7 +15,8 @@ fn build(
     let ids: Vec<CompId> = (0..n)
         .map(|i| engine.add(SourceSink::new(NodeId::new(i as u16), timing.clone())))
         .collect();
-    let handles = build_network(&mut engine, topo, timing, &ids).expect("connected");
+    let handles = build_network_with(&mut engine, topo, timing, &ids, &NetConfig::default())
+        .expect("connected");
     for (id, w) in ids.iter().zip(handles.endpoints) {
         engine
             .get_mut::<SourceSink>(*id)
@@ -185,9 +186,9 @@ fn random_traffic_is_delivered_in_order() {
     let mut rng = tg_sim::SimRng::new(0x7A55);
     for case in 0..24 {
         let topo_kind = rng.range(4) as u8;
-        let size = rng.range_between(3, 7) as u16;
-        let fifo = rng.range_between(1, 4) as u32;
-        let n_sends = rng.range_between(1, 120) as usize;
+        let size = (3 + rng.range(4)) as u16;
+        let fifo = (1 + rng.range(3)) as u32;
+        let n_sends = (1 + rng.range(119)) as usize;
         let topo = match topo_kind {
             0 => Topology::star(size),
             1 => Topology::chain(size),
@@ -220,7 +221,7 @@ fn random_traffic_is_delivered_in_order() {
         for &id in &ids {
             kick(&mut engine, id);
         }
-        let outcome = engine.run_events(2_000_000);
+        let outcome = engine.run_until(SimTime::from_ms(1_000));
         assert_eq!(
             outcome,
             RunLimit::Drained,

@@ -11,22 +11,8 @@ use tg_sim::SimRng;
 /// channels the delivery order is chosen adversarially by a seeded RNG, so
 /// property tests can sweep interleavings that a timed simulation would
 /// rarely produce.
-///
-/// # Example
-///
-/// ```
-/// use tg_proto::AbstractNet;
-/// use tg_sim::SimRng;
-///
-/// let mut net: AbstractNet<&str> = AbstractNet::new(2);
-/// net.send(0, 1, "a");
-/// net.send(0, 1, "b");
-/// let mut rng = SimRng::new(1);
-/// let (src, dst, msg) = net.deliver_random(&mut rng).unwrap();
-/// assert_eq!((src, dst, msg), (0, 1, "a")); // FIFO per channel
-/// ```
 #[derive(Clone, Debug)]
-pub struct AbstractNet<M> {
+pub(crate) struct AbstractNet<M> {
     n: usize,
     /// channel[src * n + dst]
     channels: Vec<VecDeque<M>>,
@@ -41,7 +27,7 @@ impl<M> AbstractNet<M> {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one node");
         AbstractNet {
             n,
@@ -52,17 +38,12 @@ impl<M> AbstractNet<M> {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Enqueues a message from `src` to `dst`.
     ///
     /// # Panics
     ///
     /// Panics if either node index is out of range.
-    pub fn send(&mut self, src: usize, dst: usize, msg: M) {
+    pub(crate) fn send(&mut self, src: usize, dst: usize, msg: M) {
         assert!(src < self.n && dst < self.n, "node out of range");
         self.channels[src * self.n + dst].push_back(msg);
         self.in_flight += 1;
@@ -71,7 +52,7 @@ impl<M> AbstractNet<M> {
 
     /// Delivers the head of a uniformly random non-empty channel, or `None`
     /// when the network is quiescent.
-    pub fn deliver_random(&mut self, rng: &mut SimRng) -> Option<(usize, usize, M)> {
+    pub(crate) fn deliver_random(&mut self, rng: &mut SimRng) -> Option<(usize, usize, M)> {
         if self.in_flight == 0 {
             return None;
         }
@@ -102,7 +83,7 @@ impl<M> AbstractNet<M> {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn purge_node(&mut self, node: usize) -> usize {
+    pub(crate) fn purge_node(&mut self, node: usize) -> usize {
         assert!(node < self.n, "node out of range");
         let mut dropped = 0;
         for src in 0..self.n {
@@ -118,23 +99,18 @@ impl<M> AbstractNet<M> {
         dropped
     }
 
-    /// Messages still queued.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
     /// High-water mark of queued messages (congestion reporting).
-    pub fn peak_in_flight(&self) -> usize {
+    pub(crate) fn peak_in_flight(&self) -> usize {
         self.peak_in_flight
     }
 
     /// True when nothing is queued.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.in_flight == 0
     }
 
     /// Messages delivered so far (traffic accounting).
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 }
@@ -193,6 +169,5 @@ mod tests {
         let mut net: AbstractNet<u32> = AbstractNet::new(1);
         let mut rng = SimRng::new(0);
         assert_eq!(net.deliver_random(&mut rng), None);
-        assert_eq!(net.in_flight(), 0);
     }
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 /// assert!(cam.try_increment(20));
 /// assert!(!cam.try_increment(30)); // full: processor must stall
 /// cam.decrement(10);
-/// assert_eq!(cam.count(10), 1);
+/// assert!(cam.is_pending(10)); // one write to word 10 still pending
 /// cam.decrement(10); // entry freed
 /// assert!(cam.try_increment(30));
 /// ```
@@ -52,12 +52,6 @@ impl PendingCam {
             stall_events: 0,
             increments: 0,
         }
-    }
-
-    /// An effectively unbounded CAM (for the `StallUntilReflected` ablation
-    /// and for modelling the "one counter per memory location" strawman).
-    pub fn unbounded() -> Self {
-        PendingCam::new(usize::MAX)
     }
 
     /// Records one pending write to `key`. Returns `false` — and counts a
@@ -99,29 +93,24 @@ impl PendingCam {
         }
     }
 
-    /// Pending writes on `key` (0 when absent).
-    pub fn count(&self, key: u64) -> u32 {
-        self.entries.get(&key).copied().unwrap_or(0)
-    }
-
     /// True if `key` has pending writes (the filter test of rule 3).
     pub fn is_pending(&self, key: u64) -> bool {
         self.entries.contains_key(&key)
     }
 
     /// Non-zero counters currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Entry capacity.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// True when no writes are pending anywhere.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Most simultaneous entries ever held (experiment E7's key statistic).
@@ -133,11 +122,6 @@ impl PendingCam {
     pub fn stall_events(&self) -> u64 {
         self.stall_events
     }
-
-    /// Total successful increments.
-    pub fn increments(&self) -> u64 {
-        self.increments
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +131,16 @@ mod tests {
     #[test]
     fn counts_per_key() {
         let mut cam = PendingCam::new(4);
-        assert_eq!(cam.count(1), 0);
+        assert!(!cam.is_pending(1));
         assert!(cam.try_increment(1));
         assert!(cam.try_increment(1));
         assert!(cam.try_increment(2));
-        assert_eq!(cam.count(1), 2);
-        assert_eq!(cam.count(2), 1);
         assert_eq!(cam.len(), 2);
+        cam.decrement(1);
+        assert!(cam.is_pending(1), "one of two writes still pending");
+        cam.decrement(1);
+        assert!(!cam.is_pending(1));
+        assert!(cam.is_pending(2));
     }
 
     #[test]
@@ -161,7 +148,7 @@ mod tests {
         let mut cam = PendingCam::new(1);
         assert!(cam.try_increment(5));
         cam.decrement(5);
-        assert!(cam.is_empty());
+        assert_eq!(cam.len(), 0);
         assert!(!cam.is_pending(5));
         assert!(cam.try_increment(6), "slot was reclaimed");
     }
@@ -175,7 +162,6 @@ mod tests {
         assert_eq!(cam.stall_events(), 1);
         // Existing keys still work while full.
         assert!(cam.try_increment(1));
-        assert_eq!(cam.count(1), 2);
     }
 
     #[test]
@@ -188,8 +174,7 @@ mod tests {
             cam.decrement(k);
         }
         assert_eq!(cam.high_water(), 5);
-        assert_eq!(cam.increments(), 5);
-        assert!(cam.is_empty());
+        assert_eq!(cam.len(), 0);
     }
 
     #[test]
@@ -197,14 +182,5 @@ mod tests {
     fn spurious_reflection_is_a_bug() {
         let mut cam = PendingCam::new(2);
         cam.decrement(9);
-    }
-
-    #[test]
-    fn unbounded_never_stalls() {
-        let mut cam = PendingCam::unbounded();
-        for k in 0..10_000 {
-            assert!(cam.try_increment(k));
-        }
-        assert_eq!(cam.stall_events(), 0);
     }
 }

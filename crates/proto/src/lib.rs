@@ -12,8 +12,8 @@
 //!
 //! * [`PendingCam`] — the content-addressable counter cache of §2.3.4,
 //!   reused by `tg-hib` as the hardware CAM;
-//! * recorders and checkers ([`SeqRecorder`], [`is_subsequence`],
-//!   [`revisit_anomalies`]) that the tests and experiments use to verify
+//! * recorders and checkers (`SeqRecorder`, `is_subsequence`,
+//!   `revisit_anomalies`) that the protocol simulators use to verify
 //!   sequence validity and convergence;
 //! * abstract, timing-free simulators of three protocols over an in-order
 //!   channel network with adversarial (seeded-random) interleaving:
@@ -33,12 +33,10 @@ mod cam;
 pub mod galactica;
 pub mod naive;
 pub mod owner;
-pub mod ranges;
+pub(crate) mod ranges;
 mod recorder;
 mod scenario;
 
-pub use abstract_net::AbstractNet;
 pub use cam::PendingCam;
 pub use ranges::RangeMap;
-pub use recorder::{is_subsequence, revisit_anomalies, SeqRecorder};
 pub use scenario::{Outcome, Scenario, ScriptedWrite};

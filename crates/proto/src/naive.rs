@@ -34,7 +34,7 @@ impl NaiveMulticast {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario fails [`Scenario::validate`].
+    /// Panics if the scenario fails `Scenario::validate`.
     pub fn run(scenario: &Scenario) -> Outcome {
         scenario.validate().expect("valid scenario");
         let n = scenario.nodes;

@@ -72,7 +72,7 @@ impl OwnerSerialized {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario fails [`Scenario::validate`].
+    /// Panics if the scenario fails `Scenario::validate`.
     pub fn run(scenario: &Scenario) -> Outcome {
         Self::run_with(scenario, OwnerConfig::default())
     }

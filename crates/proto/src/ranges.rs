@@ -52,11 +52,6 @@ impl RangeMap {
         self.ranges
     }
 
-    /// The replica set, ascending.
-    pub fn replicas(&self) -> &[NodeId] {
-        &self.replicas
-    }
-
     /// The range `key` falls in.
     pub fn range_of(&self, key: u64) -> u32 {
         (key % u64::from(self.ranges)) as u32
@@ -66,17 +61,6 @@ impl RangeMap {
     pub fn home_of(&self, range: u32) -> NodeId {
         assert!(range < self.ranges, "range {range} out of bounds");
         self.replicas[range as usize % self.replicas.len()]
-    }
-
-    /// The range's owner under the given liveness verdicts: the home if
-    /// it is live, otherwise the smallest-id live replica. `None` when
-    /// every replica is convicted.
-    pub fn owner_of(&self, range: u32, live: impl Fn(NodeId) -> bool) -> Option<NodeId> {
-        let home = self.home_of(range);
-        if live(home) {
-            return Some(home);
-        }
-        self.promote(&live)
     }
 
     /// The failover successor rule by itself: the smallest-id live
@@ -98,49 +82,9 @@ mod tests {
     fn homes_spread_round_robin_over_sorted_deduped_replicas() {
         // Given unsorted with a duplicate: canonicalized to [1, 2, 3].
         let m = RangeMap::new(6, &ids(&[3, 1, 2, 1]));
-        assert_eq!(m.replicas(), ids(&[1, 2, 3]).as_slice());
         let homes: Vec<u16> = (0..6).map(|r| m.home_of(r).raw()).collect();
         assert_eq!(homes, vec![1, 2, 3, 1, 2, 3]);
         assert_eq!(m.range_of(7), 1);
         assert_eq!(m.range_of(12), 0);
-    }
-
-    #[test]
-    fn a_live_home_owns_its_range() {
-        let m = RangeMap::new(4, &ids(&[1, 2, 3]));
-        assert_eq!(m.owner_of(1, |_| true), Some(NodeId::new(2)));
-    }
-
-    #[test]
-    fn a_dead_home_fails_over_to_the_smallest_live_replica() {
-        let m = RangeMap::new(4, &ids(&[1, 2, 3]));
-        // Home of range 1 is node 2; with node 2 dead the smallest live
-        // replica (node 1) takes over.
-        let dead2 = |n: NodeId| n != NodeId::new(2);
-        assert_eq!(m.owner_of(1, dead2), Some(NodeId::new(1)));
-    }
-
-    #[test]
-    fn cascading_failover_settles_on_the_next_live_replica() {
-        let m = RangeMap::new(3, &ids(&[1, 2, 3]));
-        // Range 0's home (node 1) dies, then its successor... the rule
-        // re-evaluates from scratch: with 1 and 2 dead, node 3 owns all.
-        let only3 = |n: NodeId| n == NodeId::new(3);
-        for r in 0..3 {
-            assert_eq!(m.owner_of(r, only3), Some(NodeId::new(3)));
-        }
-        assert_eq!(m.owner_of(0, |_| false), None, "a dead set has no owner");
-    }
-
-    #[test]
-    fn survivors_with_identical_verdicts_agree_without_coordination() {
-        let m = RangeMap::new(8, &ids(&[2, 5, 9]));
-        let verdicts = |n: NodeId| n.raw() != 2;
-        for r in 0..8 {
-            let a = m.owner_of(r, verdicts);
-            let b = m.owner_of(r, verdicts);
-            assert_eq!(a, b);
-            assert!(a.is_some());
-        }
     }
 }

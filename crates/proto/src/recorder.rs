@@ -2,20 +2,8 @@
 
 /// Records the sequence of values a node *observes* at a memory location:
 /// one entry per change of the locally visible value.
-///
-/// # Example
-///
-/// ```
-/// use tg_proto::SeqRecorder;
-/// let mut r = SeqRecorder::new(0);
-/// r.observe(1);
-/// r.observe(1); // unchanged: not recorded
-/// r.observe(2);
-/// assert_eq!(r.changes(), &[1, 2]);
-/// assert_eq!(r.current(), 2);
-/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeqRecorder {
+pub(crate) struct SeqRecorder {
     current: u64,
     changes: Vec<u64>,
 }
@@ -23,7 +11,7 @@ pub struct SeqRecorder {
 impl SeqRecorder {
     /// A recorder starting from `initial` (typically 0, the fresh-page
     /// value).
-    pub fn new(initial: u64) -> Self {
+    pub(crate) fn new(initial: u64) -> Self {
         SeqRecorder {
             current: initial,
             changes: Vec::new(),
@@ -31,20 +19,15 @@ impl SeqRecorder {
     }
 
     /// Notes the currently visible value; records it only if it changed.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         if value != self.current {
             self.current = value;
             self.changes.push(value);
         }
     }
 
-    /// The visible value now.
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
     /// The sequence of distinct successive values observed.
-    pub fn changes(&self) -> &[u64] {
+    pub(crate) fn changes(&self) -> &[u64] {
         &self.changes
     }
 }
@@ -52,15 +35,7 @@ impl SeqRecorder {
 /// True if `needle` is a (not necessarily contiguous) subsequence of
 /// `haystack` — the §2.3.3 validity criterion: every node sees a subset of
 /// the values the owner sees, in the owner's order.
-///
-/// # Example
-///
-/// ```
-/// use tg_proto::is_subsequence;
-/// assert!(is_subsequence(&[2, 5], &[1, 2, 3, 5]));
-/// assert!(!is_subsequence(&[5, 2], &[1, 2, 3, 5]));
-/// ```
-pub fn is_subsequence(needle: &[u64], haystack: &[u64]) -> bool {
+pub(crate) fn is_subsequence(needle: &[u64], haystack: &[u64]) -> bool {
     let mut it = haystack.iter();
     needle.iter().all(|n| it.any(|h| h == n))
 }
@@ -70,15 +45,7 @@ pub fn is_subsequence(needle: &[u64], haystack: &[u64]) -> bool {
 /// scenarios guarantee), any revisit is an invalid sequence under every
 /// memory-consistency model — exactly the Galactica Net behaviour the paper
 /// calls out in §2.4. Returns the revisited values.
-///
-/// # Example
-///
-/// ```
-/// use tg_proto::revisit_anomalies;
-/// assert_eq!(revisit_anomalies(&[1, 2, 1]), vec![1]);
-/// assert!(revisit_anomalies(&[1, 2, 3]).is_empty());
-/// ```
-pub fn revisit_anomalies(seq: &[u64]) -> Vec<u64> {
+pub(crate) fn revisit_anomalies(seq: &[u64]) -> Vec<u64> {
     let mut seen = std::collections::HashSet::new();
     let mut bad = Vec::new();
     for &v in seq {

@@ -24,7 +24,6 @@ pub struct ScriptedWrite {
 /// let s = Scenario::figure2(7);
 /// assert_eq!(s.nodes, 3);
 /// assert_eq!(s.writes.len(), 2);
-/// s.validate().unwrap();
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Scenario {
@@ -75,7 +74,7 @@ impl Scenario {
     ///
     /// Returns a description of the violated invariant: out-of-range node,
     /// zero value, or duplicate value.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         if self.nodes == 0 {
             return Err("scenario needs at least one node".into());
@@ -95,7 +94,7 @@ impl Scenario {
     }
 
     /// Per-node write queues in program order.
-    pub fn scripts(&self) -> Vec<std::collections::VecDeque<u64>> {
+    pub(crate) fn scripts(&self) -> Vec<std::collections::VecDeque<u64>> {
         let mut scripts = vec![std::collections::VecDeque::new(); self.nodes];
         for w in &self.writes {
             scripts[w.node].push_back(w.value);
@@ -108,9 +107,9 @@ impl Scenario {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Outcome {
     /// Final value of the shared word at each node.
-    pub final_values: Vec<u64>,
+    pub(crate) final_values: Vec<u64>,
     /// Per node, the sequence of distinct values it observed.
-    pub observed: Vec<Vec<u64>>,
+    pub(crate) observed: Vec<Vec<u64>>,
     /// The owner's serialization order (owner-based protocol only).
     pub serialization: Option<Vec<u64>>,
     /// Total protocol messages delivered.

@@ -18,11 +18,11 @@ use tg_sim::SimRng;
 fn owner_protocol_invariants() {
     let mut rng = SimRng::new(0x0815);
     for _ in 0..96 {
-        let writers = rng.range_between(1, 5) as usize;
-        let per_writer = rng.range_between(1, 6) as usize;
-        let observers = rng.range_between(1, 3) as usize;
+        let writers = (1 + rng.range(4)) as usize;
+        let per_writer = (1 + rng.range(5)) as usize;
+        let observers = (1 + rng.range(2)) as usize;
         let owner_pick = rng.range(8) as usize;
-        let cam = rng.range_between(1, 5) as usize;
+        let cam = (1 + rng.range(4)) as usize;
         let seed = rng.next_u64();
         let s = Scenario::random(writers, per_writer, observers, seed);
         let out = OwnerSerialized::run_with(
@@ -51,8 +51,8 @@ fn owner_protocol_invariants() {
 fn naive_single_writer_is_consistent() {
     let mut rng = SimRng::new(0x0907);
     for _ in 0..96 {
-        let per_writer = rng.range_between(1, 8) as usize;
-        let observers = rng.range_between(1, 4) as usize;
+        let per_writer = (1 + rng.range(7)) as usize;
+        let observers = (1 + rng.range(3)) as usize;
         let seed = rng.next_u64();
         let s = Scenario::random(1, per_writer, observers, seed);
         let out = NaiveMulticast::run(&s);
@@ -70,10 +70,10 @@ fn galactica_races_converge() {
     let mut rng = SimRng::new(0x6A1A);
     let mut cases = 0;
     while cases < 96 {
-        let nodes = rng.range_between(2, 7) as usize;
+        let nodes = (2 + rng.range(5)) as usize;
         let a = rng.range(nodes as u64) as usize;
         let b = rng.range(nodes as u64) as usize;
-        let rounds = rng.range_between(1, 4) as usize;
+        let rounds = (1 + rng.range(3)) as usize;
         let seed = rng.next_u64();
         if a == b {
             continue;

@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::fmt;
-use std::time::Instant;
 
 use crate::queue::{Entry, Popped, RadixQueue};
 use crate::time::SimTime;
@@ -41,7 +40,7 @@ pub trait Component<M>: Any {
     fn name(&self) -> &str;
 
     /// Deferred delivery: true when handling `ev` now, on the current
-    /// state, would schedule nothing, halt nothing, emit no probe event,
+    /// state, would schedule nothing, emit no probe event,
     /// touch no shared state, and change only what
     /// [`absorb`](Component::absorb) reproduces exactly. The engine then
     /// keeps an event sent with [`Ctx::send_deferrable`] off the queue and
@@ -89,17 +88,16 @@ struct Outgoing<M> {
 
 /// The per-delivery context handed to [`Component::on_event`].
 ///
-/// Lets the component read the clock, learn its own id, schedule events
-/// (to itself or others), and stop the simulation.
+/// Lets the component read the clock, learn its own id, and schedule
+/// events (to itself or others).
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: CompId,
     outbox: &'a mut Vec<Outgoing<M>>,
-    halt: &'a mut bool,
     recheck: &'a mut Recheck,
-    /// Set by the engine before the handler runs: the run is unbudgeted,
-    /// nothing else is pending at `now`, and this component has no
+    /// Set by the engine before the handler runs: nothing else is
+    /// pending at `now`, and this component has no
     /// deferred event keyed at or before `now` (see [`Ctx::quiet`]).
     calm: bool,
     /// Events this handler ran in place (see [`Ctx::count_inlined`]).
@@ -146,12 +144,6 @@ impl<'a, M> Ctx<'a, M> {
         self.send(id, delay, msg);
     }
 
-    /// Requests that the engine stop after the current event completes.
-    /// Pending events remain queued and a later `run` call resumes them.
-    pub fn halt(&mut self) {
-        *self.halt = true;
-    }
-
     /// Tells the engine that this handler may have made some of this
     /// component's deferred events unabsorbable. After the handler
     /// returns, the engine asks [`Component::can_absorb`] again for each
@@ -171,8 +163,8 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Same-instant continuations: true when a zero-delay event this
     /// handler sends to itself would be the very next delivery. That
-    /// holds when the run is unbudgeted, no halt or deferred re-check was
-    /// requested, no other event of the current instant is pending (in
+    /// holds when no deferred re-check was requested, no other event of
+    /// the current instant is pending (in
     /// the batch or in the queue), and this component has no deferred
     /// event keyed at or before the current instant.
     ///
@@ -182,7 +174,7 @@ impl<'a, M> Ctx<'a, M> {
     /// would have seen. Call [`Ctx::count_inlined`] for each one.
     #[inline]
     pub fn quiet(&self) -> bool {
-        self.calm && !*self.halt && *self.recheck == Recheck::No
+        self.calm && *self.recheck == Recheck::No
     }
 
     /// Counts one event handled in place under [`Ctx::quiet`]; it is
@@ -199,12 +191,11 @@ impl<'a, M> Ctx<'a, M> {
 pub enum RunLimit {
     /// The event queue drained completely.
     Drained,
-    /// A component called [`Ctx::halt`].
+    /// Every node a cluster driver waited for halted (the engine itself
+    /// never returns this).
     Halted,
     /// The time horizon passed to [`Engine::run_until`] was reached.
     Deadline,
-    /// The event budget passed to [`Engine::run_events`] was exhausted.
-    EventBudget,
 }
 
 /// A shared counter of "useful work done", ticked by components at their
@@ -257,9 +248,6 @@ pub struct EngineStats {
     /// pins in the root `tests/event_counts.rs` and perfbench's
     /// `sim.peak_queue` stay comparable across queue designs.
     pub max_queue_len: usize,
-    /// Wall-clock nanoseconds spent inside `run`/`run_until`/`run_events`
-    /// since construction.
-    pub wall_nanos: u64,
 }
 
 impl EngineStats {
@@ -267,16 +255,6 @@ impl EngineStats {
     /// run that neither defers nor inlines would deliver.
     pub fn logical_events(&self) -> u64 {
         self.events_delivered + self.events_absorbed + self.events_inlined
-    }
-
-    /// Delivered events per wall-clock second across all timed runs; 0.0
-    /// before any timed run has completed.
-    pub fn events_per_wall_second(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events_delivered as f64 / (self.wall_nanos as f64 * 1e-9)
-        }
     }
 }
 
@@ -353,7 +331,6 @@ pub struct Engine<M> {
     queue: RadixQueue<Scheduled<M>>,
     now: SimTime,
     seq: u64,
-    halt: bool,
     stats: EngineStats,
     /// Per-component counters and deferred events, indexed by
     /// [`CompId`]. Each deferred event is absorbed before any
@@ -373,8 +350,6 @@ pub struct Engine<M> {
     in_batch: usize,
     /// Deferred events across all components.
     deferred_len: usize,
-    /// False inside a budgeted run, which queues every event.
-    lazy: bool,
     /// Set by [`Ctx::recheck_deferred`] and
     /// [`Ctx::recheck_all_deferred`] during a delivery.
     recheck: Recheck,
@@ -409,7 +384,6 @@ impl<M: 'static> Engine<M> {
             queue: RadixQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
-            halt: false,
             stats: EngineStats::default(),
             slots: Vec::new(),
             inlined: Vec::new(),
@@ -417,7 +391,6 @@ impl<M: 'static> Engine<M> {
             batch: Vec::new(),
             in_batch: 0,
             deferred_len: 0,
-            lazy: true,
             recheck: Recheck::No,
             undercut: false,
         }
@@ -445,11 +418,6 @@ impl<M: 'static> Engine<M> {
         self.now
     }
 
-    /// Number of events currently pending, deferred ones included.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len() + self.deferred_len
-    }
-
     /// Run counters accumulated so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -459,11 +427,6 @@ impl<M: 'static> Engine<M> {
     /// indexed by [`CompId`].
     pub fn component_stats(&self) -> Vec<ComponentStats> {
         self.per_component().collect()
-    }
-
-    /// `(name, stats)` pairs for every component, in registration order.
-    pub fn component_stats_named(&self) -> impl Iterator<Item = (&str, ComponentStats)> {
-        self.names.iter().map(|n| &**n).zip(self.per_component())
     }
 
     fn per_component(&self) -> impl Iterator<Item = ComponentStats> + '_ {
@@ -489,21 +452,6 @@ impl<M: 'static> Engine<M> {
             "schedule to unregistered component {dst}"
         );
         let at = self.now + delay;
-        self.push(at, dst, msg);
-    }
-
-    /// Schedules `msg` for `dst` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time, or if `dst` is not
-    /// registered.
-    pub fn schedule_at(&mut self, at: SimTime, dst: CompId, msg: M) {
-        assert!(at >= self.now, "schedule_at into the past");
-        assert!(
-            dst.index() < self.components.len(),
-            "schedule to unregistered component {dst}"
-        );
         self.push(at, dst, msg);
     }
 
@@ -615,13 +563,9 @@ impl<M: 'static> Engine<M> {
 
     /// Delivers one already-popped event at the current time: earlier
     /// deferred events of its component, counters, the component's
-    /// handler, the deferred re-check, and the outbox drain. Returns the
-    /// key of the last event handled: the delivered one's, or, when the
-    /// handler ran continuations in place, one ordered after every event
-    /// that existed before it and before every event it sent, as the
-    /// last continuation's own key would have been.
+    /// handler, the deferred re-check, and the outbox drain.
     #[inline(always)]
-    fn deliver(&mut self, entry: Entry<Scheduled<M>>) -> u128 {
+    fn deliver(&mut self, entry: Entry<Scheduled<M>>) {
         let key = entry.key;
         let Scheduled { dst, msg } = entry.item;
         let d = dst.index();
@@ -632,8 +576,7 @@ impl<M: 'static> Engine<M> {
         self.slots[d].delivered += 1;
 
         let now_ps = self.now.as_ps();
-        let calm = self.lazy
-            && self.in_batch == 0
+        let calm = self.in_batch == 0
             && self.queue.front_after(now_ps)
             && (self.slots[d].due >> 64) as u64 > now_ps;
         let mut outbox = std::mem::take(&mut self.outbox);
@@ -642,7 +585,6 @@ impl<M: 'static> Engine<M> {
                 now: self.now,
                 self_id: dst,
                 outbox: &mut outbox,
-                halt: &mut self.halt,
                 recheck: &mut self.recheck,
                 calm,
                 inlined: 0,
@@ -650,12 +592,9 @@ impl<M: 'static> Engine<M> {
             self.components[d].on_event(msg, &mut ctx);
             ctx.inlined
         };
-        let last = if inlined > 0 {
+        if inlined > 0 {
             self.count_inlined(d, inlined);
-            (u128::from(now_ps) << 64) | u128::from(self.seq)
-        } else {
-            key
-        };
+        }
         if self.recheck != Recheck::No {
             if std::mem::replace(&mut self.recheck, Recheck::No) == Recheck::All {
                 self.absorb_all_before(key);
@@ -675,25 +614,22 @@ impl<M: 'static> Engine<M> {
                 dst.index() < self.components.len(),
                 "event sent to unregistered component {dst}"
             );
-            if deferrable && self.lazy {
+            if deferrable {
                 self.push_deferrable(at, dst, msg, key);
             } else {
                 self.push(at, dst, msg);
             }
         }
         self.outbox = outbox;
-        last
     }
 
     /// Tallies `n` events component `d` handled in place. Debug builds
-    /// re-check what made that exact: the run is unbudgeted, nothing else
-    /// is queued at `now` and `d` has no deferred event keyed at or
-    /// before it.
+    /// re-check what made that exact: nothing else is queued at `now` and
+    /// `d` has no deferred event keyed at or before it.
     fn count_inlined(&mut self, d: usize, n: u64) {
         #[cfg(debug_assertions)]
         {
             let now_ps = self.now.as_ps();
-            assert!(self.lazy, "{} inlined in a budgeted run", self.names[d]);
             assert!(
                 self.in_batch == 0 && self.queue.front_after(now_ps),
                 "{} inlined while another event was due at {}",
@@ -712,58 +648,32 @@ impl<M: 'static> Engine<M> {
         self.slots[d].scheduled += n;
     }
 
-    /// Runs until the queue drains or a component halts the engine.
+    /// Runs until the queue drains.
     pub fn run(&mut self) -> RunLimit {
         self.run_until(SimTime::MAX)
     }
 
-    /// Runs until `deadline` (inclusive of events *at* the deadline), the
-    /// queue drains, or a component halts the engine. On
-    /// [`RunLimit::Deadline`] the clock moves forward to `deadline`; a
-    /// deadline already behind the clock leaves it where it is.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunLimit {
-        self.run_loop(deadline, u64::MAX)
-    }
-
-    /// Runs at most `budget` events; a safety valve against livelocked
-    /// component protocols in tests. The budget counts every event, so a
-    /// budgeted run defers none: it queues the deferred events under
-    /// their keys on entry and delivers everything.
-    pub fn run_events(&mut self, budget: u64) -> RunLimit {
-        self.run_loop(SimTime::MAX, budget)
-    }
-
-    /// The one delivery loop behind every `run_*` method: delivers in
-    /// `(at, seq)` order until the queue drains, the next event lies past
-    /// `deadline`, a component halts, or `budget` events were delivered.
+    /// Runs until `deadline` (inclusive of events *at* the deadline) or
+    /// until the queue drains. On [`RunLimit::Deadline`] the clock moves
+    /// forward to `deadline`; a deadline already behind the clock leaves it
+    /// where it is.
     ///
-    /// Same-instant events are popped as one batch (one queue min-search
-    /// for the whole tie instead of one per event) and delivered in their
-    /// `(at, seq)` order; events scheduled during the batch carry strictly
-    /// higher sequence numbers, so batching cannot reorder anything. A
-    /// deferred event queued at the current instant can sort inside the
-    /// batch, so it sends the undelivered remainder back to the queue. So
-    /// does a halt or an exhausted budget, with keys unchanged, so a later
-    /// run resumes in the identical order.
+    /// The one delivery loop: delivers in `(at, seq)` order. Same-instant
+    /// events are popped as one batch (one queue min-search for the whole
+    /// tie instead of one per event) and delivered in their `(at, seq)`
+    /// order; events scheduled during the batch carry strictly higher
+    /// sequence numbers, so batching cannot reorder anything. A deferred
+    /// event queued at the current instant can sort inside the batch, so
+    /// it sends the undelivered remainder back to the queue with keys
+    /// unchanged.
     ///
     /// When the run stops, every deferred event the same run without
     /// deferral would have delivered is absorbed: all of them on a drain
     /// (the clock ends at the last one), those up to `deadline` on a
-    /// deadline, and those keyed before the last delivery on a halt.
-    fn run_loop(&mut self, deadline: SimTime, mut budget: u64) -> RunLimit {
-        self.halt = false;
-        self.lazy = budget == u64::MAX;
-        if !self.lazy {
-            self.materialize_all();
-        }
-        let t0 = Instant::now();
+    /// deadline.
+    pub fn run_until(&mut self, deadline: SimTime) -> RunLimit {
         let mut batch = std::mem::take(&mut self.batch);
-        // Key of the last event handled: a halt absorbs what precedes it.
-        let mut last = 0;
         let limit = loop {
-            if budget == 0 {
-                break RunLimit::EventBudget;
-            }
             let first = match self.queue.pop_ready(deadline, &mut batch) {
                 Popped::Drained => break RunLimit::Drained,
                 Popped::Deadline => {
@@ -775,90 +685,54 @@ impl<M: 'static> Engine<M> {
             let at = first.at();
             assert!(at >= self.now, "event queue went backwards");
             self.now = at;
-            budget -= 1;
             if batch.is_empty() {
                 // Singleton batch: the hot path, no vec traffic at all.
-                last = self.deliver(first);
-                if self.halt {
-                    break RunLimit::Halted;
-                }
+                self.deliver(first);
                 continue;
             }
             self.in_batch = batch.len();
             self.undercut = false;
-            last = self.deliver(first);
+            self.deliver(first);
             let mut rest = batch.drain(..);
-            let stop = loop {
-                if self.halt {
-                    break Some(RunLimit::Halted);
-                }
-                if budget == 0 {
-                    break Some(RunLimit::EventBudget);
-                }
-                if self.undercut {
-                    break None;
-                }
+            while !self.undercut {
                 let Some(entry) = rest.next() else {
-                    break None;
+                    break;
                 };
                 self.in_batch -= 1;
-                budget -= 1;
-                last = self.deliver(entry);
-            };
+                self.deliver(entry);
+            }
             for entry in rest {
                 self.queue.push(entry);
             }
             self.in_batch = 0;
-            if let Some(stop) = stop {
-                break stop;
-            }
         };
         self.batch = batch;
-        let limit = self.settle(limit, deadline, last);
-        self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
-        limit
+        self.settle(limit, deadline)
     }
 
-    /// Queues every deferred event under its key.
-    #[cold]
-    fn materialize_all(&mut self) {
-        for d in 0..self.slots.len() {
-            self.materialize(d, |_, _| false);
-        }
-    }
-
-    /// Ends a run that stopped with `limit` after delivering the event
-    /// keyed `last`: absorbs every deferred event the same run without
-    /// deferral would have delivered, and returns the limit that run
-    /// would have reported.
+    /// Ends a run that stopped with `limit`: absorbs every deferred event
+    /// keyed up to `deadline`, which the same run without deferral would
+    /// have delivered, and returns the limit that run would have reported.
     #[inline(never)]
-    fn settle(&mut self, limit: RunLimit, deadline: SimTime, last: u128) -> RunLimit {
+    fn settle(&mut self, limit: RunLimit, deadline: SimTime) -> RunLimit {
         if self.deferred_len == 0 {
             return limit;
         }
-        match limit {
-            RunLimit::Halted | RunLimit::EventBudget => {
-                self.absorb_all_before(last);
-                limit
+        let bound = match deadline.as_ps().checked_add(1) {
+            Some(ps) => u128::from(ps) << 64,
+            None => u128::MAX,
+        };
+        let absorbed = self.absorb_all_before(bound);
+        if self.deferred_len > 0 {
+            // Only deferred events past the deadline are left: without
+            // deferral the queue would not have drained.
+            self.now = self.now.max(deadline);
+            RunLimit::Deadline
+        } else {
+            if let Some(at) = absorbed {
+                self.now = self.now.max(at);
             }
-            RunLimit::Deadline | RunLimit::Drained => {
-                let bound = match deadline.as_ps().checked_add(1) {
-                    Some(ps) => u128::from(ps) << 64,
-                    None => u128::MAX,
-                };
-                let absorbed = self.absorb_all_before(bound);
-                if self.deferred_len > 0 {
-                    // Only deferred events past the deadline are left:
-                    // without deferral the queue would not have drained.
-                    self.now = self.now.max(deadline);
-                    RunLimit::Deadline
-                } else {
-                    if let Some(at) = absorbed {
-                        self.now = self.now.max(at);
-                    }
-                    limit
-                }
-            }
+            limit
         }
     }
 
@@ -995,31 +869,14 @@ mod tests {
         assert_eq!(eng.get::<Recorder>(r).unwrap().seen, vec![1, 2]);
     }
 
-    struct SelfLooper {
-        fired: u64,
-    }
+    struct SelfLooper;
     impl Component<u32> for SelfLooper {
         fn on_event(&mut self, _ev: u32, ctx: &mut Ctx<'_, u32>) {
-            self.fired += 1;
             ctx.send_self(SimTime::from_ns(1), 0);
-            if self.fired == 7 {
-                ctx.halt();
-            }
         }
         fn name(&self) -> &str {
             "looper"
         }
-    }
-
-    #[test]
-    fn halt_stops_run_and_resumes() {
-        let mut eng: Engine<u32> = Engine::new();
-        let l = eng.add(SelfLooper { fired: 0 });
-        eng.schedule(SimTime::ZERO, l, 0);
-        assert_eq!(eng.run(), RunLimit::Halted);
-        assert_eq!(eng.get::<SelfLooper>(l).unwrap().fired, 7);
-        assert_eq!(eng.run_events(3), RunLimit::EventBudget);
-        assert_eq!(eng.get::<SelfLooper>(l).unwrap().fired, 10);
     }
 
     #[test]
@@ -1092,21 +949,6 @@ mod tests {
         assert_eq!(eng.get::<Recorder>(r).unwrap().seen, want);
     }
 
-    #[test]
-    fn run_events_resumes_where_it_stopped() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        for i in 0..10u32 {
-            eng.schedule(SimTime::from_ns(u64::from(i)), r, i);
-        }
-        assert_eq!(eng.run_events(4), RunLimit::EventBudget);
-        assert_eq!(eng.get::<Recorder>(r).unwrap().seen, vec![0, 1, 2, 3]);
-        assert_eq!(eng.pending_events(), 6);
-        assert_eq!(eng.run_events(100), RunLimit::Drained);
-        let expect: Vec<u32> = (0..10).collect();
-        assert_eq!(eng.get::<Recorder>(r).unwrap().seen, expect);
-    }
-
     /// Schedules one same-instant follow-up per event below 100, so a tie
     /// grows while it is being delivered; event 200 fans out 20 events,
     /// setting the queue's high-water mark after the ties.
@@ -1127,45 +969,33 @@ mod tests {
         }
     }
 
-    /// An event budget that runs out inside a same-instant tie resumes in
-    /// `(at, seq)` order, and the counters come out exactly as in one
-    /// uninterrupted run, whatever the budget.
+    /// A same-instant tie that grows while it is being delivered is
+    /// delivered in `(at, seq)` order.
     #[test]
-    fn run_events_budget_inside_tie_resumes_in_order() {
-        let setup = || {
-            let mut eng: Engine<u32> = Engine::new();
-            let e = eng.add(Echo { seen: Vec::new() });
-            for i in 0..6u32 {
-                eng.schedule(SimTime::from_ns(10), e, i);
-            }
-            for i in 6..9u32 {
-                eng.schedule(SimTime::from_ns(20), e, i);
-            }
-            eng.schedule(SimTime::from_ns(30), e, 200);
-            (eng, e)
-        };
-        let (mut whole, e) = setup();
-        assert_eq!(whole.run(), RunLimit::Drained);
-        let want = whole.get::<Echo>(e).unwrap().seen.clone();
-        let order: Vec<u32> = want.iter().map(|&(_, v)| v).collect();
+    fn growing_ties_deliver_in_order() {
+        let mut eng: Engine<u32> = Engine::new();
+        let e = eng.add(Echo { seen: Vec::new() });
+        for i in 0..6u32 {
+            eng.schedule(SimTime::from_ns(10), e, i);
+        }
+        for i in 6..9u32 {
+            eng.schedule(SimTime::from_ns(20), e, i);
+        }
+        eng.schedule(SimTime::from_ns(30), e, 200);
+        assert_eq!(eng.run(), RunLimit::Drained);
+        let order: Vec<u32> = eng
+            .get::<Echo>(e)
+            .unwrap()
+            .seen
+            .iter()
+            .map(|&(_, v)| v)
+            .collect();
         let expect: Vec<u32> = [0..6, 100..106, 6..9, 106..109, 200..201, 300..320]
             .into_iter()
             .flatten()
             .collect();
         assert_eq!(order, expect);
-        assert_eq!(whole.stats().max_queue_len, 20);
-        for budget in 1..=7 {
-            let (mut eng, e) = setup();
-            let mut slices = 1;
-            while eng.run_events(budget) == RunLimit::EventBudget {
-                slices += 1;
-            }
-            assert!(slices > 2, "budget {budget} never ran out");
-            assert_eq!(eng.get::<Echo>(e).unwrap().seen, want, "budget {budget}");
-            let (sliced, uninterrupted) = (eng.stats(), whole.stats());
-            assert_eq!(sliced.events_delivered, uninterrupted.events_delivered);
-            assert_eq!(sliced.max_queue_len, uninterrupted.max_queue_len);
-        }
+        assert_eq!(eng.stats().max_queue_len, 20);
     }
 
     /// Regression: a deadline already behind the clock must leave it
@@ -1188,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_then_run_events_preserves_order() {
+    fn run_until_then_run_preserves_order() {
         let mut eng: Engine<u32> = Engine::new();
         let r = eng.add(Recorder { seen: Vec::new() });
         for i in 0..10u32 {
@@ -1221,39 +1051,5 @@ mod tests {
         assert_eq!(cs[a.index()].delivered, 3);
         assert_eq!(cs[b.index()].scheduled, 1);
         assert_eq!(cs[b.index()].delivered, 1);
-        let named: Vec<_> = eng.component_stats_named().collect();
-        assert_eq!(named.len(), 2);
-        assert_eq!(named[0].0, "recorder");
-        assert_eq!(named[0].1.delivered, 3);
-    }
-
-    #[test]
-    fn wall_time_accumulates_and_rate_is_finite() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        for i in 0..100u32 {
-            eng.schedule(SimTime::from_ns(u64::from(i)), r, i);
-        }
-        assert_eq!(eng.stats().events_per_wall_second(), 0.0);
-        eng.run();
-        let s = eng.stats();
-        assert!(s.wall_nanos > 0);
-        assert!(s.events_per_wall_second() > 0.0);
-        assert!(s.events_per_wall_second().is_finite());
-    }
-
-    /// The clock can only go backwards through a bug (the run loop's guard
-    /// is a hard `assert!` in every profile); the reachable edge is
-    /// scheduling into the past, which must be refused at the API boundary.
-    #[test]
-    #[should_panic(expected = "past")]
-    fn schedule_at_into_the_past_panics() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.schedule(SimTime::from_ns(10), r, 1);
-        eng.run();
-        eng.schedule_at(SimTime::from_ns(10), r, 2); // at `now`: legal
-        eng.run();
-        eng.schedule_at(SimTime::from_ns(5), r, 3); // before `now`: refused
     }
 }

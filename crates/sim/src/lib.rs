@@ -48,6 +48,7 @@ mod time;
 pub use engine::{
     CompId, Component, ComponentStats, Ctx, Engine, EngineStats, ProgressMeter, RunLimit,
 };
+
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId};
 pub use rng::SimRng;
 pub use stats::{LogHistogram, Summary};

@@ -106,11 +106,6 @@ impl MetricsRegistry {
         self.counters[id.0] += delta;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
     /// Gets or creates the gauge named `name`.
     ///
     /// # Panics
@@ -139,21 +134,6 @@ impl MetricsRegistry {
         g.value = value;
         if value > g.max {
             g.max = value;
-        }
-    }
-
-    /// Last value written to a gauge (0.0 before the first write).
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
-    }
-
-    /// Largest value ever written to a gauge (0.0 before the first write).
-    pub fn gauge_max(&self, id: GaugeId) -> f64 {
-        let m = self.gauges[id.0].max;
-        if m == f64::NEG_INFINITY {
-            0.0
-        } else {
-            m
         }
     }
 
@@ -190,27 +170,6 @@ impl MetricsRegistry {
         s.push(Sample { at, value });
     }
 
-    /// The samples of a series, in recording order.
-    pub fn samples(&self, id: SeriesId) -> &[Sample] {
-        &self.series[id.0]
-    }
-
-    /// Looks up a counter's value by name.
-    pub fn counter_by_name(&self, name: &str) -> Option<u64> {
-        match self.lookup.get(name) {
-            Some(Instrument::Counter(i)) => Some(self.counters[*i]),
-            _ => None,
-        }
-    }
-
-    /// Looks up a series' samples by name.
-    pub fn series_by_name(&self, name: &str) -> Option<&[Sample]> {
-        match self.lookup.get(name) {
-            Some(Instrument::Series(i)) => Some(&self.series[*i]),
-            _ => None,
-        }
-    }
-
     /// All counters as `(name, value)`, in registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counter_names
@@ -241,16 +200,6 @@ impl MetricsRegistry {
             .zip(self.series.iter())
             .map(|(n, s)| (&**n, s.as_slice()))
     }
-
-    /// Total number of registered instruments.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.series.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -280,22 +229,27 @@ mod tests {
         assert_eq!(a, a2, "same name, same id");
         m.inc(a, 3);
         m.inc(a2, 4);
-        assert_eq!(m.counter_value(a), 7);
-        assert_eq!(m.counter_by_name("fabric.packets"), Some(7));
-        assert_eq!(m.counter_by_name("absent"), None);
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![("fabric.packets", 7)]
+        );
     }
 
     #[test]
     fn gauges_track_last_and_max() {
         let mut m = MetricsRegistry::new();
         let g = m.gauge("fifo.depth");
-        assert_eq!(m.gauge_value(g), 0.0);
-        assert_eq!(m.gauge_max(g), 0.0);
+        assert_eq!(
+            m.gauges().collect::<Vec<_>>(),
+            vec![("fifo.depth", 0.0, 0.0)]
+        );
         m.set_gauge(g, 4.0);
         m.set_gauge(g, 9.0);
         m.set_gauge(g, 2.0);
-        assert_eq!(m.gauge_value(g), 2.0);
-        assert_eq!(m.gauge_max(g), 9.0);
+        assert_eq!(
+            m.gauges().collect::<Vec<_>>(),
+            vec![("fifo.depth", 2.0, 9.0)]
+        );
     }
 
     #[test]
@@ -305,10 +259,10 @@ mod tests {
         m.record(s, SimTime::from_ns(10), 0.5);
         m.record(s, SimTime::from_ns(10), 0.6); // equal instants allowed
         m.record(s, SimTime::from_ns(20), 0.7);
-        let samples = m.samples(s);
+        let (name, samples) = m.all_series().next().unwrap();
+        assert_eq!(name, "link.util");
         assert_eq!(samples.len(), 3);
         assert_eq!(samples[2].at, SimTime::from_ns(20));
-        assert_eq!(m.series_by_name("link.util").unwrap().len(), 3);
     }
 
     #[test]
@@ -336,8 +290,6 @@ mod tests {
         m.gauge("z");
         let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["b", "a"]);
-        assert_eq!(m.len(), 3);
-        assert!(!m.is_empty());
         let rendered = m.to_string();
         assert!(rendered.contains("counter b = 0"));
         assert!(rendered.contains("gauge   z = 0"));

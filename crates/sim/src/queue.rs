@@ -564,7 +564,7 @@ mod tests {
         ));
     }
 
-    /// The run loop's halt/budget push-back: entries returned at the
+    /// The run loop's push-back after an undercut: entries returned at the
     /// instant just popped, and new ones sent there, pop next in seq
     /// order, ahead of a later entry that the pop refiled beside them.
     #[test]
@@ -575,8 +575,8 @@ mod tests {
             q.push(Entry::new(SimTime::from_ps(at), seq, ()));
         }
         assert_eq!(pop_keys(&mut q), vec![(t, 0), (t, 1), (t, 2)]);
-        // Delivering seq 0 sent seq 5 to the same instant, then a halt
-        // returned seqs 1 and 2.
+        // Delivering seq 0 sent seq 5 to the same instant, then an
+        // undercut returned seqs 1 and 2.
         for seq in [5, 1, 2] {
             q.push(Entry::new(SimTime::from_ps(t), seq, ()));
         }

@@ -86,38 +86,14 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw with probability `p` (clamped to `\[0, 1\]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
-    }
-
-    /// Geometric-ish exponential sample with the given mean (inverse-CDF).
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element of a non-empty slice.
@@ -128,29 +104,6 @@ impl SimRng {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.range(xs.len() as u64) as usize]
-    }
-
-    /// Zipf-like draw over `[0, n)`: rank `k` has weight `1/(k+1)^theta`.
-    /// Used by the hot-page workloads. `theta = 0` is uniform.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0, "zipf over empty domain");
-        if theta == 0.0 {
-            return self.range(n);
-        }
-        // Inverse-CDF on the (cheaply approximated) harmonic weights; exact
-        // for the small n used by page-selection in workloads.
-        let mut total = 0.0;
-        for k in 0..n {
-            total += 1.0 / ((k + 1) as f64).powf(theta);
-        }
-        let mut target = self.f64() * total;
-        for k in 0..n {
-            target -= 1.0 / ((k + 1) as f64).powf(theta);
-            if target <= 0.0 {
-                return k;
-            }
-        }
-        n - 1
     }
 }
 
@@ -244,15 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn range_between_bounds() {
-        let mut rng = SimRng::new(5);
-        for _ in 0..100 {
-            let x = rng.range_between(10, 20);
-            assert!((10..20).contains(&x));
-        }
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut rng = SimRng::new(3);
         for _ in 0..1000 {
@@ -273,50 +217,6 @@ mod tests {
         let mut rng = SimRng::new(11);
         let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
         assert!((2_200..2_800).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn exp_mean_roughly_right() {
-        let mut rng = SimRng::new(21);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| rng.exp(5.0)).sum();
-        let mean = total / n as f64;
-        assert!((4.7..5.3).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(8);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        let expect: Vec<u32> = (0..50).collect();
-        assert_eq!(sorted, expect);
-        assert_ne!(xs, expect, "astronomically unlikely identity shuffle");
-    }
-
-    #[test]
-    fn zipf_skews_to_low_ranks() {
-        let mut rng = SimRng::new(13);
-        let mut counts = [0u32; 8];
-        for _ in 0..8000 {
-            counts[rng.zipf(8, 1.2) as usize] += 1;
-        }
-        assert!(counts[0] > counts[3]);
-        assert!(counts[0] > counts[7] * 3);
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_uniformish() {
-        let mut rng = SimRng::new(13);
-        let mut counts = [0u32; 4];
-        for _ in 0..8000 {
-            counts[rng.zipf(4, 0.0) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((1700..2300).contains(&c), "counts = {counts:?}");
-        }
     }
 
     #[test]

@@ -15,8 +15,6 @@ use std::fmt;
 /// }
 /// assert_eq!(s.count(), 4);
 /// assert!((s.mean() - 2.5).abs() < 1e-12);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
@@ -64,7 +62,7 @@ impl Summary {
     }
 
     /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -73,23 +71,18 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Smallest sample (+inf when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest sample (-inf when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
     }
 
     /// Merges another accumulator into this one (Chan's parallel update).
@@ -148,8 +141,7 @@ impl fmt::Display for Summary {
 ///     h.record(v);
 /// }
 /// assert_eq!(h.count(), 1000);
-/// assert_eq!(h.min(), 1);
-/// assert_eq!(h.max(), 1000);
+/// assert_eq!(h.quantile(1.0), 1000);
 /// let p50 = h.quantile(0.50);
 /// assert!((495..=505).contains(&p50), "p50 was {p50}");
 /// ```
@@ -160,7 +152,6 @@ pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,
     sum: u128,
-    min: u64,
     max: u64,
 }
 
@@ -187,14 +178,13 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics unless `2 <= sub_bits <= 16`.
-    pub fn with_precision(sub_bits: u32) -> Self {
+    pub(crate) fn with_precision(sub_bits: u32) -> Self {
         assert!((2..=16).contains(&sub_bits), "sub_bits out of range");
         LogHistogram {
             sub_bits,
             counts: Vec::new(),
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -239,7 +229,7 @@ impl LogHistogram {
     }
 
     /// Records `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -250,27 +240,12 @@ impl LogHistogram {
         self.counts[idx] += n;
         self.count += n;
         self.sum += u128::from(v) * u128::from(n);
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Arithmetic mean of the recorded values (0.0 when empty), exact —
@@ -301,25 +276,6 @@ impl LogHistogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the precisions differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.sub_bits, other.sub_bits, "precision mismatch");
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +292,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.sum(), 40.0);
     }
 
     #[test]
@@ -345,7 +300,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sum(), 0.0);
     }
 
     #[test]
@@ -395,8 +349,6 @@ mod tests {
         assert_eq!(h.quantile(1.0 / 6.0), 0);
         assert_eq!(h.quantile(0.5), 2);
         assert_eq!(h.quantile(1.0), 255);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 255);
     }
 
     #[test]
@@ -427,31 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_merge_equals_combined() {
-        let mut rng = crate::SimRng::new(7);
-        let values: Vec<u64> = (0..2000).map(|_| rng.range(1 << 40)).collect();
-        let mut whole = LogHistogram::new();
-        let mut left = LogHistogram::new();
-        let mut right = LogHistogram::new();
-        for (i, &v) in values.iter().enumerate() {
-            whole.record(v);
-            if i % 3 == 0 {
-                left.record(v);
-            } else {
-                right.record(v);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left, whole);
-    }
-
-    #[test]
     fn log_histogram_empty_and_extremes() {
         let h = LogHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
 
         let mut h = LogHistogram::new();

@@ -49,12 +49,6 @@ impl SimTime {
         SimTime(ms * 1_000_000_000)
     }
 
-    /// Creates a time from a fractional count of nanoseconds, rounding to
-    /// the nearest picosecond. Negative inputs saturate to zero.
-    pub fn from_ns_f64(ns: f64) -> Self {
-        SimTime((ns * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Creates a time from a fractional count of microseconds, rounding to
     /// the nearest picosecond. Negative inputs saturate to zero.
     pub fn from_us_f64(us: f64) -> Self {
@@ -71,13 +65,8 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Whole microseconds (truncating).
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional nanoseconds.
-    pub fn as_ns_f64(self) -> f64 {
+    pub(crate) fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -87,7 +76,7 @@ impl SimTime {
     }
 
     /// Fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
+    pub(crate) fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
@@ -107,17 +96,8 @@ impl SimTime {
     }
 
     /// The larger of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -211,15 +191,14 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ns(7).as_ps(), 7_000);
         assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
-        assert_eq!(SimTime::from_ms(2).as_us(), 2_000);
+        assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(SimTime::from_ps(999).as_ns(), 0);
     }
 
     #[test]
     fn fractional_constructors_round() {
-        assert_eq!(SimTime::from_ns_f64(0.4604).as_ps(), 460);
         assert_eq!(SimTime::from_us_f64(0.7).as_ns(), 700);
-        assert_eq!(SimTime::from_ns_f64(-5.0), SimTime::ZERO);
+        assert_eq!(SimTime::from_us_f64(-5.0), SimTime::ZERO);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use tg_sim::{CompId, Component, Ctx, Engine, RunLimit, SimRng, SimTime};
 enum Ev {
     /// Real work: mixed into the state, may fan out.
     Work(u64),
-    /// Work that halts the engine once handled.
-    Stop(u64),
     /// Absorbable: its handler only counts.
     Tick(u64),
 }
@@ -71,14 +69,11 @@ impl Cell {
                 self.ticks += 1;
                 return;
             }
-            Ev::Work(id) | Ev::Stop(id) => id,
+            Ev::Work(id) => id,
         };
         self.log.borrow_mut().push(id);
         self.acc =
             self.acc.wrapping_mul(0x100_0000_01b3) ^ id ^ self.ticks << 40 ^ ctx.now().as_ps();
-        if matches!(ev, Ev::Stop(_)) {
-            ctx.halt();
-        }
         match &mut self.plan {
             Plan::Script(react) => {
                 let sends = react(id);
@@ -90,7 +85,7 @@ impl Cell {
 
     /// Zero to three random sends: zero-delay sends to itself and to
     /// peers, delayed sends on a coarse 10 ns grid (so ties happen),
-    /// deferrable ticks and the occasional halt.
+    /// and deferrable ticks.
     fn fan_out(&mut self) {
         for _ in 0..3 {
             let Plan::Random { rng, budget } = &mut self.plan else {
@@ -108,7 +103,7 @@ impl Cell {
                 6..8 => (0, To::Peer(peer), Ev::Work(id)),
                 8..12 => (delay, To::Peer(peer), Ev::Work(id)),
                 12..15 => (delay % 20, To::Deferrable(peer), Ev::Tick(id)),
-                _ => (delay, To::Me, Ev::Stop(id)),
+                _ => (delay, To::Me, Ev::Work(id)),
             };
             self.outbox.push(send);
         }
@@ -193,21 +188,19 @@ fn network(n: u64, inline: bool, plan: impl Fn(u64) -> Plan) -> Net {
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Until(SimTime),
-    Events(u64),
     Run,
 }
 
 fn step(eng: &mut Engine<Ev>, s: Step) -> RunLimit {
     match s {
         Step::Until(t) => eng.run_until(t),
-        Step::Events(k) => eng.run_events(k),
         Step::Run => eng.run(),
     }
 }
 
 /// Drives an inlining and a queueing copy of one setup through `plan`
-/// and compares them after every step: run limit, clock, pending events,
-/// the logical event count, every cell's state and the handling order.
+/// and compares them after every step: run limit, clock, the logical
+/// and scheduled event counts, every cell's state and the handling order.
 /// Returns the inlining copy's engine and handling order.
 fn compare(what: &str, setup: impl Fn(bool) -> Net, plan: &[Step]) -> (Engine<Ev>, Vec<u64>) {
     let (mut fast, ids, fast_log) = setup(true);
@@ -216,11 +209,6 @@ fn compare(what: &str, setup: impl Fn(bool) -> Net, plan: &[Step]) -> (Engine<Ev
         let at = format!("{what} step {i} {s:?}");
         assert_eq!(step(&mut fast, s), step(&mut slow, s), "{at}: run limit");
         assert_eq!(fast.now(), slow.now(), "{at}: clock");
-        assert_eq!(
-            fast.pending_events(),
-            slow.pending_events(),
-            "{at}: pending"
-        );
         let (f, q) = (fast.stats(), slow.stats());
         assert_eq!(q.events_inlined, 0, "{at}");
         assert_eq!(f.logical_events(), q.logical_events(), "{at}: events");
@@ -266,7 +254,7 @@ fn drained_runs_match_the_queueing_reference() {
 }
 
 /// Deadlines on the event grid (so they often fall on an instant with
-/// work still due), budgets and halts, interleaved.
+/// work still due) and drains, interleaved.
 #[test]
 fn sliced_runs_match_the_queueing_reference() {
     let mut inlined = 0;
@@ -275,11 +263,10 @@ fn sliced_runs_match_the_queueing_reference() {
         let mut t = 0;
         let plan: Vec<Step> = (0..60)
             .map(|_| match rng.range(3) {
-                0 => {
+                0 | 1 => {
                     t += 10 * rng.range(3);
                     Step::Until(SimTime::from_ns(t))
                 }
-                1 => Step::Events(1 + rng.range(5)),
                 _ => Step::Run,
             })
             .collect();
@@ -339,25 +326,6 @@ fn a_tie_still_in_the_batch_blocks_inlining() {
     assert_eq!(eng.stats().events_inlined, 0);
 }
 
-/// A halt inside that tie stops the run after the halting event; the
-/// rest of the tie and the continuation follow in the next run.
-#[test]
-fn a_halt_inside_a_tie_blocks_inlining() {
-    let (eng, log) = compare(
-        "halt in tie",
-        scripted(continue_1, Ev::Stop(1), Some((1, Ev::Work(2)))),
-        &[Step::Run, Step::Run],
-    );
-    assert_eq!(log, [1, 2, 11]);
-    assert_eq!(eng.stats().events_inlined, 0);
-    let (eng, _) = compare(
-        "halt alone",
-        scripted(continue_1, Ev::Stop(1), None),
-        &[Step::Run, Step::Run],
-    );
-    assert_eq!(eng.stats().events_inlined, 0);
-}
-
 /// A `run_until` deadline at the current instant is inclusive: the
 /// continuation would be delivered in the same run, so it runs in place.
 #[test]
@@ -369,23 +337,6 @@ fn a_deadline_at_the_current_instant_delivers_the_continuation() {
     );
     assert_eq!(eng.stats().events_inlined, 1);
     assert_eq!(eng.now(), SimTime::from_ns(10));
-}
-
-/// A `run_events` budget counts every event, so nothing runs in place.
-#[test]
-fn a_budgeted_run_never_inlines() {
-    let (eng, _) = compare(
-        "budget",
-        scripted(continue_1, Ev::Work(1), None),
-        &[Step::Events(1), Step::Events(1), Step::Run],
-    );
-    assert_eq!(eng.stats().events_inlined, 0);
-    let (eng, _) = compare(
-        "budget, roomy",
-        scripted(continue_1, Ev::Work(1), None),
-        &[Step::Events(10)],
-    );
-    assert_eq!(eng.stats().events_inlined, 0);
 }
 
 /// Cell 1's first event defers a zero-delay tick to cell 0, keyed after

@@ -98,11 +98,6 @@ impl PageNum {
         self.0
     }
 
-    /// The index as `usize` for table lookups.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-
     /// Byte offset of the start of this page.
     pub const fn base(self) -> GOffset {
         GOffset((self.0 as u64) << PAGE_SHIFT)

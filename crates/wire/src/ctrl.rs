@@ -84,19 +84,7 @@ pub enum CtrlMsg {
     },
 }
 
-impl CtrlMsg {
-    /// A short label for traces and diagnostics.
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            CtrlMsg::Ack { .. } => "ack",
-            CtrlMsg::Nack { .. } => "nack",
-            CtrlMsg::SyncReq { .. } => "sync-req",
-            CtrlMsg::SyncAck { .. } => "sync-ack",
-            CtrlMsg::Heartbeat { .. } => "heartbeat",
-            CtrlMsg::Reset { .. } => "reset",
-        }
-    }
-}
+impl CtrlMsg {}
 
 /// A sealed control frame: a [`CtrlMsg`] plus its wire checksum.
 ///
@@ -122,7 +110,7 @@ impl CtrlFrame {
 
     /// The frame checksum over the message body — same FNV-1a fold as
     /// [`crate::Packet::compute_checksum`].
-    pub fn compute_checksum(&self) -> u32 {
+    pub(crate) fn compute_checksum(&self) -> u32 {
         let mut h = Fnv1a::default();
         match &self.msg {
             // A word at a time: the derived slice hash would feed the

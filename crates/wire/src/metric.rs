@@ -48,7 +48,7 @@ pub fn fabric_metric(metric: &str) -> String {
 /// `remote_writes`, so the full name is [`site_metric`]`(site,
 /// op_counter_leaf(kind))`, e.g. `node3.remote_writes`). One mapping,
 /// shared by the producer and every report consumer.
-pub fn op_counter_leaf(kind: OpKind) -> &'static str {
+pub(crate) fn op_counter_leaf(kind: OpKind) -> &'static str {
     match kind {
         OpKind::RemoteRead => "remote_reads",
         OpKind::RemoteWrite => "remote_writes",
@@ -70,7 +70,7 @@ pub fn op_counter(site: Site, kind: OpKind) -> String {
 
 /// Parses one site label as [`Site`]'s `Display` renders it
 /// (`node<n>` or `switch<s>`).
-pub fn parse_site(s: &str) -> Option<Site> {
+pub(crate) fn parse_site(s: &str) -> Option<Site> {
     if let Some(n) = s.strip_prefix("node") {
         return n.parse::<u16>().ok().map(|n| Site::Node(NodeId::new(n)));
     }

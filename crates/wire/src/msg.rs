@@ -7,7 +7,7 @@ use crate::addr::GOffset;
 use crate::ids::NodeId;
 
 /// Bytes of routing/type header carried by every packet.
-pub const HEADER_BYTES: u32 = 8;
+pub(crate) const HEADER_BYTES: u32 = 8;
 
 /// The remote atomic operations the HIB implements (paper §2.2.3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -199,7 +199,7 @@ impl WireMsg {
     /// prototype: 48-bit addresses, 64-bit data, small tags. Absolute values
     /// only matter through the timing calibration in
     /// [`TimingConfig`](crate::TimingConfig).
-    pub fn payload_bytes(&self) -> u32 {
+    pub(crate) fn payload_bytes(&self) -> u32 {
         match self {
             WireMsg::WriteReq { .. } => 18,
             WireMsg::WriteAck { .. } => 6,
@@ -223,7 +223,7 @@ impl WireMsg {
 
     /// Stable short name of this message kind, for trace exporters and
     /// reports (`'static` so probes can record it without allocating).
-    pub fn kind_str(&self) -> &'static str {
+    pub(crate) fn kind_str(&self) -> &'static str {
         match self {
             WireMsg::WriteReq { .. } => "write_req",
             WireMsg::WriteAck { .. } => "write_ack",
@@ -243,19 +243,6 @@ impl WireMsg {
             WireMsg::DmaData { .. } => "dma_data",
             WireMsg::OsCtl { .. } => "os_ctl",
         }
-    }
-
-    /// True for messages that elicit no reply of their own and are instead
-    /// covered by the outstanding-operation counters (write-class traffic).
-    pub fn is_posted(&self) -> bool {
-        matches!(
-            self,
-            WireMsg::WriteReq { .. }
-                | WireMsg::UpdateToOwner { .. }
-                | WireMsg::ReflectedWrite { .. }
-                | WireMsg::MulticastWrite { .. }
-                | WireMsg::DmaData { .. }
-        )
     }
 }
 
@@ -314,7 +301,7 @@ impl Packet {
     /// reliable hop seals or verifies each frame, so this sits on the
     /// fabric's hot path, and a simulated CRC needs bit-flip sensitivity,
     /// not collision resistance.
-    pub fn compute_checksum(&self) -> u32 {
+    pub(crate) fn compute_checksum(&self) -> u32 {
         let mut h = Fnv1a::default();
         self.src.hash(&mut h);
         self.dst.hash(&mut h);
@@ -427,28 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn posted_classification() {
-        assert!(WireMsg::WriteReq {
-            addr: GOffset::new(0),
-            val: 0,
-            tag: 0
-        }
-        .is_posted());
-        assert!(WireMsg::ReflectedWrite {
-            addr: GOffset::new(0),
-            val: 0,
-            writer: NodeId::new(0)
-        }
-        .is_posted());
-        assert!(!WireMsg::ReadReq {
-            addr: GOffset::new(0),
-            tag: 0
-        }
-        .is_posted());
-        assert!(!WireMsg::WriteAck { tag: 0 }.is_posted());
-    }
-
-    #[test]
     fn checksum_detects_corruption() {
         let mut p = packet(WireMsg::WriteReq {
             addr: GOffset::new(8),
@@ -490,5 +455,52 @@ mod tests {
         assert_eq!(AtomicOp::FetchInc.to_string(), "fetch_and_inc");
         assert_eq!(AtomicOp::FetchStore.to_string(), "fetch_and_store");
         assert_eq!(AtomicOp::CompareSwap.to_string(), "compare_and_swap");
+    }
+
+    #[test]
+    fn packet_size_is_header_plus_payload() {
+        let mut rng = tg_sim::SimRng::new(0xD00D);
+        for _ in 0..256 {
+            let addr = rng.range(0x1000_0000);
+            let val = rng.next_u64();
+            let words = (1 + rng.range(63)) as usize;
+            let msgs = [
+                WireMsg::WriteReq {
+                    addr: GOffset::new(addr),
+                    val,
+                    tag: 1,
+                },
+                WireMsg::WriteAck { tag: 1 },
+                WireMsg::ReadReq {
+                    addr: GOffset::new(addr),
+                    tag: 1,
+                },
+                WireMsg::ReadResp { tag: 1, val },
+                WireMsg::AtomicReq {
+                    op: AtomicOp::CompareSwap,
+                    addr: GOffset::new(addr),
+                    arg0: val,
+                    arg1: val,
+                    tag: 2,
+                },
+                WireMsg::CopyData {
+                    tag: 3,
+                    index: 0,
+                    vals: vec![val; words].into(),
+                    last: true,
+                },
+                WireMsg::OsCtl {
+                    kind: 7,
+                    a: val,
+                    b: val,
+                },
+            ];
+            for msg in msgs {
+                let payload = msg.payload_bytes();
+                let p = Packet::new(NodeId::new(0), NodeId::new(1), msg, 0);
+                assert_eq!(p.size_bytes(), HEADER_BYTES + payload);
+                assert!(payload >= 2, "every message carries something");
+            }
+        }
     }
 }

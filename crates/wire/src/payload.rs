@@ -28,13 +28,8 @@ pub struct Payload(Rc<Vec<u64>>);
 
 impl Payload {
     /// Wraps an owned vector (no pooling; see [`PayloadPool::seal`]).
-    pub fn new(vals: Vec<u64>) -> Self {
+    pub(crate) fn new(vals: Vec<u64>) -> Self {
         Payload(Rc::new(vals))
-    }
-
-    /// The payload words.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.0
     }
 }
 
@@ -68,10 +63,6 @@ impl fmt::Debug for Payload {
 #[derive(Debug, Default)]
 pub struct PayloadPool {
     free: Vec<Vec<u64>>,
-    /// Buffers handed back whose words are still referenced elsewhere
-    /// (e.g. a retransmission copy in flight); dropped instead of reused.
-    misses: u64,
-    hits: u64,
 }
 
 /// Retain at most this many idle buffers; beyond that, recycled buffers
@@ -98,21 +89,12 @@ impl PayloadPool {
     /// drop) when a clone of the payload is still alive — a retransmission
     /// copy buffered by a reliable link, for example.
     pub fn recycle(&mut self, payload: Payload) {
-        match Rc::try_unwrap(payload.0) {
-            Ok(mut vals) if self.free.len() < POOL_CAP => {
+        if let Ok(mut vals) = Rc::try_unwrap(payload.0) {
+            if self.free.len() < POOL_CAP {
                 vals.clear();
                 self.free.push(vals);
-                self.hits += 1;
             }
-            Ok(_) => self.hits += 1,
-            Err(_) => self.misses += 1,
         }
-    }
-
-    /// `(exclusively owned, still shared)` recycle counts, for tests and
-    /// diagnostics.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -136,14 +118,14 @@ mod tests {
         let p = Payload::new(v.clone());
         assert_eq!(hash_of(&p), hash_of(&v));
         assert_eq!(format!("{p:?}"), format!("{v:?}"));
-        assert_eq!(p.as_slice(), &v[..]);
+        assert_eq!(&p[..], &v[..]);
     }
 
     #[test]
     fn clones_share_storage() {
         let p = Payload::new(vec![7; 8]);
         let q = p.clone();
-        assert!(std::ptr::eq(p.as_slice(), q.as_slice()));
+        assert!(std::ptr::eq(&p[..], &q[..]));
         assert_eq!(p, q);
     }
 
@@ -155,7 +137,6 @@ mod tests {
         let cap_ptr = buf.as_ptr();
         let p = pool.seal(buf);
         pool.recycle(p);
-        assert_eq!(pool.stats(), (1, 0));
         let again = pool.take();
         assert!(again.is_empty());
         assert_eq!(again.as_ptr(), cap_ptr);
@@ -167,9 +148,8 @@ mod tests {
         let p = pool.seal(vec![9; 4]);
         let keep = p.clone();
         pool.recycle(p);
-        assert_eq!(pool.stats(), (0, 1));
         // The surviving clone still reads its words.
-        assert_eq!(keep.as_slice(), &[9, 9, 9, 9]);
+        assert_eq!(&keep[..], &[9, 9, 9, 9]);
         // A fresh take is a new buffer, not the shared one.
         assert!(pool.take().is_empty());
     }

@@ -37,11 +37,6 @@ impl TraceId {
         TraceId((u64::from(src.raw()) << 48) | (seq & ((1 << 48) - 1)))
     }
 
-    /// Raw packed value (node in the high 16 bits, sequence below).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
     /// The injecting node encoded in the id.
     pub fn src(self) -> NodeId {
         NodeId::new((self.0 >> 48) as u16)
@@ -169,9 +164,7 @@ pub struct PacketEvent {
     pub site: Site,
     /// Which lifecycle point.
     pub stage: Stage,
-    /// Message kind (stable label from [`WireMsg::kind_str`]).
-    ///
-    /// [`WireMsg::kind_str`]: crate::WireMsg::kind_str
+    /// Message kind (stable label from `WireMsg::kind_str`).
     pub kind: &'static str,
     /// Total bytes on the wire.
     pub bytes: u32,
@@ -379,7 +372,7 @@ mod tests {
     fn trace_id_round_trips_src() {
         let t = TraceId::packet(NodeId::new(7), 12345);
         assert_eq!(t.src(), NodeId::new(7));
-        assert_eq!(t.raw() & 0xFFFF_FFFF_FFFF, 12345);
+        assert_eq!(t.0 & 0xFFFF_FFFF_FFFF, 12345);
         assert_eq!(t.to_string(), "t7.12345");
     }
 
@@ -413,7 +406,7 @@ mod tests {
             2,
         );
         node.op(OpKind::Fence, SimTime::ZERO, SimTime::from_ns(4), None);
-        let ids: Vec<_> = log.packet_events().iter().map(|e| e.trace.raw()).collect();
+        let ids: Vec<_> = log.packet_events().iter().map(|e| e.trace.0).collect();
         assert_eq!(ids, [(2 << 48) | 9, (0x8003 << 48) | 1, (5 << 48) | 2]);
         let kinds: Vec<_> = log.packet_events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, ["credit-resync", "peer-down", "peer-up"]);

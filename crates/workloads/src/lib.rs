@@ -22,8 +22,8 @@ mod trace;
 
 pub use phased::{Consumer, Migratory, PcConfig, Producer};
 pub use scripts::{
-    bursty_scatter, hot_page_reader, message_ping, message_pong, scatter_writes, stream_reads,
-    stream_writes, uniform_mixed,
+    bursty_scatter, hot_page_reader, message_ping, message_pong, stream_reads, stream_writes,
+    uniform_mixed,
 };
 pub use stencil::{jacobi_reference, JacobiShared, JacobiWorker};
 pub use trace::{synthetic_trace, TraceConfig};

@@ -134,9 +134,9 @@ pub struct Consumer {
     word: u64,
     state: CState,
     /// Sum of all data values read (cheap end-to-end checksum).
-    pub checksum: u64,
+    pub(crate) checksum: u64,
     /// Stale reads observed (value from an older round).
-    pub stale_reads: u64,
+    pub(crate) stale_reads: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

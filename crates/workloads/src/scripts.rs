@@ -37,18 +37,6 @@ pub fn hot_page_reader(page: &SharedPage, reads: u64, think: SimTime) -> Script 
     Script::new(actions)
 }
 
-/// Round-robin writes over `distinct_words` different words of a page —
-/// on a coherent replica this is the worst case for the pending-write CAM,
-/// since each word needs its own counter entry (§2.3.4 / experiment E7).
-pub fn scatter_writes(page: &SharedPage, distinct_words: u64, writes: u64) -> Script {
-    assert!(distinct_words > 0 && distinct_words <= PAGE_WORDS);
-    Script::new(
-        (0..writes)
-            .map(|i| Action::Write(page.va((i % distinct_words) * 8), i + 1))
-            .collect(),
-    )
-}
-
 /// Bursts of scattered coherent writes separated by drain pauses: `bursts`
 /// rounds of `burst` back-to-back writes over `distinct_words` words, with
 /// `pause` of compute in between. The peak number of pending writes —
@@ -171,23 +159,6 @@ mod tests {
         assert!(matches!(s.resume(Resume::Start), Action::Read(_)));
         assert!(matches!(s.resume(Resume::Value(0)), Action::Compute(_)));
         assert!(matches!(s.resume(Resume::Done), Action::Read(_)));
-    }
-
-    #[test]
-    fn scatter_cycles_distinct_words() {
-        let mut s = scatter_writes(&page(), 2, 4);
-        let vas: Vec<_> = (0..4)
-            .map(|i| {
-                let r = if i == 0 { Resume::Start } else { Resume::Done };
-                match s.resume(r) {
-                    Action::Write(va, _) => va,
-                    other => panic!("{other:?}"),
-                }
-            })
-            .collect();
-        assert_eq!(vas[0], vas[2]);
-        assert_eq!(vas[1], vas[3]);
-        assert_ne!(vas[0], vas[1]);
     }
 
     #[test]

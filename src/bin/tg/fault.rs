@@ -354,7 +354,7 @@ fn pingpong_op_latency(heartbeats: bool) -> f64 {
     }
 }
 
-pub fn main(mut args: Args) -> Result<(), String> {
+pub(crate) fn main(mut args: Args) -> Result<(), String> {
     let (n_seeds, report) = harness::campaign(&mut args)?;
     let sweep_seeds = args.value("--sweep-seeds")?.map_or(10, NonZeroU64::get);
     args.finish()?;

@@ -119,7 +119,7 @@ fn run_once(scenario: &str, mode: RetxMode, seed: u64, requests: u32) -> KvRun {
     }
 }
 
-pub fn main(mut args: Args) -> Result<(), String> {
+pub(crate) fn main(mut args: Args) -> Result<(), String> {
     let (n_seeds, report) = harness::campaign(&mut args)?;
     let requests = args.value("--requests")?.map_or(16, NonZeroU32::get);
     args.finish()?;

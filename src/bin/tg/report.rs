@@ -126,7 +126,7 @@ fn print_exemplar(tag: &str, kind: &str, a: &OpAttribution) {
     println!("    {:<32} {:>9.3} us ({exact})", "sum", sum.as_us_f64());
 }
 
-pub fn main(mut args: Args) -> Result<(), String> {
+pub(crate) fn main(mut args: Args) -> Result<(), String> {
     let perfetto: Option<String> = args.value("--perfetto")?;
     let top = args.value("--top")?.unwrap_or(5);
     let run = Run::parse(&mut args, &WORKLOADS, "report.json")?;
@@ -267,7 +267,7 @@ pub fn main(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
-pub fn gate(mut args: Args) -> Result<(), String> {
+pub(crate) fn gate(mut args: Args) -> Result<(), String> {
     let baseline: String = args.value("--baseline")?.ok_or("needs --baseline")?;
     let current: String = args.value("--current")?.ok_or("needs --current")?;
     let mut tol = Tolerances::exact();

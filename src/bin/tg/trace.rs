@@ -297,7 +297,7 @@ fn check_peer_verdicts(
     }
 }
 
-pub fn main(mut args: Args) -> Result<(), String> {
+pub(crate) fn main(mut args: Args) -> Result<(), String> {
     let run = Run::parse(&mut args, &WORKLOADS, "trace.json")?;
     let (sampled, check) = (args.switch("--metrics"), args.switch("--check"));
     args.finish()?;

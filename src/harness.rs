@@ -83,7 +83,7 @@ impl Default for HarnessOptions {
 impl HarnessOptions {
     /// True if any seeded fault probability is non-zero or a crash-stop
     /// window is scheduled.
-    pub fn any_faults(&self) -> bool {
+    pub(crate) fn any_faults(&self) -> bool {
         self.drop > 0.0
             || self.corrupt > 0.0
             || self.ctrl_drop > 0.0
@@ -225,7 +225,7 @@ pub fn campaign(args: &mut Args) -> Result<(u64, Option<String>), String> {
 }
 
 /// A cluster builder reflecting the reliability / fault options.
-pub fn builder(opts: &HarnessOptions) -> ClusterBuilder {
+pub(crate) fn builder(opts: &HarnessOptions) -> ClusterBuilder {
     let mut b = ClusterBuilder::new(opts.nodes);
     if opts.switch_out.is_some() {
         b = b.topology(Topology::ring(opts.nodes));
@@ -306,9 +306,9 @@ pub fn build_pingpong(opts: &HarnessOptions) -> Cluster {
 #[derive(Debug)]
 pub struct StencilCheck {
     /// The sequential Jacobi reference result.
-    pub want: Vec<u64>,
+    pub(crate) want: Vec<u64>,
     /// The per-node result pages to read back.
-    pub results: Vec<SharedPage>,
+    pub(crate) results: Vec<SharedPage>,
 }
 
 /// The N-node Jacobi stencil over eager-update boundary pages, `strip`

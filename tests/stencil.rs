@@ -130,7 +130,7 @@ fn sixteen_nodes_drain_and_match_reference() {
             JacobiWorker::new(shared, u64::from(nodes), iters, strip, left_bc, right_bc),
         );
     }
-    let limit = cluster.run_events(2_000_000);
+    let limit = cluster.run_until(tg_sim::SimTime::from_ms(1_000));
     assert_eq!(limit, tg_sim::RunLimit::Drained, "stencil livelocked");
     assert!(cluster.all_halted(), "stencil deadlocked");
     let mut distributed = Vec::with_capacity(total);
@@ -150,9 +150,9 @@ fn sixteen_nodes_drain_and_match_reference() {
 fn distributed_always_matches_reference() {
     let mut rng = tg_sim::SimRng::new(0x57E1);
     for _ in 0..12 {
-        let nodes = rng.range_between(2, 5) as u16;
-        let strip_len = rng.range_between(1, 7) as usize;
-        let iters = rng.range_between(1, 9) as u32;
+        let nodes = (2 + rng.range(3)) as u16;
+        let strip_len = (1 + rng.range(6)) as usize;
+        let iters = (1 + rng.range(8)) as u32;
         let (got, want) = run_jacobi(nodes, strip_len, iters);
         assert_eq!(
             got, want,
