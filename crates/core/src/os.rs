@@ -1,11 +1,16 @@
 //! The per-node operating-system layer.
 //!
-//! Holds the VSM baseline state, the alarm-driven page-replication policy
-//! (§2.2.6: "alarm-based replication"), and the message-passing baseline's
-//! inbox. Like the VSM module it is a pure state machine: the node executes
-//! the returned [`OsEffect`]s and charges the costs.
+//! Three OS protocols share it: the Li–Hudak VSM baseline ([`VsmNode`],
+//! §2.1), alarm-driven page replication (§2.2.6: "alarm-based
+//! replication"), kept here in [`Os`], and remote-memory paging
+//! ([`RemotePager`], ref \[21\]). Each is a pure state machine that
+//! answers a fault, a message or an interrupt with a list of
+//! [`OsEffect`]s; the node executes them in order with one applier and
+//! charges the OS costs as it does. Page images travel as `PageData`
+//! streams whose tag says which protocol they feed ([`PageTag`]). [`Os`]
+//! also holds the message-passing baseline's inbox.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use tg_wire::{NodeId, PageNum, WireMsg};
 
@@ -26,8 +31,52 @@ pub(crate) mod task {
     pub(crate) const PAGER_DISK_DONE: u16 = 0x104;
 }
 
-/// Tag namespace for alarm-replication page fetches.
-pub(crate) const REPL_TAG_BASE: u32 = 0x4000_0000;
+const VSM_TAG: u32 = 0x8000_0000;
+const REPLICA_TAG: u32 = 0x4000_0000;
+const FETCH_TAG: u32 = 0x2000_0000;
+const PUSH_TAG: u32 = 0x1000_0000;
+
+/// The stream a `PageData` tag names. The top four tag bits say which
+/// protocol it feeds, the highest set bit winning; the bits below it are
+/// the key.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PageTag {
+    /// A VSM page image for global page `gpage`.
+    Vsm(u64),
+    /// Alarm-replication fetch number `n`.
+    Replica(u32),
+    /// A pager fetch of virtual page `vpage`.
+    Fetch(u64),
+    /// A pager eviction into this frame of the memory server's segment.
+    Push(PageNum),
+}
+
+impl PageTag {
+    /// The wire tag.
+    pub(crate) fn encode(self) -> u32 {
+        match self {
+            PageTag::Vsm(gpage) => VSM_TAG | gpage as u32,
+            PageTag::Replica(n) => REPLICA_TAG | n,
+            PageTag::Fetch(vpage) => FETCH_TAG | vpage as u32,
+            PageTag::Push(frame) => PUSH_TAG | frame.raw(),
+        }
+    }
+
+    /// The stream a wire tag names, if any.
+    pub(crate) fn decode(tag: u32) -> Option<Self> {
+        Some(if tag & VSM_TAG != 0 {
+            PageTag::Vsm(u64::from(tag & !VSM_TAG))
+        } else if tag & REPLICA_TAG != 0 {
+            PageTag::Replica(tag & !REPLICA_TAG)
+        } else if tag & FETCH_TAG != 0 {
+            PageTag::Fetch(u64::from(tag & !FETCH_TAG))
+        } else if tag & PUSH_TAG != 0 {
+            PageTag::Push(PageNum::new(tag & !PUSH_TAG))
+        } else {
+            return None;
+        })
+    }
+}
 
 /// How the OS responds to page-access alarms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -40,17 +89,28 @@ pub enum ReplicatePolicy {
     OnAlarm,
 }
 
-/// Node-level actions requested by the OS.
+/// What an OS protocol asks its node to do, in order.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) enum OsEffect {
-    /// Transmit an OS message (HIB transport; loop back if to self).
-    SendMsg {
+    /// Send an OS message through the HIB, or loop it back if `dst` is
+    /// this node.
+    Send {
         /// Destination node.
         dst: NodeId,
         /// The message.
         msg: WireMsg,
     },
-    /// Write page-data words into a local segment frame.
+    /// Stream the local `frame` to `dst` as `PageData` bursts tagged
+    /// `tag`.
+    SendPage {
+        /// Destination node.
+        dst: NodeId,
+        /// The stream's tag ([`PageTag::encode`]).
+        tag: u32,
+        /// Local frame holding the page.
+        frame: PageNum,
+    },
+    /// Write an arriving burst of page data into a local frame.
     WriteBurst {
         /// Local frame.
         frame: PageNum,
@@ -59,8 +119,8 @@ pub(crate) enum OsEffect {
         /// The words.
         vals: tg_wire::Payload,
     },
-    /// Map `vpage` to a local frame (replication completed).
-    MapLocal {
+    /// Map `vpage` to a local frame.
+    Map {
         /// Virtual page.
         vpage: u64,
         /// Local frame.
@@ -68,12 +128,35 @@ pub(crate) enum OsEffect {
         /// Writable mapping?
         writable: bool,
     },
+    /// Remove the mapping of `vpage`.
+    Unmap {
+        /// Virtual page.
+        vpage: u64,
+    },
     /// Stop counting accesses to a remote page (it is now local).
     DisarmCounters {
         /// Home node of the page.
         node: NodeId,
         /// Page number at the home.
         page: PageNum,
+    },
+    /// Wait out a disk page transfer, then hand `vpage` back to the
+    /// pager.
+    DiskWait {
+        /// The faulted virtual page.
+        vpage: u64,
+    },
+    /// The fault is resolved: charge the map and trap-return costs, then
+    /// retry the faulted access.
+    Resume,
+    /// The in-flight fault on `vpage` can never complete, because `peer`
+    /// (its VSM manager or memory server) was convicted dead: release the
+    /// faulted thread with a structured failure.
+    FailFault {
+        /// Virtual page.
+        vpage: u64,
+        /// The dead peer the fault depended on.
+        peer: NodeId,
     },
 }
 
@@ -103,11 +186,13 @@ pub struct Os {
     free_frames: Vec<PageNum>,
     /// Which vpage a remote page `(home, page)` is mapped at here.
     remote_vpage: HashMap<(NodeId, PageNum), u64>,
-    /// Replications in flight, by fetch tag.
+    /// Replications in flight, by fetch number ([`PageTag::Replica`]).
     repl_pending: HashMap<u32, ReplPending>,
     /// Pages already replicated (suppress duplicate alarms).
-    replicated: HashMap<(NodeId, PageNum), PageNum>,
-    next_repl_tag: u32,
+    replicated: HashSet<(NodeId, PageNum)>,
+    next_replica: u32,
+    /// Replications completed (mapped locally).
+    pub(crate) replications: u64,
     inbox: HashMap<u32, MsgBuf>,
 }
 
@@ -121,8 +206,9 @@ impl Os {
             free_frames: Vec::new(),
             remote_vpage: HashMap::new(),
             repl_pending: HashMap::new(),
-            replicated: HashMap::new(),
-            next_repl_tag: 0,
+            replicated: HashSet::new(),
+            next_replica: 0,
+            replications: 0,
             inbox: HashMap::new(),
         }
     }
@@ -146,7 +232,7 @@ impl Os {
     /// Should an alarm on this page trigger replication?
     pub(crate) fn wants_replication(&self, node: NodeId, page: PageNum) -> bool {
         self.policy == ReplicatePolicy::OnAlarm
-            && !self.replicated.contains_key(&(node, page))
+            && !self.replicated.contains(&(node, page))
             && self.remote_vpage.contains_key(&(node, page))
             && !self.free_frames.is_empty()
     }
@@ -159,10 +245,10 @@ impl Os {
         }
         let vpage = self.remote_vpage[&(node, page)];
         let frame = self.free_frames.pop().expect("checked non-empty");
-        let tag = REPL_TAG_BASE | self.next_repl_tag;
-        self.next_repl_tag += 1;
+        let n = self.next_replica;
+        self.next_replica += 1;
         self.repl_pending.insert(
-            tag,
+            n,
             ReplPending {
                 vpage,
                 frame,
@@ -171,30 +257,26 @@ impl Os {
             },
         );
         // Mark replicated now so repeat alarms don't double-fetch.
-        self.replicated.insert((node, page), frame);
-        vec![OsEffect::SendMsg {
+        self.replicated.insert((node, page));
+        vec![OsEffect::Send {
             dst: node,
             msg: WireMsg::PageFetchReq {
                 page: page.raw(),
-                tag,
+                tag: PageTag::Replica(n).encode(),
             },
         }]
     }
 
-    /// True if this PageData tag belongs to a replication fetch.
-    pub(crate) fn is_replication_tag(&self, tag: u32) -> bool {
-        tag & REPL_TAG_BASE != 0 && tag & crate::vsm::VSM_TAG_BASE == 0
-    }
-
-    /// Accepts a replication PageData burst.
+    /// Accepts a burst of replication fetch `n`; the last one maps the
+    /// local copy and disarms the page's access counters.
     pub(crate) fn replication_data(
         &mut self,
-        tag: u32,
+        n: u32,
         index: u32,
         vals: tg_wire::Payload,
         last: bool,
     ) -> Vec<OsEffect> {
-        let Some(&pending) = self.repl_pending.get(&tag) else {
+        let Some(&pending) = self.repl_pending.get(&n) else {
             return Vec::new();
         };
         let mut fx = vec![OsEffect::WriteBurst {
@@ -203,8 +285,9 @@ impl Os {
             vals,
         }];
         if last {
-            self.repl_pending.remove(&tag);
-            fx.push(OsEffect::MapLocal {
+            self.repl_pending.remove(&n);
+            self.replications += 1;
+            fx.push(OsEffect::Map {
                 vpage: pending.vpage,
                 frame: pending.frame,
                 writable: true,
@@ -277,7 +360,7 @@ mod tests {
         let fx = os.start_replication(NodeId::new(1), PageNum::new(3));
         assert_eq!(fx.len(), 1);
         let tag = match &fx[0] {
-            OsEffect::SendMsg {
+            OsEffect::Send {
                 dst,
                 msg: WireMsg::PageFetchReq { tag, page },
             } => {
@@ -287,25 +370,27 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         };
-        assert!(os.is_replication_tag(tag));
+        let Some(PageTag::Replica(n)) = PageTag::decode(tag) else {
+            panic!("not a replication tag: {tag:#x}");
+        };
         // Duplicate alarms are suppressed while (and after) fetching.
         assert!(!os.wants_replication(NodeId::new(1), PageNum::new(3)));
 
-        let fx = os.replication_data(tag, 0, vec![1, 2].into(), false);
+        let fx = os.replication_data(n, 0, vec![1, 2].into(), false);
         assert_eq!(fx.len(), 1);
-        let fx = os.replication_data(tag, 2, vec![3].into(), true);
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, OsEffect::MapLocal { writable: true, .. })));
+        assert_eq!(os.replications, 0);
+        let fx = os.replication_data(n, 2, vec![3].into(), true);
+        assert!(fx.contains(&OsEffect::Map {
+            vpage: 0x20000,
+            frame: PageNum::new(101),
+            writable: true
+        }));
         assert!(fx
             .iter()
             .any(|e| matches!(e, OsEffect::DisarmCounters { .. })));
-        assert_eq!(
-            os.replicated
-                .get(&(NodeId::new(1), PageNum::new(3)))
-                .copied(),
-            Some(PageNum::new(101))
-        );
+        assert_eq!(os.replications, 1);
+        // A burst after the fetch completed is stale.
+        assert!(os.replication_data(n, 0, vec![1].into(), true).is_empty());
     }
 
     #[test]
@@ -338,10 +423,30 @@ mod tests {
     }
 
     #[test]
-    fn tag_namespaces_do_not_overlap() {
-        let os = os();
-        assert!(os.is_replication_tag(REPL_TAG_BASE | 5));
-        assert!(!os.is_replication_tag(crate::vsm::VSM_TAG_BASE | 5));
-        assert!(!os.is_replication_tag(5));
+    fn page_tags_keep_their_wire_values() {
+        let tags = [
+            (PageTag::Vsm(7), 0x8000_0007),
+            (PageTag::Replica(7), 0x4000_0007),
+            (PageTag::Fetch(7), 0x2000_0007),
+            (PageTag::Push(PageNum::new(7)), 0x1000_0007),
+        ];
+        for (stream, wire) in tags {
+            assert_eq!(stream.encode(), wire);
+            assert_eq!(PageTag::decode(wire), Some(stream));
+        }
+        assert_eq!(PageTag::decode(7), None);
+        // The highest protocol bit wins; the bits below it are the key.
+        assert_eq!(
+            PageTag::decode(0xC000_0005),
+            Some(PageTag::Vsm(0x4000_0005))
+        );
+        assert_eq!(
+            PageTag::decode(0x6000_0005),
+            Some(PageTag::Replica(0x2000_0005))
+        );
+        assert_eq!(
+            PageTag::decode(0x3000_0005),
+            Some(PageTag::Fetch(0x1000_0005))
+        );
     }
 }

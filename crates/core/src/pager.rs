@@ -13,13 +13,18 @@
 //! non-resident page faults, the OS evicts the least-recently-used
 //! resident page (writing it back to the backing store) and fetches the
 //! faulted one.
+//!
+//! Like the VSM module, the pager is a pure state machine that answers
+//! with [`OsEffect`]s: an eviction is an `Unmap` plus, on remote memory, a
+//! `SendPage` push into the server's frame; a fetch is a `PageFetchReq`
+//! (remote memory) or a `DiskWait` (disk); a completed fetch is a `Map`
+//! and a `Resume`. Fetch streams come back tagged [`PageTag::Fetch`].
 
 use std::collections::{HashMap, VecDeque};
 
 use tg_wire::{NodeId, PageNum, WireMsg};
 
-/// Tag namespace for pager fetch streams.
-pub(crate) const PAGER_TAG_BASE: u32 = 0x2000_0000;
+use crate::os::{OsEffect, PageTag};
 
 /// Where evicted pages go.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,49 +38,6 @@ pub enum Backing {
         /// The memory server.
         server: NodeId,
     },
-}
-
-/// What the node must do for the pager.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum PagerEffect {
-    /// Send a message through the HIB (page fetch / evicted data).
-    SendMsg {
-        /// Destination node.
-        dst: NodeId,
-        /// The message.
-        msg: WireMsg,
-    },
-    /// Stream the local frame's content to the server frame (eviction
-    /// write-back over remote writes).
-    PushPage {
-        /// The memory server.
-        dst: NodeId,
-        /// Frame in the server's segment.
-        server_frame: PageNum,
-        /// Local frame holding the victim page.
-        local_frame: PageNum,
-    },
-    /// Copy one local frame to another (resident-slot recycling).
-    /// `from` is the local frame of the victim, whose slot `to` reuses.
-    Unmap {
-        /// Victim virtual page.
-        vpage: u64,
-    },
-    /// Map the faulted page at its (re)assigned local frame.
-    Map {
-        /// Faulted virtual page.
-        vpage: u64,
-        /// Local frame now holding it.
-        frame: PageNum,
-    },
-    /// Schedule a disk-latency timer; the node must deliver
-    /// [`TASK_DISK_DONE`] with `a = vpage` after its disk latency.
-    DiskWait {
-        /// The faulted virtual page.
-        vpage: u64,
-    },
-    /// The fault is resolved; retry the access.
-    Resume,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -131,30 +93,29 @@ impl RemotePager {
     }
 
     /// The remote-memory server, if the backing is remote.
-    pub(crate) fn server(&self) -> Option<NodeId> {
+    fn server(&self) -> Option<NodeId> {
         match self.backing {
             Backing::RemoteMemory { server } => Some(server),
             Backing::Disk => None,
         }
     }
 
-    /// True while the backing memory server is convicted dead.
-    pub(crate) fn server_is_down(&self) -> bool {
-        self.server_down
-    }
-
     /// The failure detector convicted `peer`. If it is our memory server,
     /// future faults fail fast and the in-flight fetch (if any) is
-    /// abandoned — its faulted vpage is returned so the node can release
-    /// the waiting thread with a structured error. Pages already resident
-    /// stay usable; pages swapped out to the dead server are simply lost
-    /// until it restarts (crash-stop).
-    pub(crate) fn on_peer_down(&mut self, peer: NodeId) -> Option<u64> {
+    /// abandoned: a `FailFault` releases the waiting thread with a
+    /// structured error. Pages already resident stay usable; pages
+    /// swapped out to the dead server are simply lost until it restarts
+    /// (crash-stop).
+    pub(crate) fn on_peer_down(&mut self, peer: NodeId) -> Vec<OsEffect> {
         if self.server() != Some(peer) {
-            return None;
+            return Vec::new();
         }
         self.server_down = true;
-        self.pending.take()
+        self.pending
+            .take()
+            .map(|vpage| OsEffect::FailFault { vpage, peer })
+            .into_iter()
+            .collect()
     }
 
     /// The convicted server's beacons resumed: resume fetching. The
@@ -204,13 +165,17 @@ impl RemotePager {
         }
     }
 
-    /// Handles a fault on a managed, non-resident page.
+    /// Handles a fault on a managed, non-resident page. While the memory
+    /// server is convicted dead the fault fails at once.
     ///
     /// # Panics
     ///
     /// Panics if the page is unmanaged, already resident, or another pager
     /// fault is already in flight (the single CPU faults one at a time).
-    pub(crate) fn on_fault(&mut self, vpage: u64) -> Vec<PagerEffect> {
+    pub(crate) fn on_fault(&mut self, vpage: u64) -> Vec<OsEffect> {
+        if let (true, Some(peer)) = (self.server_down, self.server()) {
+            return vec![OsEffect::FailFault { vpage, peer }];
+        }
         assert!(self.pending.is_none(), "pager fault already in flight");
         let page = *self.pages.get(&vpage).expect("managed page");
         assert!(!page.resident, "fault on a resident page");
@@ -224,12 +189,12 @@ impl RemotePager {
             let v = self.pages.get_mut(&victim).expect("resident victim");
             v.resident = false;
             self.stats.evictions += 1;
-            fx.push(PagerEffect::Unmap { vpage: victim });
+            fx.push(OsEffect::Unmap { vpage: victim });
             if let Backing::RemoteMemory { server } = self.backing {
-                fx.push(PagerEffect::PushPage {
+                fx.push(OsEffect::SendPage {
                     dst: server,
-                    server_frame: v.server_frame,
-                    local_frame: v.local_frame,
+                    tag: PageTag::Push(v.server_frame).encode(),
+                    frame: v.local_frame,
                 });
             }
             // Disk write-back overlaps the fetch seek; folded into the
@@ -237,13 +202,13 @@ impl RemotePager {
         }
 
         match self.backing {
-            Backing::Disk => fx.push(PagerEffect::DiskWait { vpage }),
+            Backing::Disk => fx.push(OsEffect::DiskWait { vpage }),
             Backing::RemoteMemory { server } => {
-                fx.push(PagerEffect::SendMsg {
+                fx.push(OsEffect::Send {
                     dst: server,
                     msg: WireMsg::PageFetchReq {
                         page: page.server_frame.raw(),
-                        tag: PAGER_TAG_BASE | vpage as u32,
+                        tag: PageTag::Fetch(vpage).encode(),
                     },
                 });
             }
@@ -251,44 +216,43 @@ impl RemotePager {
         fx
     }
 
-    /// True if this PageData tag belongs to a pager fetch.
-    pub(crate) fn is_pager_tag(tag: u32) -> bool {
-        tag & PAGER_TAG_BASE != 0
-            && tag & crate::vsm::VSM_TAG_BASE == 0
-            && tag & crate::os::REPL_TAG_BASE == 0
+    /// Accepts a burst of the fetch for `vpage` into its local frame;
+    /// the last burst completes the fault. A burst of a fetch that crash
+    /// cleanup already abandoned (the server was convicted dead with data
+    /// in flight) still lands in the frame but completes nothing.
+    pub(crate) fn on_page_data(
+        &mut self,
+        vpage: u64,
+        index: u32,
+        vals: tg_wire::Payload,
+        last: bool,
+    ) -> Vec<OsEffect> {
+        let frame = self.local_frame(vpage);
+        let mut fx = vec![OsEffect::WriteBurst { frame, index, vals }];
+        if last && self.pending == Some(vpage) {
+            fx.extend(self.complete(vpage));
+        }
+        fx
     }
 
-    /// Accepts a fetch burst; completes the fault on the last one.
-    pub(crate) fn on_page_data(&mut self, tag: u32, last: bool) -> Vec<PagerEffect> {
-        let vpage = u64::from(tag & !PAGER_TAG_BASE);
-        if self.pending != Some(vpage) {
-            // A burst from a fetch that crash cleanup already abandoned
-            // (the server was convicted dead with data in flight): stale.
-            return Vec::new();
-        }
-        if !last {
-            return Vec::new();
-        }
+    /// Completes a disk fetch (the node's `PAGER_DISK_DONE` task).
+    pub(crate) fn on_disk_done(&mut self, vpage: u64) -> Vec<OsEffect> {
         self.complete(vpage)
     }
 
-    /// Completes a disk fetch (the node's `TASK_DISK_DONE` handler).
-    pub(crate) fn on_disk_done(&mut self, vpage: u64) -> Vec<PagerEffect> {
-        self.complete(vpage)
-    }
-
-    fn complete(&mut self, vpage: u64) -> Vec<PagerEffect> {
+    fn complete(&mut self, vpage: u64) -> Vec<OsEffect> {
         debug_assert_eq!(self.pending, Some(vpage));
         self.pending = None;
         let page = self.pages.get_mut(&vpage).expect("managed page");
         page.resident = true;
         self.lru.push_back(vpage);
         vec![
-            PagerEffect::Map {
+            OsEffect::Map {
                 vpage,
                 frame: page.local_frame,
+                writable: true,
             },
-            PagerEffect::Resume,
+            OsEffect::Resume,
         ]
     }
 
@@ -315,13 +279,14 @@ mod tests {
         let mut p = pager(Backing::Disk, 2, 3);
         assert!(!p.is_resident(0));
         let fx = p.on_fault(0);
-        assert_eq!(fx, vec![PagerEffect::DiskWait { vpage: 0 }]);
+        assert_eq!(fx, vec![OsEffect::DiskWait { vpage: 0 }]);
         let fx = p.on_disk_done(0);
-        assert!(fx.contains(&PagerEffect::Map {
+        assert!(fx.contains(&OsEffect::Map {
             vpage: 0,
-            frame: PageNum::new(0)
+            frame: PageNum::new(0),
+            writable: true
         }));
-        assert!(fx.contains(&PagerEffect::Resume));
+        assert!(fx.contains(&OsEffect::Resume));
         assert!(p.is_resident(0));
         assert_eq!(p.stats().faults, 1);
         assert_eq!(p.stats().evictions, 0);
@@ -337,7 +302,7 @@ mod tests {
         // Touch 0 so 1 becomes the LRU victim.
         p.touch(0);
         let fx = p.on_fault(2);
-        assert!(fx.contains(&PagerEffect::Unmap { vpage: 1 }));
+        assert!(fx.contains(&OsEffect::Unmap { vpage: 1 }));
         p.on_disk_done(2);
         assert!(p.is_resident(0));
         assert!(!p.is_resident(1));
@@ -350,27 +315,28 @@ mod tests {
         let server = NodeId::new(3);
         let mut p = pager(Backing::RemoteMemory { server }, 1, 2);
         let fx = p.on_fault(0);
-        assert!(matches!(
-            fx.as_slice(),
-            [PagerEffect::SendMsg {
-                dst,
-                msg: WireMsg::PageFetchReq { page: 100, .. }
-            }] if *dst == server
-        ));
-        let tag = PAGER_TAG_BASE; // vpage 0
-        p.on_page_data(tag, true);
+        let tag = PageTag::Fetch(0).encode();
+        assert_eq!(
+            fx,
+            vec![OsEffect::Send {
+                dst: server,
+                msg: WireMsg::PageFetchReq { page: 100, tag }
+            }]
+        );
+        let fx = p.on_page_data(0, 0, vec![1].into(), false);
+        assert_eq!(fx.len(), 1, "a burst, no completion yet");
+        let fx = p.on_page_data(0, 1, vec![2].into(), true);
+        assert!(fx.contains(&OsEffect::Resume));
         // Next fault evicts page 0 back to the server.
         let fx = p.on_fault(1);
+        assert!(fx.contains(&OsEffect::SendPage {
+            dst: server,
+            tag: PageTag::Push(PageNum::new(100)).encode(),
+            frame: PageNum::new(0)
+        }));
         assert!(fx.iter().any(|e| matches!(
             e,
-            PagerEffect::PushPage {
-                server_frame,
-                ..
-            } if server_frame.raw() == 100
-        )));
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            PagerEffect::SendMsg {
+            OsEffect::Send {
                 msg: WireMsg::PageFetchReq { page: 101, .. },
                 ..
             }
@@ -378,11 +344,33 @@ mod tests {
     }
 
     #[test]
-    fn tag_namespace_is_disjoint() {
-        assert!(RemotePager::is_pager_tag(PAGER_TAG_BASE | 7));
-        assert!(!RemotePager::is_pager_tag(crate::vsm::VSM_TAG_BASE | 7));
-        assert!(!RemotePager::is_pager_tag(crate::os::REPL_TAG_BASE | 7));
-        assert!(!RemotePager::is_pager_tag(7));
+    fn a_dead_server_fails_the_fetch_in_flight_and_the_next_fault() {
+        let server = NodeId::new(3);
+        let mut p = pager(Backing::RemoteMemory { server }, 1, 2);
+        p.on_fault(0);
+        let fx = p.on_peer_down(server);
+        assert_eq!(
+            fx,
+            vec![OsEffect::FailFault {
+                vpage: 0,
+                peer: server
+            }]
+        );
+        // A late burst of the abandoned fetch lands but completes nothing.
+        let fx = p.on_page_data(0, 0, vec![1].into(), true);
+        assert_eq!(fx.len(), 1);
+        assert!(!p.is_resident(0));
+        let fx = p.on_fault(1);
+        assert_eq!(
+            fx,
+            vec![OsEffect::FailFault {
+                vpage: 1,
+                peer: server
+            }]
+        );
+        assert_eq!(p.stats().faults, 1, "a fail-fast fault is not counted");
+        p.on_peer_up(server);
+        assert_eq!(p.on_fault(1).len(), 1, "the fetch goes out again");
     }
 
     #[test]
