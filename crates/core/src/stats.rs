@@ -35,15 +35,9 @@ pub struct NodeStats {
     pub replications: u64,
     /// Pages invalidated under VSM.
     pub invalidations: u64,
-    /// Protection violations observed.
-    pub(crate) protection_faults: u64,
     /// Link-layer faults surfaced to the OS (duplicate credits, FIFO
     /// overflows, dead links).
     pub link_failures: u64,
-    /// Ack-starvation warnings surfaced to the OS: the control plane on
-    /// the board's uplink went quiet while retransmissions kept burning
-    /// budget.
-    pub(crate) link_starvations: u64,
     /// Peer-down verdicts delivered to the OS by the failure detector.
     pub peer_downs: u64,
     /// Peer-up (restart) verdicts delivered to the OS.

@@ -39,8 +39,6 @@ pub struct HibStats {
     pub atomics: u64,
     /// Remote copies launched.
     pub copies: u64,
-    /// Coherent updates sent to page owners.
-    pub(crate) updates_sent: u64,
     /// Reflected writes received.
     pub reflections_rx: u64,
     /// Reflected writes ignored under rule 3 (counter non-zero).
@@ -51,14 +49,8 @@ pub struct HibStats {
     pub fanout_tx: u64,
     /// Write acknowledgements received.
     pub acks_rx: u64,
-    /// Packets transmitted / received.
+    /// Packets transmitted.
     pub pkts_tx: u64,
-    /// Packets received.
-    pub(crate) pkts_rx: u64,
-    /// Bytes transmitted.
-    pub(crate) bytes_tx: u64,
-    /// Bytes received.
-    pub(crate) bytes_rx: u64,
     /// CPU stalls because the TX queue was full.
     pub tx_stalls: u64,
     /// Page-access alarms raised.
@@ -67,10 +59,6 @@ pub struct HibStats {
     pub(crate) tx_high_water: usize,
     /// Received packets fully processed (committed) by the rx pipeline.
     pub committed: u64,
-    /// Link-layer faults surfaced as [`HibInterrupt::LinkFault`].
-    pub(crate) link_faults: u64,
-    /// Ack-starvation episodes surfaced as [`HibInterrupt::LinkStarved`].
-    pub(crate) starvation_alarms: u64,
     /// Liveness digests originated by this board, one per beacon period.
     pub(crate) heartbeats_tx: u64,
     /// Liveness digests received intact from the switch.
@@ -86,8 +74,6 @@ pub struct HibStats {
     /// Completions that arrived for an operation already resolved (late
     /// acks after a failover, duplicate responses to a retry).
     pub(crate) stale_acks: u64,
-    /// Duplicate requests suppressed by the idempotent-retry dedupe.
-    pub(crate) dup_requests: u64,
     /// OS messages refused at issue time because the destination peer was
     /// already convicted (fail-fast instead of burning the retry budget).
     pub os_sends_refused: u64,
@@ -231,9 +217,6 @@ pub struct Hib {
     link_errors: Vec<LinkError>,
     /// Watchdog progress meter, ticked on every packet commit.
     meter: Option<tg_sim::ProgressMeter>,
-    /// The current ack-starvation episode has already raised its
-    /// interrupt; cleared when ack progress resumes.
-    starvation_alarmed: bool,
     /// Tagged remote requests in flight, for timeout/retry recovery.
     pending_ops: BTreeMap<u32, PendingOp>,
     /// An OpCheck sweep tick is already scheduled.
@@ -290,7 +273,6 @@ impl Hib {
             last_injected: None,
             link_errors: Vec::new(),
             meter: None,
-            starvation_alarmed: false,
             pending_ops: BTreeMap::new(),
             op_check_armed: false,
             beacons: None,
@@ -675,7 +657,6 @@ impl Hib {
                 }
                 host.segment().write(off, val);
                 self.outstanding_updates += 1;
-                self.stats.updates_sent += 1;
                 self.updates_to
                     .entry(owner.raw())
                     .or_default()
@@ -695,7 +676,6 @@ impl Hib {
                 // The rejected §2.3.2 alternative: do not touch the local
                 // copy; hold the CPU until our reflected write applies it.
                 self.outstanding_updates += 1;
-                self.stats.updates_sent += 1;
                 self.updates_to
                     .entry(owner.raw())
                     .or_default()
@@ -1044,19 +1024,14 @@ impl Hib {
                 };
                 match end.on_ctrl(frame, prop, host) {
                     CtrlOutcome::Done => {}
-                    CtrlOutcome::Acked => {
-                        self.check_starvation(host);
-                        self.pump_tx(host);
-                    }
+                    CtrlOutcome::Acked => self.pump_tx(host),
                     CtrlOutcome::Retransmit => {
                         self.recheck = true;
-                        self.check_starvation(host);
                         self.pump_tx(host);
                     }
                     CtrlOutcome::Dead(err) => {
                         self.recheck = true;
                         self.record_link_error(err, host);
-                        self.check_starvation(host);
                         self.pump_tx(host);
                     }
                     CtrlOutcome::SyncAck(done) => {
@@ -1104,7 +1079,6 @@ impl Hib {
                 match action {
                     TimerAction::Retransmit => {
                         self.recheck = true;
-                        self.check_starvation(host);
                         self.pump_tx(host);
                     }
                     TimerAction::Resync { token } => {
@@ -1180,17 +1154,13 @@ impl Hib {
 
     /// True when an arrived control frame is an intact ack that would
     /// only move the transmit window: the link is alive with no credit
-    /// stall open, the ack raises no starvation interrupt, and the wire is
-    /// busy or nothing waits on it.
+    /// stall open, and the wire is busy or nothing waits on it.
     #[inline]
     pub fn can_absorb_ack(&self, frame: &CtrlFrame) -> bool {
         matches!(frame.msg, CtrlMsg::Ack { .. })
             && frame.checksum_ok()
             && self.tx().is_some_and(|tx| {
-                !tx.is_dead()
-                    && !tx.is_credit_stalled()
-                    && (!tx.ack_starved() || self.starvation_alarmed)
-                    && (!tx.wire_free() || self.tx_settled())
+                !tx.is_dead() && !tx.is_credit_stalled() && (!tx.wire_free() || self.tx_settled())
             })
     }
 
@@ -1221,8 +1191,7 @@ impl Hib {
     }
 
     /// Applies an absorbed ack arriving at `at`, as [`Hib::on_net`]
-    /// would: the window moves, and ack progress ends a starvation
-    /// episode.
+    /// would: the window moves.
     #[inline]
     pub fn absorb_ack(&mut self, frame: CtrlFrame, at: SimTime) {
         #[cfg(debug_assertions)]
@@ -1234,9 +1203,7 @@ impl Hib {
         let CtrlMsg::Ack { seq, sack } = frame.msg else {
             unreachable!("only an ack absorbs");
         };
-        let tx = self.tx_mut().expect("tx wired");
-        tx.on_ack(seq, sack, at);
-        self.starvation_alarmed &= tx.ack_starved();
+        self.tx_mut().expect("tx wired").on_ack(seq, sack, at);
     }
 
     /// Applies an absorbed `TxFree` tick, as [`Hib::on_tick`] would.
@@ -1481,7 +1448,6 @@ impl Hib {
     fn note_first_delivery(&mut self, src: NodeId, tag: u32) -> bool {
         let window = self.writes_seen.entry(src.raw()).or_default();
         if window.contains(&tag) {
-            self.stats.dup_requests += 1;
             return false;
         }
         window.push_back(tag);
@@ -1492,31 +1458,11 @@ impl Hib {
     }
 
     fn record_link_error(&mut self, err: LinkError, host: &mut dyn HibHost) {
-        self.stats.link_faults += 1;
         self.link_errors.push(err);
         host.interrupt(
             self.timing.interrupt_latency,
             HibInterrupt::LinkFault { error: err },
         );
-    }
-
-    /// Ack-starvation watchdog: when half the retransmit budget has been
-    /// burned on the oldest frame with no ack progress, the control plane
-    /// toward the neighbor is effectively down — raise one interrupt per
-    /// episode so the OS can react before the link is declared dead.
-    fn check_starvation(&mut self, host: &mut dyn HibHost) {
-        let starved = self.tx().is_some_and(TxPort::ack_starved);
-        if starved && !self.starvation_alarmed {
-            self.starvation_alarmed = true;
-            self.stats.starvation_alarms += 1;
-            let attempts = self.tx().map_or(0, TxPort::consecutive_attempts);
-            host.interrupt(
-                self.timing.interrupt_latency,
-                HibInterrupt::LinkStarved { attempts },
-            );
-        } else if !starved {
-            self.starvation_alarmed = false;
-        }
     }
 
     /// Counts the consumed arrival and returns its credit, unless the
@@ -1554,8 +1500,6 @@ impl Hib {
         let Some(packet) = self.rx_fifo.pop() else {
             return;
         };
-        self.stats.pkts_rx += 1;
-        self.stats.bytes_rx += u64::from(packet.size_bytes());
         let touches_memory = matches!(
             packet.msg,
             WireMsg::WriteReq { .. }
@@ -1633,7 +1577,6 @@ impl Hib {
                 // requester suffices to answer a retry without re-applying.
                 if let Some(&(t, old)) = self.atomic_served.get(&src.raw()) {
                     if t == tag {
-                        self.stats.dup_requests += 1;
                         self.enqueue(src, WireMsg::AtomicResp { tag, old }, host);
                         return;
                     }
@@ -1966,7 +1909,6 @@ impl Hib {
         }
         let mut packet = self.tx_queue.pop_front().expect("nonempty queue");
         self.stats.pkts_tx += 1;
-        self.stats.bytes_tx += u64::from(packet.size_bytes());
         if self.tx().expect("tx wired").is_reliable() {
             packet = self.tx_mut().expect("tx wired").frame(packet, host.now());
         }

@@ -196,15 +196,6 @@ pub enum HibInterrupt {
         /// What went wrong on the link.
         error: tg_net::LinkError,
     },
-    /// The ack-starvation watchdog tripped: half the retransmit budget
-    /// has been burned on the oldest unacknowledged frame without any
-    /// ack progress — the control plane toward this board's neighbor is
-    /// effectively down (every ack lost or corrupted), even though the
-    /// link is not yet dead. Raised once per starvation episode.
-    LinkStarved {
-        /// Consecutive unanswered (re)transmissions so far.
-        attempts: u32,
-    },
     /// The per-peer failure detector convicted a peer: its heartbeat
     /// beacons went silent past the suspicion threshold. The OS layer
     /// should fail over ownership of pages homed or owned there and stop

@@ -277,11 +277,6 @@ pub struct FaultStats {
     /// Data frames swallowed by a crashed fault domain (either link
     /// endpoint inside an active crash window).
     pub(crate) crash_frame_drops: u64,
-    /// Control frames (acks, heartbeats, resyncs…) swallowed by a
-    /// crashed fault domain.
-    pub(crate) crash_ctrl_drops: u64,
-    /// Flow-control credits swallowed by a crashed fault domain.
-    pub(crate) crash_credit_drops: u64,
 }
 
 impl FaultStats {
@@ -370,7 +365,6 @@ impl FaultInjector {
     pub(crate) fn ctrl_fate(&self, link: LinkId, now: SimTime, frame: &mut CtrlFrame) -> FrameFate {
         let mut st = self.state.borrow_mut();
         if st.plan.site_down(link.from, now) || st.plan.site_down(link.to, now) {
-            st.stats.crash_ctrl_drops += 1;
             return FrameFate::Drop;
         }
         if st
@@ -401,7 +395,6 @@ impl FaultInjector {
     pub(crate) fn credit_lost(&self, link: LinkId, now: SimTime) -> bool {
         let mut st = self.state.borrow_mut();
         if st.plan.site_down(link.from, now) || st.plan.site_down(link.to, now) {
-            st.stats.crash_credit_drops += 1;
             return true;
         }
         if st
@@ -628,8 +621,6 @@ mod tests {
         );
         let s = inj.stats();
         assert_eq!(s.crash_frame_drops, 4);
-        assert_eq!(s.crash_ctrl_drops, 2);
-        assert_eq!(s.crash_credit_drops, 2);
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn switch_out_trace_is_pinned_and_absorbs() {
     );
     assert!(engine.events_absorbed > 0, "no link bookkeeping absorbed");
     assert!(engine.events_inlined > 0, "no continuation ran in place");
-    assert_eq!(engine.logical_events(), 3_240);
+    assert_eq!(engine.logical_events(), 3_239);
 }
 
 /// `tg trace pingpong --switch-out 1,100,400`: switch 1 returns while
@@ -155,7 +155,7 @@ fn switch_return_trace_is_pinned() {
         (pin.trace, pin.wire),
         (0x13f4_2624_4d15_5d51, 0xecf4_5058_ff33_d923)
     );
-    assert_eq!(pin.engine.logical_events(), 3_464);
+    assert_eq!(pin.engine.logical_events(), 3_463);
 }
 
 /// The `tg fault` `creditloss` workload with fault seed 1 on go-back-N
@@ -368,7 +368,7 @@ fn kv_switch_outage_run_is_pinned_and_absorbs() {
     assert_eq!(cluster.wire_fingerprint(), 0xe3dc_4507_ce43_60a7);
     let engine = cluster.engine_stats();
     assert!(engine.events_absorbed > 0, "no link bookkeeping absorbed");
-    assert_eq!(engine.logical_events(), 48_206);
+    assert_eq!(engine.logical_events(), 48_205);
 }
 
 /// Three nodes on go-back-N links with zero propagation delay, so the
