@@ -13,7 +13,8 @@
 //! * [`PAddr`] — the physical address encoding and its decoder;
 //! * [`PhysMem`] — a sparse word-addressed physical memory;
 //! * [`PageTable`]/[`Mmu`] — virtual-to-physical translation with
-//!   permissions, page faults, and shadow-address handling.
+//!   permissions and page faults (a launch marks the translated physical
+//!   argument as shadow itself).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,4 +1,4 @@
-//! Virtual addressing: page tables, permissions, shadow translation.
+//! Virtual addressing: page tables and permissions.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -6,9 +6,6 @@ use std::fmt;
 use tg_wire::{PAGE_BYTES, PAGE_SHIFT, WORD_BYTES};
 
 use crate::paddr::PAddr;
-
-/// The shadow flag in *virtual* space mirrors the physical one: bit 63.
-const V_SHADOW_BIT: u64 = 1 << 63;
 
 /// A virtual address as issued by the simulated processor.
 ///
@@ -33,9 +30,9 @@ impl VAddr {
         self.0
     }
 
-    /// The virtual page number (shadow bit excluded).
+    /// The virtual page number.
     pub const fn vpage(self) -> u64 {
-        (self.0 & !V_SHADOW_BIT) >> PAGE_SHIFT
+        self.0 >> PAGE_SHIFT
     }
 
     /// Byte offset within the page.
@@ -43,14 +40,9 @@ impl VAddr {
         self.0 & (PAGE_BYTES - 1)
     }
 
-    /// True if the shadow bit is set.
-    pub(crate) const fn is_shadow(self) -> bool {
-        self.0 & V_SHADOW_BIT != 0
-    }
-
     /// True if word-aligned.
     pub(crate) const fn is_word_aligned(self) -> bool {
-        (self.0 & !V_SHADOW_BIT).is_multiple_of(WORD_BYTES)
+        self.0.is_multiple_of(WORD_BYTES)
     }
 }
 
@@ -184,12 +176,15 @@ impl PageTable {
 
 /// The translation unit in front of the simulated processor.
 ///
-/// Shadow virtual addresses translate through the *same* page-table entry
-/// as their normal twin — protection is thereby enforced by the TLB exactly
-/// as §2.2.4 describes — and yield the shadow physical address, which the
-/// HIB interprets as "here is a physical argument for a special operation".
-/// Shadow accesses are stores by definition, so they require write
-/// permission.
+/// There are no shadow *virtual* addresses. A Telegraphos II launch
+/// translates each argument like an ordinary access of the kind the
+/// operation performs on it, and then stores to the shadow twin of the
+/// resulting physical address ([`PAddr::shadow`]), which the HIB reads as
+/// "here is a physical argument for a special operation". An atomic's
+/// target and a copy's destination therefore need write permission, and a
+/// copy's source only read permission: a copy *from* a read-only page is
+/// accepted, where §2.2.4's TLB check (a shadow access is a store) would
+/// refuse it.
 #[derive(Clone, Debug, Default)]
 pub struct Mmu {
     table: PageTable,
@@ -219,16 +214,10 @@ impl Mmu {
             return Err(Fault::Misaligned(va));
         }
         let pte = self.table.lookup(va.vpage()).ok_or(Fault::Unmapped(va))?;
-        if va.is_shadow() && !pte.flags.allows(AccessKind::Write) {
-            // Passing a physical address to the HIB is only legal for pages
-            // the process could store to.
-            return Err(Fault::Protection(va, AccessKind::Write));
-        }
         if !pte.flags.allows(kind) {
             return Err(Fault::Protection(va, kind));
         }
-        let pa = pte.base.add(va.in_page());
-        Ok(if va.is_shadow() { pa.shadow() } else { pa })
+        Ok(pte.base.add(va.in_page()))
     }
 }
 
@@ -301,34 +290,6 @@ mod tests {
         assert_eq!(
             mmu.translate(va, AccessKind::Read),
             Err(Fault::Misaligned(va))
-        );
-    }
-
-    #[test]
-    fn shadow_translation_sets_shadow_pa() {
-        let base = PAddr::remote(NodeId::new(1), GOffset::new(0));
-        let mmu = mmu_with(6, base, PageFlags::RW);
-        let va = VAddr::new((6 * PAGE_BYTES + 16) | V_SHADOW_BIT);
-        let pa = mmu.translate(va, AccessKind::Write).unwrap();
-        assert!(pa.is_shadow());
-        assert_eq!(
-            pa.unshadow().decode(),
-            Decoded::Remote {
-                node: NodeId::new(1),
-                off: GOffset::new(16)
-            }
-        );
-    }
-
-    #[test]
-    fn shadow_requires_write_permission() {
-        // A malicious user cannot leak physical addresses of read-only
-        // pages to the HIB.
-        let mmu = mmu_with(6, PAddr::private(0), PageFlags::RO);
-        let va = VAddr::new((6 * PAGE_BYTES) | V_SHADOW_BIT);
-        assert_eq!(
-            mmu.translate(va, AccessKind::Write),
-            Err(Fault::Protection(va, AccessKind::Write))
         );
     }
 
