@@ -269,8 +269,9 @@ pub enum ComponentDetail {
         /// Total simulated time output ports spent blocked on credits,
         /// summed across ports.
         credit_stall: SimTime,
-        /// Liveness digests received intact, on all ports.
-        heartbeats_rx: u64,
+        /// Liveness frames launched on all ports (keepalives, verdict
+        /// notices and their acks).
+        liveness_tx: u64,
     },
 }
 
@@ -633,15 +634,16 @@ impl Cluster {
         self.engine.run_until(t)
     }
 
-    /// Starts liveness on every element: each board originates
-    /// heartbeats and runs its failure detector, and each switch sends
-    /// its digests and judges its ports, all with the beacon cadence and
-    /// suspicion thresholds of `params` — the one liveness configuration.
+    /// Starts liveness on every element: each board and each switch
+    /// ticks, keeps its idle links alive and judges its neighbours, and
+    /// switches flood their verdicts to the boards, all with the cadence
+    /// and suspicion thresholds of `params` — the one liveness
+    /// configuration.
     /// Heartbeats self-rearm, so a heartbeat-enabled cluster never
     /// drains on its own — drive it with a [`Drive::quiescent`] plan,
     /// which stops heartbeats once the workload is done and drains. A
-    /// call while heartbeats run changes nothing: the running beacons
-    /// keep their configuration, and no element runs a second chain.
+    /// call while heartbeats run changes nothing: the running ticks keep
+    /// their configuration, and no element runs a second chain.
     ///
     /// # Panics
     ///
@@ -669,16 +671,19 @@ impl Cluster {
         }
         for &comp in &self.switches {
             let switch = self.engine.get_mut::<tg_net::Switch>(comp);
-            let first = switch.expect("switch component").start_beacons(&params);
-            if let Some(delay) = first {
-                let tick = NetEvent::Beacon { to_nodes: false };
-                self.engine.schedule(delay, comp, ClusterEvent::Net(tick));
+            if switch
+                .expect("switch component")
+                .start_beacons(&params, now)
+            {
+                let tick = ClusterEvent::Net(NetEvent::Beacon { alarm: false });
+                self.engine.schedule(SimTime::ZERO, comp, tick);
             }
         }
     }
 
-    /// Stops every board's beacons and every switch's digests: the
-    /// pending ticks do not rearm, so the event queue can drain.
+    /// Stops every board's and every switch's liveness tick: the pending
+    /// ticks do not rearm and no notice is re-sent, so the event queue
+    /// can drain.
     pub(crate) fn stop_heartbeats(&mut self) {
         for i in 0..self.n {
             self.node_mut(i).hib_mut().stop_heartbeats();
@@ -1019,7 +1024,7 @@ impl Cluster {
                     fifo_high_water: occ.high_water,
                     fifo_depth: occ.depth,
                     credit_stall: occ.stall,
-                    heartbeats_rx: st.heartbeats_rx,
+                    liveness_tx: st.liveness_tx,
                 },
             });
         }

@@ -2,7 +2,7 @@
 
 use tg_hib::{CpuResult, HibInterrupt, HibTick};
 use tg_net::{NetEvent, NetMessage};
-use tg_wire::{NodeId, WireMsg};
+use tg_wire::WireMsg;
 
 /// Every event a cluster component can receive.
 ///
@@ -21,8 +21,6 @@ pub enum ClusterEvent {
     Interrupt(HibInterrupt),
     /// Software-level message delivered up from the HIB.
     OsMsg {
-        /// Sending node.
-        src: NodeId,
         /// The message.
         msg: WireMsg,
     },

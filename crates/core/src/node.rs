@@ -193,9 +193,8 @@ impl HibHost for Shim<'_> {
     fn interrupt(&mut self, delay: SimTime, int: HibInterrupt) {
         self.out.push((delay, To::Me, ClusterEvent::Interrupt(int)));
     }
-    fn to_os(&mut self, delay: SimTime, src: NodeId, msg: WireMsg) {
-        self.out
-            .push((delay, To::Me, ClusterEvent::OsMsg { src, msg }));
+    fn to_os(&mut self, delay: SimTime, _src: NodeId, msg: WireMsg) {
+        self.out.push((delay, To::Me, ClusterEvent::OsMsg { msg }));
     }
     fn segment(&mut self) -> &mut PhysMem {
         self.segment
@@ -750,7 +749,6 @@ impl Node {
             self.schedule_self(
                 cost + OS_LOOPBACK,
                 ClusterEvent::OsMsg {
-                    src: self.id,
                     msg: WireMsg::DmaData {
                         tag,
                         nbytes: bytes,
@@ -846,7 +844,6 @@ impl Node {
                     );
                 }
             }
-            HibInterrupt::Protection => {}
             HibInterrupt::LinkFault { .. } => {
                 // The OS records the degradation; recovery (or the
                 // watchdog's deadlock report) is the cluster's business.
@@ -1010,7 +1007,7 @@ impl Node {
     /// [`OS_LOOPBACK`] if it is addressed to this node.
     fn send_os(&mut self, dst: NodeId, msg: WireMsg) {
         if dst == self.id {
-            self.schedule_self(OS_LOOPBACK, ClusterEvent::OsMsg { src: self.id, msg });
+            self.schedule_self(OS_LOOPBACK, ClusterEvent::OsMsg { msg });
         } else {
             self.with_hib(|hib, shim| hib.send_os_message(dst, msg, shim));
         }
@@ -1150,7 +1147,7 @@ impl Node {
             ClusterEvent::HibTick(t) => self.with_hib(|hib, shim| hib.on_tick(t, shim)),
             ClusterEvent::HibDone(res) => self.on_hib_done(res),
             ClusterEvent::Interrupt(int) => self.on_interrupt(int),
-            ClusterEvent::OsMsg { msg, .. } => self.on_os_msg(msg),
+            ClusterEvent::OsMsg { msg } => self.on_os_msg(msg),
             ClusterEvent::OsTask { kind, a, b } => self.on_os_task(kind, a, b),
         }
     }
@@ -1197,12 +1194,13 @@ impl Component<ClusterEvent> for Node {
         &self.name
     }
 
-    /// Deferred delivery: the HIB absorbs returned credits, acks and
-    /// `TxFree` ticks that would only update its link state.
+    /// Deferred delivery: the HIB absorbs returned credits, acks,
+    /// keepalives and `TxFree` ticks that would only update its link
+    /// state and its switch's watch.
     fn can_absorb(&self, ev: &ClusterEvent) -> bool {
         match ev {
             ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.can_absorb_credit(),
-            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.can_absorb_ack(frame),
+            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.can_absorb_ctrl(frame),
             ClusterEvent::HibTick(HibTick::TxFree) => self.hib.can_absorb_tx_free(),
             _ => false,
         }
@@ -1212,7 +1210,7 @@ impl Component<ClusterEvent> for Node {
         self.now = at;
         match ev {
             ClusterEvent::Net(NetEvent::Credit { .. }) => self.hib.absorb_credit(at),
-            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.absorb_ack(frame, at),
+            ClusterEvent::Net(NetEvent::Ctrl { frame, .. }) => self.hib.absorb_ctrl(frame, at),
             ClusterEvent::HibTick(HibTick::TxFree) => self.hib.absorb_tx_free(),
             _ => unreachable!("{}: only link bookkeeping absorbs", self.name),
         }

@@ -118,7 +118,7 @@ impl RemotePager {
             .collect()
     }
 
-    /// The convicted server's beacons resumed: resume fetching. The
+    /// The convicted server is reachable again: resume fetching. The
     /// restarted server's frames were re-zeroed by the crash, which is
     /// the documented crash-stop data loss, not an inconsistency.
     pub(crate) fn on_peer_up(&mut self, peer: NodeId) {

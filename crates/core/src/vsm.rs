@@ -551,7 +551,7 @@ impl VsmNode {
         fx
     }
 
-    /// A convicted peer's beacons resumed (crash-stop restart). The
+    /// A convicted peer is reachable again (crash-stop restart). The
     /// restarted node lost its volatile state — its directories rebuild
     /// through its own symmetric convictions during the blackout (it saw
     /// *us* die, which re-homed every page it manages) — so every copy we

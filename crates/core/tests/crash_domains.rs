@@ -5,7 +5,8 @@
 //! restart reconciliation.
 
 use telegraphos::{
-    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, OpError, RelParams, Script, Topology,
+    Action, ClusterBuilder, DetectParams, Drive, FaultPlan, LinkId, OpError, RelParams, Script,
+    Topology,
 };
 use tg_sim::{MetricsRegistry, RunLimit, SimTime};
 use tg_wire::trace::{Site, Stage};
@@ -302,6 +303,50 @@ fn detect_params_tune_the_conviction_threshold() {
         (0, 0),
         "a 50ms peer_timeout convicted within a 1ms run"
     );
+}
+
+/// A lost verdict notice costs one notice timeout, not the verdict: on a
+/// three-node star, node 1 crashes and the switch floods its Down notice.
+/// Dropping the copy bound for node 0 (a one-picosecond outage at its
+/// launch instant, which the injector applies to that control frame
+/// alone) makes node 0 convict node 1 exactly one retransmit timeout
+/// later than in the same run without the loss.
+#[test]
+fn a_lost_notice_delays_the_far_verdict_by_one_timeout() {
+    // (the switch's verdict, node 0's verdict)
+    let run = |lost: Option<SimTime>| {
+        let mut plan = FaultPlan::new(0x1057).node_crash(NodeId::new(1), SimTime::from_us(100));
+        if let Some(at) = lost {
+            let link = LinkId::new(Site::Switch(0), Site::Node(NodeId::new(0)));
+            plan = plan.outage(link, at, at + SimTime::from_ps(1));
+        }
+        let mut cluster = ClusterBuilder::new(3)
+            .reliable_links(RelParams::default())
+            .with_faults(plan)
+            .build();
+        let log = cluster.enable_tracing();
+        cluster.enable_heartbeats(DetectParams::default());
+        cluster.set_process(
+            0,
+            Script::new(vec![Action::Compute(SimTime::from_ms(1)), Action::Halt]),
+        );
+        cluster
+            .drive(Drive::quiescent(SimTime::from_us(50), SimTime::from_ms(10)))
+            .unwrap();
+        let first_down = |site: Site| {
+            let downs = log.packet_events().into_iter();
+            let mut downs = downs.filter(|e| e.stage == Stage::PeerDown && e.site == site);
+            downs.next().expect("a verdict").at
+        };
+        (
+            first_down(Site::Switch(0)),
+            first_down(Site::Node(NodeId::new(0))),
+        )
+    };
+    let (switch, heard) = run(None);
+    assert!(switch < heard, "node 0 convicts on the switch's notice");
+    let (_, late) = run(Some(switch));
+    assert_eq!(late - heard, RelParams::default().retx_timeout);
 }
 
 /// Invalid detector knobs are rejected at `enable_heartbeats` instead of

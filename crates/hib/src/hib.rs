@@ -59,13 +59,12 @@ pub struct HibStats {
     pub(crate) tx_high_water: usize,
     /// Received packets fully processed (committed) by the rx pipeline.
     pub committed: u64,
-    /// Liveness digests originated by this board, one per beacon period.
-    pub(crate) heartbeats_tx: u64,
-    /// Liveness digests received intact from the switch.
-    pub heartbeats_rx: u64,
-    /// Peers this board's failure detector convicted.
+    /// Liveness frames this board launched: keepalives on an idle
+    /// uplink and acks of verdict notices.
+    pub liveness_tx: u64,
+    /// Peers this board convicted.
     pub(crate) peer_downs: u64,
-    /// Convicted peers whose beacons later resumed.
+    /// Convicted peers this board later re-admitted.
     pub(crate) peer_ups: u64,
     /// Tagged requests retried after the request timeout.
     pub(crate) op_retries: u64,
@@ -77,6 +76,18 @@ pub struct HibStats {
     /// OS messages refused at issue time because the destination peer was
     /// already convicted (fail-fast instead of burning the retry budget).
     pub os_sends_refused: u64,
+}
+
+/// A board's peer verdicts, kept in its liveness state.
+#[derive(Debug, Default)]
+struct Peers {
+    /// Per node, whether this board holds it convicted: while the switch
+    /// is, or while the newest verdict notice names it.
+    down: Vec<bool>,
+    /// Per node, whether the newest verdict notice names it.
+    named: Vec<bool>,
+    /// The fabric-view version of the newest notice applied.
+    version: u64,
 }
 
 /// Why a store is parked at the HIB waiting to retry.
@@ -221,11 +232,12 @@ pub struct Hib {
     pending_ops: BTreeMap<u32, PendingOp>,
     /// An OpCheck sweep tick is already scheduled.
     op_check_armed: bool,
-    /// Liveness state once heartbeats start: the table is sent as this
-    /// board's digest every period, the detector watches every peer. The
-    /// Heartbeat tick rearms while it has a period; absent by default so
-    /// fault-free runs stay beacon-free and drain.
-    beacons: Option<Box<Beacons>>,
+    /// Liveness state once heartbeats start: the detector watches the
+    /// switch across the uplink (key 0), the Heartbeat tick sends a
+    /// keepalive when the uplink was idle for a period, and the state
+    /// holds the peers' verdicts. The tick rearms while it has a period;
+    /// absent by default so fault-free runs stay beacon-free and drain.
+    beacons: Option<Box<Beacons<Peers>>>,
     /// Word keys of coherent updates awaiting their reflection, per owner:
     /// released one-by-one by rule-2 reflections, or wholesale when the
     /// owner is declared dead.
@@ -324,11 +336,12 @@ impl Hib {
         self.link.as_mut().map(LinkEnd::tx_mut)
     }
 
-    /// Starts originating liveness beacons and arms the failure detector
-    /// for `peers` (everyone else in the cluster), with the beacon period
-    /// and suspicion thresholds of `params` (which the caller has
-    /// validated); the caller runs the link reliably. Returns `true` when
-    /// it started them: the caller must then route a
+    /// Starts liveness at `now` for a cluster of `peers` (everyone, this
+    /// board included), with the tick period and suspicion thresholds of
+    /// `params` (which the caller has validated); the caller runs the
+    /// link reliably. The board then watches its switch and convicts the
+    /// others as the switch's verdict notices name them. Returns `true`
+    /// when it started: the caller must then route a
     /// [`HibTick::Heartbeat`] into [`on_tick`], and the tick self-rearms
     /// every `heartbeat_every` until [`stop_heartbeats`]. Returns `false`,
     /// and changes nothing, while beacons already run.
@@ -341,20 +354,18 @@ impl Hib {
         now: SimTime,
         params: &DetectParams,
     ) -> bool {
-        let origins = peers.iter().chain([&self.node]).map(|p| p.index() + 1);
-        let origins = origins.max().unwrap_or(0);
-        let Some(beacons) = Beacons::start(&mut self.beacons, params, origins) else {
+        let Some(beacons) = Beacons::start(&mut self.beacons, params) else {
             return false;
         };
-        for &p in peers {
-            if p != self.node {
-                beacons.detector.track(u64::from(p.raw()), now);
-            }
-        }
+        beacons.detector.track(0, now);
+        let nodes = peers.iter().chain([&self.node]).map(|p| p.index() + 1);
+        let nodes = nodes.max().unwrap_or(0);
+        beacons.state.down.resize(nodes, false);
+        beacons.state.named.resize(nodes, false);
         true
     }
 
-    /// Stops beacon origination: the next Heartbeat tick does not rearm,
+    /// Stops the liveness tick: the next Heartbeat tick does not rearm,
     /// letting the event queue drain.
     pub fn stop_heartbeats(&mut self) {
         if let Some(beacons) = &mut self.beacons {
@@ -362,16 +373,16 @@ impl Hib {
         }
     }
 
-    /// The beacon period while this board originates beacons.
+    /// The tick period while liveness runs.
     fn beacon_every(&self) -> Option<SimTime> {
         self.beacons.as_ref().and_then(|b| b.every)
     }
 
-    /// True once this board's failure detector convicted `peer`.
+    /// True while this board holds `peer` convicted.
     pub fn peer_down(&self, peer: NodeId) -> bool {
         self.beacons
             .as_ref()
-            .is_some_and(|b| b.detector.is_down(u64::from(peer.raw())))
+            .is_some_and(|b| b.state.down.get(peer.index()) == Some(&true))
     }
 
     /// Installs the fault injector consulted when this board launches
@@ -449,7 +460,7 @@ impl Hib {
     /// Presents a CPU store that decoded to HIB-visible space.
     pub fn cpu_store(&mut self, pa: PAddr, val: u64, host: &mut dyn HibHost) -> StoreOutcome {
         if pa.is_shadow() {
-            return self.shadow_store(pa, val, host);
+            return self.shadow_store(pa, val);
         }
         if let Some(special) = self.special.as_mut() {
             if matches!(
@@ -732,19 +743,17 @@ impl Hib {
         StoreOutcome::Fault(HibFault::BadRegister)
     }
 
-    fn shadow_store(&mut self, pa: PAddr, val: u64, host: &mut dyn HibHost) -> StoreOutcome {
+    fn shadow_store(&mut self, pa: PAddr, val: u64) -> StoreOutcome {
         if self.config.launch_mode != LaunchMode::ContextShadow {
             return StoreOutcome::Fault(HibFault::BadRegister);
         }
         let arg = ShadowArg::decode(val);
         let Some(ctx) = self.contexts.get_mut(arg.ctx as usize) else {
-            host.interrupt(self.timing.interrupt_latency, HibInterrupt::Protection);
             return StoreOutcome::Fault(HibFault::BadContextKey);
         };
         if ctx.key != arg.key {
             // §2.2.5: "Only processes that know the key that corresponds to
             // a specific context can write physical addresses into it."
-            host.interrupt(self.timing.interrupt_latency, HibInterrupt::Protection);
             return StoreOutcome::Fault(HibFault::BadContextKey);
         }
         if arg.slot > 1 {
@@ -986,6 +995,14 @@ impl Hib {
     /// Panics on [`NetEvent::PumpOut`] and [`NetEvent::RetxTimer`].
     pub fn on_net(&mut self, ev: NetEvent, host: &mut dyn HibHost) {
         let prop = self.timing.link_prop;
+        if self.beacons.is_some()
+            && matches!(
+                ev,
+                NetEvent::Arrive { .. } | NetEvent::Credit { .. } | NetEvent::Ctrl { .. }
+            )
+        {
+            self.saw_switch(host);
+        }
         match ev {
             NetEvent::Arrive { packet, .. } => {
                 let Some(end) = self.link.as_mut() else {
@@ -1042,7 +1059,12 @@ impl Hib {
                         }
                         self.pump_tx(host);
                     }
-                    CtrlOutcome::Heartbeat { newest } => self.on_heartbeat(&newest, host),
+                    CtrlOutcome::Notice(notice) => {
+                        self.stats.liveness_tx += 1;
+                        self.apply_notice(notice.version, &notice.unreachable, host);
+                    }
+                    // A board originates no notices.
+                    CtrlOutcome::NoticeAck(_) => {}
                 }
             }
             NetEvent::PumpOut { .. } | NetEvent::RetxTimer { .. } | NetEvent::Beacon { .. } => {
@@ -1098,15 +1120,11 @@ impl Hib {
                 let Some(every) = self.beacon_every() else {
                     return;
                 };
-                // This board's own digest entry counts its beacons.
-                self.stats.heartbeats_tx += 1;
-                let table = &mut self.beacons.as_mut().expect("beacons run").table;
-                table.set(self.node.index(), self.stats.heartbeats_tx);
-                let beacon = CtrlMsg::Heartbeat {
-                    newest: table.digest(),
-                };
+                let beacons = self.beacons.as_mut().expect("beacons run");
                 let end = self.link.as_mut().expect("tx wired");
-                end.send_ctrl(beacon, self.timing.link_prop, host);
+                if beacons.keep_alive(0, end, self.timing.link_prop, host) {
+                    self.stats.liveness_tx += 1;
+                }
                 self.sweep_detector(host);
                 // Operations issued before heartbeats were enabled get
                 // their sweep armed here.
@@ -1139,9 +1157,19 @@ impl Hib {
         })
     }
 
+    /// True when evidence from the switch would only refresh its watch:
+    /// no detector runs, or it has not convicted the switch and the
+    /// uplink is not dead (evidence revives either).
+    #[inline]
+    fn trusts_switch(&self) -> bool {
+        self.beacons
+            .as_ref()
+            .is_none_or(|b| !b.detector.is_down(0) && !self.tx().is_some_and(TxPort::is_dead))
+    }
+
     /// True when a returned credit would only add a credit: no credit
-    /// stall is open, the credit fits the allowance, and the wire is busy
-    /// or nothing waits on it. See
+    /// stall is open, the credit fits the allowance, the wire is busy
+    /// or nothing waits on it, and the switch is trusted. See
     /// [`Component::can_absorb`](tg_sim::Component::can_absorb).
     #[inline]
     pub fn can_absorb_credit(&self) -> bool {
@@ -1149,19 +1177,24 @@ impl Hib {
             !tx.is_credit_stalled()
                 && tx.credits() < tx.allowance()
                 && (!tx.wire_free() || self.tx_settled())
-        })
+        }) && self.trusts_switch()
     }
 
-    /// True when an arrived control frame is an intact ack that would
-    /// only move the transmit window: the link is alive with no credit
-    /// stall open, and the wire is busy or nothing waits on it.
+    /// True when an arrived control frame is intact and would only
+    /// refresh the switch's watch: a keepalive, or an ack that only moves
+    /// the transmit window (the link is alive with no credit stall open,
+    /// and the wire is busy or nothing waits on it), from a trusted
+    /// switch.
     #[inline]
-    pub fn can_absorb_ack(&self, frame: &CtrlFrame) -> bool {
-        matches!(frame.msg, CtrlMsg::Ack { .. })
-            && frame.checksum_ok()
-            && self.tx().is_some_and(|tx| {
+    pub fn can_absorb_ctrl(&self, frame: &CtrlFrame) -> bool {
+        let inert = match frame.msg {
+            CtrlMsg::Keepalive => true,
+            CtrlMsg::Ack { .. } => self.tx().is_some_and(|tx| {
                 !tx.is_dead() && !tx.is_credit_stalled() && (!tx.wire_free() || self.tx_settled())
-            })
+            }),
+            _ => false,
+        };
+        inert && frame.checksum_ok() && self.trusts_switch()
     }
 
     /// True when a `TxFree` tick would only free the wire: nothing waits
@@ -1184,26 +1217,30 @@ impl Hib {
             "node {}: absorbed an active credit",
             self.node
         );
+        self.saw_switch_at(at);
         self.tx_mut()
             .expect("tx wired")
             .on_credit_at(at)
             .expect("an absorbable credit fits the allowance");
     }
 
-    /// Applies an absorbed ack arriving at `at`, as [`Hib::on_net`]
-    /// would: the window moves.
+    /// Applies an absorbed control frame arriving at `at`, as
+    /// [`Hib::on_net`] would: the switch's watch is refreshed, and an
+    /// ack moves the window.
     #[inline]
-    pub fn absorb_ack(&mut self, frame: CtrlFrame, at: SimTime) {
+    pub fn absorb_ctrl(&mut self, frame: CtrlFrame, at: SimTime) {
         #[cfg(debug_assertions)]
         assert!(
-            self.can_absorb_ack(&frame),
-            "node {}: absorbed an active ack",
+            self.can_absorb_ctrl(&frame),
+            "node {}: absorbed an active control frame",
             self.node
         );
-        let CtrlMsg::Ack { seq, sack } = frame.msg else {
-            unreachable!("only an ack absorbs");
-        };
-        self.tx_mut().expect("tx wired").on_ack(seq, sack, at);
+        self.saw_switch_at(at);
+        match frame.msg {
+            CtrlMsg::Keepalive => {}
+            CtrlMsg::Ack { seq, sack } => self.tx_mut().expect("tx wired").on_ack(seq, sack, at),
+            _ => unreachable!("only an ack or a keepalive absorbs"),
+        }
     }
 
     /// Applies an absorbed `TxFree` tick, as [`Hib::on_tick`] would.
@@ -1227,16 +1264,27 @@ impl Hib {
         std::mem::take(&mut self.recheck)
     }
 
-    /// A digest reached this board from its switch: every peer whose
-    /// beacon number it advanced is one observation for that peer's
-    /// detector.
-    fn on_heartbeat(&mut self, newest: &[u64], host: &mut dyn HibHost) {
-        self.stats.heartbeats_rx += 1;
-        let now = host.now();
-        // A digest reached this board, so the fabric path to it works
-        // again; if our own uplink had been declared dead (a switch outage
-        // severs both directions), revive it under a fresh epoch and tell
-        // the neighbor to resynchronize its receive sequence.
+    /// Refreshes the switch's watch with evidence at `at`, for an
+    /// absorbed frame: [`Hib::trusts_switch`] held, so nothing revives.
+    #[inline]
+    fn saw_switch_at(&mut self, at: SimTime) {
+        if let Some(b) = self.beacons.as_mut() {
+            b.detector.saw(0, at);
+        }
+    }
+
+    /// A frame reached this board from its switch, so the fabric path to
+    /// it works: the switch's watch is refreshed. If the switch was
+    /// convicted, the peers return to what the newest notice says; if the
+    /// uplink had been declared dead (a switch outage severs both
+    /// directions), it revives under a fresh epoch and tells the
+    /// neighbor to resynchronize its receive sequence.
+    #[inline(never)]
+    fn saw_switch(&mut self, host: &mut dyn HibHost) {
+        let Some(b) = self.beacons.as_mut() else {
+            return;
+        };
+        let revived = b.detector.saw(0, host.now()) == Some(Liveness::Up);
         if self.tx().is_some_and(TxPort::is_dead) {
             let end = self.link.as_mut().expect("tx wired");
             end.revive(self.timing.link_prop, host);
@@ -1244,31 +1292,66 @@ impl Hib {
             self.pump_tx(host);
             self.arm_timer(host);
         }
-        let me = self.node.index();
-        let mut revived = Vec::new();
-        if let Some(b) = self.beacons.as_mut() {
-            let detector = &mut b.detector;
-            b.table.merge(newest, |origin| {
-                if origin != me && detector.saw(origin as u64, now) == Some(Liveness::Up) {
-                    revived.push(origin);
-                }
-            });
+        if revived {
+            self.settle_peers(host);
         }
-        for origin in revived {
-            self.peer_up_transition(NodeId::new(origin as u16), host);
-        }
-        self.sweep_detector(host);
     }
 
-    /// Runs the failure detector; every newly-convicted peer triggers the
-    /// down transition (interrupt, trace point, sweep-fail of its ops).
+    /// Applies a verdict notice from the switch, unless a newer one
+    /// already reached this board: the peers it names are convicted, the
+    /// others re-admitted.
+    fn apply_notice(&mut self, version: u64, unreachable: &[u16], host: &mut dyn HibHost) {
+        let Some(peers) = self.beacons.as_mut().map(|b| &mut b.state) else {
+            return;
+        };
+        if version < peers.version {
+            return;
+        }
+        peers.version = version;
+        peers.named.fill(false);
+        for &n in unreachable {
+            if let Some(named) = peers.named.get_mut(usize::from(n)) {
+                *named = true;
+            }
+        }
+        self.settle_peers(host);
+    }
+
+    /// Runs the failure detector over the switch; a conviction convicts
+    /// every peer with it.
     fn sweep_detector(&mut self, host: &mut dyn HibHost) {
-        let newly = match self.beacons.as_mut() {
-            Some(b) => b.detector.check(host.now()),
+        let convicted = match self.beacons.as_mut() {
+            Some(b) => !b.detector.check(host.now()).is_empty(),
             None => return,
         };
-        for key in newly {
-            self.peer_down_transition(NodeId::new(key as u16), host);
+        if convicted {
+            // Evidence deferred from the switch now re-admits it.
+            self.recheck = true;
+            self.settle_peers(host);
+        }
+    }
+
+    /// Brings every peer's verdict in line with the switch's and the
+    /// newest notice's: a peer is down while the switch is convicted or
+    /// the notice names it. Each change is a down or up transition.
+    fn settle_peers(&mut self, host: &mut dyn HibHost) {
+        let Some(b) = self.beacons.as_mut() else {
+            return;
+        };
+        let cut_off = b.detector.is_down(0);
+        let mut changed = Vec::new();
+        for i in 0..b.state.down.len() {
+            let down = cut_off || b.state.named[i];
+            if i != self.node.index() && std::mem::replace(&mut b.state.down[i], down) != down {
+                changed.push((NodeId::new(i as u16), down));
+            }
+        }
+        for (peer, down) in changed {
+            if down {
+                self.peer_down_transition(peer, host);
+            } else {
+                self.peer_up_transition(peer, host);
+            }
         }
     }
 

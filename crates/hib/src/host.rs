@@ -79,9 +79,9 @@ pub enum HibTick {
         /// Timer generation at scheduling time.
         gen: u64,
     },
-    /// The periodic heartbeat-origination timer: emit a liveness beacon
-    /// toward the fabric and sweep the per-peer failure detector.
-    /// Self-rearming while heartbeats are enabled.
+    /// The periodic liveness tick: send a keepalive when the uplink was
+    /// idle for a whole period, and sweep the detector watching the
+    /// switch. Self-rearming while heartbeats are enabled.
     Heartbeat,
     /// The pending-operation scan timer: sweep the tagged-operation
     /// registry for requests that have been in flight past the request
@@ -186,8 +186,6 @@ pub enum HibInterrupt {
         /// Which counter fired.
         counter: CounterKind,
     },
-    /// A protection violation detected at the HIB (bad context key).
-    Protection,
     /// The link layer degraded: a neighbor-originated protocol violation
     /// was detected or the retransmit budget was exhausted (the link is
     /// then dead). The OS sees the structured error instead of the
@@ -196,15 +194,17 @@ pub enum HibInterrupt {
         /// What went wrong on the link.
         error: tg_net::LinkError,
     },
-    /// The per-peer failure detector convicted a peer: its heartbeat
-    /// beacons went silent past the suspicion threshold. The OS layer
+    /// The board convicted a peer: a verdict notice from its switch named
+    /// it, or the switch itself went silent past the suspicion
+    /// threshold. The OS layer
     /// should fail over ownership of pages homed or owned there and stop
     /// routing work to it.
     PeerDown {
         /// The node declared dead.
         peer: NodeId,
     },
-    /// A previously-convicted peer's beacons resumed (crash-stop restart):
+    /// A previously-convicted peer is reachable again (crash-stop
+    /// restart, or the switch back in touch):
     /// the OS layer should reconcile — the restarted node lost its volatile
     /// state, so copysets and replica maps referencing it are stale.
     PeerUp {

@@ -18,7 +18,7 @@ use std::hash::Hasher;
 use std::rc::Rc;
 
 use tg_sim::{CompId, Ctx, SimTime};
-use tg_wire::{CtrlFrame, CtrlMsg, Fnv1a, Packet};
+use tg_wire::{CtrlFrame, CtrlMsg, Fnv1a, Notice, Packet};
 
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate, LinkId};
@@ -82,12 +82,11 @@ pub enum CtrlOutcome {
     /// A resync reply, carrying its token when it completed the
     /// handshake; pump the transmit side.
     SyncAck(Option<u64>),
-    /// A liveness digest for the owner's beacon table and failure
-    /// detector.
-    Heartbeat {
-        /// The sender's newest beacon number per origin.
-        newest: Rc<[u64]>,
-    },
+    /// A verdict notice, already acknowledged to the neighbour: a switch
+    /// floods it on, a HIB applies it.
+    Notice(Rc<Notice>),
+    /// The neighbour acknowledged the notice with this id.
+    NoticeAck(u64),
 }
 
 /// One end of a link: the transmit port ([`TxPort`]), the receive half
@@ -107,7 +106,9 @@ pub enum CtrlOutcome {
 /// | SyncReq | SyncAck with the monotone drain count | [`CtrlOutcome::Done`] |
 /// | SyncAck | — | [`CtrlOutcome::SyncAck`] |
 /// | Reset | — (the receive sequence is reseated) | [`CtrlOutcome::Done`] |
-/// | Heartbeat | — | [`CtrlOutcome::Heartbeat`] |
+/// | Keepalive | — | [`CtrlOutcome::Done`] |
+/// | Notice | NoticeAck | [`CtrlOutcome::Notice`] |
+/// | NoticeAck | — | [`CtrlOutcome::NoticeAck`] |
 /// | corrupt control frame | — (counted) | [`CtrlOutcome::Done`] |
 /// | recovery timer | SyncReq on a resync | the [`TimerAction`] |
 #[derive(Debug)]
@@ -159,6 +160,11 @@ impl LinkEnd {
     fn log(&mut self, at: SimTime, kind: u64, word: u64) {
         self.wire
             .write_u64(at.as_ps().rotate_left(24) ^ (kind << 60) ^ word);
+    }
+
+    /// The wire log so far: it moves with every frame this end launches.
+    pub(crate) fn wire_log(&self) -> u64 {
+        self.wire.finish()
     }
 
     /// Installs the fault injector consulted at every frame launch,
@@ -263,8 +269,8 @@ impl LinkEnd {
         arrival
     }
 
-    /// Reacts to an arrived control frame; a resync probe is answered
-    /// after `delay`.
+    /// Reacts to an arrived control frame; a resync probe or a notice is
+    /// answered after `delay`.
     pub fn on_ctrl<C: LinkCtx + ?Sized>(
         &mut self,
         frame: CtrlFrame,
@@ -297,7 +303,12 @@ impl LinkEnd {
                 let done = self.tx.on_sync_ack(token, drained, ctx.now());
                 CtrlOutcome::SyncAck(done.then_some(token))
             }
-            CtrlMsg::Heartbeat { newest } => CtrlOutcome::Heartbeat { newest },
+            CtrlMsg::Keepalive => CtrlOutcome::Done,
+            CtrlMsg::Notice(notice) => {
+                self.send_ctrl(CtrlMsg::NoticeAck { id: notice.id }, delay, ctx);
+                CtrlOutcome::Notice(notice)
+            }
+            CtrlMsg::NoticeAck { id } => CtrlOutcome::NoticeAck(id),
             CtrlMsg::Reset { next } => {
                 // The neighbor's transmit side started a fresh epoch:
                 // reseat the expected sequence, flush the reorder window
@@ -339,9 +350,10 @@ impl LinkEnd {
     /// outright, or corrupt it so that the receiver's checksum discards
     /// it. The transmit link and the credit-return path share one
     /// physical link, so control traffic in either role rides
-    /// `tx.link()`. An intact Ack goes deferrable: when it only moves a
-    /// window nobody waits on, the neighbor absorbs it. Every other
-    /// control frame acts, and goes plain.
+    /// `tx.link()`. An intact Ack or Keepalive goes deferrable: when it
+    /// only moves a window nobody waits on, or only tells a detector that
+    /// already trusts the sender it lives, the neighbor absorbs it.
+    /// Every other control frame acts, and goes plain.
     pub fn send_ctrl<C: LinkCtx + ?Sized>(&mut self, msg: CtrlMsg, delay: SimTime, ctx: &mut C) {
         let mut frame = CtrlFrame::seal(msg);
         let index = match frame.msg {
@@ -349,8 +361,10 @@ impl LinkEnd {
             CtrlMsg::Nack { .. } => 1,
             CtrlMsg::SyncReq { .. } => 2,
             CtrlMsg::SyncAck { .. } => 3,
-            CtrlMsg::Heartbeat { .. } => 4,
+            CtrlMsg::Keepalive => 4,
             CtrlMsg::Reset { .. } => 5,
+            CtrlMsg::Notice(_) => 6,
+            CtrlMsg::NoticeAck { .. } => 7,
         };
         let word = u64::from(frame.checksum);
         self.log(ctx.now(), Launch::Ctrl as u64 + index, word);
@@ -361,7 +375,7 @@ impl LinkEnd {
         let (dst, port) = (self.tx.neighbor(), self.tx.neighbor_port());
         match fate {
             FrameFate::Drop => {}
-            FrameFate::Deliver if matches!(frame.msg, CtrlMsg::Ack { .. }) => {
+            FrameFate::Deliver if matches!(frame.msg, CtrlMsg::Ack { .. } | CtrlMsg::Keepalive) => {
                 ctx.send_net_deferrable(dst, delay, NetEvent::Ctrl { port, frame });
             }
             _ => ctx.send_net(dst, delay, NetEvent::Ctrl { port, frame }),
@@ -759,13 +773,44 @@ mod tests {
             drained: 0,
         });
         assert_eq!(on(&mut e, stray), CtrlOutcome::SyncAck(None));
-        let newest: Rc<[u64]> = Rc::from([0, 7].as_slice());
-        let beacon = ctrl(CtrlMsg::Heartbeat {
-            newest: newest.clone(),
+        let keepalive = ctrl(CtrlMsg::Keepalive);
+        assert_eq!(on(&mut e, keepalive), CtrlOutcome::Done);
+        assert_eq!(
+            on(&mut e, ctrl(CtrlMsg::NoticeAck { id: 4 })),
+            CtrlOutcome::NoticeAck(4)
+        );
+        assert!(ctx.sent.is_empty(), "only a probe or a notice is answered");
+        let notice = Rc::new(Notice {
+            id: 4,
+            version: 2,
+            unreachable: vec![1],
         });
-        let heartbeat = CtrlOutcome::Heartbeat { newest };
-        assert_eq!(on(&mut e, beacon), heartbeat);
-        assert!(ctx.sent.is_empty(), "only a probe is answered");
+        let outcome = CtrlOutcome::Notice(notice.clone());
+        assert_eq!(
+            e.on_ctrl(ctrl(CtrlMsg::Notice(notice)), DELAY, &mut ctx),
+            outcome
+        );
+        assert_eq!(ctx.ctrl(), [CtrlMsg::NoticeAck { id: 4 }]);
+    }
+
+    /// A tick sends a keepalive only on a port that launched nothing
+    /// since the previous tick; the keepalive itself counts as a launch
+    /// only until the next tick has looked.
+    #[test]
+    fn keepalives_go_only_on_ports_idle_for_a_whole_period() {
+        let (mut e, mut ctx) = (reliable(RetxMode::GoBackN), Rec::default());
+        let mut beacons = None;
+        let params = crate::DetectParams::default();
+        let b = crate::Beacons::<()>::start(&mut beacons, &params).unwrap();
+        let mut tick = |e: &mut LinkEnd, ctx: &mut Rec| b.keep_alive(0, e, DELAY, ctx);
+        assert!(!tick(&mut e, &mut ctx), "the first tick only looks");
+        assert!(tick(&mut e, &mut ctx));
+        assert_eq!(ctx.ctrl(), [CtrlMsg::Keepalive]);
+        assert!(tick(&mut e, &mut ctx), "an idle link gets one per period");
+        assert_eq!(ctx.ctrl(), [CtrlMsg::Keepalive]);
+        e.frame_fate(ctx.now, &mut frame(1), true);
+        assert!(!tick(&mut e, &mut ctx), "a launch stands in for it");
+        assert!(tick(&mut e, &mut ctx));
     }
 
     #[test]

@@ -44,12 +44,15 @@ pub enum NetEvent {
         /// Timer generation at scheduling time.
         gen: u64,
     },
-    /// Self-scheduled switch beacon tick: send the liveness digest on
-    /// every port facing a node (`to_nodes`) or every port facing
-    /// another switch.
+    /// Self-scheduled switch liveness timer. The tick (`alarm: false`)
+    /// comes once per beacon period: it sends a keepalive on every port
+    /// idle for the whole period and sweeps the failure detector. The
+    /// one-shot alarm re-sends the verdict notices no neighbour has
+    /// acknowledged within a timeout, and sweeps the detector at a
+    /// deadline that falls between two ticks.
     Beacon {
-        /// Which ports this tick serves.
-        to_nodes: bool,
+        /// A one-shot alarm rather than the periodic tick.
+        alarm: bool,
     },
 }
 

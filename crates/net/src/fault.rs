@@ -606,8 +606,7 @@ mod tests {
             assert!(inj.site_down(Site::Node(n0), t));
             assert_eq!(inj.frame_fate(up, t, &mut p), FrameFate::Drop);
             assert_eq!(inj.frame_fate(down, t, &mut p), FrameFate::Drop);
-            let newest = std::rc::Rc::from([1].as_slice());
-            let mut f = CtrlFrame::seal(CtrlMsg::Heartbeat { newest });
+            let mut f = CtrlFrame::seal(CtrlMsg::Keepalive);
             assert_eq!(inj.ctrl_fate(down, t, &mut f), FrameFate::Drop);
             assert!(inj.credit_lost(up, t));
             // A link not touching the crashed site is unaffected.

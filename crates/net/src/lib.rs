@@ -64,7 +64,7 @@ mod switch;
 pub mod testing;
 mod topology;
 
-pub use detect::{BeaconTable, Beacons, DetectParams, HeartbeatDetector, Liveness};
+pub use detect::{Beacons, DetectParams, HeartbeatDetector, Liveness};
 pub use end::{Arrival, CtrlOutcome, LinkCtx, LinkEnd, PortSnapshot, StalledLink};
 pub use event::{NetEvent, NetMessage};
 pub use fault::{CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId};

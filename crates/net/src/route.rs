@@ -320,6 +320,25 @@ impl FabricView {
         self.inner.borrow().routes.table_for_switch(s)
     }
 
+    /// The nodes no path of live vertices joins to switch `s`, ascending:
+    /// what a verdict notice from `s` names. Unlike
+    /// [`FabricView::unreachable`] this is relative to `s`, so each side
+    /// of a partition names the other.
+    pub(crate) fn unreachable_from(&self, s: u16) -> Vec<u16> {
+        let st = self.inner.borrow();
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![Vertex::Switch(s)];
+        while let Some(v) = stack.pop() {
+            if st.dead.contains(&v) || !seen.insert(v) {
+                continue;
+            }
+            stack.extend(st.topology.ports_of(v).iter().map(|&(nbr, _)| nbr));
+        }
+        (0..st.topology.endpoint_count() as u16)
+            .filter(|&n| !seen.contains(&Vertex::Node(n)))
+            .collect()
+    }
+
     /// Vertices no surviving route reaches (the named partition; includes
     /// the dead vertices themselves). Empty while the survivors are
     /// fully connected.

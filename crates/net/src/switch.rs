@@ -1,8 +1,11 @@
 //! The cut-through switch component.
 
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
 use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::trace::{Site, Stage, TraceCollector, Tracer};
-use tg_wire::{CtrlMsg, Packet, TimingConfig};
+use tg_wire::{CtrlMsg, Notice, Packet, TimingConfig};
 
 use crate::detect::{Beacons, DetectParams, Liveness};
 use crate::end::{Arrival, CtrlOutcome, LinkEnd, PortSnapshot};
@@ -26,8 +29,9 @@ pub struct SwitchStats {
     /// route reaches their destination — the graceful degradation of a
     /// partitioned fabric, in place of the old no-route panic.
     pub blackholed: u64,
-    /// Liveness digests received intact, on all ports.
-    pub heartbeats_rx: u64,
+    /// Liveness frames launched on all ports: keepalives, verdict
+    /// notices (first sends, forwards and retries) and notice acks.
+    pub liveness_tx: u64,
 }
 
 /// The "no output" marker, shared with the routing table's no-route entry.
@@ -65,6 +69,30 @@ fn first_set_from(set: &[u64], start: usize) -> Option<usize> {
 /// and wrapping past the top back to port 0.
 fn first_set_cyclic(set: &[u64], start: usize) -> Option<usize> {
     first_set_from(set, start).or_else(|| first_set_from(set, 0))
+}
+
+/// A verdict notice sent on `port` and not yet acknowledged there.
+#[derive(Debug)]
+struct Unacked {
+    port: usize,
+    notice: Rc<Notice>,
+    sent_at: SimTime,
+}
+
+/// A switch's share of the verdict flood: the notices it originated, the
+/// ones it has seen (a ring delivers each twice), and those its
+/// neighbours have yet to acknowledge; and its one-shot alarm.
+#[derive(Debug, Default)]
+struct Flood {
+    /// Notices this switch originated so far.
+    count: u32,
+    /// Ids of every notice originated or forwarded here.
+    seen: BTreeSet<u64>,
+    unacked: Vec<Unacked>,
+    /// The earliest pending alarm.
+    alarm: Option<SimTime>,
+    /// When the next liveness tick is due.
+    next_tick: SimTime,
 }
 
 /// The fabric vertex at the far end of a port's directed link.
@@ -138,10 +166,11 @@ pub struct Switch {
     /// Neighbor-originated protocol violations and dead-link declarations
     /// observed so far.
     errors: Vec<LinkError>,
-    /// Liveness state once beacons start: the table merges every port's
-    /// digests and is sent on every port once per period; the detector
-    /// watches ports lazily, from their first digest.
-    beacons: Option<Box<Beacons>>,
+    /// Liveness state once beacons start: one tick per period sends
+    /// keepalives on idle ports and sweeps the detector, which watches
+    /// every port's neighbour and hears any frame it sends; the state
+    /// floods the verdict notices.
+    beacons: Option<Box<Beacons<Flood>>>,
     /// The fabric's shared dead-set + route view; `None` leaves the
     /// boot-time table in place forever.
     view: Option<FabricView>,
@@ -213,35 +242,31 @@ impl Switch {
         self.reliability = Some(params);
     }
 
-    /// Starts sending liveness digests every `params.heartbeat_every`
-    /// and judging silent ports at `params`' thresholds; the caller runs
-    /// the ports reliably. Returns the delay of the first
-    /// [`NetEvent::Beacon`] tick the caller must schedule at this switch,
-    /// measured from the nodes' first beacon instant; the tick then
-    /// self-rearms until [`Switch::stop_beacons`]. Returns `None`, and
+    /// Starts liveness at `now`: a tick every `params.heartbeat_every`
+    /// sends keepalives on idle ports and judges every attached port's
+    /// neighbour at `params`' thresholds; the caller runs the ports
+    /// reliably. Returns `true` when it started: the caller must then
+    /// schedule a [`NetEvent::Beacon`] at this switch, and the tick
+    /// self-rearms until [`Switch::stop_beacons`]. Returns `false`, and
     /// changes nothing, while beacons already run.
-    ///
-    /// Each period has two ticks. Two link delays after the nodes beacon
-    /// (their digests have landed), the switch sends to the neighbour
-    /// switches; two link delays later (theirs have landed too), to its
-    /// nodes. A beacon thus reaches every node one switch hop away
-    /// within its own period.
-    pub fn start_beacons(&mut self, params: &DetectParams) -> Option<SimTime> {
-        Beacons::start(&mut self.beacons, params, self.table.len())?;
-        Some(self.beacon_lead(params.heartbeat_every))
+    pub fn start_beacons(&mut self, params: &DetectParams, now: SimTime) -> bool {
+        let Some(beacons) = Beacons::start(&mut self.beacons, params) else {
+            return false;
+        };
+        for (port, end) in self.ports.iter().enumerate() {
+            if end.is_some() {
+                beacons.detector.track(port as u64, now);
+            }
+        }
+        true
     }
 
-    /// Stops sending digests: the next beacon tick does not rearm.
+    /// Stops the liveness tick: the next one does not rearm, and no
+    /// notice is re-sent.
     pub fn stop_beacons(&mut self) {
         if let Some(beacons) = &mut self.beacons {
             beacons.every = None;
         }
-    }
-
-    /// The offset of each beacon tick from the one before it in the
-    /// period: two link delays.
-    fn beacon_lead(&self, every: SimTime) -> SimTime {
-        (self.timing.link_prop + self.timing.link_prop).min(SimTime::from_ps(every.as_ps() / 2))
     }
 
     /// Installs the shared fabric view this switch reports peer verdicts
@@ -361,15 +386,36 @@ impl Switch {
     }
 
     /// Deferred delivery (see [`Component::can_absorb`]): a returned
-    /// `Credit`, an intact `Ack` or a `PumpOut` is absorbable when its
-    /// handler would only update link state, and the fabric view has not
-    /// moved since this switch last refreshed its routes (a refresh acts).
+    /// `Credit`, an intact `Ack` or `Keepalive`, or a `PumpOut` is
+    /// absorbable when its handler would only update link state and the
+    /// port's watch, and the fabric view has not moved since this switch
+    /// last refreshed its routes (a refresh acts).
     #[inline]
     fn absorbable(&self, ev: &NetEvent) -> bool {
         self.view
             .as_ref()
             .is_none_or(|v| v.version() == self.view_version)
-            && self.link_idle(ev)
+            && self.inert(ev)
+    }
+
+    /// The state half of [`Switch::absorbable`]: an intact keepalive, or
+    /// link bookkeeping that [`Switch::link_idle`] accepts, from a
+    /// neighbour the detector has not convicted (evidence from a
+    /// convicted one re-admits it).
+    #[inline]
+    fn inert(&self, ev: &NetEvent) -> bool {
+        let Some(b) = &self.beacons else {
+            return self.link_idle(ev);
+        };
+        let trusted = match ev {
+            NetEvent::Credit { port } | NetEvent::Ctrl { port, .. } => {
+                !b.detector.is_down(u64::from(*port))
+            }
+            _ => true,
+        };
+        let keepalive = matches!(ev, NetEvent::Ctrl { frame, .. }
+            if frame.msg == CtrlMsg::Keepalive && frame.checksum_ok());
+        trusted && (keepalive || self.link_idle(ev))
     }
 
     /// The link-state half of [`Switch::absorbable`]: `pump` would grant,
@@ -526,68 +572,171 @@ impl Switch {
         }
     }
 
-    /// Handles a digest arriving on `in_port`: merges it into the beacon
-    /// table and feeds the port detector one observation per origin it
-    /// advanced (at least one: an intact digest is itself a sign of
-    /// life), reviving a convicted port if its silence ended. The
-    /// detector then sweeps every watched port: detection is
-    /// event-driven, clocked by digest arrivals and beacon ticks.
-    fn on_heartbeat<M: NetMessage>(
-        &mut self,
-        in_port: usize,
-        newest: &[u64],
-        ctx: &mut Ctx<'_, M>,
-    ) {
-        self.stats.heartbeats_rx += 1;
+    /// Evidence from the neighbour on `port`: refreshes its watch, and
+    /// re-admits it when the detector had convicted it.
+    #[inline(never)]
+    fn saw<M: NetMessage>(&mut self, port: usize, ctx: &mut Ctx<'_, M>) {
+        let b = self.beacons.as_mut().expect("beacons run");
+        if b.detector.saw(port as u64, ctx.now()) == Some(Liveness::Up) {
+            self.on_peer_up(port, ctx);
+            self.pump(ctx);
+        }
+    }
+
+    /// The liveness tick: rearms, then (unless the switch is inert, see
+    /// [`Switch::site_down`]) sends a keepalive on every port idle for
+    /// the whole period and sweeps the detector.
+    #[inline(never)]
+    fn on_beacon<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
+        let Some(b) = self.beacons.as_deref_mut() else {
+            return;
+        };
+        let Some(every) = b.every else {
+            return;
+        };
+        ctx.send_self(every, M::from_net(NetEvent::Beacon { alarm: false }));
         let now = ctx.now();
-        let revived = self.beacons.as_mut().is_some_and(|b| {
-            let advanced = b.table.merge(newest, |_| {});
-            b.detector.saw_many(in_port as u64, now, advanced.max(1)) == Some(Liveness::Up)
-        });
-        if revived {
-            self.on_peer_up(in_port, ctx);
+        b.state.next_tick = now + every;
+        if self.site_down(now) {
+            return;
+        }
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        let prop = self.timing.link_prop;
+        for (port, end) in self.ports.iter_mut().enumerate() {
+            if let Some(end) = end {
+                if b.keep_alive(port, end, prop, ctx) {
+                    self.stats.liveness_tx += 1;
+                }
+            }
         }
         self.check_peers(ctx);
     }
 
-    /// A beacon tick: sends the digest on every port of the tick's side
-    /// (node-facing or switch-facing), sweeps the detector and rearms
-    /// the other side's tick, unless beacons were stopped.
-    fn on_beacon<M: NetMessage>(&mut self, to_nodes: bool, ctx: &mut Ctx<'_, M>) {
-        let Some(every) = self.beacons.as_ref().and_then(|b| b.every) else {
-            return;
-        };
-        let lead = self.beacon_lead(every);
-        let next = if to_nodes { every - lead } else { lead };
-        let tick = NetEvent::Beacon {
-            to_nodes: !to_nodes,
-        };
-        ctx.send_self(next, M::from_net(tick));
-        // A switch inside a crash window is inert: it neither sends nor
-        // judges its silent neighbors.
-        let now = ctx.now();
-        if self
-            .injector
+    /// True while this switch sits in a crash window, where it neither
+    /// sends liveness frames nor judges its neighbours.
+    fn site_down(&self, now: SimTime) -> bool {
+        self.injector
             .as_ref()
             .is_some_and(|inj| inj.site_down(self.site, now))
-        {
+    }
+
+    /// Originates the notice of a verdict this switch just reached: the
+    /// nodes it can no longer reach, at the view's current version.
+    #[inline(never)]
+    fn announce<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
+        let (Some(view), Site::Switch(idx), Some(b)) =
+            (&self.view, self.site, self.beacons.as_deref_mut())
+        else {
+            return;
+        };
+        let id = (u64::from(idx) << 32) | u64::from(b.state.count);
+        b.state.count += 1;
+        b.state.seen.insert(id);
+        let notice = Rc::new(Notice {
+            id,
+            version: view.version(),
+            unreachable: view.unreachable_from(idx),
+        });
+        self.flood_out(None, notice, ctx);
+    }
+
+    /// Sends `notice` on every attached port whose neighbour is not
+    /// convicted, except `from` (where it came in), and keeps each copy
+    /// until that neighbour acknowledges it.
+    #[inline(never)]
+    fn flood_out<M: NetMessage>(
+        &mut self,
+        from: Option<usize>,
+        notice: Rc<Notice>,
+        ctx: &mut Ctx<'_, M>,
+    ) {
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        let (prop, now) = (self.timing.link_prop, ctx.now());
+        for (port, end) in self.ports.iter_mut().enumerate() {
+            let Some(end) = end else {
+                continue;
+            };
+            if from == Some(port) || b.detector.is_down(port as u64) {
+                continue;
+            }
+            end.send_ctrl(CtrlMsg::Notice(notice.clone()), prop, ctx);
+            self.stats.liveness_tx += 1;
+            b.state.unacked.push(Unacked {
+                port,
+                notice: notice.clone(),
+                sent_at: now,
+            });
+        }
+        self.arm_alarm(ctx);
+    }
+
+    /// The notice timeout: the link's initial retransmit timeout.
+    fn notice_rto(&self) -> SimTime {
+        self.reliability
+            .map_or(SimTime::from_us(10), |r| r.retx_timeout)
+    }
+
+    /// Arms the alarm (a [`NetEvent::Beacon`] with `alarm` set) for
+    /// whichever comes first: the timeout of the oldest unacknowledged
+    /// notice, or a detector deadline that falls before the next tick (so
+    /// a verdict is not rounded up to a tick). An alarm already pending
+    /// at or before that instant will re-arm.
+    fn arm_alarm<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
+        let rto = self.notice_rto();
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        let retx = b.state.unacked.iter().map(|u| u.sent_at + rto).min();
+        let deadline = b.detector.deadline_before(b.state.next_tick);
+        let deadline = deadline.map(|at| at + SimTime::from_ps(1));
+        let Some(at) = retx.into_iter().chain(deadline).min() else {
+            return;
+        };
+        if b.state.alarm.is_some_and(|pending| pending <= at) {
             return;
         }
-        let digest = self.beacons.as_mut().expect("beacons run").table.digest();
-        let prop = self.timing.link_prop;
-        for end in self.ports.iter_mut().flatten() {
-            let faces_node = end
-                .tx()
-                .link()
-                .is_none_or(|l| matches!(l.to, Site::Node(_)));
-            if faces_node == to_nodes {
-                let msg = CtrlMsg::Heartbeat {
-                    newest: digest.clone(),
-                };
-                end.send_ctrl(msg, prop, ctx);
+        b.state.alarm = Some(at);
+        let alarm = NetEvent::Beacon { alarm: true };
+        ctx.send_self(at.saturating_sub(ctx.now()), M::from_net(alarm));
+    }
+
+    /// The alarm: re-sends every notice unacknowledged for a whole
+    /// timeout and sweeps the detector. Once beacons stop, the switch
+    /// gives up on the notices instead.
+    #[inline(never)]
+    fn on_alarm<M: NetMessage>(&mut self, ctx: &mut Ctx<'_, M>) {
+        let now = ctx.now();
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        if b.state.alarm == Some(now) {
+            b.state.alarm = None;
+        }
+        if b.every.is_none() {
+            b.state.unacked.clear();
+            return;
+        }
+        if self.site_down(now) {
+            // Inert, as at a tick; the first tick after re-arms.
+            return;
+        }
+        let (rto, prop) = (self.notice_rto(), self.timing.link_prop);
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        for u in &mut b.state.unacked {
+            if u.sent_at + rto <= now {
+                let end = self.ports[u.port].as_mut().expect("notice port attached");
+                end.send_ctrl(CtrlMsg::Notice(u.notice.clone()), prop, ctx);
+                self.stats.liveness_tx += 1;
+                u.sent_at = now;
             }
         }
         self.check_peers(ctx);
+    }
+
+    /// A notice arrived on `port` (and was acknowledged there): the
+    /// first copy floods on, a duplicate stops here.
+    #[inline(never)]
+    fn on_notice<M: NetMessage>(&mut self, port: usize, notice: Rc<Notice>, ctx: &mut Ctx<'_, M>) {
+        let b = self.beacons.as_deref_mut().expect("beacons run");
+        if b.state.seen.insert(notice.id) {
+            self.flood_out(Some(port), notice, ctx);
+        }
     }
 
     /// Sweeps the port detector, declaring every newly silent neighbor
@@ -602,6 +751,7 @@ impl Switch {
         for port in newly_down {
             self.on_peer_down(port as usize, ctx);
         }
+        self.arm_alarm(ctx);
         self.pump(ctx);
     }
 
@@ -631,8 +781,9 @@ impl Switch {
     }
 
     /// Reacts to this switch's own detector convicting the peer on
-    /// `port`: trace the verdict and report it to the fabric view, which
-    /// recomputes routes around the dead vertex for every switch.
+    /// `port`: trace the verdict, report it to the fabric view, which
+    /// recomputes routes around the dead vertex for every switch, and
+    /// flood it to the boards as a notice.
     fn on_peer_down<M: NetMessage>(&mut self, port: usize, ctx: &mut Ctx<'_, M>) {
         let Some(link) = self.tx(port).and_then(TxPort::link) else {
             return;
@@ -649,13 +800,19 @@ impl Switch {
                 self.view_moved(ctx);
             }
         }
+        // Evidence deferred from this neighbour now re-admits it.
+        self.recheck = true;
+        if let Some(b) = self.beacons.as_deref_mut() {
+            b.state.unacked.retain(|u| u.port != port);
+        }
+        self.announce(ctx);
     }
 
-    /// Reacts to beacons resuming on a convicted `port`: trace the
-    /// revival, restore the vertex in the fabric view, and start a fresh
+    /// Reacts to evidence from a convicted `port`'s neighbour: trace the
+    /// revival, restore the vertex in the fabric view, start a fresh
     /// link epoch on the transmit side (abandoning frames stranded for
     /// the dead incarnation), announcing it to the receiver so both ends
-    /// agree on sequence numbers and drain counts.
+    /// agree on sequence numbers and drain counts, and flood the verdict.
     fn on_peer_up<M: NetMessage>(&mut self, port: usize, ctx: &mut Ctx<'_, M>) {
         let Some(link) = self.tx(port).and_then(TxPort::link) else {
             return;
@@ -679,6 +836,7 @@ impl Switch {
             // The fresh epoch restores the whole credit allowance.
             self.recheck = true;
         }
+        self.announce(ctx);
     }
 
     /// Counts a frame drained from input `in_port` and returns its
@@ -902,6 +1060,14 @@ impl Switch {
         // Another switch may have moved the fabric view since our last
         // event; one version compare keeps every switch's table current.
         self.refresh_routes(ctx);
+        if self.beacons.is_some() {
+            if let NetEvent::Arrive { port, .. }
+            | NetEvent::Credit { port }
+            | NetEvent::Ctrl { port, .. } = ev
+            {
+                self.saw(port as usize, ctx);
+            }
+        }
         match ev {
             NetEvent::Arrive { port, packet } => {
                 let in_port = port as usize;
@@ -947,8 +1113,15 @@ impl Switch {
                 match self.end_mut(p).on_ctrl(frame, prop, ctx) {
                     CtrlOutcome::Done => return,
                     CtrlOutcome::Retransmit => self.recheck = true,
-                    CtrlOutcome::Heartbeat { newest } => {
-                        self.on_heartbeat(p, &newest, ctx);
+                    CtrlOutcome::Notice(notice) => {
+                        self.stats.liveness_tx += 1;
+                        self.on_notice(p, notice, ctx);
+                        return;
+                    }
+                    CtrlOutcome::NoticeAck(id) => {
+                        if let Some(b) = self.beacons.as_deref_mut() {
+                            b.state.unacked.retain(|u| (u.port, u.notice.id) != (p, id));
+                        }
                         return;
                     }
                     CtrlOutcome::Dead(err) => self.on_link_dead(p, err, ctx),
@@ -986,7 +1159,8 @@ impl Switch {
                 }
                 self.arm_timer(p, ctx);
             }
-            NetEvent::Beacon { to_nodes } => self.on_beacon(to_nodes, ctx),
+            NetEvent::Beacon { alarm: false } => self.on_beacon(ctx),
+            NetEvent::Beacon { alarm: true } => self.on_alarm(ctx),
         }
     }
 }
@@ -1019,7 +1193,7 @@ impl<M: NetMessage> Component<M> for Switch {
         // after it, when the verdict asks every switch to re-check.
         #[cfg(debug_assertions)]
         assert!(
-            ev.as_net().is_some_and(|ev| self.link_idle(ev))
+            ev.as_net().is_some_and(|ev| self.inert(ev))
                 && self
                     .view
                     .as_ref()
@@ -1039,8 +1213,12 @@ impl<M: NetMessage> Component<M> for Switch {
             Ok(NetEvent::Ctrl { port, frame }) => (port as usize, Some(frame.msg)),
             _ => unreachable!("{}: only link bookkeeping absorbs", self.name),
         };
+        if let Some(b) = self.beacons.as_mut() {
+            b.detector.saw(p as u64, at);
+        }
         let tx = self.tx_mut(p).expect("absorbing port attached");
         match ack {
+            Some(CtrlMsg::Keepalive) => return,
             Some(CtrlMsg::Ack { seq, sack }) => tx.on_ack(seq, sack, at),
             Some(_) => unreachable!("only an ack absorbs"),
             None => {

@@ -237,9 +237,11 @@ impl Component<NetEvent> for SourceSink {
                 match end.on_ctrl(frame, self.consume_delay + prop, ctx) {
                     CtrlOutcome::Dead(err) => self.errors.push(err),
                     CtrlOutcome::Acked | CtrlOutcome::Retransmit | CtrlOutcome::SyncAck(_) => {}
-                    // Test endpoints run no failure detector: digests
-                    // are sunk silently.
-                    CtrlOutcome::Done | CtrlOutcome::Heartbeat { .. } => return,
+                    // Test endpoints run no failure detector: verdict
+                    // notices are acknowledged and sunk.
+                    CtrlOutcome::Done | CtrlOutcome::Notice(_) | CtrlOutcome::NoticeAck(_) => {
+                        return
+                    }
                 }
                 self.pump(ctx);
             }
@@ -251,7 +253,9 @@ impl Component<NetEvent> for SourceSink {
                 }
                 self.arm_timer(ctx);
             }
-            NetEvent::Beacon { .. } => panic!("{}: endpoints run no beacon ticks", self.name),
+            NetEvent::Beacon { .. } => {
+                panic!("{}: endpoints run no liveness ticks", self.name)
+            }
         }
     }
 

@@ -12,8 +12,9 @@
 //!
 //! Control frames carry no payload words; their loss is recovered by
 //! the sender-side machinery (retransmit timers regenerate acks via
-//! nack/timeout, the resync handshake re-probes with a fresh token), so
-//! a discard never needs a control-plane retransmit of its own.
+//! nack/timeout, the resync handshake re-probes with a fresh token, the
+//! next idle period sends another keepalive). The verdict notice is the
+//! one control frame re-sent until its receiver acknowledges it.
 
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -58,19 +59,24 @@ pub enum CtrlMsg {
         /// Total frames the receiver has drained from its FIFO.
         drained: u64,
     },
-    /// Liveness digest: once per beacon period every element (HIB and
-    /// switch) sends one on each attached link, carrying the newest
-    /// beacon sequence number it has heard from every origin (a HIB's
-    /// own entry is its own beacon count). Receivers merge it into their
-    /// own table; an origin whose number advanced is alive. Digests are
-    /// ordinary control traffic: the fault injector drops them on links
-    /// into a crashed fault domain, which is exactly how silence — and
-    /// therefore failure detection — propagates.
-    Heartbeat {
-        /// Newest sequence number per origin, indexed by node; 0 means
-        /// never heard. Shared with the sender's table snapshot, so a
-        /// frame costs no allocation.
-        newest: Rc<[u64]>,
+    /// Liveness keepalive: an element sends one on a link only after a
+    /// whole beacon period in which it launched nothing else there. Any
+    /// frame a port receives is evidence that its neighbour lives, so a
+    /// busy link needs none. Keepalives are ordinary control traffic:
+    /// the fault injector drops them on links into a crashed fault
+    /// domain, which is exactly how silence, and therefore failure
+    /// detection, arises.
+    Keepalive,
+    /// Verdict notice, flooded by a switch over the surviving tree when
+    /// one of its ports convicts (`Down`) or re-admits (`Up`) its
+    /// neighbour, and re-sent on each link until that neighbour answers
+    /// with [`CtrlMsg::NoticeAck`]. Every copy of the flood shares one
+    /// [`Notice`], so the message stays as small as an ack.
+    Notice(Rc<Notice>),
+    /// Acknowledges the [`CtrlMsg::Notice`] `id` on this link.
+    NoticeAck {
+        /// The acknowledged notice.
+        id: u64,
     },
     /// Link-epoch reset, sent by a transmit port reviving after its
     /// peer was declared dead and came back: "forget everything before
@@ -84,7 +90,19 @@ pub enum CtrlMsg {
     },
 }
 
-impl CtrlMsg {}
+/// What a verdict notice says: the verdict as the set it leaves, the
+/// nodes the origin switch can no longer reach.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Notice {
+    /// Origin switch in the high 32 bits, its notice count in the low:
+    /// what the ack names and switches suppress duplicates by.
+    pub id: u64,
+    /// The fabric view's version at the verdict. A board applies a
+    /// notice only if no newer one reached it first.
+    pub version: u64,
+    /// The nodes unreachable from the origin, ascending.
+    pub unreachable: Vec<u16>,
+}
 
 /// A sealed control frame: a [`CtrlMsg`] plus its wire checksum.
 ///
@@ -112,12 +130,7 @@ impl CtrlFrame {
     /// [`crate::Packet::compute_checksum`].
     pub(crate) fn compute_checksum(&self) -> u32 {
         let mut h = Fnv1a::default();
-        match &self.msg {
-            // A word at a time: the derived slice hash would feed the
-            // digest's table to the hasher byte by byte.
-            CtrlMsg::Heartbeat { newest } => newest.iter().for_each(|&w| h.write_u64(w)),
-            msg => msg.hash(&mut h),
-        }
+        self.msg.hash(&mut h);
         let v = h.finish();
         (((v >> 32) as u32) ^ (v as u32)) | 1
     }
@@ -155,9 +168,13 @@ mod tests {
                 token: 1,
                 drained: 42,
             },
-            CtrlMsg::Heartbeat {
-                newest: Rc::from([0, 9, 4].as_slice()),
-            },
+            CtrlMsg::Keepalive,
+            CtrlMsg::Notice(Rc::new(Notice {
+                id: 1 << 32,
+                version: 3,
+                unreachable: vec![1, 4],
+            })),
+            CtrlMsg::NoticeAck { id: 1 << 32 },
             CtrlMsg::Reset { next: 17 },
         ];
         for msg in msgs {
@@ -178,15 +195,17 @@ mod tests {
         assert_ne!(a.checksum, b.checksum);
         assert_ne!(a.checksum, c.checksum);
         assert_eq!(a.checksum & 1, 1, "fold keeps the low bit set");
-        let digest = |newest: [u64; 3]| {
-            CtrlFrame::seal(CtrlMsg::Heartbeat {
-                newest: Rc::from(newest.as_slice()),
-            })
+        let notice = |unreachable: [u16; 2]| {
+            CtrlFrame::seal(CtrlMsg::Notice(Rc::new(Notice {
+                id: 7,
+                version: 1,
+                unreachable: unreachable.to_vec(),
+            })))
         };
         assert_ne!(
-            digest([1, 2, 3]).checksum,
-            digest([1, 2, 4]).checksum,
-            "the checksum covers every digest entry"
+            notice([1, 2]).checksum,
+            notice([1, 3]).checksum,
+            "the checksum covers every named node"
         );
     }
 }

@@ -23,7 +23,7 @@ mod timing;
 pub mod trace;
 
 pub use addr::{GOffset, PageNum, PAGE_BYTES, PAGE_SHIFT, PAGE_WORDS, WORD_BYTES};
-pub use ctrl::{CtrlFrame, CtrlMsg};
+pub use ctrl::{CtrlFrame, CtrlMsg, Notice};
 pub use ids::NodeId;
 pub use msg::{AtomicOp, Fnv1a, Packet, WireMsg};
 pub use payload::{Payload, PayloadPool};

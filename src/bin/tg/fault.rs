@@ -702,11 +702,13 @@ mod tests {
     use super::*;
 
     /// The deadlock report of the campaign's partition scenario (first
-    /// seed), in both disciplines, as rendered before the switch, the HIB
-    /// and the cluster shared one port read-out.
+    /// seed), in both disciplines. Node 0 hears the partition's verdict
+    /// notice as soon as switch 0 convicts switch 1, so its operations
+    /// fail, and the run stops progressing, a watchdog window earlier
+    /// than when it waited out per-period digests (1.200ms).
     #[test]
     fn partition_report_text_is_pinned() {
-        let want = "no progress for a full watchdog window (declared at 1.200ms, \
+        let want = "no progress for a full watchdog window (declared at 900.000us, \
                     66 units committed):\n\
                     \x20 PARTITION: live nodes unreachable by routing: node1, node2\n";
         for mode in [RetxMode::GoBackN, RetxMode::Sack] {

@@ -90,8 +90,8 @@ fn crash_readouts_are_pinned() {
         ),
         (
             "pingpong --sack --crash 1,40 --restart 150",
-            0xf870_52ee_86a8_7329,
-            [10, 260, 0, 0, 0, 0],
+            0x162a_865d_396a_3b40,
+            [10, 260, 0, 0, 1, 0],
         ),
     ] {
         let cluster = run(line);
