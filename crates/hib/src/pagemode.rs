@@ -1,8 +1,6 @@
 //! Per-page sharing metadata and the page-access counters.
 
-use std::collections::HashMap;
-
-use tg_wire::{NodeId, PageNum};
+use tg_wire::{IntMap, NodeId, PageNum};
 
 use crate::host::CounterKind;
 
@@ -40,8 +38,8 @@ pub enum PageMode {
 /// counters for remote pages.
 #[derive(Clone, Debug, Default)]
 pub struct SharedMap {
-    modes: HashMap<u32, PageMode>,
-    counters: HashMap<(NodeId, PageNum), AccessCounters>,
+    modes: IntMap<u32, PageMode>,
+    counters: IntMap<(NodeId, PageNum), AccessCounters>,
 }
 
 /// One remote page's read/write down-counters.

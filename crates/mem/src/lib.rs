@@ -12,9 +12,11 @@
 //! The crate provides:
 //! * [`PAddr`] — the physical address encoding and its decoder;
 //! * [`PhysMem`] — a sparse word-addressed physical memory;
-//! * [`PageTable`]/[`Mmu`] — virtual-to-physical translation with
-//!   permissions and page faults (a launch marks the translated physical
-//!   argument as shadow itself).
+//! * [`SharedWindow`]/[`PageTable`]/[`Mmu`] — virtual-to-physical
+//!   translation with permissions and page faults: one cluster-wide rule
+//!   (the private heap and the shared page window) plus each node's
+//!   exceptions (a launch marks the translated physical argument as
+//!   shadow itself).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,5 +26,5 @@ mod pagetable;
 mod phys;
 
 pub use paddr::{Decoded, PAddr};
-pub use pagetable::{AccessKind, Fault, Mmu, PageFlags, PageTable, Pte, VAddr};
+pub use pagetable::{AccessKind, Fault, Mmu, PageFlags, PageTable, Pte, SharedWindow, VAddr};
 pub use phys::PhysMem;

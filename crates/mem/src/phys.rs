@@ -1,8 +1,6 @@
 //! Sparse word-addressed physical memory.
 
-use std::collections::HashMap;
-
-use tg_wire::{GOffset, WORD_BYTES};
+use tg_wire::{GOffset, IntMap, WORD_BYTES};
 
 /// A sparse 64-bit-word memory, used both for each node's private DRAM and
 /// for its exported shared segment. Unwritten words read as zero, like
@@ -21,15 +19,13 @@ use tg_wire::{GOffset, WORD_BYTES};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhysMem {
-    words: HashMap<u64, u64>,
+    words: IntMap<u64, u64>,
 }
 
 impl PhysMem {
     /// An empty (all-zero) memory.
     pub fn new() -> Self {
-        PhysMem {
-            words: HashMap::new(),
-        }
+        PhysMem::default()
     }
 
     /// Reads the word at a byte offset.

@@ -25,7 +25,7 @@ pub mod trace;
 pub use addr::{GOffset, PageNum, PAGE_BYTES, PAGE_SHIFT, PAGE_WORDS, WORD_BYTES};
 pub use ctrl::{CtrlFrame, CtrlMsg, Notice};
 pub use ids::NodeId;
-pub use msg::{AtomicOp, Fnv1a, Packet, WireMsg};
+pub use msg::{AtomicOp, Fnv1a, IntHasher, IntMap, Packet, WireMsg};
 pub use payload::{Payload, PayloadPool};
 pub use timing::TimingConfig;
 pub use trace::{OpEvent, OpKind, PacketEvent, Site, Stage, TraceCollector, TraceId, Tracer};
