@@ -861,7 +861,8 @@ fn notices_and_the_switch_verdict_drive_peer_verdicts() {
     b.boards[0].wire(tx, 8);
     let peers: Vec<NodeId> = (0..3).map(NodeId::new).collect();
     let params = tg_net::DetectParams::default();
-    assert!(b.boards[0].prime_heartbeats(&peers, b.now, &params));
+    let on = std::rc::Rc::new(std::cell::Cell::new(true));
+    assert!(b.boards[0].prime_heartbeats(&peers, b.now, &params, &on));
     let notice = |version, unreachable: &[u16]| {
         let msg = CtrlMsg::Notice(std::rc::Rc::new(tg_wire::Notice {
             id: version,

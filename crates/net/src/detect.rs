@@ -32,6 +32,9 @@
 //! [`CtrlMsg::Keepalive`]: tg_wire::CtrlMsg::Keepalive
 //! [`CtrlMsg::Notice`]: tg_wire::CtrlMsg::Notice
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use tg_sim::SimTime;
 use tg_wire::CtrlMsg;
 
@@ -295,9 +298,12 @@ impl HeartbeatDetector {
 /// each, boxed, so an element without liveness carries one pointer.
 #[derive(Clone, Debug)]
 pub struct Beacons<S> {
-    /// The tick period; `None` once ticks stop, so the next tick does
-    /// not rearm. The detector's verdicts stay.
-    pub every: Option<SimTime>,
+    /// The tick period.
+    period: SimTime,
+    /// The liveness switch every element of one run shares: ticks rearm
+    /// while it is on. Turning it off stops them all without reaching any
+    /// element; the detectors' verdicts stay.
+    on: Rc<Cell<bool>>,
     /// The failure detector, one watch per port.
     pub detector: HeartbeatDetector,
     /// Per port, [`LinkEnd::wire_log`] after the last tick (`None`
@@ -309,20 +315,22 @@ pub struct Beacons<S> {
 }
 
 impl<S: Default> Beacons<S> {
-    /// Starts liveness in `slot` from `params`, unless it already runs
-    /// there. Returns the fresh state (for the element to watch its
-    /// ports and schedule its first tick), or `None` when ticks already
-    /// run: an element never runs two chains. A stopped state is
-    /// replaced.
+    /// Starts liveness in `slot` from `params`, ticking while `on` is
+    /// set, unless it already runs there. Returns the fresh state (for
+    /// the element to watch its ports and schedule its first tick), or
+    /// `None` when ticks already run: an element never runs two chains.
+    /// A stopped state is replaced.
     pub fn start<'a>(
         slot: &'a mut Option<Box<Beacons<S>>>,
         params: &DetectParams,
+        on: &Rc<Cell<bool>>,
     ) -> Option<&'a mut Beacons<S>> {
-        if slot.as_ref().is_some_and(|b| b.every.is_some()) {
+        if slot.as_ref().is_some_and(|b| b.every().is_some()) {
             return None;
         }
         let beacons = slot.insert(Box::new(Beacons {
-            every: Some(params.heartbeat_every),
+            period: params.heartbeat_every,
+            on: on.clone(),
             detector: HeartbeatDetector::new(params),
             logs: Vec::new(),
             state: S::default(),
@@ -332,6 +340,12 @@ impl<S: Default> Beacons<S> {
 }
 
 impl<S> Beacons<S> {
+    /// The tick period while ticks run; `None` once the liveness switch
+    /// is off, so the next tick does not rearm.
+    pub fn every(&self) -> Option<SimTime> {
+        self.on.get().then_some(self.period)
+    }
+
     /// The tick's work for port `port`: sends a keepalive on `end` after
     /// `delay` if the port launched nothing since the last tick, then
     /// remembers the port's wire log for the next one. Returns whether

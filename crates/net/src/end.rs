@@ -801,7 +801,12 @@ mod tests {
         let (mut e, mut ctx) = (reliable(RetxMode::GoBackN), Rec::default());
         let mut beacons = None;
         let params = crate::DetectParams::default();
-        let b = crate::Beacons::<()>::start(&mut beacons, &params).unwrap();
+        let b = crate::Beacons::<()>::start(
+            &mut beacons,
+            &params,
+            &std::rc::Rc::new(std::cell::Cell::new(true)),
+        )
+        .unwrap();
         let mut tick = |e: &mut LinkEnd, ctx: &mut Rec| b.keep_alive(0, e, DELAY, ctx);
         assert!(!tick(&mut e, &mut ctx), "the first tick only looks");
         assert!(tick(&mut e, &mut ctx));

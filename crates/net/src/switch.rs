@@ -1,5 +1,6 @@
 //! The cut-through switch component.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -247,10 +248,16 @@ impl Switch {
     /// neighbour at `params`' thresholds; the caller runs the ports
     /// reliably. Returns `true` when it started: the caller must then
     /// schedule a [`NetEvent::Beacon`] at this switch, and the tick
-    /// self-rearms until [`Switch::stop_beacons`]. Returns `false`, and
-    /// changes nothing, while beacons already run.
-    pub fn start_beacons(&mut self, params: &DetectParams, now: SimTime) -> bool {
-        let Some(beacons) = Beacons::start(&mut self.beacons, params) else {
+    /// self-rearms while `on` is set; clearing it stops the ticks and the
+    /// notice re-sends. Returns `false`, and changes nothing, while
+    /// beacons already run.
+    pub fn start_beacons(
+        &mut self,
+        params: &DetectParams,
+        now: SimTime,
+        on: &Rc<Cell<bool>>,
+    ) -> bool {
+        let Some(beacons) = Beacons::start(&mut self.beacons, params, on) else {
             return false;
         };
         for (port, end) in self.ports.iter().enumerate() {
@@ -259,14 +266,6 @@ impl Switch {
             }
         }
         true
-    }
-
-    /// Stops the liveness tick: the next one does not rearm, and no
-    /// notice is re-sent.
-    pub fn stop_beacons(&mut self) {
-        if let Some(beacons) = &mut self.beacons {
-            beacons.every = None;
-        }
     }
 
     /// Installs the shared fabric view this switch reports peer verdicts
@@ -591,7 +590,7 @@ impl Switch {
         let Some(b) = self.beacons.as_deref_mut() else {
             return;
         };
-        let Some(every) = b.every else {
+        let Some(every) = b.every() else {
             return;
         };
         ctx.send_self(every, M::from_net(NetEvent::Beacon { alarm: false }));
@@ -708,7 +707,7 @@ impl Switch {
         if b.state.alarm == Some(now) {
             b.state.alarm = None;
         }
-        if b.every.is_none() {
+        if b.every().is_none() {
             b.state.unacked.clear();
             return;
         }

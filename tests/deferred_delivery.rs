@@ -309,14 +309,17 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
     assert_eq!(engine.logical_events(), 119_696);
     // Go-back-N links absorb their acks, credits and idle wire-free
     // events (108,482 delivered and 21,429 inlined before they did). The
-    // peak counts queued events, so no event queue design may move it.
+    // last tick's 32 keepalives are absorbed too (59,393 delivered and
+    // 38,525 absorbed while stopping the heartbeats reached every element
+    // and so queued them). The peak counts queued events, so no event
+    // queue design may move it.
     assert_eq!(
         (
             engine.events_delivered,
             engine.events_absorbed,
             engine.events_inlined
         ),
-        (59_393, 38_525, 21_778)
+        (59_361, 38_557, 21_778)
     );
     // Absorbed events never queue: the peak fell from 68, and from 65
     // when liveness stopped sending digests every period.
@@ -338,20 +341,21 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
     }
     assert!(absorbed.0 > 0 && absorbed.1 > 0, "{absorbed:?}");
     // Deliveries by kind. Liveness is one `tick.heartbeat` per board and
-    // one `net.beacon` per switch per period, plus the last tick's
-    // keepalive on each of the 32 ports, which stopping the heartbeats
-    // finds deferred (mutable access to a component queues its deferred
-    // events) and so delivers: 7,584
-    // deliveries in all, where per-period digests took 26,352 (the
-    // switches ticked twice per period, and every ctrl delivery was a
-    // digest). With no digest due at their instants, 29 `cpu_step` and
-    // one `hib_done` continuation now run in place.
+    // one `net.beacon` per switch per period: 7,552 deliveries in all,
+    // where per-period digests took 26,352 (the switches ticked twice per
+    // period, and every ctrl delivery was a digest). The last tick's
+    // keepalive on each of the 32 ports is absorbed: stopping the
+    // heartbeats turns a shared switch off and reaches no element, so it
+    // no longer queues their deferred events (8 node and 24 switch
+    // `net.ctrl` deliveries before). With no digest due at their
+    // instants, 29 `cpu_step` and one `hib_done` continuation now run in
+    // place.
     assert_eq!(
         harness::kind_report(&cluster),
-        "node deliveries by kind: net.arrive 2276, net.ctrl 8, tick.tx_free 390, \
+        "node deliveries by kind: net.arrive 2276, tick.tx_free 390, \
          tick.rx_done 2276, tick.retx_timer 1780, tick.heartbeat 3776, tick.op_check 78, \
          hib_done 10, cpu_step 30369, start 7\n\
-         switch deliveries by kind: net.arrive 7962, net.pump_out 352, net.ctrl 24, \
+         switch deliveries by kind: net.arrive 7962, net.pump_out 352, \
          net.retx_timer 6309, net.beacon 3776\n"
     );
 }
