@@ -4,10 +4,16 @@
 //! sweep is deterministic and dependency-free.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
-use tg_mem::{AccessKind, Decoded, Fault, Mmu, PAddr, PageFlags, VAddr};
+use tg_mem::{AccessKind, Decoded, Fault, Mmu, PAddr, PageFlags, SharedWindow, VAddr};
 use tg_sim::SimRng;
 use tg_wire::{GOffset, NodeId, PAGE_BYTES};
+
+/// An MMU over an empty window: it maps exactly what it is told.
+fn bare_mmu() -> Mmu {
+    Mmu::with_window(NodeId::new(0), Rc::new(SharedWindow::new(0..0, 0)))
+}
 
 #[test]
 fn private_round_trips() {
@@ -92,7 +98,7 @@ fn translation_is_total_and_consistent() {
         let in_page = rng.range(PAGE_BYTES / 8) * 8;
         let writable = rng.chance(0.5);
 
-        let mut mmu = Mmu::new();
+        let mut mmu = bare_mmu();
         for &vp in &mapped_pages {
             let flags = if writable {
                 PageFlags::RW
@@ -138,7 +144,7 @@ fn misalignment_always_faults() {
         let page = rng.range(16);
         let misoff = 1 + rng.range(7);
         let word = rng.range(1024);
-        let mut mmu = Mmu::new();
+        let mut mmu = bare_mmu();
         mmu.table_mut().map(page, PAddr::private(0), PageFlags::RW);
         let va = VAddr::new(page * PAGE_BYTES + word * 8 + misoff);
         assert_eq!(
