@@ -31,7 +31,7 @@
 //!   a declared crash window, every `peer-up` follows a declared restart,
 //!   a crash window still open while traffic flows past the detector's
 //!   silence floor produced at least one verdict, and a crash-free run
-//!   traced no verdicts at all.
+//!   traced no verdicts and failed no operation.
 
 use std::collections::HashMap;
 
@@ -218,8 +218,22 @@ fn check_export(
             "{false_convictions} peer-down verdict(s) traced with no crash window declared"
         ));
     }
+    check_op_failures(cluster, &mut problems);
     problems.extend(cluster.conservation_violations());
     problems
+}
+
+/// On a crash-free run every peer stays reachable, so an operation
+/// resolved with `OpError::PeerUnreachable` is a false failure.
+fn check_op_failures(cluster: &Cluster, problems: &mut Vec<String>) {
+    let failures: u64 = (0..cluster.node_count())
+        .map(|i| cluster.node(i).stats().op_failures)
+        .sum();
+    if failures > 0 {
+        problems.push(format!(
+            "{failures} operation(s) failed with no crash window declared"
+        ));
+    }
 }
 
 /// Reconciles traced peer-down / peer-up verdicts against the injector's
@@ -398,6 +412,31 @@ mod tests {
         assert_eq!(
             check(&packets),
             ["a crash was declared but no peer-down verdict was traced"]
+        );
+    }
+
+    /// The op-failure check reads `NodeStats`: it passes a healthy
+    /// ping-pong and fires on one whose node 1 crashed, where the
+    /// blocking operations aimed at it fail.
+    #[test]
+    fn a_failed_op_fails_the_crash_free_check() {
+        let failures = |crash| {
+            let opts = HarnessOptions {
+                reliable: true,
+                heartbeats: true,
+                crash,
+                ..HarnessOptions::default()
+            };
+            let mut cluster = harness::build_pingpong(&opts);
+            harness::run_cluster(&mut cluster, &opts, None);
+            let mut problems = Vec::new();
+            check_op_failures(&cluster, &mut problems);
+            problems
+        };
+        assert_eq!(failures(None), Vec::<String>::new());
+        assert_eq!(
+            failures(Some((1, 40))),
+            ["8 operation(s) failed with no crash window declared"]
         );
     }
 }
