@@ -43,7 +43,7 @@ impl ClusterEvent {
     /// Variant names for per-kind delivery counts, indexed by
     /// `ClusterEvent::kind`. The first six are the [`NetEvent`] kinds,
     /// in [`NetEvent::KINDS`] order, so switch counts share the indexing.
-    pub const KINDS: [&'static str; 17] = [
+    pub const KINDS: [&'static str; 16] = [
         "net.arrive",
         "net.credit",
         "net.pump_out",
@@ -54,7 +54,6 @@ impl ClusterEvent {
         "tick.rx_done",
         "tick.retx_timer",
         "tick.heartbeat",
-        "tick.op_check",
         "hib_done",
         "interrupt",
         "os_msg",
@@ -72,14 +71,13 @@ impl ClusterEvent {
                 HibTick::RxDone => 7,
                 HibTick::RetxTimer { .. } => 8,
                 HibTick::Heartbeat => 9,
-                HibTick::OpCheck => 10,
             },
-            ClusterEvent::HibDone(_) => 11,
-            ClusterEvent::Interrupt(_) => 12,
-            ClusterEvent::OsMsg { .. } => 13,
-            ClusterEvent::OsTask { .. } => 14,
-            ClusterEvent::CpuStep => 15,
-            ClusterEvent::Start => 16,
+            ClusterEvent::HibDone(_) => 10,
+            ClusterEvent::Interrupt(_) => 11,
+            ClusterEvent::OsMsg { .. } => 12,
+            ClusterEvent::OsTask { .. } => 13,
+            ClusterEvent::CpuStep => 14,
+            ClusterEvent::Start => 15,
         }
     }
 }
@@ -129,8 +127,8 @@ mod tests {
             "cpu_step"
         );
         assert_eq!(ClusterEvent::KINDS[ClusterEvent::Start.kind()], "start");
-        let tick = ClusterEvent::HibTick(HibTick::OpCheck);
-        assert_eq!(ClusterEvent::KINDS[tick.kind()], "tick.op_check");
+        let tick = ClusterEvent::HibTick(HibTick::Heartbeat);
+        assert_eq!(ClusterEvent::KINDS[tick.kind()], "tick.heartbeat");
     }
 
     #[test]

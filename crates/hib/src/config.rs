@@ -1,7 +1,5 @@
 //! HIB structural configuration.
 
-use tg_sim::SimTime;
-
 /// Which special-operation launch mechanism the board implements (§2.2.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LaunchMode {
@@ -51,19 +49,6 @@ pub struct HibConfig {
     pub segment_pages: u32,
     /// Words per remote-copy / page-transfer burst packet.
     pub copy_burst_words: u32,
-    /// How long a tagged remote request (write, read, atomic) may stay in
-    /// flight before the pending-operation scan retries it. Request-level
-    /// recovery sits *above* link-level retransmission: it only ever fires
-    /// when the link layer itself could not deliver (a crashed peer or
-    /// severed path), so the timeout is deliberately much longer than the
-    /// link RTO.
-    pub op_timeout: SimTime,
-    /// Attempts (original + retries) before a tagged request is failed
-    /// with [`OpError::PeerUnreachable`]. Retries reuse the original tag;
-    /// receivers deduplicate, so a retry is idempotent.
-    ///
-    /// [`OpError::PeerUnreachable`]: crate::host::OpError::PeerUnreachable
-    pub op_retries: u32,
 }
 
 impl HibConfig {
@@ -77,8 +62,6 @@ impl HibConfig {
             local_write_policy: LocalWritePolicy::CountFiltered,
             segment_pages: 2048, // 16 MB MPM / 8 KB pages
             copy_burst_words: 8,
-            op_timeout: SimTime::from_us(500),
-            op_retries: 3,
         }
     }
 

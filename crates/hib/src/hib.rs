@@ -23,9 +23,10 @@ use crate::host::{
     StoreOutcome,
 };
 
-/// Recently-seen request tags remembered per source for idempotent-retry
-/// deduplication. Retries arrive well within this window: a source has at
-/// most `tx_queue_depth` (64) requests in flight toward one destination.
+/// Recently-seen request tags remembered per source for idempotent
+/// re-send deduplication. Re-sends arrive well within this window: a
+/// source has at most `tx_queue_depth` (64) requests in flight toward one
+/// destination.
 const DEDUPE_WINDOW: usize = 128;
 use crate::pagemode::{PageMode, SharedMap};
 use crate::regs::{decode_ctx_reg, opcode, reg, ShadowArg};
@@ -68,12 +69,10 @@ pub struct HibStats {
     pub(crate) peer_downs: u64,
     /// Convicted peers this board later re-admitted.
     pub(crate) peer_ups: u64,
-    /// Tagged requests retried after the request timeout.
-    pub(crate) op_retries: u64,
     /// Tagged requests failed with [`OpError::PeerUnreachable`].
     pub(crate) op_failures: u64,
     /// Completions that arrived for an operation already resolved (late
-    /// acks after a failover, duplicate responses to a retry).
+    /// acks after a failover, duplicate responses to a re-send).
     pub(crate) stale_acks: u64,
     /// OS messages refused at issue time because the destination peer was
     /// already convicted (fail-fast instead of burning the retry budget).
@@ -113,7 +112,7 @@ struct CopyInFlight {
 }
 
 /// Enough of a tagged request to rebuild its wire message for an
-/// idempotent retry.
+/// idempotent re-send.
 #[derive(Clone, Copy, Debug)]
 enum OpKind {
     Write {
@@ -139,14 +138,12 @@ enum OpKind {
     },
 }
 
-/// A tagged remote request awaiting its completion, tracked for
-/// request-level timeout/retry recovery.
+/// A tagged remote request awaiting its completion, tracked so a
+/// conviction can fail it and a route change can re-send it.
 #[derive(Clone, Copy, Debug)]
 struct PendingOp {
     dst: NodeId,
     kind: OpKind,
-    issued_at: SimTime,
-    attempts: u32,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -230,10 +227,11 @@ pub struct Hib {
     link_errors: Vec<LinkError>,
     /// Watchdog progress meter, ticked on every packet commit.
     meter: Option<tg_sim::ProgressMeter>,
-    /// Tagged remote requests in flight, for timeout/retry recovery.
+    /// Tagged remote requests in flight, for verdict-driven recovery.
     pending_ops: BTreeMap<u32, PendingOp>,
-    /// An OpCheck sweep tick is already scheduled.
-    op_check_armed: bool,
+    /// Tags of pending requests a route change re-sends that the TX
+    /// queue had no room for yet; `TxFree` sends them as room frees.
+    resends: VecDeque<u32>,
     /// Liveness state once heartbeats start: the detector watches the
     /// switch across the uplink (key 0), the Heartbeat tick sends a
     /// keepalive when the uplink was idle for a period, and the state
@@ -288,7 +286,7 @@ impl Hib {
             link_errors: Vec::new(),
             meter: None,
             pending_ops: BTreeMap::new(),
-            op_check_armed: false,
+            resends: VecDeque::new(),
             beacons: None,
             updates_to: BTreeMap::new(),
             atomic_served: IntMap::default(),
@@ -542,7 +540,7 @@ impl Hib {
         self.stats.remote_writes += 1;
         self.outstanding_writes += 1;
         let tag = self.alloc_tag();
-        self.register_op(tag, node, OpKind::Write { addr: off, val }, host);
+        self.register_op(tag, node, OpKind::Write { addr: off, val });
         self.enqueue(
             node,
             WireMsg::WriteReq {
@@ -598,7 +596,7 @@ impl Hib {
                     self.stats.fanout_tx += 1;
                     let addr = GOffset::from_page(dst_page, in_page);
                     let tag = self.alloc_tag();
-                    self.register_op(tag, dst, OpKind::Multicast { addr, val }, host);
+                    self.register_op(tag, dst, OpKind::Multicast { addr, val });
                     self.enqueue(dst, WireMsg::MulticastWrite { addr, val, tag }, host);
                 }
                 StoreOutcome::Done
@@ -775,7 +773,7 @@ impl Hib {
         self.stats.remote_reads += 1;
         let tag = self.alloc_tag();
         self.read_pending = Some(tag);
-        self.register_op(tag, node, OpKind::Read { addr: off }, host);
+        self.register_op(tag, node, OpKind::Read { addr: off });
         self.enqueue(node, WireMsg::ReadReq { addr: off, tag }, host);
         LoadOutcome::Pending
     }
@@ -862,7 +860,6 @@ impl Hib {
                                 arg0: datum0,
                                 arg1: datum1,
                             },
-                            host,
                         );
                         self.enqueue(
                             node,
@@ -903,7 +900,6 @@ impl Hib {
                                     arg0: datum0,
                                     arg1: datum1,
                                 },
-                                host,
                             );
                             self.enqueue(
                                 owner,
@@ -957,7 +953,6 @@ impl Hib {
                         from: off,
                         words: words as u32,
                     },
-                    host,
                 );
                 self.enqueue(
                     node,
@@ -1075,6 +1070,7 @@ impl Hib {
                 if let Some(tx) = self.tx_mut() {
                     tx.on_free();
                 }
+                self.send_resends(host);
                 self.retry_stalled(host);
                 self.pump_tx(host);
                 self.check_fence(host);
@@ -1120,15 +1116,7 @@ impl Hib {
                     self.stats.liveness_tx += 1;
                 }
                 self.sweep_detector(host);
-                // Operations issued before heartbeats were enabled get
-                // their sweep armed here.
-                self.arm_op_check(host);
                 host.schedule_tick(every, HibTick::Heartbeat);
-            }
-            HibTick::OpCheck => {
-                self.op_check_armed = false;
-                self.scan_pending_ops(host);
-                self.arm_op_check(host);
             }
         }
     }
@@ -1192,11 +1180,14 @@ impl Hib {
     }
 
     /// True when a `TxFree` tick would only free the wire: nothing waits
-    /// to launch, and no parked store or fence waits on the transmit
-    /// side.
+    /// to launch, and no re-send, parked store or fence waits on the
+    /// transmit side.
     #[inline]
     pub fn can_absorb_tx_free(&self) -> bool {
-        self.tx_settled() && self.stalled_store.is_none() && !self.fence_waiting
+        self.tx_settled()
+            && self.resends.is_empty()
+            && self.stalled_store.is_none()
+            && !self.fence_waiting
     }
 
     /// Applies an absorbed credit arriving at `at`, as
@@ -1293,7 +1284,9 @@ impl Hib {
 
     /// Applies a verdict notice from the switch, unless a newer one
     /// already reached this board: the peers it names are convicted, the
-    /// others re-admitted.
+    /// others re-admitted. A newer view version is a route change: once
+    /// the verdicts have failed the requests to convicted peers, the
+    /// pending ones are re-sent.
     fn apply_notice(&mut self, version: u64, unreachable: &[u16], host: &mut dyn HibHost) {
         let Some(peers) = self.beacons.as_mut().map(|b| &mut b.state) else {
             return;
@@ -1301,6 +1294,7 @@ impl Hib {
         if version < peers.version {
             return;
         }
+        let route_change = version > peers.version;
         peers.version = version;
         peers.named.fill(false);
         for &n in unreachable {
@@ -1309,6 +1303,9 @@ impl Hib {
             }
         }
         self.settle_peers(host);
+        if route_change {
+            self.resend_pending(host);
+        }
     }
 
     /// Runs the failure detector over the switch; a conviction convicts
@@ -1417,55 +1414,36 @@ impl Hib {
         self.check_fence(host);
     }
 
-    /// Registers a tagged request for timeout/retry recovery.
-    fn register_op(&mut self, tag: u32, dst: NodeId, kind: OpKind, host: &mut dyn HibHost) {
-        self.pending_ops.insert(
-            tag,
-            PendingOp {
-                dst,
-                kind,
-                issued_at: host.now(),
-                attempts: 1,
-            },
-        );
-        self.arm_op_check(host);
+    /// Registers a tagged request for verdict-driven recovery.
+    fn register_op(&mut self, tag: u32, dst: NodeId, kind: OpKind) {
+        self.pending_ops.insert(tag, PendingOp { dst, kind });
     }
 
-    /// Arms the pending-operation sweep. Only active alongside heartbeats:
-    /// without a failure detector there is no conviction to act on, and
-    /// the reliable link layer already guarantees delivery to live peers.
-    fn arm_op_check(&mut self, host: &mut dyn HibHost) {
-        if self.op_check_armed || self.beacon_every().is_none() || self.pending_ops.is_empty() {
-            return;
-        }
-        self.op_check_armed = true;
-        host.schedule_tick(self.config.op_timeout, HibTick::OpCheck);
+    /// Re-sends every pending request once, under its own tag. None is
+    /// addressed to a down peer: a conviction fails them, and no request
+    /// is issued to a convicted peer. A route change is the one event
+    /// besides a conviction that loses a request: frames acked hop by hop
+    /// into a switch that then died are gone, and the reliable links mask
+    /// every other loss. The board cannot tell which paths changed, so it
+    /// re-sends them all; receivers deduplicate by tag.
+    fn resend_pending(&mut self, host: &mut dyn HibHost) {
+        self.resends = self.pending_ops.keys().copied().collect();
+        self.send_resends(host);
     }
 
-    /// Retries or fails every tagged request older than the op timeout.
-    fn scan_pending_ops(&mut self, host: &mut dyn HibHost) {
-        let now = host.now();
-        let timeout = self.config.op_timeout;
-        let due: Vec<u32> = self
-            .pending_ops
-            .iter()
-            .filter(|(_, op)| now >= op.issued_at + timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for tag in due {
-            let Some(op) = self.pending_ops.get(&tag).copied() else {
-                continue;
-            };
-            if self.peer_down(op.dst) || op.attempts >= self.config.op_retries.max(1) {
-                self.fail_op(tag, OpError::PeerUnreachable { peer: op.dst }, host);
-            } else if self.tx_has_room(1) {
-                let entry = self.pending_ops.get_mut(&tag).expect("present");
-                entry.attempts += 1;
-                entry.issued_at = now;
-                self.stats.op_retries += 1;
+    /// Sends the re-sends the TX queue has room for, in tag order; the
+    /// rest wait for the next `TxFree`. A request resolved meanwhile
+    /// (completed, or failed by a conviction) is skipped.
+    fn send_resends(&mut self, host: &mut dyn HibHost) {
+        while let Some(&tag) = self.resends.front() {
+            if !self.tx_has_room(1) {
+                self.recheck |= self.lazy_free;
+                return;
+            }
+            self.resends.pop_front();
+            if let Some(op) = self.pending_ops.get(&tag).copied() {
                 self.enqueue(op.dst, Self::rebuild_msg(tag, op.kind), host);
             }
-            // No TX room: leave issued_at alone; the next sweep retries.
         }
     }
 

@@ -83,11 +83,6 @@ pub enum HibTick {
     /// idle for a whole period, and sweep the detector watching the
     /// switch. Self-rearming while heartbeats are enabled.
     Heartbeat,
-    /// The pending-operation scan timer: sweep the tagged-operation
-    /// registry for requests that have been in flight past the request
-    /// timeout, retrying (same tag — the receiver side is idempotent)
-    /// or failing them. Self-rearming while operations are pending.
-    OpCheck,
 }
 
 /// Why a remote operation could not complete (§crash-stop fault model):
@@ -95,9 +90,7 @@ pub enum HibTick {
 /// receives instead of hanging or panicking.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpError {
-    /// The destination node was declared dead by the failure detector
-    /// (or exhausted its request-retry budget, which is the same verdict
-    /// reached the slow way).
+    /// The destination node was declared dead by the failure detector.
     PeerUnreachable {
         /// The unreachable destination.
         peer: NodeId,

@@ -169,6 +169,18 @@ impl Bench {
     }
 
     fn run(&mut self) {
+        self.drive(None);
+    }
+
+    /// Runs like [`Bench::run`], but every packet board `src` launches is
+    /// lost in the fabric (a switch that died with it inside) and
+    /// returned instead of delivered.
+    fn run_losing_from(&mut self, src: usize) -> Vec<WireMsg> {
+        self.drive(Some(src))
+    }
+
+    fn drive(&mut self, lose_from: Option<usize>) -> Vec<WireMsg> {
+        let mut lost = Vec::new();
         let mut guard = 0u64;
         while let Some(Reverse((at, payload_idx, board))) = self.queue.pop() {
             guard += 1;
@@ -177,11 +189,18 @@ impl Bench {
             let ev = self.payloads[payload_idx as usize]
                 .take()
                 .expect("payload consumed once");
+            if let Ev::Net(NetEvent::Arrive { packet, .. }) = &ev {
+                if Some(packet.src.index()) == lose_from {
+                    lost.push(packet.msg.clone());
+                    continue;
+                }
+            }
             self.with_board(board, |b, host| match ev {
                 Ev::Net(ev) => b.on_net(ev, host),
                 Ev::Tick(t) => b.on_tick(t, host),
             });
         }
+        lost
     }
 }
 
@@ -912,4 +931,128 @@ fn notices_and_the_switch_verdict_drive_peer_verdicts() {
         },
     );
     assert_eq!(verdicts(&mut b), [up(1), up(2)]);
+}
+
+/// Board 0 of an `n`-board bench with liveness primed, and a way to hand
+/// it a verdict notice of a given view version.
+fn notice_bench(n: usize, config: HibConfig) -> Bench {
+    let mut b = Bench::new(n, config);
+    let peers: Vec<NodeId> = (0..n as u16).map(NodeId::new).collect();
+    let on = std::rc::Rc::new(std::cell::Cell::new(true));
+    let params = tg_net::DetectParams::default();
+    assert!(b.boards[0].prime_heartbeats(&peers, b.now, &params, &on));
+    b
+}
+
+fn deliver_notice(b: &mut Bench, version: u64, unreachable: &[u16]) {
+    let msg = CtrlMsg::Notice(std::rc::Rc::new(tg_wire::Notice {
+        id: version,
+        version,
+        unreachable: unreachable.to_vec(),
+    }));
+    let ev = NetEvent::Ctrl {
+        port: 0,
+        frame: CtrlFrame::seal(msg),
+    };
+    b.with_board(0, |h, host| h.on_net(ev, host));
+}
+
+fn write_req(off: u64, val: u64, tag: u32) -> WireMsg {
+    WireMsg::WriteReq {
+        addr: GOffset::new(off),
+        val,
+        tag,
+    }
+}
+
+/// Request recovery is driven by verdicts: a notice with a newer view
+/// version re-sends every pending request to a live peer once, under its
+/// original tag; an equal or older version re-sends nothing; a request
+/// to a peer the notice names is failed instead. The re-sends then
+/// complete what the lost originals did not.
+#[test]
+fn a_route_change_resends_each_pending_op_once_under_its_tag() {
+    let mut b = notice_bench(4, HibConfig::default());
+    for (dst, off) in [(1u16, 0u64), (2, 8), (3, 16)] {
+        assert_eq!(b.store(0, remote(dst, off), off + 1), StoreOutcome::Done);
+    }
+    assert_eq!(b.load(0, remote(1, 24)), LoadOutcome::Pending);
+    let sent = [
+        write_req(0, 1, 1),
+        write_req(8, 9, 2),
+        write_req(16, 17, 3),
+        WireMsg::ReadReq {
+            addr: GOffset::new(24),
+            tag: 4,
+        },
+    ];
+    assert_eq!(b.run_losing_from(0), sent, "the switch swallows them all");
+
+    deliver_notice(&mut b, 1, &[]);
+    assert_eq!(
+        b.run_losing_from(0),
+        sent,
+        "a route change re-sends each once"
+    );
+    deliver_notice(&mut b, 1, &[]);
+    assert!(
+        b.run_losing_from(0).is_empty(),
+        "an equal version is no change"
+    );
+    deliver_notice(&mut b, 0, &[]);
+    assert!(b.run_losing_from(0).is_empty(), "an older version is stale");
+
+    deliver_notice(&mut b, 2, &[2]);
+    assert_eq!(
+        b.run_losing_from(0),
+        [sent[0].clone(), sent[2].clone(), sent[3].clone()],
+        "the write to the convicted peer is failed, not re-sent"
+    );
+    assert!(b.boards[0].peer_down(NodeId::new(2)));
+
+    deliver_notice(&mut b, 3, &[2]);
+    b.run();
+    assert_eq!(b.segments[1].read(GOffset::new(0)), 1);
+    assert_eq!(b.segments[2].read(GOffset::new(8)), 0, "never delivered");
+    assert_eq!(b.segments[3].read(GOffset::new(16)), 17);
+    assert!(matches!(
+        b.completions[0].as_slice(),
+        [(_, CpuResult::LoadDone { val: 0 })]
+    ));
+    assert!(b.fence(0), "every surviving request completed");
+}
+
+/// A re-send never pushes the transmit queue past its depth: what does
+/// not fit waits, keeps `TxFree` from being absorbed, and goes out as
+/// the wire frees room.
+#[test]
+fn resends_that_find_the_tx_queue_full_go_out_as_room_frees() {
+    let config = HibConfig {
+        tx_queue_depth: 2,
+        ..HibConfig::default()
+    };
+    let mut b = notice_bench(2, config);
+    let mut sent = Vec::new();
+    for i in 0..5u64 {
+        assert_eq!(b.store(0, remote(1, i * 8), i + 1), StoreOutcome::Done);
+        sent.extend(b.run_losing_from(0));
+    }
+    assert_eq!(sent.len(), 5);
+
+    deliver_notice(&mut b, 1, &[]);
+    // One re-send is on the wire and two fill the queue; two wait.
+    assert_eq!(b.boards[0].tx_queue_depth(), 2);
+    assert!(!b.boards[0].can_absorb_tx_free());
+    assert_eq!(
+        b.run_losing_from(0),
+        sent,
+        "each re-sent once, in tag order"
+    );
+
+    deliver_notice(&mut b, 2, &[]);
+    b.run();
+    for i in 0..5u64 {
+        assert_eq!(b.segments[1].read(GOffset::new(i * 8)), i + 1);
+    }
+    assert!(b.fence(0));
 }

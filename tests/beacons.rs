@@ -72,3 +72,38 @@ fn a_second_enable_keeps_one_beacon_chain() {
     cluster.enable_heartbeats(DetectParams::default());
     assert_eq!(frames_per_period(cluster), 10);
 }
+
+/// The last halt instant of a 256-node stencil (strip 8, 2 sweeps) on one
+/// reliable star, and its operation failures. Node 0's fetch-and-add
+/// barrier queues healthy requests for hundreds of microseconds at this
+/// size.
+fn stencil256(heartbeats: bool) -> (SimTime, u64) {
+    let opts = HarnessOptions {
+        nodes: 256,
+        reliable: true,
+        heartbeats,
+        ..HarnessOptions::default()
+    };
+    let (mut cluster, check) = harness::build_stencil(&opts, 8, 2);
+    assert!(harness::run_cluster(&mut cluster, &opts, None));
+    harness::verify_stencil(&cluster, &check).expect("the stencil matches its reference");
+    let stats: Vec<_> = (0..cluster.node_count())
+        .map(|i| cluster.node(i).stats())
+        .collect();
+    let halt = stats
+        .iter()
+        .map(|s| s.halted_at.expect("every node halts"))
+        .max()
+        .expect("nodes");
+    (halt, stats.iter().map(|s| s.op_failures).sum())
+}
+
+/// Liveness costs a healthy fabric nothing at scale: a slow answer is
+/// not a lost one, so heartbeats neither retry nor fail the queued
+/// requests, and the run halts when the heartbeat-free run does.
+#[test]
+fn a_healthy_heartbeat_stencil_halts_on_time_at_256_nodes() {
+    let (quiet, failures) = stencil256(false);
+    assert_eq!(failures, 0);
+    assert_eq!(stencil256(true), (quiet, 0));
+}

@@ -128,11 +128,11 @@ fn switch_out_trace_is_pinned_and_absorbs() {
     } = trace_pin(harness::build_pingpong(&opts), &opts);
     assert_eq!(
         (trace, wire),
-        (0x03c0_cc35_e177_5cdd, 0x5455_3692_f0a7_648a)
+        (0x83a8_5362_b6e6_6688, 0x4d24_648d_8499_7e9c)
     );
     assert!(engine.events_absorbed > 0, "no link bookkeeping absorbed");
     assert!(engine.events_inlined > 0, "no continuation ran in place");
-    assert_eq!(engine.logical_events(), 2_939);
+    assert_eq!(engine.logical_events(), 2_220);
 }
 
 /// `tg trace pingpong --switch-out 1,100,400`: switch 1 returns while
@@ -153,9 +153,9 @@ fn switch_return_trace_is_pinned() {
     assert!(traced_at(&packets, Stage::CreditResync).0);
     assert_eq!(
         (pin.trace, pin.wire),
-        (0xdb39_768e_5875_808c, 0x08e1_cc84_18c3_039b)
+        (0xf340_047a_59bd_e3df, 0xdd20_7551_7990_222a)
     );
-    assert_eq!(pin.engine.logical_events(), 3_211);
+    assert_eq!(pin.engine.logical_events(), 2_226);
 }
 
 /// The `tg fault` `creditloss` workload with fault seed 1 on go-back-N
@@ -202,14 +202,14 @@ fn sack_crash_restart_trace_is_pinned_and_absorbs() {
             150,
             (0xaafb_e3a8_66c0_f922, 0xb0c0_ca26_fef7_6612),
             26,
-            1_143,
+            1_139,
         ),
         (
             (1, 150),
             2500,
             (0x6f7b_6d32_e307_bc1c, 0xf796_80d1_9d36_78b5),
             0,
-            1_247,
+            1_243,
         ),
     ] {
         let opts = HarnessOptions {
@@ -306,7 +306,7 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
     assert_eq!((rank(0.50), rank(0.99)), (57_840, 137_560));
     let engine = cluster.engine_stats();
     assert!(engine.events_inlined > 0, "no continuation ran in place");
-    assert_eq!(engine.logical_events(), 119_696);
+    assert_eq!(engine.logical_events(), 119_618);
     // Go-back-N links absorb their acks, credits and idle wire-free
     // events (108,482 delivered and 21,429 inlined before they did). The
     // last tick's 32 keepalives are absorbed too (59,393 delivered and
@@ -319,11 +319,12 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
             engine.events_absorbed,
             engine.events_inlined
         ),
-        (59_361, 38_557, 21_778)
+        (59_283, 38_557, 21_778)
     );
-    // Absorbed events never queue: the peak fell from 68, and from 65
-    // when liveness stopped sending digests every period.
-    assert_eq!(engine.max_queue_len, 51);
+    // Absorbed events never queue: the peak fell from 68, from 65
+    // when liveness stopped sending digests every period, and from 51
+    // when the boards stopped arming op-timeout sweep ticks.
+    assert_eq!(engine.max_queue_len, 44);
     // Heartbeats, acks and timers included, every delivery has a kind;
     // nodes and switches both absorb.
     let mut absorbed = (0, 0);
@@ -353,7 +354,7 @@ fn shrunk_kv_run_is_pinned_and_inlines() {
     assert_eq!(
         harness::kind_report(&cluster),
         "node deliveries by kind: net.arrive 2276, tick.tx_free 390, \
-         tick.rx_done 2276, tick.retx_timer 1780, tick.heartbeat 3776, tick.op_check 78, \
+         tick.rx_done 2276, tick.retx_timer 1780, tick.heartbeat 3776, \
          hib_done 10, cpu_step 30369, start 7\n\
          switch deliveries by kind: net.arrive 7962, net.pump_out 352, \
          net.retx_timer 6309, net.beacon 3776\n"
@@ -389,11 +390,11 @@ fn kv_switch_outage_run_is_pinned_and_absorbs() {
     let silenced = [tg_wire::NodeId::new(1)];
     let report = tg_kv::audit(&cluster, &handles, &silenced);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert_eq!(report.fingerprint, 0x9e2c_55c9_42d8_4734);
-    assert_eq!(cluster.wire_fingerprint(), 0x4a98_d583_e4fc_3a09);
+    assert_eq!(report.fingerprint, 0x7872_8d72_cd7e_9e6e);
+    assert_eq!(cluster.wire_fingerprint(), 0x3485_faa7_e141_1274);
     let engine = cluster.engine_stats();
     assert!(engine.events_absorbed > 0, "no link bookkeeping absorbed");
-    assert_eq!(engine.logical_events(), 45_186);
+    assert_eq!(engine.logical_events(), 39_731);
 }
 
 /// Three nodes on go-back-N links with zero propagation delay, so the
